@@ -281,11 +281,13 @@ def format_bench(results: Dict[str, Any]) -> str:
 
 
 #: Historical baseline blocks that must survive every re-record: the
-#: seed kernel (``pre_overhaul``, recorded before PR 2's queue overhaul)
-#: and the three-mode heap kernel (``pre_calendar``, recorded before the
-#: calendar-queue backend became the default).  They are the trajectory
-#: the README's perf table tells; a re-record may never lose them.
-HISTORY_KEYS = ("pre_overhaul", "pre_calendar")
+#: seed kernel (``pre_overhaul``, recorded before PR 2's queue overhaul),
+#: the three-mode heap kernel (``pre_calendar``, recorded before the
+#: calendar-queue backend became the default) and the generator-per-task
+#: worker (``pre_fastpath``, the fib/knary rows before the flat dispatch
+#: path).  They are the trajectory the README's perf table tells; a
+#: re-record may never lose them.
+HISTORY_KEYS = ("pre_overhaul", "pre_calendar", "pre_fastpath")
 
 
 def write_bench(results: Dict[str, Any], out_path: str = DEFAULT_OUT) -> None:

@@ -37,6 +37,9 @@ class Workstation:
         self.sim = sim
         self.name = name
         self.profile = profile
+        #: ``profile.cycles_per_second``, cached: the per-task conversion
+        #: is one division by it (the same float expression).
+        self._cycles_per_second = profile.cycles_per_second
         self.network = network
         #: Accumulated CPU-busy seconds ("rusage"): compute + messaging.
         self.cpu_busy_s = 0.0
@@ -52,7 +55,7 @@ class Workstation:
 
     def seconds_for(self, cycles: float) -> float:
         """Wall-clock seconds this machine needs for *cycles* of work."""
-        return self.profile.seconds(cycles)
+        return cycles / self._cycles_per_second
 
     def charge(self, seconds: float) -> None:
         """Add busy time without blocking (used for messaging overhead)."""
@@ -69,7 +72,7 @@ class Workstation:
         """
         if self.crashed:
             raise ReproError(f"execute() on crashed workstation {self.name!r}")
-        seconds = self.seconds_for(cycles)
+        seconds = cycles / self._cycles_per_second
         self.cpu_busy_s += seconds
         return self.sim.timeout(seconds)
 

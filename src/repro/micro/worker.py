@@ -196,6 +196,10 @@ class Worker:
         #: unfillable copy at the peer.
         self._fill_hold: Optional[List[tuple]] = None
         self.peers: List[str] = [self.name]
+        #: Steal victims: the peer list sorted with this worker excluded,
+        #: rebuilt only by :meth:`_set_peers` (every steal attempt reads
+        #: it).  A tuple, so a victim policy cannot mutate it.
+        self._victims: Tuple[str, ...] = ()
         #: Every peer name this worker has ever seen registered.  The
         #: live ``peers`` list shrinks as workers retire, but retired
         #: machines stay reachable and rejoin when offered work — so
@@ -384,14 +388,21 @@ class Worker:
             self._post(self.ch_host, self.config.port, (P.MIGRATE, [closure], [], self.name))
             return
         self.deque.push(closure)
-        self._note_in_use()
+        # High-water mark, taken at every growth point: under "central"
+        # a local fill ships the closure away mid-task, so the count is
+        # not monotone within a task and cannot be sampled once per task.
+        n = len(self.deque) + len(self.suspended) + self.executing
+        if n > self.stats.max_tasks_in_use:
+            self.stats.max_tasks_in_use = n
         if self._m_deque_series is not None:
             self._sample_deque()
 
     def register_suspended(self, closure: Closure) -> None:
         """Park a successor closure until its missing arguments arrive."""
         self.suspended[closure.cid] = closure
-        self._note_in_use()
+        n = len(self.deque) + len(self.suspended) + self.executing
+        if n > self.stats.max_tasks_in_use:
+            self.stats.max_tasks_in_use = n
         if self._m_fill_latency is not None:
             self._suspended_at[closure.cid] = self.sim.now
         if self.trace is not None:
@@ -436,13 +447,14 @@ class Worker:
             return True
         closure = self.suspended.get(cid)
         if closure is not None:
-            if closure.slot_filled(continuation.slot):
+            remaining = closure.try_fill(continuation.slot, value)
+            if remaining < 0:
                 self.stats.duplicate_sends += 1
                 if self.trace is not None:
                     self.trace.emit(self.sim.now, "join.dup", self.name,
                                     cid=cid, slot=continuation.slot)
                 return True
-            if closure.fill(continuation.slot, value):
+            if remaining == 0:
                 del self.suspended[cid]
                 if self._m_fill_latency is not None:
                     suspended_at = self._suspended_at.pop(cid, None)
@@ -456,8 +468,7 @@ class Worker:
                 self.enqueue_ready(closure)
             elif self.trace is not None:
                 self.trace.emit(self.sim.now, "join.fill", self.name, cid=cid,
-                                slot=continuation.slot,
-                                remaining=closure.join_counter)
+                                slot=continuation.slot, remaining=remaining)
             return True
         if cid in self.forward_map:
             return False  # departed: the caller forwards
@@ -603,6 +614,7 @@ class Worker:
         is done.
         """
         cfg = self.config
+        prof = self._prof
         while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -611,7 +623,21 @@ class Worker:
                 closure = self.deque.pop_exec()
                 if closure is not None:
                     self._failed_steals = 0
-                    yield from self._execute(closure)
+                    charged = self._execute(closure)
+                    # Yielding the cycle-charging event is also the poll
+                    # point where concurrent steal requests and arriving
+                    # arguments interleave.
+                    if prof is None:
+                        yield charged
+                    else:
+                        try:
+                            yield charged
+                        finally:
+                            # Also reached by a crash Interrupt landing
+                            # in the yield: the working interval and its
+                            # B/E pair must close before _finish ends the
+                            # participation span.
+                            prof.exec_done(self.sim.now, self.name, closure.cid)
                     if cfg.mode == "push":
                         self._maybe_push()
                     elif (cfg.proactive_threshold > 0
@@ -656,7 +682,12 @@ class Worker:
         # Graceful eviction (owner reclaim or priority preemption):
         # migrate tasks and die.
         reason = {"owner-reclaimed": "reclaimed"}.get(cause, cause)
-        yield from self._depart(reason=reason, migrate_ready=True)
+        try:
+            yield from self._depart(reason=reason, migrate_ready=True)
+        except Interrupt as again:
+            # The machine crashed (or was torn down) while the departure
+            # was still awaiting its migrate ack (bug 13).
+            yield from self._on_run_interrupt(again)
 
     def suspended_or_deque_nonempty(self) -> bool:
         """True if this worker still holds closures it cannot abandon
@@ -744,16 +775,27 @@ class Worker:
             return
         self._enqueue_root()
 
-    def _execute(self, closure: Closure) -> Generator:
+    def _execute(self, closure: Closure) -> Event:
+        """Run one task's thread function, for every configuration.
+
+        All of a task's effects (spawns, sends, trace, metrics, profiler
+        edges) happen synchronously here; the returned event charges its
+        simulated cycles (dispatch + work + spawns + sends) and is what
+        the run loop yields.
+        """
         self.executing = True
-        self._note_in_use()
+        stats = self.stats
+        n = len(self.deque) + len(self.suspended) + 1
+        if n > stats.max_tasks_in_use:
+            stats.max_tasks_in_use = n
         if self.trace is not None:
             # Emitted before the thread function runs: its spawns/sends
             # take effect synchronously, so by the time a crash interrupt
             # can land (the cycle-charging yield) the task has executed.
             self.trace.emit(self.sim.now, "closure.exec", self.name,
                             cid=closure.cid, thread=closure.thread_name)
-        frame = Frame(self, self.workstation.profile, closure)
+        workstation = self.workstation
+        frame = Frame(self, workstation.profile, closure)
         ref = self.job.program.resolve(closure.thread_name)
         prof = self._prof
         if prof is not None:
@@ -765,9 +807,9 @@ class Worker:
             prof.exec_begin(self.sim.now, self.name, closure.cid,
                             closure.thread_name, closure.depth)
         ref.fn(frame, *closure.call_args())
-        self.stats.tasks_executed += 1
+        stats.tasks_executed += 1
         if self._m_task_grain is not None or self._health is not None:
-            service_s = self.workstation.seconds_for(frame.cycles)
+            service_s = workstation.seconds_for(frame.cycles)
             if self._m_task_grain is not None:
                 self._m_task_grain.observe(service_s)
                 self._sample_deque()
@@ -776,22 +818,11 @@ class Worker:
         if self.config.track_completed and closure.join_counter == 0:
             self.completed.add(closure.cid)
         self.executing = False
-        # Charge the task's simulated cycles (dispatch + work + spawns +
-        # sends); yielding here is also the poll point where concurrent
-        # steal requests and arriving arguments interleave.
-        if prof is None:
-            yield self.workstation.execute(frame.cycles)
-            return
-        self._exec_cid = None
-        prof.exec_end(self.sim.now, self.name, closure.cid,
-                      self.workstation.seconds_for(frame.cycles))
-        try:
-            yield self.workstation.execute(frame.cycles)
-        finally:
-            # Also reached by a crash Interrupt landing in the yield:
-            # the working interval and its B/E pair must close before
-            # _finish ends the participation span.
-            prof.exec_done(self.sim.now, self.name, closure.cid)
+        if prof is not None:
+            self._exec_cid = None
+            prof.exec_end(self.sim.now, self.name, closure.cid,
+                          workstation.seconds_for(frame.cycles))
+        return workstation.execute(frame.cycles)
 
     # ------------------------------------------------------------------
     # Stealing (thief side)
@@ -814,7 +845,7 @@ class Worker:
             # the queue holder (the Clearinghouse host's worker).
             victims = [] if self.name == self.ch_host else [self.ch_host]
         else:
-            victims = sorted(p for p in self.peers if p != self.name)
+            victims = self._victims
         if not victims:
             self.stats.failed_steal_attempts += 1
             yield self.sim.timeout(cfg.steal_backoff_s)
@@ -878,7 +909,7 @@ class Worker:
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
             if self._health is not None:
                 self._health.steal_timeout(self.sim.now, self.name, victim)
-        victims = sorted(p for p in self.peers if p != self.name)
+        victims = self._victims
         if not victims:
             return
         victim = self.victim_policy.choose(victims)
@@ -1196,6 +1227,7 @@ class Worker:
     def _set_peers(self, names: List[str]) -> None:
         self.peers = list(names)
         self._peers_seen.update(names)
+        self._victims = tuple(sorted(p for p in self.peers if p != self.name))
 
     def _on_worker_died(self, dead: str) -> None:
         """Crash redo: re-enqueue copies of everything *dead* stole from
@@ -1514,6 +1546,12 @@ class Worker:
             self._fill_hold = []
             try:
                 target = yield from self._migrate_with_ack(ready, suspended)
+            except Interrupt:
+                # The handoff never completed, so the drained batch is
+                # still resident here: back on the ready list, where a
+                # fail-stop's closure.lost record accounts for it.
+                self.deque.extend_tail(ready)
+                raise
             finally:
                 held, self._fill_hold = self._fill_hold, None
             if target is None:
@@ -1792,12 +1830,6 @@ class Worker:
             finally:
                 sock.close()
         return None
-
-    def _pick_live_peer(self) -> Optional[str]:
-        candidates = sorted(p for p in self.peers if p != self.name)
-        if not candidates:
-            return None
-        return candidates[self.rng.randrange(len(candidates))]
 
     # ------------------------------------------------------------------
     # Helpers

@@ -9,7 +9,7 @@ number, slot) — so results can be sent across workers.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ClosureError
 
@@ -67,7 +67,7 @@ class Closure:
         self,
         cid: ClosureId,
         thread_name: str,
-        args: List[Any],
+        args: Sequence[Any],
         missing_slots: Optional[List[int]] = None,
         depth: int = 0,
     ) -> None:
@@ -83,9 +83,26 @@ class Closure:
             self._missing = sum(1 for a in self.args if a is _EMPTY)
         else:
             # Fast path: with no missing_slots the closure is born ready.
-            # (Holes can only be punched via missing_slots — _EMPTY is
-            # module-private, so callers cannot place it in args.)
+            # (Holes can only be punched via missing_slots or
+            # born_waiting — _EMPTY is module-private, so callers cannot
+            # place it in args.)
             self._missing = 0
+
+    @classmethod
+    def born_waiting(
+        cls, cid: ClosureId, thread_name: str, given: Sequence[Any],
+        n_missing: int, depth: int,
+    ) -> "Closure":
+        """A closure whose first ``len(given)`` slots are filled and
+        whose last *n_missing* slots await an argument send — the shape
+        every successor has, built without the ``missing_slots`` scan."""
+        self = cls.__new__(cls)
+        self.cid = cid
+        self.thread_name = thread_name
+        self.args = [*given, *(_EMPTY,) * n_missing]
+        self.depth = depth
+        self._missing = n_missing
+        return self
 
     @property
     def join_counter(self) -> int:
@@ -103,20 +120,36 @@ class Closure:
             raise ClosureError(f"slot {slot} out of range for {self.thread_name}")
         return self.args[slot] is not _EMPTY
 
+    def try_fill(self, slot: int, value: Any) -> int:
+        """Deposit *value* into *slot* unless it already holds one.
+
+        Returns the join counter after the fill (0: the closure just
+        became ready), or -1 if the slot was already filled — a
+        crash-redo or retransmission duplicate, which the scheduler's
+        send path drops.
+        """
+        args = self.args
+        if not (0 <= slot < len(args)):
+            raise ClosureError(f"slot {slot} out of range for {self.thread_name}")
+        if args[slot] is not _EMPTY:
+            return -1
+        args[slot] = value
+        self._missing -= 1
+        return self._missing
+
     def fill(self, slot: int, value: Any) -> bool:
         """Deposit *value* into *slot*; returns True if this made it ready.
 
-        Filling an already-filled slot is a :class:`ClosureError`: the
-        scheduler's send path deduplicates crash-redo duplicates *before*
-        calling fill, so a double fill here is a programming bug.
+        Filling an already-filled slot is a :class:`ClosureError`: for
+        callers that have not deduplicated through :meth:`try_fill`, a
+        double fill is a programming bug.
         """
-        if self.slot_filled(slot):
+        remaining = self.try_fill(slot, value)
+        if remaining < 0:
             raise ClosureError(
                 f"slot {slot} of {self.thread_name}#{self.cid} filled twice"
             )
-        self.args[slot] = value
-        self._missing -= 1
-        return self._missing == 0
+        return remaining == 0
 
     def call_args(self) -> List[Any]:
         """The argument list, for invocation; requires readiness."""
@@ -135,13 +168,7 @@ class Closure:
         """
         if not self.is_ready:
             raise ClosureError("redo_copy of a non-ready closure")
-        clone = Closure.__new__(Closure)
-        clone.cid = new_cid
-        clone.thread_name = self.thread_name
-        clone.args = list(self.args)
-        clone.depth = self.depth
-        clone._missing = 0
-        return clone
+        return Closure(new_cid, self.thread_name, self.args, None, self.depth)
 
     def __repr__(self) -> str:
         shown = ", ".join("_" if a is _EMPTY else repr(a) for a in self.args)

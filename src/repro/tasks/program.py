@@ -180,15 +180,7 @@ class Frame:
     platform profile) and forwards scheduling actions to the worker.
     """
 
-    __slots__ = (
-        "_ops",
-        "profile",
-        "closure",
-        "cycles",
-        "spawns",
-        "sends",
-        "successors",
-    )
+    __slots__ = ("_ops", "profile", "closure", "cycles")
 
     def __init__(self, ops: SchedulerOps, profile, closure: Closure) -> None:
         self._ops = ops
@@ -199,9 +191,6 @@ class Frame:
         self.cycles = (
             profile.schedule_cycles + profile.poll_cycles + profile.dynamic_set_cycles
         )
-        self.spawns = 0
-        self.sends = 0
-        self.successors = 0
 
     # -- the programming model ------------------------------------------------
 
@@ -217,15 +206,13 @@ class Frame:
         Children are pushed on the *head* of the worker's ready list, so
         they run next in LIFO order (paper, Figure 1b).
         """
-        ref = self._resolve(thread)
+        ref = thread if type(thread) is ThreadRef else self._resolve(thread)
         if len(args) != ref.arity:
             raise SchedulerError(
                 f"spawn {ref.name}: expected {ref.arity} args, got {len(args)}"
             )
-        child = Closure(
-            self._ops.new_cid(), ref.name, list(args), depth=self.closure.depth + 1
-        )
-        self.spawns += 1
+        child = Closure(self._ops.new_cid(), ref.name, args, None,
+                        self.closure.depth + 1)
         self.cycles += self.profile.spawn_cycles
         self._ops.enqueue_ready(child)
 
@@ -237,25 +224,20 @@ class Frame:
         successor stays suspended on this worker until the last missing
         argument is sent.
         """
-        ref = self._resolve(thread)
-        if len(given) > ref.arity:
+        ref = thread if type(thread) is ThreadRef else self._resolve(thread)
+        n_missing = ref.arity - len(given)
+        if n_missing < 0:
             raise SchedulerError(
                 f"successor {ref.name}: {len(given)} args exceed arity {ref.arity}"
             )
-        missing = list(range(len(given), ref.arity))
-        if not missing:
+        if not n_missing:
             raise SchedulerError(
                 f"successor {ref.name} has no missing slots; use spawn()"
             )
-        args = list(given) + [None] * len(missing)
-        succ = Closure(
-            self._ops.new_cid(),
-            ref.name,
-            args,
-            missing_slots=missing,
-            depth=self.closure.depth,  # successor continues this task's level
+        succ = Closure.born_waiting(
+            self._ops.new_cid(), ref.name, given, n_missing,
+            self.closure.depth,  # successor continues this task's level
         )
-        self.successors += 1
         self.cycles += self.profile.spawn_cycles
         self._ops.register_suspended(succ)
         return SuccessorRef(succ)
@@ -269,7 +251,6 @@ class Frame:
         """
         if not isinstance(continuation, Continuation):
             raise SchedulerError(f"send target must be a Continuation, got {continuation!r}")
-        self.sends += 1
         self.cycles += self.profile.sync_cycles
         self._ops.deliver(continuation, value)
 

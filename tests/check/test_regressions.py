@@ -12,6 +12,8 @@ reports closures found in STEAL_REPLY and MIGRATE payloads as lost.
 This test pins the exact failing schedule.
 """
 
+import pytest
+
 from repro.check import APPS, Perturbation, run_checked
 
 SEED = 19331
@@ -120,3 +122,33 @@ def test_knary_seed_13307_cluster_is_never_emptied():
     assert run.completed, run.report.summary()
     assert run.result == spec.expected
     run.require_ok()
+
+
+@pytest.mark.parametrize("seed", [1235, 2479, 3015, 3686, 7474, 8237, 9470])
+def test_fib_crash_during_reclaim_migration_is_a_failstop(seed):
+    """Regression (bug 13): a crash landing mid-departure aborted the run.
+
+    Each seed reclaims a workstation and crashes it while the departing
+    worker is still waiting for its migrate ack.  The ``machine-crash``
+    Interrupt was raised out of ``_depart`` — itself running inside
+    ``_run``'s Interrupt handler — so it escaped the process and took the
+    whole simulation down as an unhandled exception.  It is now the
+    fail-stop it is: the drained batch goes back on the ready list and is
+    recorded ``closure.lost`` with the rest of the worker's state.
+    """
+    pert = Perturbation.generate(seed, 4)
+    assert pert.crashes and pert.reclaims
+    assert pert.reclaims[0][0] < pert.crashes[0][0]  # reclaim, then die
+    assert pert.crashes[0][1] == pert.reclaims[0][1]  # same machine
+    spec = APPS["fib"]
+    run = run_checked(spec.make(), n_workers=4, seed=seed, perturbation=pert,
+                      expected=spec.expected)
+    assert run.completed, run.report.summary()
+    run.require_ok()
+    dead = run.workers[pert.crashes[0][1]]
+    assert dead.exit_reason == "crashed" and dead._fill_hold is None
+    (exit_ev,) = [e for e in run.trace.events()
+                  if e.kind == "worker.exit.crashed" and e.source == dead.name]
+    (lost,) = [e for e in run.trace.events()
+               if e.kind == "closure.lost" and e.source == dead.name]
+    assert len(lost.detail["cids"]) >= exit_ev.detail["deque"] + exit_ev.detail["susp"] > 0

@@ -1,0 +1,403 @@
+"""The task fast path is a host-only optimisation: every ``sim`` number
+is pinned here from the commit *before* the flat dispatch path landed.
+
+Each pin is ``(result, repr(makespan), sim.events_processed,
+network.counters.sent, per-worker max_tasks_in_use, sha256 of the
+TraceLog dump)``.  The three hazards a rewrite of the per-task path can
+trip are all visible in it: the float accumulation order of
+``frame.cycles`` (makespan repr), the non-monotone ``max_tasks_in_use``
+high-water mark in ``central`` mode, and trace-event / rng draw order
+(the trace digest).
+
+To re-pin after a *deliberate* behaviour change:
+``PYTHONPATH=src python tests/micro/test_fastpath_identity.py``.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro.apps.fib import fib_job, fib_serial
+from repro.apps.knary import knary_job
+from repro.check import Perturbation, run_checked
+from repro.check.harness import CHECK_WORKER, RESILIENT_TIMEOUTS
+from repro.clearinghouse.clearinghouse import Clearinghouse
+from repro.cluster.platform import SPARCSTATION_1
+from repro.cluster.workstation import Workstation
+from repro.errors import ClosureError, ReproError, SchedulerError
+from repro.micro.steal import RandomVictim
+from repro.micro.worker import Worker, WorkerConfig
+from repro.obs import SpanProfiler, validate_perfetto
+from repro.obs.health import HealthMonitor
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import StreamingPerfettoWriter, TeeSink
+from repro.phish import build_cluster, run_job
+from repro.sim.core import Simulator
+from repro.tasks.closure import Closure, Continuation
+from repro.tasks.program import JobProgram, ThreadProgram
+from repro.util.rng import RngRegistry
+
+APPS = {"fib16": lambda: fib_job(16), "knary432": lambda: knary_job(4, 3, 2)}
+
+#: "plain" is the paper protocol (no completed-set tracking); "resilient"
+#: adds grant acks, argument retransmission and track_completed — the
+#: configuration every partition/spike fuzz schedule runs under.  The
+#: push knobs are scaled to the millisecond jobs so ``push`` mode really
+#: exports tasks (they are inert in the other two modes).
+_PUSH = dict(push_threshold=2, load_broadcast_s=0.002)
+CONFIGS = {
+    "plain": WorkerConfig(startup_cost_s=0.01, steal_timeout_s=0.02,
+                          steal_backoff_s=0.002, **_PUSH),
+    "resilient": dataclasses.replace(CHECK_WORKER, **RESILIENT_TIMEOUTS, **_PUSH),
+}
+
+CASES = [
+    (app, p, mode, cfg)
+    for app in APPS
+    for p in (4, 8)
+    for mode in ("steal", "central", "push")
+    for cfg in CONFIGS
+]
+
+
+def fingerprint(app, p, mode, cfg):
+    config = dataclasses.replace(CONFIGS[cfg], mode=mode)
+    res = run_job(APPS[app](), n_workers=p, seed=5, worker_config=config,
+                  start_jitter_s=0.002, trace=True)
+    assert res.trace.dropped == 0
+    return (
+        res.result,
+        repr(res.makespan),
+        res.sim.events_processed,
+        res.network.counters.sent,
+        tuple(w.stats.max_tasks_in_use for w in res.workers),
+        hashlib.sha256(res.trace.dump().encode()).hexdigest(),
+    )
+
+
+PINS = {
+    ('fib16', 4, 'steal', 'plain'): (
+        987, '0.03632493831152707', 5164, 66,
+        (18, 16, 14, 17),
+        '1fcc2f18b2875402db7674020b93cbc7c5fa6466c6942d193ac5f7f5a0724610'),
+    ('fib16', 4, 'steal', 'resilient'): (
+        987, '0.03632493831152707', 5220, 74,
+        (18, 16, 14, 17),
+        'b0377a9ca8adb9c482ba85c6f6ad48fba408a10839f3457f570dd67794f81000'),
+    ('fib16', 4, 'central', 'plain'): (
+        987, '0.09414903999999742', 6234, 364,
+        (33, 9, 10, 9),
+        '435d7590110d34814164a509b0f46a95978564775de5cf02833a6f73969560bf'),
+    ('fib16', 4, 'central', 'resilient'): (
+        987, '0.09414903999999742', 6708, 464,
+        (33, 9, 10, 9),
+        'f2a49e87a5415dbab588f0373cf0cb403b731fea23b1645c8d07f8b132514943'),
+    ('fib16', 4, 'push', 'plain'): (
+        987, '0.1641048799999997', 11283, 1921,
+        (36, 39, 36, 32),
+        'a0ae3bfb0b33b42fe5557fa7ea90a1584a4df835f2900427cee55e11f7342a4f'),
+    ('fib16', 4, 'push', 'resilient'): (
+        987, '0.1641048799999997', 11846, 2098,
+        (36, 39, 36, 32),
+        '24b2a99f2dcc7457b9bd1adc1dc2af41c5e23b62c48d6512c294524b121ee4dc'),
+    ('fib16', 8, 'steal', 'plain'): (
+        987, '0.03734111498373956', 5630, 160,
+        (18, 13, 0, 16, 15, 0, 0, 17),
+        'e7974b8b3b2f9e0bfb57a3befc0c829a682eaa27dbb1aaa6d9e7c32862cb7f92'),
+    ('fib16', 8, 'steal', 'resilient'): (
+        987, '0.03734111498373956', 5733, 176,
+        (18, 13, 0, 16, 15, 0, 0, 17),
+        'e6a9b3fc296b6069dbff1481186b05a50660529a8e69bc9815dd66855340cca6'),
+    ('fib16', 8, 'central', 'plain'): (
+        987, '0.13785519498373958', 7467, 659,
+        (28, 5, 6, 8, 7, 7, 7, 6),
+        'e37fab59a5814f55b2ba5506cd89681feb6a3747e0096e2e5fe6ad2b744a3706'),
+    ('fib16', 8, 'central', 'resilient'): (
+        987, '0.13785519498373958', 8237, 827,
+        (28, 5, 6, 8, 7, 7, 7, 6),
+        '8c9f024a7db95f92623dc7c2d8b4d21c6e16ce73bd6c396cbe7d284d1255d04f'),
+    ('fib16', 8, 'push', 'plain'): (
+        987, '0.2252176000000008', 33253, 8839,
+        (43, 33, 41, 40, 43, 33, 27, 30),
+        'e9eb8f748be99c7957e3b7a0364569945c59295727ddc7e7951722c95bcd5912'),
+    ('fib16', 8, 'push', 'resilient'): (
+        987, '0.2252176000000008', 34691, 9297,
+        (43, 33, 41, 40, 43, 33, 27, 30),
+        '64ec9cea9cd3a92bf131e384a066ae5d3c36e38581f75b6b15417520bdb7e31b'),
+    ('knary432', 4, 'steal', 'plain'): (
+        40, '0.0034307199999999965', 244, 17,
+        (8, 0, 0, 0),
+        '5faa05a3ced8c3bc6fd7c35470ba1f3abff43a38890f9d916fcc89831c5b07bd'),
+    ('knary432', 4, 'steal', 'resilient'): (
+        40, '0.0034307199999999965', 252, 17,
+        (8, 0, 0, 0),
+        '5faa05a3ced8c3bc6fd7c35470ba1f3abff43a38890f9d916fcc89831c5b07bd'),
+    ('knary432', 4, 'central', 'plain'): (
+        40, '0.0034307199999999965', 235, 15,
+        (8, 0, 0, 0),
+        '503e61bf1c1ba79ce5a24cac56427d169069f2f8cce35a1d116547938c63d429'),
+    ('knary432', 4, 'central', 'resilient'): (
+        40, '0.0034307199999999965', 243, 15,
+        (8, 0, 0, 0),
+        '503e61bf1c1ba79ce5a24cac56427d169069f2f8cce35a1d116547938c63d429'),
+    ('knary432', 4, 'push', 'plain'): (
+        40, '0.0034307199999999965', 256, 12,
+        (8, 0, 0, 0),
+        'fcc0d707575caa2f0d96de24238dac855a491b856f3cc54a148f2d3bb1f410dc'),
+    ('knary432', 4, 'push', 'resilient'): (
+        40, '0.0034307199999999965', 264, 12,
+        (8, 0, 0, 0),
+        'fcc0d707575caa2f0d96de24238dac855a491b856f3cc54a148f2d3bb1f410dc'),
+    ('knary432', 8, 'steal', 'plain'): (
+        40, '0.0034307199999999965', 304, 25,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        'd984a43c013d1a7cabd089feb36445bd6c687e0de2d68ccb3fd1aa4888fc6e42'),
+    ('knary432', 8, 'steal', 'resilient'): (
+        40, '0.0034307199999999965', 320, 25,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        'd984a43c013d1a7cabd089feb36445bd6c687e0de2d68ccb3fd1aa4888fc6e42'),
+    ('knary432', 8, 'central', 'plain'): (
+        40, '0.0034307199999999965', 295, 23,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        '85972ce0dcf6282233a0b19a1fcdaff9e09c6bf61b7011d15a7ed3d48f6ff2e2'),
+    ('knary432', 8, 'central', 'resilient'): (
+        40, '0.0034307199999999965', 311, 23,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        '85972ce0dcf6282233a0b19a1fcdaff9e09c6bf61b7011d15a7ed3d48f6ff2e2'),
+    ('knary432', 8, 'push', 'plain'): (
+        40, '0.0034307199999999965', 365, 21,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        'feabd6062bc2d1abfe62547c0e16cf49546f42fcec1af57f5bba2b4e4b88f756'),
+    ('knary432', 8, 'push', 'resilient'): (
+        40, '0.0034307199999999965', 381, 21,
+        (8, 0, 0, 0, 0, 0, 0, 0),
+        'feabd6062bc2d1abfe62547c0e16cf49546f42fcec1af57f5bba2b4e4b88f756'),
+}
+
+
+@pytest.mark.parametrize("app,p,mode,cfg", CASES,
+                         ids=["-".join(map(str, c)) for c in CASES])
+def test_sim_numbers_identical_to_pre_fastpath_commit(app, p, mode, cfg):
+    assert fingerprint(app, p, mode, cfg) == PINS[(app, p, mode, cfg)]
+
+
+# ---------------------------------------------------------------------------
+# Every user-facing check survives on the worker's flat path
+# ---------------------------------------------------------------------------
+
+
+def _misuse_program(body):
+    """root runs *body(frame, k, prog)* inside a real Worker task."""
+    prog = ThreadProgram("misuse")
+
+    @prog.thread
+    def leaf(frame, k):
+        frame.send(k, 1)
+
+    @prog.thread
+    def join2(frame, k, a, b):
+        frame.send(k, a + b)
+
+    @prog.thread
+    def root(frame, k):
+        body(frame, k, prog.threads)
+
+    return JobProgram(prog, root)
+
+
+MISUSES = {
+    "spawn-arity": (SchedulerError,
+                    lambda f, k, t: f.spawn(t["leaf"], k, "extra")),
+    "spawn-by-name": (SchedulerError, lambda f, k, t: f.spawn("leaf", k)),
+    "successor-over-arity": (
+        SchedulerError, lambda f, k, t: f.successor(t["leaf"], k, 1, 2)),
+    "successor-nothing-missing": (
+        SchedulerError, lambda f, k, t: f.successor(t["leaf"], k)),
+    "send-to-non-continuation": (
+        SchedulerError, lambda f, k, t: f.send(("ws00", 1), 5)),
+    "cont-on-filled-slot": (
+        ClosureError, lambda f, k, t: f.successor(t["join2"], k).cont(0)),
+    "send-to-out-of-range-slot": (
+        ClosureError,
+        lambda f, k, t: f.send(
+            Continuation(f.successor(t["join2"], k).closure.cid, 7), 1)),
+}
+
+
+@pytest.mark.parametrize("name", MISUSES)
+def test_misuse_raises_its_original_error_through_the_worker(name):
+    error, body = MISUSES[name]
+    with pytest.raises(error):
+        run_job(_misuse_program(body), n_workers=1)
+
+
+@pytest.fixture
+def lone_worker(sim, network):
+    ws = Workstation(sim, "wA", SPARCSTATION_1, network)
+    worker = Worker(sim, ws, network, fib_job(5), "wA")
+    sim.run(until=0.0)
+    worker.stop()
+    sim.run(until=0.1)
+    return worker
+
+
+def test_execute_refuses_a_closure_with_missing_arguments(lone_worker):
+    waiting = Closure.born_waiting(("wA", 99), "fib_sum", [None], 2, 0)
+    with pytest.raises(ClosureError, match="missing argument"):
+        lone_worker._execute(waiting)
+
+
+def test_execute_refuses_a_crashed_workstation(lone_worker):
+    lone_worker.workstation.crash()
+    ready = Closure(("wA", 99), "fib_task", [Continuation(("wA", 1), 0), 1])
+    with pytest.raises(ReproError, match="crashed workstation"):
+        lone_worker._execute(ready)
+
+
+def test_born_waiting_agrees_with_the_checked_constructor():
+    fast = Closure.born_waiting(("w", 1), "t", ("k", 5), 2, 3)
+    slow = Closure(("w", 1), "t", ["k", 5, None, None], [2, 3], depth=3)
+    assert repr(fast) == repr(slow)
+    assert (fast.join_counter, fast.depth) == (slow.join_counter, slow.depth) == (2, 3)
+    assert fast.try_fill(2, "x") == 1 and fast.try_fill(2, "y") == -1
+    assert fast.args[2] == "x"  # the duplicate did not overwrite
+    with pytest.raises(ClosureError):
+        fast.fill(2, "again")
+
+
+# ---------------------------------------------------------------------------
+# The cached victim tuple
+# ---------------------------------------------------------------------------
+
+
+class _RecordingPolicy(RandomVictim):
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.offered = []
+
+    def choose(self, victims):
+        self.offered.append(victims)
+        return super().choose(victims)
+
+
+def test_peer_update_refreshes_the_victim_tuple(lone_worker):
+    w = lone_worker
+    policy = w.victim_policy = _RecordingPolicy(w.rng)
+    w._on_peer_update(["wC", "wA", "wB"])
+    assert w._victims == ("wB", "wC")  # sorted, self excluded
+    w._on_peer_update(["wA", "wC"])
+    assert w._victims == ("wC",)
+    for _ in range(50):
+        next(w._steal_attempt())  # up to the first yield: victim chosen
+    assert all(offered is w._victims for offered in policy.offered)
+    assert type(w._victims) is tuple  # a policy cannot append/sort/assign
+    assert set(w._steal_open.values()) == {"wC"}  # wB never chosen again
+
+
+def test_worker_death_drops_the_dead_victim_everywhere():
+    """faults-only seed 31: ws02 crashes at 0.049 s holding stolen work;
+    the Clearinghouse declares it dead and broadcasts the new peer list."""
+    run = run_checked(fib_job(14), n_workers=4, seed=31,
+                      perturbation=Perturbation.generate(
+                          31, 4, scenario="faults-only"),
+                      expected=fib_serial(14))
+    run.require_ok()
+    (died,) = [e for e in run.trace.events() if e.kind == "ch.worker_died"]
+    assert died.detail["worker"] == "ws02"
+    requests = [e for e in run.trace.events() if e.kind == "steal.request"]
+    # Before the announcement thieves still (rightly) try the dead host...
+    assert any(e.detail["victim"] == "ws02" and 0.049 < e.time < died.time
+               for e in requests)
+    # ...afterwards (one peer-update delivery later) nobody does.
+    late = [e for e in requests if e.time > died.time + 0.01]
+    assert late and all(e.detail["victim"] != "ws02" for e in late)
+    for w in run.workers:
+        if w.name != "ws02":
+            assert "ws02" not in w._victims
+            assert w._victims == tuple(sorted(set(w.peers) - {w.name}))
+
+
+# ---------------------------------------------------------------------------
+# Observers never perturb: there is one dispatch path, observed or not
+# ---------------------------------------------------------------------------
+
+
+def _observed(channel):
+    kwargs = {}
+    if channel == "trace":
+        kwargs["trace"] = True
+    elif channel == "metrics+health":
+        kwargs["metrics"] = MetricsRegistry()
+        HealthMonitor(kwargs["metrics"])
+    elif channel == "profiler":
+        kwargs["profiler"] = SpanProfiler()
+    res = run_job(fib_job(16), n_workers=4, seed=5, **kwargs)
+    return (res.result, repr(res.makespan), res.sim.events_processed,
+            res.network.counters.sent, res.stats.tasks_executed,
+            tuple(w.stats.max_tasks_in_use for w in res.workers))
+
+
+@pytest.fixture(scope="module")
+def plain_run():
+    return _observed("plain")
+
+
+@pytest.mark.parametrize("channel", ["trace", "metrics+health", "profiler"])
+def test_observed_run_equals_the_plain_run(channel, plain_run):
+    assert _observed(channel) == plain_run
+
+
+class _ListSink(list):
+    emit = list.append
+
+    def close(self, summary=None):
+        pass
+
+
+def test_crash_mid_task_still_closes_the_profilers_working_interval(tmp_path):
+    """A crash Interrupt lands in the cycle-charging yield of the run
+    loop; the profiler's exec B/E pair must close there, before the
+    participation span ends."""
+    rows = _ListSink()
+    path = str(tmp_path / "trace.json")
+    prof = SpanProfiler(sink=TeeSink([rows, StreamingPerfettoWriter(path)]))
+    sim = Simulator()
+    reg = RngRegistry(5)
+    job = fib_job(16)
+    network, hosts = build_cluster(sim, 2, SPARCSTATION_1, reg)
+    network.attach_profiler(prof)
+    prof.attach_sim(sim)
+    ch = Clearinghouse(sim, network, "ws00", job.name, profiler=prof)
+    config = WorkerConfig(startup_cost_s=0.01, steal_timeout_s=0.02,
+                          steal_backoff_s=0.002)
+    workers = [Worker(sim, ws, network, job, "ws00", config=config,
+                      rng=reg.stream(f"worker.{i}"), profiler=prof)
+               for i, ws in enumerate(hosts)]
+    victim = workers[1]
+    while victim.stats.tasks_executed < 5:
+        sim.step()
+    t_crash = sim.now
+    hosts[1].crash()  # ws01's run loop is parked in the charging yield
+    sim.run(until=t_crash + 0.001)
+    assert victim.exit_reason == "crashed"
+    prof.finalize(sim.now)
+
+    mine = [r for r in rows if r["w"] == "ws01"]
+    begun = [r["cid"] for r in mine if r["ev"] == "exec.b"]
+    ended = [r["cid"] for r in mine if r["ev"] == "exec.e"]
+    assert begun == ended and len(begun) == victim.stats.tasks_executed
+    last_end = max(i for i, r in enumerate(mine) if r["ev"] == "exec.e")
+    assert mine[last_end]["t"] == t_crash
+    assert last_end < [r["ev"] for r in mine].index("wk.e")
+    with open(path, encoding="utf-8") as fh:
+        assert validate_perfetto(json.load(fh)) == []
+    assert ch.result is None  # the job itself was cut short by the test
+
+
+if __name__ == "__main__":
+    print("PINS = {")
+    for case in CASES:
+        print(f"    {case!r}: {fingerprint(*case)!r},")
+    print("}")

@@ -3,7 +3,7 @@
 
 import json
 
-from repro.bench import format_bench, load_bench, write_bench
+from repro.bench import HISTORY_KEYS, format_bench, load_bench, write_bench
 
 PRE_OVERHAUL = {
     "kernel": {"events_per_s": 501086, "note": "seed kernel"},
@@ -91,10 +91,6 @@ def test_repo_baseline_still_has_pre_overhaul():
     recorded = load_bench()
     if recorded is None:
         return  # no baseline on this machine; nothing to protect
-    assert "pre_overhaul" in recorded, (
-        "BENCH_kernel.json lost its pre_overhaul history block"
-    )
-    assert "pre_calendar" in recorded, (
-        "BENCH_kernel.json lost its pre_calendar history block"
-    )
+    for key in HISTORY_KEYS:
+        assert key in recorded, f"BENCH_kernel.json lost its {key} history block"
     assert format_bench(recorded)  # renders without raising
