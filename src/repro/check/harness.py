@@ -41,6 +41,7 @@ from repro.net.topology import (
     PartitionWindow,
     UniformTopology,
 )
+from repro.obs.probe import Probe
 from repro.phish import build_cluster
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram
@@ -222,8 +223,8 @@ def _bug_drop_migration(worker: Worker) -> None:
     """Migration silently loses half of each incoming ready batch."""
     orig = worker._on_migrate
 
-    def lossy(msg, ready, suspended, sender) -> None:
-        orig(msg, ready[: len(ready) // 2], suspended, sender)
+    def lossy(msg, ready, suspended, sender, offer=None) -> None:
+        orig(msg, ready[: len(ready) // 2], suspended, sender, offer)
 
     worker._on_migrate = lossy  # type: ignore[method-assign]
 
@@ -287,17 +288,19 @@ class CheckedRun:
         return self
 
 
-def install_network_accounting(network: Network, trace: TraceLog) -> None:
+def install_network_accounting(probe: Probe, trace: TraceLog) -> None:
     """Account closures lost inside dropped datagrams.
 
     Steal grants and migration batches carry live closures; when such a
     datagram is discarded (random loss, dead or unbound destination) the
-    closures vanish from the system.  This hook surfaces each loss as a
-    ``closure.lost`` trace event so the conservation invariant can tell
-    "lost in flight" apart from "scheduler leaked it".
+    closures vanish from the system.  This subscriber surfaces each loss
+    as a ``closure.lost`` trace event — directly after the drop's own
+    record, since *trace* subscribed first — so the conservation
+    invariant can tell "lost in flight" apart from "scheduler leaked it".
     """
 
-    def on_drop(msg, reason: str) -> None:
+    def on_drop(t: float, kind: str, source: str, detail: dict) -> None:
+        msg = detail["msg"]
         payload = msg.payload
         if not isinstance(payload, tuple) or not payload:
             return
@@ -307,10 +310,15 @@ def install_network_accounting(network: Network, trace: TraceLog) -> None:
         elif payload[0] == P.MIGRATE:
             cids = [c.cid for c in payload[1]] + [c.cid for c in payload[2]]
         if cids:
-            trace.emit(network.sim.now, "closure.lost", msg.dst,
+            # net.partition / net.loss / net.drop.<why>; the loopback
+            # drop names its why in the detail.
+            reason = detail.get("reason") or kind.rpartition(".")[2]
+            trace.emit(t, "closure.lost", msg.dst,
                        cids=cids, reason=f"net-{reason}")
 
-    network.on_drop = on_drop
+    probe.subscribe(dict.fromkeys(
+        ("net.partition", "net.loss", "net.drop.down", "net.drop.unbound",
+         "net.loopback.drop"), on_drop))
 
 
 def _at(sim: Simulator, time_s: float, fn: Callable[[], None], name: str) -> None:
@@ -358,8 +366,8 @@ def run_checked(
         bug: name from :data:`BUGS` to deliberately break every worker
             with (checker validation).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given it is threaded into the network, Clearinghouse,
-            and every Worker (this is how ``repro diagnose`` attaches a
+            when given it subscribes to the run's probe next to the
+            trace (this is how ``repro diagnose`` attaches a
             :class:`~repro.obs.health.HealthMonitor` to checked runs).
         queue: event-queue backend for the run's :class:`Simulator`
             (``"auto"``/``"heap"``/``"calendar"``) — the backend must be
@@ -408,13 +416,12 @@ def run_checked(
                 for s, e, island in pert.partitions
             ),
         )
-    network, hosts = build_cluster(sim, n_workers, profile, reg, topology, trace)
-    install_network_accounting(network, trace)
-    if metrics is not None:
-        network.attach_metrics(metrics)
+    probe = Probe.for_run(trace, metrics)
+    install_network_accounting(probe, trace)
+    network, hosts = build_cluster(sim, n_workers, profile, reg, topology, probe)
 
     ch = Clearinghouse(sim, network, hosts[0].name, job.name,
-                       ch_config or CHECK_CH, trace, metrics=metrics)
+                       ch_config or CHECK_CH, probe=probe)
 
     base_cfg = worker_config or CHECK_WORKER
     if pert.spikes or pert.partitions:
@@ -428,8 +435,7 @@ def run_checked(
         )
         workers.append(Worker(
             sim, ws, network, job, clearinghouse_host=hosts[0].name,
-            config=cfg, rng=reg.stream(f"worker.{i}"), trace=trace,
-            metrics=metrics,
+            config=cfg, rng=reg.stream(f"worker.{i}"), probe=probe,
         ))
 
     auditor = DequeAuditor()

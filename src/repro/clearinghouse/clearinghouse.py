@@ -31,10 +31,9 @@ from repro.micro import protocol as P
 from repro.net.network import Network
 from repro.net.rpc import RpcServer
 from repro.net.socket import Socket
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Interrupt, Simulator
 from repro.sim.resources import Signal
-from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -61,20 +60,17 @@ class Clearinghouse:
         host: str,
         job_name: str = "job",
         config: Optional[ClearinghouseConfig] = None,
-        trace: Optional[TraceLog] = None,
         worker_port: int = P.WORKER_PORT,
         rpc_port: int = P.CLEARINGHOUSE_PORT,
         data_port: int = P.CLEARINGHOUSE_DATA_PORT,
         assign_root: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[Any] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.host = host
         self.job_name = job_name
         self.config = config or ClearinghouseConfig()
-        self.trace = trace
         self.worker_port = worker_port
         self.rpc_port = rpc_port
         self.data_port = data_port
@@ -111,26 +107,12 @@ class Clearinghouse:
         self._io_buffer: List[Tuple[float, str, str]] = []
         self.io_flushes = 0
 
-        #: Observability: heartbeat-gap histogram (silence between a
-        #: worker's consecutive updates — the crash detector's signal)
-        #: and a live-participants series (a Perfetto counter track).
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_heartbeat_gap = metrics.histogram("ch.heartbeat.gap_s")
-            self._m_participants = metrics.series("macro.participants")
-            self._m_deaths = metrics.counter("ch.deaths.count")
-        else:
-            self._m_heartbeat_gap = None
-            self._m_participants = None
-            self._m_deaths = None
-        #: Online diagnosis (repro.obs.health), resolved off the
-        #: registry like the worker's seam: heartbeat-gap/false-death
-        #: detection and the liveness watchdog ride the death detector's
-        #: existing scan — no extra processes, purely observational.
-        self._health = metrics.health if metrics is not None else None
-        #: Span profiler (repro.obs.prof): control-plane instants on the
-        #: profile's control track, same is-not-None discipline.
-        self._prof = profiler
+        #: The run's probe seam (repro.obs.probe), or None.  Observers
+        #: ride the RPC handlers and the death detector's existing scan
+        #: — no extra processes, purely observational.
+        self._probe = probe
+        if probe is not None:
+            probe.bind(sim.now, "ch.bind", host)
 
         self.rpc = RpcServer(network, host, rpc_port, name=f"ch:{job_name}")
         self.rpc.register(P.RPC_REGISTER, self._rpc_register)
@@ -165,12 +147,8 @@ class Clearinghouse:
         self._peers_sorted = None
         self.forwarders.pop(name, None)  # a rejoining retiree is live again
         self.ever_registered.add(name)
-        if self._prof is not None:
-            self._prof.control(self.sim.now, "ch.register", worker=name)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "ch.register", self.host, worker=name)
-        if self._m_participants is not None:
-            self._m_participants.record(self.sim.now, len(self.workers))
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "ch.register", self.host, worker=name)
         self._broadcast_peers()
         return {"peers": self._sorted_workers(), "run_root": run_root, "done": False}
 
@@ -188,34 +166,28 @@ class Clearinghouse:
             # have all resolved, and the worker is about to fall silent
             # legitimately — stop watching its heartbeat.
             self.forwarders.pop(name, None)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "ch.unregister", self.host, worker=name)
-        if self._m_participants is not None:
-            self._m_participants.record(self.sim.now, len(self.workers))
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "ch.unregister", self.host, worker=name)
         self._broadcast_peers()
         return True
 
     def _rpc_update(self, name: str, _msg) -> Dict[str, Any]:
-        if name in self.workers:
-            gap = self.sim.now - self.workers[name]
-            if self._m_heartbeat_gap is not None:
-                self._m_heartbeat_gap.observe(gap)
-            if self._health is not None:
-                self._health.heartbeat(self.sim.now, name, gap)
-            self.workers[name] = self.sim.now  # heartbeat (no membership change)
-        elif name in self.forwarders:
-            gap = self.sim.now - self.forwarders[name]
-            if self._m_heartbeat_gap is not None:
-                self._m_heartbeat_gap.observe(gap)
-            if self._health is not None:
-                self._health.heartbeat(self.sim.now, name, gap)
-            self.forwarders[name] = self.sim.now  # forwarder heartbeat
-        elif name in self.dead and self._health is not None:
+        # A heartbeat (no membership change), from a live worker or a
+        # departed forwarder still under death surveillance.
+        table = (self.workers if name in self.workers
+                 else self.forwarders if name in self.forwarders else None)
+        if table is not None:
+            if self._probe is not None:
+                self._probe.emit(self.sim.now, "ch.heartbeat", self.host,
+                                 worker=name, gap_s=self.sim.now - table[name])
+            table[name] = self.sim.now
+        elif name in self.dead and self._probe is not None:
             # The failure detector was wrong: a declared-dead worker is
             # still heartbeating (e.g. a partition outlasted the death
             # timeout).  The protocol absorbs this (redo duplicates are
             # rejected slot-wise); the diagnosis layer records it.
-            self._health.false_death(self.sim.now, name)
+            self._probe.emit(self.sim.now, "ch.false_death", self.host,
+                             worker=name)
         # Deaths piggyback on the (reliable, retried) RPC reply: the
         # WORKER_DIED broadcast is a lone datagram, and a victim behind a
         # partition at announcement time would otherwise never learn of
@@ -253,12 +225,9 @@ class Clearinghouse:
                     self.result = payload[1]
                     self.finished_at = self.sim.now
                     self.flush_io()
-                    if self._prof is not None:
-                        self._prof.control(self.sim.now, "ch.result",
-                                           sender=payload[2])
-                    if self.trace is not None:
-                        self.trace.emit(self.sim.now, "ch.result", self.host,
-                                        sender=payload[2])
+                    if self._probe is not None:
+                        self._probe.emit(self.sim.now, "ch.result", self.host,
+                                         sender=payload[2])
                     self.done.set(payload[1])
                     self._broadcast((P.JOB_DONE, payload[1]), to=self.ever_registered)
         except Interrupt:
@@ -276,14 +245,15 @@ class Clearinghouse:
                 if self.done.is_set:
                     return
                 now = self.sim.now
-                last_seen: Dict[str, float] = {}
-                if self._health is not None:
+                probe = self._probe
+                if probe is not None:
                     # Heartbeat-gap warnings and the liveness watchdog
                     # ride this scan (read-only over the same tables).
-                    self._health.pulse(now, self.workers, self.forwarders,
-                                       cfg.death_timeout_s, self.done.is_set)
-                    last_seen = dict(self.workers)
-                    last_seen.update(self.forwarders)
+                    probe.emit(now, "ch.scan", self.host, workers=self.workers,
+                               forwarders=self.forwarders,
+                               death_timeout_s=cfg.death_timeout_s,
+                               done=self.done.is_set)
+                    last_seen = {**self.workers, **self.forwarders}
                 dead = [
                     name
                     for name, last in self.workers.items()
@@ -305,14 +275,9 @@ class Clearinghouse:
                     del self.forwarders[name]
                 for name in dead + dead_forwarders:
                     self.dead.add(name)
-                    if self._health is not None:
-                        self._health.death(now, name, last_seen[name])
-                    if self._prof is not None:
-                        self._prof.control(now, "ch.death", worker=name)
-                    if self.trace is not None:
-                        self.trace.emit(now, "ch.worker_died", self.host, worker=name)
-                    if self._m_deaths is not None:
-                        self._m_deaths.inc()
+                    if probe is not None:
+                        probe.emit(now, "ch.worker_died", self.host, worker=name,
+                                   last_seen=last_seen[name])
                     # To *everyone*, not just current registrants: a
                     # gracefully-departed victim still holds the redo
                     # obligation for closures this worker stole from it,
@@ -321,8 +286,6 @@ class Clearinghouse:
                     if name == self.root_owner and not self.done.is_set:
                         self._reassign_root()
                 if dead:
-                    if self._m_participants is not None:
-                        self._m_participants.record(now, len(self.workers))
                     self._broadcast_peers()
         except Interrupt:
             return
@@ -374,11 +337,12 @@ class Clearinghouse:
         peer list and the payload tuple are built once and shared across
         every recipient's datagram."""
         peers = self._sorted_workers()
-        if self.trace is not None:
+        if self._probe is not None:
             # The checker pairs these with per-host deliveries to assert
-            # that no peer update reaches a worker declared dead.
-            self.trace.emit(self.sim.now, "ch.peer_update", self.host,
-                            peers=peers)
+            # that no peer update reaches a worker declared dead; the
+            # live-participants series samples the list's length.
+            self._probe.emit(self.sim.now, "ch.peer_update", self.host,
+                             peers=peers)
         self._broadcast((P.PEER_UPDATE, peers), to_sorted=peers)
 
     def _broadcast(self, payload: tuple, to: Optional[Set[str]] = None,

@@ -30,10 +30,9 @@ from repro.micro import protocol as P
 from repro.micro.worker import Worker, WorkerConfig
 from repro.net.network import Network
 from repro.net.rpc import rpc_call
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Interrupt, Simulator
 from repro.sim.events import AnyOf
-from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -71,8 +70,7 @@ class PhishJobManager:
         jobq_host: str,
         config: Optional[JobManagerConfig] = None,
         rng: Optional[random.Random] = None,
-        trace: Optional[TraceLog] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self.sim = sim
         self.workstation = workstation
@@ -80,8 +78,9 @@ class PhishJobManager:
         self.jobq_host = jobq_host
         self.config = config or JobManagerConfig()
         self.rng = rng or random.Random(0)
-        self.trace = trace
-        self.metrics = metrics
+        #: The run's probe seam (repro.obs.probe), or None; shared with
+        #: every worker this daemon starts.
+        self._probe = probe
         self.current_worker: Optional[Worker] = None
         self.current_job_id: Optional[int] = None
         #: Counters for the macro experiments.
@@ -142,8 +141,7 @@ class PhishJobManager:
                 clearinghouse_host=descriptor["ch_host"],
                 config=worker_cfg,
                 rng=random.Random(self.rng.getrandbits(64)),
-                trace=self.trace,
-                metrics=self.metrics,
+                probe=self._probe,
             )
         except AddressError:
             # A previous worker for this job still forwards on the port;
@@ -160,9 +158,9 @@ class PhishJobManager:
         self.current_worker = worker
         self.current_job_id = descriptor["job_id"]
         self.jobs_started += 1
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "jm.start_worker", ws.name,
-                            job=descriptor["job_id"])
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "jm.start_worker", ws.name,
+                             job=descriptor["job_id"])
         finished = worker.finished.wait()
         while not worker.finished.is_set:
             tick = self.sim.timeout(cfg.reclaim_poll_s)
@@ -172,8 +170,8 @@ class PhishJobManager:
             if not cfg.idleness_policy.is_idle(ws):
                 # Owner is back: kill the worker (it migrates its tasks).
                 self.workers_reclaimed += 1
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "jm.reclaim", ws.name)
+                if self._probe is not None:
+                    self._probe.emit(self.sim.now, "jm.reclaim", ws.name)
                 worker._run_proc.interrupt("owner-reclaimed")
                 yield worker.finished.wait()
                 break
@@ -188,8 +186,8 @@ class PhishJobManager:
                     should = False
                 if should and not worker.finished.is_set:
                     self.workers_preempted += 1
-                    if self.trace is not None:
-                        self.trace.emit(self.sim.now, "jm.preempt", ws.name)
+                    if self._probe is not None:
+                        self._probe.emit(self.sim.now, "jm.preempt", ws.name)
                     worker._run_proc.interrupt("preempted")
                     yield worker.finished.wait()
                     break

@@ -24,10 +24,9 @@ from repro.macro.policies import AssignmentPolicy, RoundRobinAssignment
 from repro.micro import protocol as P
 from repro.net.network import Network
 from repro.net.rpc import RpcServer
-from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram
-from repro.util.trace import TraceLog
 
 #: Most job summaries one ``list_jobs`` reply will carry; pass
 #: ``{"after": last_job_id}`` to page through a bigger queue.
@@ -43,14 +42,12 @@ class PhishJobQ:
         network: Network,
         host: str,
         policy: Optional[AssignmentPolicy] = None,
-        trace: Optional[TraceLog] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.host = host
         self.policy = policy or RoundRobinAssignment()
-        self.trace = trace
         #: Every record ever submitted (completion keeps the record for
         #: latency accounting; assignment never touches this dict).
         self.jobs: Dict[int, JobRecord] = {}
@@ -66,16 +63,10 @@ class PhishJobQ:
         #: Counters for the macro-level experiments.
         self.requests = 0
         self.grants = 0
-        #: Observability: queue wait from submission to first grant.
-        if metrics is not None:
-            self._m_queue_wait = metrics.histogram(
-                "macro.jobq.wait_s", DURATION_BUCKETS_S)
-            self._m_grants = metrics.counter("macro.jobq.grants.count")
-            self._m_depth = metrics.gauge("macro.jobq.depth")
-        else:
-            self._m_queue_wait = None
-            self._m_grants = None
-            self._m_depth = None
+        #: The run's probe seam (repro.obs.probe), or None.
+        self._probe = probe
+        if probe is not None:
+            probe.bind(sim.now, "jobq.bind", host)
 
         self.rpc = RpcServer(network, host, P.JOBQ_PORT, name="jobq")
         self.rpc.register("submit", self._rpc_submit)
@@ -121,11 +112,10 @@ class PhishJobQ:
         self._active[record.job_id] = record
         self._levels.setdefault(record.priority, {})[record.job_id] = record
         self.policy.on_submit(record)
-        if self._m_depth is not None:
-            self._m_depth.set(len(self._active))
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "jobq.submit", self.host,
-                            job=record.name, id=record.job_id)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "jobq.submit", self.host,
+                             job=record.name, id=record.job_id,
+                             depth=len(self._active))
         self._notify_pool_change()
         return record
 
@@ -162,15 +152,15 @@ class PhishJobQ:
         record.participants.add(workstation)
         self.policy.on_grant(record, workstation)
         self.grants += 1
-        if record.first_granted_at is None:
+        first = record.first_granted_at is None
+        if first:
             record.first_granted_at = self.sim.now
-            if self._m_queue_wait is not None:
-                self._m_queue_wait.observe(self.sim.now - record.submitted_at)
-        if self._m_grants is not None:
-            self._m_grants.inc()
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "jobq.grant", self.host,
-                            job=record.name, to=workstation)
+        if self._probe is not None:
+            # wait_s: queue wait, submission to *first* grant only.
+            self._probe.emit(
+                self.sim.now, "jobq.grant", self.host, job=record.name,
+                to=workstation,
+                wait_s=self.sim.now - record.submitted_at if first else None)
         return record.descriptor()
 
     def _rpc_job_done(self, job_id: int, _msg) -> bool:
@@ -188,10 +178,9 @@ class PhishJobQ:
             if not level:
                 del self._levels[record.priority]
         self.policy.on_done(record)
-        if self._m_depth is not None:
-            self._m_depth.set(len(self._active))
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "jobq.done", self.host, id=job_id)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "jobq.done", self.host, id=job_id,
+                             depth=len(self._active))
         return True
 
     def _rpc_release(self, args: dict, _msg) -> bool:

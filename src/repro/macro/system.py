@@ -30,6 +30,7 @@ from repro.net.network import Network
 from repro.net.rpc import rpc_call
 from repro.net.topology import Topology, UniformTopology
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Simulator
 from repro.sim.events import AllOf
 from repro.tasks.program import JobProgram
@@ -58,9 +59,9 @@ class PhishSystemConfig:
     policy: Optional[AssignmentPolicy] = None
     topology: Optional[Topology] = None
     trace: bool = False
-    #: Wire a MetricsRegistry through every layer (network, JobQ,
-    #: JobManagers, Clearinghouses, workers).  Off by default: the
-    #: macro experiments only need the NetCounters/JobStats numbers.
+    #: Feed a MetricsRegistry from every layer (network, JobQ,
+    #: Clearinghouses, workers).  Off by default: the macro experiments
+    #: only need the NetCounters/JobStats numbers.
     metrics: bool = False
 
 
@@ -78,14 +79,14 @@ class PhishSystem:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if cfg.metrics else None
         )
+        #: The one probe every component of this system reports through.
+        self.probe = Probe.for_run(self.trace, self.metrics)
         self.network = Network(
             self.sim,
             cfg.topology or UniformTopology(cfg.profile.net),
             rng=self.rng.stream("net"),
-            trace=self.trace,
+            probe=self.probe,
         )
-        if self.metrics is not None:
-            self.network.attach_metrics(self.metrics)
         self.workstations: List[Workstation] = []
         self.owners: List[Owner] = []
         self.jobmanagers: Dict[str, PhishJobManager] = {}
@@ -96,8 +97,8 @@ class PhishSystem:
             self.owners.append(Owner(ws, trace))
         #: The JobQ lives on the first workstation (paper: "one computer").
         self.jobq = PhishJobQ(
-            self.sim, self.network, self.workstations[0].name, cfg.policy, self.trace,
-            metrics=self.metrics,
+            self.sim, self.network, self.workstations[0].name, cfg.policy,
+            probe=self.probe,
         )
         for i, ws in enumerate(self.workstations):
             self.jobmanagers[ws.name] = PhishJobManager(
@@ -107,8 +108,7 @@ class PhishSystem:
                 jobq_host=self.workstations[0].name,
                 config=cfg.jobmanager,
                 rng=self.rng.stream(f"jm.{i}"),
-                trace=self.trace,
-                metrics=self.metrics,
+                probe=self.probe,
             )
         self.handles: List[JobHandle] = []
 
@@ -145,11 +145,10 @@ class PhishSystem:
             host,
             job_name=record.name,
             config=self.config.clearinghouse,
-            trace=self.trace,
             worker_port=worker_port,
             rpc_port=ch_rpc,
             data_port=ch_data,
-            metrics=self.metrics,
+            probe=self.probe,
         )
         first_worker: Optional[Worker] = None
         if start_first_worker:
@@ -167,8 +166,7 @@ class PhishSystem:
                 clearinghouse_host=host,
                 config=wcfg,
                 rng=self.rng.stream(f"job{record.job_id}.first"),
-                trace=self.trace,
-                metrics=self.metrics,
+                probe=self.probe,
             )
         self.sim.process(
             self._job_watcher(record, ch, first_worker),

@@ -40,6 +40,7 @@ from repro.net.network import Network
 from repro.net.rpc import rpc_call
 from repro.net.topology import UniformTopology
 from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Interrupt, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.resources import Signal
@@ -454,7 +455,8 @@ class TrafficSystem:
         self.sim = Simulator()
         self.rng = RngRegistry(cfg.seed)
         #: Callers that want health diagnosis pass a registry with a
-        #: HealthMonitor already attached (``repro diagnose --app traffic``).
+        #: HealthMonitor already attached (``repro diagnose --app traffic``);
+        #: one attached later is refused (the registry is subscribed here).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._health = self.metrics.health
         self.network = Network(
@@ -471,7 +473,7 @@ class TrafficSystem:
         self.policy = make_policy(cfg.policy)
         self.jobq = PhishJobQ(
             self.sim, self.network, self.workstations[0].name,
-            self.policy, metrics=self.metrics,
+            self.policy, probe=Probe.for_run(metrics=self.metrics),
         )
         #: Jobs whose completion RPC is in flight (exactly-once latch).
         self._completing: Set[int] = set()

@@ -45,17 +45,12 @@ from repro.micro.steal import make_victim_policy
 from repro.net.network import Network
 from repro.net.rpc import rpc_call
 from repro.net.socket import Socket
-from repro.obs.metrics import (
-    DEPTH_BUCKETS,
-    GRAIN_BUCKETS_S,
-    MetricsRegistry,
-)
+from repro.obs.probe import Probe
 from repro.sim.core import Event, Interrupt, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.resources import Signal
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, ClosureId, Continuation
 from repro.tasks.program import Frame, JobProgram
-from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -138,11 +133,9 @@ class Worker:
         clearinghouse_host: str,
         config: Optional[WorkerConfig] = None,
         rng: Optional[random.Random] = None,
-        trace: Optional[TraceLog] = None,
         name: Optional[str] = None,
         initial_state: Optional[tuple] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[Any] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self.sim = sim
         self.workstation = workstation
@@ -151,7 +144,6 @@ class Worker:
         self.ch_host = clearinghouse_host
         self.config = config or WorkerConfig()
         self.rng = rng or random.Random(0)
-        self.trace = trace
         #: Worker identity; one worker per workstation, so the host name.
         self.name = name or workstation.name
         self.host = workstation.name
@@ -208,45 +200,13 @@ class Worker:
         self._peers_seen: Set[str] = {self.name}
         self.victim_policy = make_victim_policy(self.config.victim_policy, self.rng)
 
-        #: Observability (repro.obs): when a registry is wired in, the
-        #: worker populates steal/fill latency histograms, a task-grain
-        #: histogram, a redo counter, and a per-worker deque-depth
-        #: series.  Instruments are resolved once here; every hot-path
-        #: update is guarded by a single ``is not None`` check (the
-        #: TraceLog.emit discipline), so disabled runs pay nothing.
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_steal_latency = metrics.histogram("micro.steal.latency_s")
-            self._m_steal_latency_policy = metrics.histogram(
-                f"micro.steal.latency_s.{self.config.victim_policy}")
-            self._m_fill_latency = metrics.histogram("micro.fill.latency_s")
-            self._m_task_grain = metrics.histogram(
-                "micro.task.grain_s", GRAIN_BUCKETS_S)
-            self._m_deque_depth = metrics.histogram(
-                "micro.deque.depth", DEPTH_BUCKETS)
-            self._m_deque_series = metrics.series(f"micro.deque.depth.{self.name}")
-            self._m_redo = metrics.counter("micro.redo.count")
-            self._m_steals = metrics.counter("micro.steal.success.count")
-        else:
-            self._m_steal_latency = None
-            self._m_steal_latency_policy = None
-            self._m_fill_latency = None
-            self._m_task_grain = None
-            self._m_deque_depth = None
-            self._m_deque_series = None
-            self._m_redo = None
-            self._m_steals = None
-        #: Online diagnosis (repro.obs.health): resolved off the
-        #: registry — a HealthMonitor installs itself as
-        #: ``registry.health`` before the cluster is built — and guarded
-        #: by the same single ``is not None`` check per hook site.
-        self._health = metrics.health if metrics is not None else None
-        #: Critical-path span profiler (repro.obs.prof), same guarded
-        #: discipline as the registry: None costs one attribute load per
-        #: site.  ``_exec_cid`` is the closure whose thread function is
-        #: currently running — the source of every DAG edge it creates.
-        self._prof = profiler
-        self._exec_cid: Optional[ClosureId] = None
+        #: The run's probe seam (repro.obs.probe): every protocol step is
+        #: reported through it under one guard per site; None (nobody
+        #: observes) costs one attribute load and a pointer compare.
+        self._probe = probe
+        if probe is not None:
+            probe.bind(sim.now, "worker.bind", self.name,
+                       policy=self.config.victim_policy)
         #: Steal-request send times, for request→grant latency (kept even
         #: without a registry: WorkerStats carries the per-worker sums).
         self._steal_sent: Dict[int, float] = {}
@@ -261,7 +221,8 @@ class Worker:
         #: surveillance (bug 12: a crash racing a reclaim, shrink seed
         #: 36291, lost the grant's redo obligation and deadlocked).
         self._steal_open: Dict[int, str] = {}
-        #: Suspension times of parked closures, for fill latency.
+        #: Suspension times of closures parked *here*, for fill latency
+        #: (only filled in when a probe is bound).
         self._suspended_at: Dict[ClosureId, float] = {}
 
         self.done = False
@@ -358,16 +319,11 @@ class Worker:
     def new_cid(self) -> ClosureId:
         self._seq += 1
         cid = (self.name, self._seq)
-        if self._prof is not None and self._exec_cid is not None:
-            # Creation edge: the executing task spawned a child or
-            # created a successor (redo copies are minted outside task
-            # execution, so they never land here).
-            self._prof.edge(self._exec_cid, cid)
-        if self.trace is not None:
+        if self._probe is not None:
             # Every closure birth on this worker (spawn, successor, root,
             # crash-redo copy) passes through here: the conservation
             # invariant's "created" set.
-            self.trace.emit(self.sim.now, "closure.new", self.name, cid=cid)
+            self._probe.emit(self.sim.now, "closure.new", self.name, cid=cid)
         return cid
 
     def enqueue_ready(self, closure: Closure, local: bool = False) -> None:
@@ -394,8 +350,9 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + self.executing
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
-        if self._m_deque_series is not None:
-            self._sample_deque()
+        if self._probe is not None and self._probe.per_task:
+            self._probe.emit(self.sim.now, "deque.depth", self.name,
+                             deque=len(self.deque))
 
     def register_suspended(self, closure: Closure) -> None:
         """Park a successor closure until its missing arguments arrive."""
@@ -403,11 +360,10 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + self.executing
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
-        if self._m_fill_latency is not None:
+        if self._probe is not None:
             self._suspended_at[closure.cid] = self.sim.now
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "closure.suspend", self.name,
-                            cid=closure.cid, missing=closure.join_counter)
+            self._probe.emit(self.sim.now, "closure.suspend", self.name,
+                             cid=closure.cid, missing=closure.join_counter)
 
     def deliver(self, continuation: Continuation, value: Any) -> None:
         """send_argument, performed by a task running on this worker."""
@@ -422,9 +378,10 @@ class Worker:
                     self._ensure_arg_flusher()
             self._post(self.ch_host, self.config.ch_data_port, (P.RESULT, value, self.name))
             return
-        if self._prof is not None and self._exec_cid is not None:
+        if self._probe is not None and self._probe.per_task:
             # Dataflow edge: the successor cannot run before this send.
-            self._prof.edge(self._exec_cid, continuation.target)
+            self._probe.emit(self.sim.now, "arg.send", self.name,
+                             cid=continuation.target)
         if self._fill_local(continuation, value):
             return
         self.stats.non_local_synchs += 1
@@ -450,25 +407,21 @@ class Worker:
             remaining = closure.try_fill(continuation.slot, value)
             if remaining < 0:
                 self.stats.duplicate_sends += 1
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "join.dup", self.name,
-                                    cid=cid, slot=continuation.slot)
+                if self._probe is not None:
+                    self._probe.emit(self.sim.now, "join.dup", self.name,
+                                     cid=cid, slot=continuation.slot)
                 return True
+            if self._probe is not None:
+                self._probe.emit(
+                    self.sim.now, "join.fill", self.name, cid=cid,
+                    slot=continuation.slot, remaining=remaining,
+                    suspended_at=(None if remaining
+                                  else self._suspended_at.pop(cid, None)))
             if remaining == 0:
                 del self.suspended[cid]
-                if self._m_fill_latency is not None:
-                    suspended_at = self._suspended_at.pop(cid, None)
-                    if suspended_at is not None:
-                        self._m_fill_latency.observe(self.sim.now - suspended_at)
                 if self.config.track_completed:
                     self.completed.add(cid)
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "join.fill", self.name,
-                                    cid=cid, slot=continuation.slot, remaining=0)
                 self.enqueue_ready(closure)
-            elif self.trace is not None:
-                self.trace.emit(self.sim.now, "join.fill", self.name, cid=cid,
-                                slot=continuation.slot, remaining=remaining)
             return True
         if cid in self.forward_map:
             return False  # departed: the caller forwards
@@ -476,9 +429,9 @@ class Worker:
             # A send to a closure of mine that no longer exists: a
             # crash-redo duplicate (the original already ran).
             self.stats.duplicate_sends += 1
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "join.dup", self.name,
-                                cid=cid, slot=continuation.slot)
+            if self._probe is not None:
+                self._probe.emit(self.sim.now, "join.dup", self.name,
+                                 cid=cid, slot=continuation.slot)
             return True
         return False
 
@@ -554,12 +507,9 @@ class Worker:
                     if dest in self._seen_deaths:
                         del self._pending_args[seq]
                         continue
-                    if self.trace is not None:
-                        self.trace.emit(self.sim.now, "arg.retry", self.name,
-                                        cid=cont.target, slot=cont.slot, seq=seq)
-                    if self._health is not None:
-                        self._health.retransmission(self.sim.now, self.name,
-                                                    "arg", seq)
+                    if self._probe is not None:
+                        self._probe.emit(self.sim.now, "arg.retry", self.name,
+                                         cid=cont.target, slot=cont.slot, seq=seq)
                     self._post(dest, cfg.port, (P.ARG, cont, value, self.name, seq))
                 for value in self._pending_results:
                     self._post(self.ch_host, cfg.ch_data_port,
@@ -575,19 +525,19 @@ class Worker:
 
     def _run(self) -> Generator:
         cfg = self.config
-        prof = self._prof
+        probe = self._probe
         try:
-            if prof is not None:
-                prof.worker_begin(self.sim.now, self.name)
-                # Startup + registration handshake: protocol overhead.
-                prof.phase_begin(self.sim.now, self.name, "protocol")
+            if probe is not None:
+                # A participation span opens, inside its "protocol"
+                # phase (startup + registration handshake).
+                probe.emit(self.sim.now, "worker.begin", self.name)
             yield self.sim.timeout(cfg.startup_cost_s)
             reply = yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
                 P.RPC_REGISTER, self.name,
             )
-            if prof is not None:
-                prof.phase_end(self.sim.now, self.name, "protocol")
+            if probe is not None:
+                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
             self.stats.start_time = self.sim.now
             if reply.get("done"):
                 # The job finished before we could join.
@@ -597,8 +547,8 @@ class Worker:
             self._set_peers(reply["peers"])
             if reply["run_root"]:
                 self._enqueue_root()
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "worker.start", self.name)
+            if probe is not None:
+                probe.emit(self.sim.now, "worker.start", self.name)
 
             departed = yield from self._main_loop()
             if not departed:
@@ -614,7 +564,8 @@ class Worker:
         is done.
         """
         cfg = self.config
-        prof = self._prof
+        probe = self._probe
+        per_task = probe is not None and probe.per_task
         while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -627,7 +578,7 @@ class Worker:
                     # Yielding the cycle-charging event is also the poll
                     # point where concurrent steal requests and arriving
                     # arguments interleave.
-                    if prof is None:
+                    if not per_task:
                         yield charged
                     else:
                         try:
@@ -637,7 +588,8 @@ class Worker:
                             # in the yield: the working interval and its
                             # B/E pair must close before _finish ends the
                             # participation span.
-                            prof.exec_done(self.sim.now, self.name, closure.cid)
+                            probe.emit(self.sim.now, "task.charged", self.name,
+                                       cid=closure.cid)
                     if cfg.mode == "push":
                         self._maybe_push()
                     elif (cfg.proactive_threshold > 0
@@ -699,7 +651,8 @@ class Worker:
             self.stats.end_time = self.sim.now
         self.stats.busy_s = self.workstation.cpu_busy_s
         self.exit_reason = reason
-        if self.trace is not None:
+        probe = self._probe
+        if probe is not None:
             if reason == "crashed":
                 # Fail-stop: everything still resident here is lost (the
                 # conservation invariant accounts these against redo).
@@ -721,19 +674,17 @@ class Worker:
                         lost += [c.cid for c in payload[1]]
                         lost += [c.cid for c in payload[2]]
                 if lost:
-                    self.trace.emit(self.sim.now, "closure.lost", self.name,
-                                    cids=lost, reason="crash")
-            self.trace.emit(
+                    probe.emit(self.sim.now, "closure.lost", self.name,
+                               cids=lost, reason="crash")
+            # Closes the participation span; any phase the exit
+            # interrupted (crash mid-steal, mid-protocol) is swept shut.
+            probe.emit(
                 self.sim.now, f"worker.exit.{reason}", self.name,
                 deque=len(self.deque), susp=len(self.suspended),
                 failed=self._failed_steals,
                 threshold=self.config.retire_after_failed_steals,
                 port=self.config.port,
             )
-        if self._prof is not None:
-            # Closes the participation span; any phase the exit
-            # interrupted (crash mid-steal, mid-protocol) is swept shut.
-            self._prof.worker_end(self.sim.now, self.name, reason)
         if self.on_exit:
             self.on_exit(reason)
         self.finished.set(reason)
@@ -778,8 +729,8 @@ class Worker:
     def _execute(self, closure: Closure) -> Event:
         """Run one task's thread function, for every configuration.
 
-        All of a task's effects (spawns, sends, trace, metrics, profiler
-        edges) happen synchronously here; the returned event charges its
+        All of a task's effects (spawns, sends, and the probe events
+        for them) happen synchronously here; the returned event charges its
         simulated cycles (dispatch + work + spawns + sends) and is what
         the run loop yields.
         """
@@ -788,40 +739,28 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + 1
         if n > stats.max_tasks_in_use:
             stats.max_tasks_in_use = n
-        if self.trace is not None:
+        probe = self._probe
+        if probe is not None:
             # Emitted before the thread function runs: its spawns/sends
             # take effect synchronously, so by the time a crash interrupt
             # can land (the cycle-charging yield) the task has executed.
-            self.trace.emit(self.sim.now, "closure.exec", self.name,
-                            cid=closure.cid, thread=closure.thread_name)
+            # Every closure.new / arg.send up to task.done is this
+            # task's out-edge.
+            probe.emit(self.sim.now, "closure.exec", self.name,
+                       cid=closure.cid, thread=closure.thread_name)
         workstation = self.workstation
         frame = Frame(self, workstation.profile, closure)
         ref = self.job.program.resolve(closure.thread_name)
-        prof = self._prof
-        if prof is not None:
-            # The thread function runs synchronously here, so every DAG
-            # edge it creates (spawn, successor, send) is recorded under
-            # _exec_cid before exec_end — which is what lets the
-            # profiler finish this node's span immediately.
-            self._exec_cid = closure.cid
-            prof.exec_begin(self.sim.now, self.name, closure.cid,
-                            closure.thread_name, closure.depth)
         ref.fn(frame, *closure.call_args())
         stats.tasks_executed += 1
-        if self._m_task_grain is not None or self._health is not None:
-            service_s = workstation.seconds_for(frame.cycles)
-            if self._m_task_grain is not None:
-                self._m_task_grain.observe(service_s)
-                self._sample_deque()
-            if self._health is not None:
-                self._health.task_done(self.sim.now, self.name, service_s)
+        if probe is not None and probe.per_task:
+            probe.emit(self.sim.now, "task.done", self.name, cid=closure.cid,
+                       thread=closure.thread_name, depth=closure.depth,
+                       service_s=workstation.seconds_for(frame.cycles),
+                       deque=len(self.deque))
         if self.config.track_completed and closure.join_counter == 0:
             self.completed.add(closure.cid)
         self.executing = False
-        if prof is not None:
-            self._exec_cid = None
-            prof.exec_end(self.sim.now, self.name, closure.cid,
-                          workstation.seconds_for(frame.cycles))
         return workstation.execute(frame.cycles)
 
     # ------------------------------------------------------------------
@@ -829,14 +768,14 @@ class Worker:
     # ------------------------------------------------------------------
 
     def _steal_once(self) -> Generator:
-        prof = self._prof
-        if prof is None:
+        probe = self._probe
+        if probe is None:
             return (yield from self._steal_attempt())
-        prof.phase_begin(self.sim.now, self.name, "stealing")
+        probe.emit(self.sim.now, "phase.begin", self.name, phase="stealing")
         try:
             return (yield from self._steal_attempt())
         finally:
-            prof.phase_end(self.sim.now, self.name, "stealing")
+            probe.emit(self.sim.now, "phase.end", self.name, phase="stealing")
 
     def _steal_attempt(self) -> Generator:
         cfg = self.config
@@ -859,11 +798,9 @@ class Worker:
         # stolen work on a *crash*, so a lost grant would hang the job.
         self._steal_seq += 1
         req_id = self._steal_seq
-        if self._prof is not None:
-            self._prof.steal_request(self.sim.now, self.name, victim, req_id)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "steal.request", self.name,
-                            victim=victim, req=req_id)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "steal.request", self.name,
+                             victim=victim, req=req_id)
         waiter = Event(self.sim)
         self._steal_waiters[req_id] = waiter
         self._steal_sent[req_id] = self.sim.now
@@ -883,10 +820,11 @@ class Worker:
             # latency-aware thief de-prioritizes unresponsive victims
             # (stragglers, partitioned or congested links).
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
-            if self._health is not None:
-                self._health.steal_timeout(self.sim.now, self.name, victim)
-        elif self._health is not None:
-            self._health.steal_refused(self.sim.now, self.name, victim)
+        if self._probe is not None:
+            self._probe.emit(
+                self.sim.now,
+                "steal.refused" if waiter in settled else "steal.timeout",
+                self.name, victim=victim)
         return False
 
     def _proactive_steal(self) -> None:
@@ -907,8 +845,9 @@ class Worker:
             self._steal_sent.pop(req, None)
             self._proactive = None
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
-            if self._health is not None:
-                self._health.steal_timeout(self.sim.now, self.name, victim)
+            if self._probe is not None:
+                self._probe.emit(self.sim.now, "steal.timeout", self.name,
+                                 victim=victim)
         victims = self._victims
         if not victims:
             return
@@ -920,11 +859,9 @@ class Worker:
         self._proactive = (req_id, victim)
         self._steal_sent[req_id] = self.sim.now
         self._steal_open[req_id] = victim
-        if self._prof is not None:
-            self._prof.steal_request(self.sim.now, self.name, victim, req_id)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "steal.request", self.name,
-                            victim=victim, req=req_id, proactive=True)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "steal.request", self.name,
+                             victim=victim, req=req_id, proactive=True)
         self._post(victim, cfg.port, (P.STEAL_REQ, self.name, req_id))
 
     # ------------------------------------------------------------------
@@ -1009,15 +946,14 @@ class Worker:
             mine = self.outstanding.setdefault(thief, {})
             for closure in batch:
                 mine[closure.cid] = closure
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "steal.grant", self.name,
-                                    thief=thief, cid=closure.cid, req=req_id)
             self._note_in_use()
-            if self._prof is not None:
-                self._prof.steal_grant(self.sim.now, self.name, thief,
-                                       len(batch), req_id)
-            if self._m_deque_series is not None:
-                self._sample_deque()
+            probe = self._probe
+            if probe is not None:
+                for closure in batch:
+                    probe.emit(self.sim.now, "steal.grant", self.name,
+                               thief=thief, cid=closure.cid, req=req_id)
+                probe.emit(self.sim.now, "steal.batch", self.name, thief=thief,
+                           n=len(batch), req=req_id, deque=len(self.deque))
             if self.config.grant_ack_timeout_s is not None:
                 # The grant may die on a lossy or partitioned link; arm
                 # the reclaim timer (disarmed by the thief's GRANT_ACK).
@@ -1064,13 +1000,8 @@ class Worker:
         copies = [c.redo_copy(self.new_cid()) for c in originals]
         self.stats.tasks_redone += len(copies)
         self.stats.grants_reclaimed += len(copies)
-        if self._prof is not None:
-            self._prof.redo(self.sim.now, self.name,
-                            [(o.cid, c.cid) for o, c in zip(originals, copies)])
-        if self._m_redo is not None:
-            self._m_redo.inc(len(copies))
-        if self.trace is not None:
-            self.trace.emit(
+        if self._probe is not None:
+            self._probe.emit(
                 self.sim.now, "steal.reclaim", self.name, thief=thief,
                 req=req_id,
                 pairs=[(o.cid, c.cid) for o, c in zip(originals, copies)],
@@ -1103,10 +1034,10 @@ class Worker:
             if batch is not None:
                 self.stats.steal_latency_sum_s += latency
                 self.stats.steal_latency_count += 1
-                if self._m_steal_latency is not None:
-                    self._m_steal_latency.observe(latency)
-                if self._m_steal_latency_policy is not None:
-                    self._m_steal_latency_policy.observe(latency)
+                if self._probe is not None:
+                    self._probe.emit(self.sim.now, "steal.reply", self.name,
+                                     latency_s=latency,
+                                     policy=self.config.victim_policy)
         if batch is not None:
             if self.config.grant_ack_timeout_s is not None:
                 # Receipt ack: disarms the victim's reclaim timer.  Sent
@@ -1117,11 +1048,11 @@ class Worker:
             if self.done:
                 # Job over; the victim's redundant copy is harmless, but
                 # the checker must know the grant terminated here.
-                if self.trace is not None:
+                if self._probe is not None:
                     for closure in batch:
-                        self.trace.emit(self.sim.now, "closure.drop",
-                                        self.name, cid=closure.cid,
-                                        reason="thief-done")
+                        self._probe.emit(self.sim.now, "closure.drop",
+                                         self.name, cid=closure.cid,
+                                         reason="thief-done")
             elif self.departed:
                 if self._maybe_rejoin_idle():
                     # Retired for lack of work — and work just arrived.
@@ -1134,15 +1065,15 @@ class Worker:
                         target = yield from self._migrate_with_ack(handoff, [])
                     finally:
                         self._handoffs_active -= 1
-                    if target is None and self.trace is not None:
+                    if target is None and self._probe is not None:
                         # Nobody took it: the closures are gone (the
                         # victim still believes we have them and will not
                         # redo them unless we crash) — surface the loss
                         # to the checker.
                         for closure in handoff:
-                            self.trace.emit(self.sim.now, "closure.drop",
-                                            self.name, cid=closure.cid,
-                                            reason="no-peer")
+                            self._probe.emit(self.sim.now, "closure.drop",
+                                             self.name, cid=closure.cid,
+                                             reason="no-peer")
             else:
                 self._adopt_stolen(batch, victim, req_id)
         if waiter is not None and not waiter.triggered:
@@ -1150,18 +1081,15 @@ class Worker:
 
     def _adopt_stolen(self, batch: List[Closure], victim: str, req_id: int) -> None:
         self.stats.tasks_stolen += len(batch)
-        if self._prof is not None:
-            self._prof.steal_adopt(self.sim.now, self.name, victim,
-                                   len(batch), req_id)
-        if self._m_steals is not None:
-            self._m_steals.inc(len(batch))
-        if self._health is not None:
-            self._health.steal_ok(self.sim.now, self.name)
+        probe = self._probe
+        if probe is not None:
+            probe.emit(self.sim.now, "steal.adopt", self.name, victim=victim,
+                       n=len(batch), req=req_id)
         for closure in batch:
             self.enqueue_ready(closure, local=True)
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "steal.success", self.name,
-                                victim=victim, cid=closure.cid, req=req_id)
+            if probe is not None:
+                probe.emit(self.sim.now, "steal.success", self.name,
+                           victim=victim, cid=closure.cid, req=req_id)
 
     def _on_migrate(self, msg, ready: List[Closure], suspended: List[Closure],
                     sender: str, offer: Optional[int] = None) -> None:
@@ -1195,25 +1123,22 @@ class Worker:
                 # re-adopting — double-enqueueing the same closure
                 # objects would execute them twice.
                 self._post(host, port, (P.MIGRATE_ACK, self.name))
-                if self.trace is not None:
-                    self.trace.emit(self.sim.now, "migrate.dup", self.name,
-                                    sender=sender,
-                                    n=len(ready) + len(suspended))
+                if self._probe is not None:
+                    self._probe.emit(self.sim.now, "migrate.dup", self.name,
+                                     sender=sender,
+                                     n=len(ready) + len(suspended))
                 return
             self._adopted_batches.add(key)
         for closure in suspended:
             self.suspended[closure.cid] = closure
         self.deque.extend_tail(ready)
         self.stats.tasks_migrated_in += len(ready) + len(suspended)
-        if self._prof is not None:
-            self._prof.migrate_in(self.sim.now, self.name, sender,
-                                  len(ready) + len(suspended))
         self._note_in_use()
         self._post(host, port, (P.MIGRATE_ACK, self.name))
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "migrate.in", self.name,
-                            sender=sender, n=len(ready) + len(suspended),
-                            cids=[c.cid for c in ready] + [c.cid for c in suspended])
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "migrate.in", self.name,
+                             sender=sender, n=len(ready) + len(suspended),
+                             cids=[c.cid for c in ready] + [c.cid for c in suspended])
 
     def _on_job_done(self, result: Any) -> None:
         self.done = True
@@ -1252,14 +1177,8 @@ class Worker:
             originals = list(stolen.values())
             copies = [c.redo_copy(self.new_cid()) for c in originals]
             self.stats.tasks_redone += len(copies)
-            if self._prof is not None:
-                self._prof.redo(
-                    self.sim.now, self.name,
-                    [(o.cid, c.cid) for o, c in zip(originals, copies)])
-            if self._m_redo is not None:
-                self._m_redo.inc(len(copies))
-            if self.trace is not None:
-                self.trace.emit(
+            if self._probe is not None:
+                self._probe.emit(
                     self.sim.now, "redo", self.name, dead=dead, n=len(copies),
                     pairs=[(o.cid, c.cid) for o, c in zip(originals, copies)],
                 )
@@ -1325,16 +1244,9 @@ class Worker:
                 still_suspended.append(closure)
                 pairs.append((closure.cid, closure.cid))
         self.stats.tasks_redone += len(batch)
-        if self._prof is not None:
-            # Only re-keyed copies transfer pending span state;
-            # suspended closures keep their identity (and their entry).
-            self._prof.redo(self.sim.now, self.name,
-                            [(o, c) for o, c in pairs if o != c])
-        if self._m_redo is not None:
-            self._m_redo.inc(len(batch))
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "redo", self.name, dead=dead,
-                            n=len(batch), pairs=pairs)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "redo", self.name, dead=dead,
+                             n=len(batch), pairs=pairs)
         if self.departed and not self._maybe_rejoin_idle():
             proc = self.sim.process(
                 self._redo_handoff(ready, still_suspended),
@@ -1369,10 +1281,10 @@ class Worker:
         finally:
             self._handoffs_active -= 1
         if target is None:
-            if self.trace is not None:
+            if self._probe is not None:
                 cids = [c.cid for c in ready] + [c.cid for c in suspended]
-                self.trace.emit(self.sim.now, "closure.lost", self.name,
-                                cids=cids, reason="redo-no-peer")
+                self._probe.emit(self.sim.now, "closure.lost", self.name,
+                                 cids=cids, reason="redo-no-peer")
             return
         for closure in suspended:
             self.forward_map[closure.cid] = target
@@ -1392,8 +1304,8 @@ class Worker:
         self._failed_steals = 0
         self.exit_reason = None
         self.stats.end_time = 0.0
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "worker.rejoin", self.name)
+        if self._probe is not None:
+            self._probe.emit(self.sim.now, "worker.rejoin", self.name)
         self._run_proc = self.sim.process(
             self._run_rejoined(), name=f"worker-rejoin@{self.name}"
         )
@@ -1413,17 +1325,16 @@ class Worker:
         peer visibility); if the root owner died with no survivors, the
         re-registrant is handed the root again.
         """
-        prof = self._prof
+        probe = self._probe
         try:
-            if prof is not None:
-                prof.worker_begin(self.sim.now, self.name)
-                prof.phase_begin(self.sim.now, self.name, "protocol")
+            if probe is not None:
+                probe.emit(self.sim.now, "worker.begin", self.name)
             reply = yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
                 P.RPC_REGISTER, self.name,
             )
-            if prof is not None:
-                prof.phase_end(self.sim.now, self.name, "protocol")
+            if probe is not None:
+                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
             if reply.get("done"):
                 self._on_job_done(reply.get("result"))
                 self._finish("done")
@@ -1515,10 +1426,10 @@ class Worker:
                     )
                 except Exception:
                     continue  # Clearinghouse unreachable; try next period
-                if self._prof is not None:
+                if self._probe is not None:
                     # Counted, not wall-attributed: this loop runs
                     # concurrently with the run loop's buckets.
-                    self._prof.heartbeat(self.sim.now, self.name)
+                    self._probe.emit(self.sim.now, "worker.heartbeat", self.name)
                 if not self.done and not self.departed:
                     self._set_peers(reply["peers"])
                 # Deaths piggybacked on the (reliable) heartbeat reply:
@@ -1560,12 +1471,11 @@ class Worker:
                     # work: treat it as a fail-stop.  The closures are
                     # lost; the Clearinghouse times our heartbeat out and
                     # the crash-redo protocol regenerates the work.
-                    if self.trace is not None:
-                        lost = [c.cid for c in ready] + [c.cid for c in suspended]
-                        if lost:
-                            self.trace.emit(self.sim.now, "closure.lost",
-                                            self.name, cids=lost,
-                                            reason="reclaim-failstop")
+                    if self._probe is not None:
+                        self._probe.emit(
+                            self.sim.now, "closure.lost", self.name,
+                            cids=[c.cid for c in ready] + [c.cid for c in suspended],
+                            reason="reclaim-failstop")
                     self.suspended.clear()
                     self._finish("crashed")
                     # Complete the fail-stop: fall silent.  With the
@@ -1597,10 +1507,10 @@ class Worker:
                 self.forward_map[closure.cid] = target
             self.suspended.clear()
             self.stats.tasks_migrated_out += len(ready) + len(suspended)
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "migrate.out", self.name,
-                                target=target, n=len(ready) + len(suspended),
-                                cids=[c.cid for c in ready] + [c.cid for c in suspended])
+            if self._probe is not None:
+                self._probe.emit(self.sim.now, "migrate.out", self.name,
+                                 target=target, n=len(ready) + len(suspended),
+                                 cids=[c.cid for c in ready] + [c.cid for c in suspended])
             # Sends that arrived mid-handoff chase the closures to their
             # new home (the forward_map now routes any later ones).
             for continuation, value in held:
@@ -1614,8 +1524,9 @@ class Worker:
         # between departure and the reply must stay under surveillance.
         self._forwarding = bool(self.forward_map or self.outstanding
                                 or self.migrated or self._steal_open)
-        if self._prof is not None:
-            self._prof.phase_begin(self.sim.now, self.name, "protocol")
+        probe = self._probe
+        if probe is not None:
+            probe.emit(self.sim.now, "phase.begin", self.name, phase="protocol")
         try:
             yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
@@ -1626,8 +1537,8 @@ class Worker:
         except Exception:
             pass  # Clearinghouse will eventually time us out
         finally:
-            if self._prof is not None:
-                self._prof.phase_end(self.sim.now, self.name, "protocol")
+            if probe is not None:
+                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
         self._finish(reason)
         if self._forwarding and not self._update_proc.is_alive \
                 and not self.workstation.crashed:
@@ -1723,17 +1634,17 @@ class Worker:
         # closures we granted to a since-crashed thief still get redone.
 
     def _migrate_with_ack(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
-        prof = self._prof
-        if prof is None:
+        probe = self._probe
+        if probe is None:
             return (yield from self._migrate_attempts(ready, suspended))
-        prof.phase_begin(self.sim.now, self.name, "migrating")
+        probe.emit(self.sim.now, "phase.begin", self.name, phase="migrating")
         try:
             target = yield from self._migrate_attempts(ready, suspended)
         finally:
-            prof.phase_end(self.sim.now, self.name, "migrating")
+            probe.emit(self.sim.now, "phase.end", self.name, phase="migrating")
         if target is not None:
-            prof.migrate_out(self.sim.now, self.name, target,
-                             len(ready) + len(suspended))
+            probe.emit(self.sim.now, "migrate.acked", self.name, target=target,
+                       n=len(ready) + len(suspended))
         return target
 
     def _migrate_attempts(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
@@ -1774,12 +1685,8 @@ class Worker:
             if resilient and i > 0 and ready:
                 copies = [c.redo_copy(self.new_cid()) for c in ready]
                 self.stats.tasks_redone += len(copies)
-                if self._prof is not None:
-                    self._prof.redo(
-                        self.sim.now, self.name,
-                        [(o.cid, c.cid) for o, c in zip(ready, copies)])
-                if self.trace is not None:
-                    self.trace.emit(
+                if self._probe is not None:
+                    self._probe.emit(
                         self.sim.now, "migrate.reoffer", self.name,
                         pairs=[(o.cid, c.cid) for o, c in zip(ready, copies)],
                     )
@@ -1796,10 +1703,9 @@ class Worker:
                          self._migrate_seq)
                 acked = received = False
                 for attempt in range(attempts):
-                    if attempt and self._health is not None:
-                        self._health.retransmission(
-                            self.sim.now, self.name, "migrate",
-                            self._migrate_seq)
+                    if attempt and self._probe is not None:
+                        self._probe.emit(self.sim.now, "migrate.retry",
+                                         self.name, seq=self._migrate_seq)
                     yield sock.sendto(
                         batch, target, self.config.port,
                         size_bytes=P.estimate_size(batch),
@@ -1846,14 +1752,6 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + (1 if self.executing else 0)
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
-
-    def _sample_deque(self) -> None:
-        """Feed the ready-list depth into the registry (metrics wired)."""
-        depth = len(self.deque)
-        self._m_deque_series.record(self.sim.now, depth)
-        self._m_deque_depth.observe(depth)
-        if self._health is not None:
-            self._health.deque_sample(self.sim.now, self.name, depth)
 
     def stop(self) -> None:
         """Forcibly stop all of this worker's processes (test teardown)."""

@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.errors import AddressError, NetworkError
 from repro.net.message import Message
+from repro.obs.probe import Probe
 from repro.sim.core import NORMAL, Event, Simulator
-from repro.util.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.socket import Socket
@@ -129,7 +129,7 @@ class Network:
         sim: Simulator,
         topology,
         rng: Optional[random.Random] = None,
-        trace: Optional[TraceLog] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         from repro.net.topology import Topology  # local: avoid import cycle
 
@@ -138,7 +138,6 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.rng = rng or random.Random(0)
-        self.trace = trace
         self.counters = NetCounters()
         self._sockets: Dict[Tuple[str, int], "Socket"] = {}
         self._next_ephemeral: Dict[str, int] = {}
@@ -147,11 +146,6 @@ class Network:
         self._cpu_charge: Dict[str, Callable[[float], None]] = {}
         #: Hosts currently crashed (their sockets drop all traffic).
         self._down: set[str] = set()
-        #: Optional hook ``on_drop(message, reason)`` called whenever a
-        #: datagram is discarded (reason: "loss", "down", "unbound",
-        #: "partition").  The invariant checker installs this to account
-        #: for closures lost in flight; None in normal runs.
-        self.on_drop: Optional[Callable[[Message, str], None]] = None
         #: True only when the topology overrides is_reachable (dynamic
         #: partitions); static topologies skip the reachability call on
         #: every send.
@@ -166,29 +160,13 @@ class Network:
         #: taken right after its enqueue — the coalescing candidate.
         self._last_delivery: Optional[_DeliveryEvent] = None
         self._last_token = None
-        #: Observability instruments (attach_metrics); None keeps the hot
-        #: path at a single identity check per send/delivery.
-        self._m_msg_latency = None
-        self._m_inflight = None
-        self._m_sent = None
-        #: Health monitor (repro.obs.health): partition-drop detector.
-        self._health = None
-        #: Span profiler (repro.obs.prof): wire message/byte counters.
-        self._prof = None
-
-    def attach_metrics(self, registry) -> None:
-        """Wire a :class:`~repro.obs.metrics.MetricsRegistry` in: message
-        latency histogram (send to delivery, overheads included), an
-        in-flight gauge, and a sent counter."""
-        self._m_msg_latency = registry.histogram("net.msg.latency_s")
-        self._m_inflight = registry.gauge("net.msg.inflight")
-        self._m_sent = registry.counter("net.msg.sent.count")
-        self._health = getattr(registry, "health", None)
-
-    def attach_profiler(self, profiler) -> None:
-        """Wire a :class:`~repro.obs.prof.SpanProfiler` in (wire-message
-        and byte counters for the protocol-cost side of the profile)."""
-        self._prof = profiler
+        #: The run's probe seam (repro.obs.probe), or None: one guard per
+        #: send/drop/delivery site.  Every discarded datagram is reported
+        #: with the Message itself (observer-only), which is how the
+        #: invariant checker accounts for closures lost in flight.
+        self._probe = probe
+        if probe is not None:
+            probe.bind(sim.now, "net.bind", "net")
 
     # -- host / socket management ------------------------------------------
 
@@ -293,12 +271,10 @@ class Network:
         counters.sent += 1
         counters.bytes_sent += size_bytes
         counters.sent_by_host[src] = counters.sent_by_host.get(src, 0) + 1
-        if self.trace is not None:
-            self.trace.emit(sim.now, "net.send", src, dst=dst, port=dst_port, id=msg.msg_id)
-        if self._m_sent is not None:
-            self._m_sent.inc()
-        if self._prof is not None:
-            self._prof.msg(size_bytes)
+        probe = self._probe
+        if probe is not None:
+            probe.emit(sim.now, "net.send", src, dst=dst, port=dst_port,
+                       id=msg.msg_id, size=size_bytes)
 
         charge = self._cpu_charge.get(src)
         if charge:
@@ -308,28 +284,22 @@ class Network:
             # The sender paid its overhead; the datagram dies on the
             # severed link.  UDP semantics: nobody is told.
             counters.dropped_partition += 1
-            if self.trace is not None:
-                self.trace.emit(sim.now, "net.partition", src, dst=dst,
-                                id=msg.msg_id)
-            if self.on_drop is not None:
-                self.on_drop(msg, "partition")
-            if self._health is not None:
-                self._health.link_drop(sim.now, src, dst)
+            if probe is not None:
+                probe.emit(sim.now, "net.partition", src, dst=dst,
+                           id=msg.msg_id, msg=msg)
             return params
 
         if params.loss_prob > 0.0 and self.rng.random() < params.loss_prob:
             self.counters.dropped_loss += 1
-            if self.trace is not None:
-                self.trace.emit(sim.now, "net.loss", src, id=msg.msg_id)
-            if self.on_drop is not None:
-                self.on_drop(msg, "loss")
+            if probe is not None:
+                probe.emit(sim.now, "net.loss", src, id=msg.msg_id, msg=msg)
             return params
 
         flight = params.send_overhead_s + params.transfer_time(size_bytes)
         if params.jitter_s > 0.0:
             flight += self.rng.random() * params.jitter_s
-        if self._m_inflight is not None:
-            self._m_inflight.inc()
+        if probe is not None:
+            probe.emit(sim.now, "net.wire", src)
         t = sim.now + flight
         last = self._last_delivery
         if (last is not None and last.callbacks is self._deliver_cbs
@@ -446,49 +416,48 @@ class Network:
                 self._deliver_local(m)
 
     def _deliver_local(self, msg: Message) -> None:
+        probe = self._probe
         if self.is_down(msg.dst):
             self.counters.dropped_unroutable += 1
-            if self.on_drop is not None:
-                self.on_drop(msg, "down")
+            if probe is not None:
+                probe.emit(self.sim.now, "net.loopback.drop", msg.dst,
+                           msg=msg, reason="down")
             return
         sock = self._sockets.get((msg.dst, msg.dst_port))
         if sock is None:
             self.counters.dropped_unroutable += 1
-            if self.on_drop is not None:
-                self.on_drop(msg, "unbound")
+            if probe is not None:
+                probe.emit(self.sim.now, "net.loopback.drop", msg.dst,
+                           msg=msg, reason="unbound")
             return
         self.counters.delivered += 1
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "net.loopback", msg.dst, id=msg.msg_id,
-                            port=msg.dst_port)
+        if probe is not None:
+            probe.emit(self.sim.now, "net.loopback", msg.dst, id=msg.msg_id,
+                       port=msg.dst_port)
         sock._enqueue(msg)
 
     def _deliver(self, msg: Message, params: NetworkParams) -> None:
-        if self._m_inflight is not None:
-            self._m_inflight.dec()
+        probe = self._probe
         if self.is_down(msg.dst):
             self.counters.dropped_unroutable += 1
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "net.drop.down", msg.dst, id=msg.msg_id)
-            if self.on_drop is not None:
-                self.on_drop(msg, "down")
+            if probe is not None:
+                probe.emit(self.sim.now, "net.drop.down", msg.dst,
+                           id=msg.msg_id, msg=msg)
             return
         sock = self._sockets.get((msg.dst, msg.dst_port))
         if sock is None:
             self.counters.dropped_unroutable += 1
-            if self.trace is not None:
-                self.trace.emit(self.sim.now, "net.drop.unbound", msg.dst, id=msg.msg_id)
-            if self.on_drop is not None:
-                self.on_drop(msg, "unbound")
+            if probe is not None:
+                probe.emit(self.sim.now, "net.drop.unbound", msg.dst,
+                           id=msg.msg_id, msg=msg)
             return
         charge = self._cpu_charge.get(msg.dst)
         if charge:
             charge(params.recv_overhead_s)
-        if self._m_msg_latency is not None:
-            self._m_msg_latency.observe(self.sim.now - msg.sent_at + params.recv_overhead_s)
         self.counters.delivered += 1
         self.counters.received_by_host[msg.dst] = self.counters.received_by_host.get(msg.dst, 0) + 1
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "net.recv", msg.dst, src=msg.src,
-                            id=msg.msg_id, port=msg.dst_port)
+        if probe is not None:
+            probe.emit(self.sim.now, "net.recv", msg.dst, src=msg.src,
+                       id=msg.msg_id, port=msg.dst_port,
+                       latency_s=self.sim.now - msg.sent_at + params.recv_overhead_s)
         sock._enqueue(msg)

@@ -4,11 +4,11 @@ The paper's scheduler degrades *silently* — a steal storm, a
 partition-stalled reclaim, or a false death shows up only as a worse
 makespan, and the fuzzer finds such holes post-hoc by shrinking seeds.
 This module watches the run while it is in flight: a
-:class:`HealthMonitor` receives the same guarded ``is not None`` hook
-calls as the metrics registry (worker steal outcomes, Clearinghouse
-heartbeat scans, network partition drops, macro job completions) and
-turns anomalies into structured, picklable :class:`Incident` records in
-a bounded :class:`IncidentRing`.
+:class:`HealthMonitor` subscribes to the run's probe seam
+(:mod:`repro.obs.probe`: worker steal outcomes, Clearinghouse heartbeat
+scans, network partition drops; macro job completions come straight
+from the traffic engine) and turns anomalies into structured, picklable
+:class:`Incident` records in a bounded :class:`IncidentRing`.
 
 Detectors (catalogue and thresholds in ``docs/observability.md``):
 
@@ -47,6 +47,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
+
+from repro.errors import ReproError
 
 #: Every incident kind a detector can emit (docs/observability.md).
 INCIDENT_KINDS: Tuple[str, ...] = (
@@ -235,9 +237,9 @@ class HealthMonitor:
 
     Construction registers the incident ring with the registry (so the
     ring rides the existing ``snapshot()``/``merge_snapshots`` path) and
-    installs the monitor as ``registry.health`` — components resolve
-    ``metrics.health`` once in ``__init__`` and guard each hook call
-    with the usual single ``is not None`` check.
+    installs the monitor as ``registry.health``; the registry subscribes
+    it to the run's probe along with itself, so it must exist before
+    the run is built (a late monitor is refused, not silently idle).
     """
 
     def __init__(self, registry: Optional[Any] = None,
@@ -245,6 +247,11 @@ class HealthMonitor:
         self.config = config or HealthConfig()
         cfg = self.config
         if registry is not None:
+            if registry.subscribed:
+                raise ReproError(
+                    "this registry is already subscribed to a run's probe, so "
+                    "the monitor would be wired to nothing and report zero "
+                    "incidents: construct the monitor before the run")
             self.ring = registry.incidents("health.incidents",
                                            cfg.ring_capacity)
             registry.health = self
@@ -274,11 +281,32 @@ class HealthMonitor:
         # -- slo-breach dedup (one incident per job).
         self._breached: set = set()
 
+    def subscribe(self, probe: Any) -> None:
+        """Feed the detectors from a run's :class:`~repro.obs.probe.Probe`.
+        Every hook below is a subscriber, called as
+        ``(now, kind, source, detail)``."""
+        probe.subscribe({
+            "steal.timeout": self.steal_timeout,
+            "steal.refused": self.steal_refused,
+            "steal.adopt": self.steal_ok,
+            "deque.depth": self.deque_sample,
+            "steal.batch": self.deque_sample,
+            "task.done": self.deque_sample,
+            "arg.retry": self.retransmission,
+            "migrate.retry": self.retransmission,
+            "net.partition": self.link_drop,
+            "ch.heartbeat": self.heartbeat,
+            "ch.false_death": self.false_death,
+            "ch.scan": self.pulse,
+            "ch.worker_died": self.death,
+        })
+        probe.subscribe({"task.done": self.task_done})  # after its deque sample
+
     # ------------------------------------------------------------------
     # Worker-side hooks
     # ------------------------------------------------------------------
 
-    def steal_timeout(self, now: float, worker: str, victim: str) -> None:
+    def steal_timeout(self, now: float, kind: str, worker: str, d: dict) -> None:
         """A steal request got *no reply* inside the thief's budget."""
         cfg = self.config
         window = self._timeouts
@@ -301,11 +329,11 @@ class HealthMonitor:
             self._storm_active = False  # storm abated; re-arm
         self._steal_failed(now, worker)
 
-    def steal_refused(self, now: float, worker: str, victim: str) -> None:
+    def steal_refused(self, now: float, kind: str, worker: str, d: dict) -> None:
         """The victim answered, but had nothing to give."""
         self._steal_failed(now, worker)
 
-    def steal_ok(self, now: float, worker: str) -> None:
+    def steal_ok(self, now: float, kind: str, worker: str, d: dict) -> None:
         self._fail_streak[worker] = 0
         self._starving[worker] = False
 
@@ -329,12 +357,13 @@ class HealthMonitor:
                       ("holder_depth", held[0][1])),
         ))
 
-    def deque_sample(self, now: float, worker: str, depth: int) -> None:
-        self._last_depth[worker] = depth
+    def deque_sample(self, now: float, kind: str, worker: str, d: dict) -> None:
+        self._last_depth[worker] = d["deque"]
 
-    def task_done(self, now: float, worker: str, service_s: float) -> None:
+    def task_done(self, now: float, kind: str, worker: str, d: dict) -> None:
         """A closure retired: feeds the watchdog and the straggler EWMA."""
         cfg = self.config
+        service_s = d["service_s"]
         self._last_progress = now
         self._stalled = False
         self._fail_streak[worker] = 0
@@ -362,11 +391,12 @@ class HealthMonitor:
                           ("worker_ewma_s", ewma)),
             ))
 
-    def retransmission(self, now: float, worker: str, what: str,
-                       seq: Any) -> None:
-        """An ARG/MIGRATE sequence was sent again (resilient mode)."""
+    def retransmission(self, now: float, kind: str, worker: str, d: dict) -> None:
+        """An ARG/MIGRATE sequence was sent again (resilient mode):
+        ``arg.retry`` or ``migrate.retry``."""
         cfg = self.config
-        key = (worker, what, seq)
+        what = kind.partition(".")[0]
+        key = (worker, what, d["seq"])
         first_t, retries = self._retrans.get(key, (now, 0))
         retries += 1
         if retries >= cfg.retry_limit:
@@ -387,11 +417,11 @@ class HealthMonitor:
     # Network-side hooks
     # ------------------------------------------------------------------
 
-    def link_drop(self, now: float, src: str, dst: str) -> None:
+    def link_drop(self, now: float, kind: str, src: str, d: dict) -> None:
         """A datagram died on a severed link (partition drop only —
         random loss and down-host drops have their own detectors)."""
         cfg = self.config
-        link = f"{src}->{dst}"
+        link = f"{src}->{d['dst']}"
         window = self._link_drops.get(link)
         if window is None:
             if len(self._link_drops) >= cfg.max_tracked:
@@ -415,12 +445,13 @@ class HealthMonitor:
     # Clearinghouse-side hooks
     # ------------------------------------------------------------------
 
-    def heartbeat(self, now: float, worker: str, gap_s: float) -> None:
+    def heartbeat(self, now: float, kind: str, host: str, d: dict) -> None:
         """A worker/forwarder heartbeat landed; ends any silence episode."""
-        self._silent.pop(worker, None)
+        self._silent.pop(d["worker"], None)
 
-    def death(self, now: float, worker: str, last_seen: float) -> None:
-        """The Clearinghouse declared *worker* dead."""
+    def death(self, now: float, kind: str, host: str, d: dict) -> None:
+        """The Clearinghouse declared a worker dead."""
+        worker, last_seen = d["worker"], d["last_seen"]
         self._silent.pop(worker, None)
         self._emit(Incident(
             kind="heartbeat-gap", severity="crit",
@@ -429,25 +460,26 @@ class HealthMonitor:
                       ("silence_s", now - last_seen)),
         ))
 
-    def false_death(self, now: float, worker: str) -> None:
+    def false_death(self, now: float, kind: str, host: str, d: dict) -> None:
         """A heartbeat arrived from a name already declared dead."""
         self._emit(Incident(
             kind="false-death", severity="crit",
-            t_start=now, t_end=now, subject=worker,
+            t_start=now, t_end=now, subject=d["worker"],
             evidence=(("heartbeat_after_death", 1),),
         ))
 
-    def pulse(self, now: float, last_seen: Dict[str, float],
-              forwarders: Dict[str, float], death_timeout_s: float,
-              done: bool) -> None:
-        """Periodic scan, driven by the Clearinghouse death detector.
+    def pulse(self, now: float, kind: str, host: str, d: dict) -> None:
+        """Periodic scan, driven by the Clearinghouse death detector
+        (``ch.scan``: its live ``workers`` / ``forwarders`` last-seen
+        tables, read-only).
 
         Two detectors ride it: heartbeat-gap (silence past
         ``gap_fraction`` of the death timeout, warning before the
         detector would kill) and the job-progress watchdog (``stall``).
         """
         cfg = self.config
-        threshold = cfg.gap_fraction * death_timeout_s
+        last_seen, forwarders, done = d["workers"], d["forwarders"], d["done"]
+        threshold = cfg.gap_fraction * d["death_timeout_s"]
         for table in (last_seen, forwarders):
             for worker, last in table.items():
                 silence = now - last

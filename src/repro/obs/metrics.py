@@ -6,13 +6,11 @@ work argues that *distributions* (steal latency, message latency) drive
 makespan, not just counts.  This module is the common registry those
 measurements flow into.
 
-Design discipline (same as :meth:`repro.util.trace.TraceLog.emit`):
-instrumented components hold ``Optional`` references to their
-instruments and guard every hot-path update with an ``is not None``
-check, so a run without observability pays one attribute load and a
-pointer comparison per site.  A :class:`MetricsRegistry` constructed
-with ``enabled=False`` additionally hands out shared null instruments,
-so code that unconditionally keeps a registry reference is also cheap.
+Components never hold instruments: they report protocol steps to the
+run's probe seam (:mod:`repro.obs.probe`), and :class:`ProbeMetrics`
+below — subscribed by :meth:`MetricsRegistry.subscribe` — turns those
+steps into instrument updates.  A run without a registry has no
+subscriber and pays nothing.
 
 Names are hierarchical dot-paths (``micro.steal.latency_s``,
 ``net.msg.inflight``, ``macro.jobq.wait_s``); the catalogue lives in
@@ -22,6 +20,7 @@ Names are hierarchical dot-paths (``micro.steal.latency_s``,
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -130,14 +129,7 @@ class Histogram:
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        # Linear scan: the edge lists are short (~20) and observations
-        # cluster in a few buckets; bisect would not pay for itself.
-        edges = self.edges
-        i = 0
-        n = len(edges)
-        while i < n and value >= edges[i]:
-            i += 1
-        self.counts[i] += 1
+        self.counts[bisect_right(self.edges, value)] += 1
         self.count += 1
         self.sum += value
         if value < self.min:
@@ -234,44 +226,6 @@ class Series:
         }
 
 
-class _NullInstrument:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    kind = "null"
-    name = "<null>"
-    value = 0
-    count = 0
-    samples: List[Tuple[float, float]] = []
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def record(self, time: float, value: float) -> None:
-        pass
-
-    def push(self, incident: Any) -> None:
-        pass
-
-    def percentile(self, q: float) -> Optional[float]:
-        return None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"kind": self.kind}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 def _merge_two(name: str, a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Merge one instrument snapshot *b* into a copy of *a*."""
     kind = a.get("kind")
@@ -333,7 +287,7 @@ def _merge_two(name: str, a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any
         from repro.obs.health import merge_incident_snapshots
 
         out = merge_incident_snapshots(name, a, b)
-    # "null" and unknown kinds merge to the first snapshot unchanged.
+    # Unknown kinds merge to the first snapshot unchanged.
     return out
 
 
@@ -369,18 +323,17 @@ class MetricsRegistry:
     measurements.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[str, Any] = {}
         #: The run's :class:`~repro.obs.health.HealthMonitor`, or None.
-        #: Installed by the monitor's constructor; components resolve it
-        #: once (``metrics.health``) under the usual guarded-seam
-        #: discipline, so runs without diagnosis pay nothing.
+        #: Installed by the monitor's constructor and subscribed along
+        #: with the registry (:meth:`subscribe`).
         self.health: Optional[Any] = None
+        #: True once :meth:`subscribe` ran: a monitor installed after
+        #: that would be wired to nothing.
+        self.subscribed = False
 
     def _get_or_make(self, name: str, cls, *args: Any):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         inst = self._instruments.get(name)
         if inst is None:
             inst = self._instruments[name] = cls(name, *args)
@@ -410,6 +363,14 @@ class MetricsRegistry:
 
         return self._get_or_make(name, IncidentRing, capacity)
 
+    def subscribe(self, probe: Any) -> None:
+        """Feed this registry (and its health monitor) from a run's
+        :class:`~repro.obs.probe.Probe`."""
+        self.subscribed = True
+        ProbeMetrics(self).subscribe(probe)
+        if self.health is not None:
+            self.health.subscribe(probe)
+
     def get(self, name: str) -> Optional[Any]:
         """The instrument registered under *name*, or None."""
         return self._instruments.get(name)
@@ -427,3 +388,108 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+
+class ProbeMetrics:
+    """The metrics consumer of the probe seam: owns every instrument
+    the scheduler's components feed (catalogue: docs/observability.md).
+
+    Instruments are resolved when a component announces itself
+    (``*.bind``), so a registry only ever holds the instruments of the
+    layers its run actually built.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._deque_series: Dict[str, Series] = {}
+
+    def subscribe(self, probe: Any) -> None:
+        probe.subscribe({
+            "worker.bind": self._worker_bind,
+            "net.bind": self._net_bind,
+            "ch.bind": self._ch_bind,
+            "jobq.bind": self._jobq_bind,
+            "join.fill": self._fill,
+            "task.done": self._task_done,
+            "deque.depth": self._deque,
+            "steal.batch": self._deque,
+            "steal.reply": self._steal_reply,
+            "steal.adopt": lambda t, k, s, d: self._steals.inc(d["n"]),
+            "steal.reclaim": lambda t, k, s, d: self._redo.inc(len(d["pairs"])),
+            "redo": lambda t, k, s, d: self._redo.inc(d["n"]),
+            "net.send": lambda t, k, s, d: self._sent.inc(),
+            "net.wire": lambda t, k, s, d: self._inflight.inc(),
+            "net.recv": self._recv,
+            "net.drop.down": lambda t, k, s, d: self._inflight.dec(),
+            "net.drop.unbound": lambda t, k, s, d: self._inflight.dec(),
+            "ch.heartbeat":
+                lambda t, k, s, d: self._heartbeat_gap.observe(d["gap_s"]),
+            "ch.worker_died": lambda t, k, s, d: self._deaths.inc(),
+            "ch.peer_update":
+                lambda t, k, s, d: self._participants.record(t, len(d["peers"])),
+            "jobq.submit": lambda t, k, s, d: self._depth.set(d["depth"]),
+            "jobq.done": lambda t, k, s, d: self._depth.set(d["depth"]),
+            "jobq.grant": self._grant,
+        })
+
+    # -- instrument resolution -------------------------------------------
+
+    def _worker_bind(self, t: float, kind: str, source: str, d: dict) -> None:
+        r = self.registry
+        self._steal_latency = r.histogram("micro.steal.latency_s")
+        r.histogram(f"micro.steal.latency_s.{d['policy']}")
+        self._fill_latency = r.histogram("micro.fill.latency_s")
+        self._task_grain = r.histogram("micro.task.grain_s", GRAIN_BUCKETS_S)
+        self._deque_depth = r.histogram("micro.deque.depth", DEPTH_BUCKETS)
+        self._deque_series[source] = r.series(f"micro.deque.depth.{source}")
+        self._redo = r.counter("micro.redo.count")
+        self._steals = r.counter("micro.steal.success.count")
+
+    def _net_bind(self, t: float, kind: str, source: str, d: dict) -> None:
+        r = self.registry
+        self._msg_latency = r.histogram("net.msg.latency_s")
+        self._inflight = r.gauge("net.msg.inflight")
+        self._sent = r.counter("net.msg.sent.count")
+
+    def _ch_bind(self, t: float, kind: str, source: str, d: dict) -> None:
+        r = self.registry
+        self._heartbeat_gap = r.histogram("ch.heartbeat.gap_s")
+        self._participants = r.series("macro.participants")
+        self._deaths = r.counter("ch.deaths.count")
+
+    def _jobq_bind(self, t: float, kind: str, source: str, d: dict) -> None:
+        r = self.registry
+        self._queue_wait = r.histogram("macro.jobq.wait_s", DURATION_BUCKETS_S)
+        self._grants = r.counter("macro.jobq.grants.count")
+        self._depth = r.gauge("macro.jobq.depth")
+
+    # -- per-step updates ------------------------------------------------
+
+    def _fill(self, t: float, kind: str, source: str, d: dict) -> None:
+        # Set on the final fill of a closure that was suspended on the
+        # filling worker (one migrated in was parked elsewhere).
+        if d["suspended_at"] is not None:
+            self._fill_latency.observe(t - d["suspended_at"])
+
+    def _task_done(self, t: float, kind: str, source: str, d: dict) -> None:
+        self._task_grain.observe(d["service_s"])
+        self._deque(t, kind, source, d)
+
+    def _deque(self, t: float, kind: str, source: str, d: dict) -> None:
+        depth = d["deque"]
+        self._deque_series[source].record(t, depth)
+        self._deque_depth.observe(depth)
+
+    def _steal_reply(self, t: float, kind: str, source: str, d: dict) -> None:
+        self._steal_latency.observe(d["latency_s"])
+        self.registry.histogram(
+            f"micro.steal.latency_s.{d['policy']}").observe(d["latency_s"])
+
+    def _recv(self, t: float, kind: str, source: str, d: dict) -> None:
+        self._inflight.dec()
+        self._msg_latency.observe(d["latency_s"])
+
+    def _grant(self, t: float, kind: str, source: str, d: dict) -> None:
+        if d["wait_s"] is not None:
+            self._queue_wait.observe(d["wait_s"])
+        self._grants.inc()

@@ -3,10 +3,9 @@
 The paper's evaluation is an accounting argument: execution time
 decomposed into useful work (T1), critical-path span (T-inf), and the
 scheduling overheads in between.  :class:`SpanProfiler` performs that
-accounting *online*: the worker, Clearinghouse, network and simulator
-call into it through optional is-not-None hooks (the TraceLog/metrics
-discipline — a run without a profiler pays one attribute load and a
-pointer compare per site), and it reduces the task-lifecycle span
+accounting *online*: it subscribes to the run's probe seam
+(:mod:`repro.obs.probe` — worker, Clearinghouse and network steps) and
+to the simulator's monitor hook, and reduces the task-lifecycle span
 stream to
 
 * **T1** — total executed work, including redone tasks;
@@ -19,7 +18,7 @@ stream to
 
 The DAG is never materialised.  Every spawn, successor creation, and
 argument send of a task happens *synchronously* while its thread
-function runs (before the cycle-charging yield), so by ``exec_end`` all
+function runs (before the cycle-charging yield), so by ``task.done`` all
 out-edges of the finishing task are known and its finish-span can be
 pushed forward immediately::
 
@@ -27,7 +26,7 @@ pushed forward immediately::
     depth(task) = max over predecessors(pred depth) + 1
 
 State is therefore O(live closures): pending base spans for
-not-yet-executed closures, popped at their own ``exec_end``.  (The one
+not-yet-executed closures, popped at their own ``task.done``.  (The one
 deliberate leak: a *duplicate* send from a redone parent to an
 already-finished target re-creates that target's pending entry, which
 nobody pops — bounded by the run's duplicate-send count, which is zero
@@ -41,7 +40,7 @@ deterministically for ``repro.parallel`` sweeps.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 PROFILE_SCHEMA = "repro.profile/1"
 
@@ -81,6 +80,7 @@ class SpanProfiler:
         self._base: Dict[Any, float] = {}    # cid -> max predecessor span
         self._bdepth: Dict[Any, int] = {}    # cid -> max predecessor depth
         self._out: Dict[Any, List[Any]] = {} # executing cid -> out-edges
+        self._exec: Dict[str, Any] = {}      # worker -> cid its thread fn is in
         # -- per-worker attribution ----------------------------------------
         self._buckets: Dict[str, Dict[str, float]] = {}
         self._open: Dict[Tuple[str, str], float] = {}   # (worker, phase) -> t0
@@ -96,32 +96,71 @@ class SpanProfiler:
         self._end = 0.0
         self._finalized = False
 
+    def subscribe(self, probe: Any) -> None:
+        """Feed the profile from a run's :class:`~repro.obs.probe.Probe`.
+        Every reducer below is a subscriber, called as
+        ``(t, kind, worker, detail)``."""
+        probe.subscribe({
+            "worker.begin": self.worker_begin,
+            "worker.exit.*": self.worker_exit,
+            "worker.heartbeat": self.heartbeat,
+            "phase.begin": self.phase_begin,
+            "phase.end": self.phase_end,
+            "closure.exec": self.task_begin,
+            "closure.new": self.edge,
+            "arg.send": self.edge,
+            "task.done": self.task_done,
+            "task.charged": self.task_charged,
+            "steal.request": self.steal_request,
+            "steal.batch": self.steal_grant,
+            "steal.adopt": self.steal_adopt,
+            "steal.reclaim": self.redo,
+            "redo": self.redo,
+            "migrate.reoffer": self.redo,
+            "migrate.in": self.migrate_in,
+            "migrate.acked": self.migrate_out,
+            "ch.register": self.control,
+            "ch.worker_died": self.control,
+            "ch.result": self.control,
+            "net.send": self.msg,
+        })
+
     # ------------------------------------------------------------------
     # Execution spans and DAG edges (worker run loop)
     # ------------------------------------------------------------------
 
-    def exec_begin(self, t: float, worker: str, cid: Any, thread: str,
-                   depth: int) -> None:
-        """The thread function is about to run (pre-dispatch)."""
+    def task_begin(self, t: float, kind: str, worker: str, d: dict) -> None:
+        """``closure.exec``: the thread function is about to run.  It
+        runs synchronously up to ``task.done``, so every closure it
+        creates or sends to in between is an out-edge of this task."""
+        self._exec[worker] = d["cid"]
+
+    def edge(self, t: float, kind: str, worker: str, d: dict) -> None:
+        """``closure.new`` / ``arg.send``: a dependency edge when a task
+        is executing on *worker* (redo copies and the root are minted
+        outside task execution and never land here)."""
+        src = self._exec.get(worker)
+        if src is None:
+            return
+        self.edges += 1
+        out = self._out.get(src)
+        if out is None:
+            self._out[src] = [d["cid"]]
+        else:
+            out.append(d["cid"])
+
+    def task_done(self, t: float, kind: str, worker: str, d: dict) -> None:
+        """The thread function returned; ``service_s`` is the task's
+        charged seconds.  All out-edges are known — propagate span and
+        depth, which is what lets this node's span finish immediately."""
+        cid = d["cid"]
+        dur_s = d["service_s"]
+        self._exec[worker] = None
         self._open[(worker, "working")] = t
         s = self.sink
         if s is not None:
             s.emit({"ev": "exec.b", "t": t, "w": worker, "cid": cid,
-                    "thread": thread, "depth": depth})
-
-    def edge(self, src: Any, dst: Any) -> None:
-        """Dependency edge recorded while *src* executes (spawn,
-        successor creation, or argument send)."""
-        self.edges += 1
-        out = self._out.get(src)
-        if out is None:
-            self._out[src] = [dst]
-        else:
-            out.append(dst)
-
-    def exec_end(self, t: float, worker: str, cid: Any, dur_s: float) -> None:
-        """The thread function returned; *dur_s* is the task's charged
-        seconds.  All out-edges are known — propagate span and depth."""
+                    "thread": d["thread"], "depth": d["depth"]})
         span = self._base.pop(cid, 0.0) + dur_s
         depth = self._bdepth.pop(cid, 0) + 1
         self.t1_s += dur_s
@@ -137,19 +176,20 @@ class SpanProfiler:
             if depth > bdepth.get(nxt, 0):
                 bdepth[nxt] = depth
 
-    def exec_done(self, t: float, worker: str, cid: Any) -> None:
+    def task_charged(self, t: float, kind: str, worker: str, d: dict) -> None:
         """The cycle-charging yield completed (or was crash-interrupted):
         the exclusive "working" interval ends here."""
-        self.phase_end(t, worker, "working", _emit=False)
+        self._close_phase(t, worker, "working", emit=False)
         s = self.sink
         if s is not None:
-            s.emit({"ev": "exec.e", "t": t, "w": worker, "cid": cid})
+            s.emit({"ev": "exec.e", "t": t, "w": worker, "cid": d["cid"]})
 
-    def redo(self, t: float, worker: str,
-             pairs: Sequence[Tuple[Any, Any]]) -> None:
+    def redo(self, t: float, kind: str, worker: str, d: dict) -> None:
         """Re-keyed redo copies: each copy inherits the original's
         pending predecessor span/depth, so redone subtrees extend the
-        critical path instead of restarting it at zero."""
+        critical path instead of restarting it at zero.  (A suspended
+        closure re-homed under its own identity keeps its entry.)"""
+        pairs = [(o, c) for o, c in d["pairs"] if o != c]
         for orig, copy in pairs:
             base = self._base.pop(orig, None)
             if base is not None and base > self._base.get(copy, -1.0):
@@ -166,14 +206,17 @@ class SpanProfiler:
     # Wall-clock attribution phases and participation spans
     # ------------------------------------------------------------------
 
-    def phase_begin(self, t: float, worker: str, phase: str) -> None:
-        self._open[(worker, phase)] = t
+    def phase_begin(self, t: float, kind: str, worker: str, d: dict) -> None:
+        self._open[(worker, d["phase"])] = t
         s = self.sink
         if s is not None:
-            s.emit({"ev": "ph.b", "t": t, "w": worker, "ph": phase})
+            s.emit({"ev": "ph.b", "t": t, "w": worker, "ph": d["phase"]})
 
-    def phase_end(self, t: float, worker: str, phase: str,
-                  _emit: bool = True) -> None:
+    def phase_end(self, t: float, kind: str, worker: str, d: dict) -> None:
+        self._close_phase(t, worker, d["phase"])
+
+    def _close_phase(self, t: float, worker: str, phase: str,
+                     emit: bool = True) -> None:
         t0 = self._open.pop((worker, phase), None)
         if t0 is None:
             return
@@ -183,24 +226,29 @@ class SpanProfiler:
         buckets[phase] += t - t0
         if t > self._end:
             self._end = t
-        if _emit:
+        if emit:
             s = self.sink
             if s is not None:
                 s.emit({"ev": "ph.e", "t": t, "w": worker, "ph": phase})
 
-    def worker_begin(self, t: float, worker: str) -> None:
-        """A participation span opens (start, or rejoin after retiring)."""
+    def worker_begin(self, t: float, kind: str, worker: str, d: dict) -> None:
+        """A participation span opens (start, or rejoin after retiring),
+        inside its "protocol" phase: the registration handshake."""
         self._span_open.setdefault(worker, t)
         self._buckets.setdefault(worker, dict.fromkeys(BUCKETS, 0.0))
         s = self.sink
         if s is not None:
             s.emit({"ev": "wk.b", "t": t, "w": worker})
+        self.phase_begin(t, kind, worker, {"phase": "protocol"})
 
-    def worker_end(self, t: float, worker: str, reason: str) -> None:
+    def worker_exit(self, t: float, kind: str, worker: str, d: dict) -> None:
+        self._close_span(t, worker, kind[len("worker.exit."):])
+
+    def _close_span(self, t: float, worker: str, reason: str) -> None:
         """The participation span closes; any phase the exit interrupted
         (a crash mid-protocol, a teardown mid-steal) closes with it."""
         for key in [k for k in self._open if k[0] == worker]:
-            self.phase_end(t, worker, key[1])
+            self._close_phase(t, worker, key[1])
         t0 = self._span_open.pop(worker, None)
         if t0 is not None:
             self._wall[worker] = self._wall.get(worker, 0.0) + (t - t0)
@@ -215,43 +263,40 @@ class SpanProfiler:
     # Steal / migrate lifecycle instants
     # ------------------------------------------------------------------
 
-    def steal_request(self, t: float, thief: str, victim: str,
-                      req: int) -> None:
+    def steal_request(self, t: float, kind: str, thief: str, d: dict) -> None:
         self.steal_requests += 1
         s = self.sink
         if s is not None:
-            s.emit({"ev": "steal.req", "t": t, "w": thief, "victim": victim,
-                    "req": req})
+            s.emit({"ev": "steal.req", "t": t, "w": thief,
+                    "victim": d["victim"], "req": d["req"]})
 
-    def steal_grant(self, t: float, victim: str, thief: str, n: int,
-                    req: int) -> None:
+    def steal_grant(self, t: float, kind: str, victim: str, d: dict) -> None:
         s = self.sink
         if s is not None:
-            s.emit({"ev": "steal.grant", "t": t, "w": victim, "thief": thief,
-                    "n": n, "req": req})
+            s.emit({"ev": "steal.grant", "t": t, "w": victim,
+                    "thief": d["thief"], "n": d["n"], "req": d["req"]})
 
-    def steal_adopt(self, t: float, thief: str, victim: str, n: int,
-                    req: int) -> None:
-        self.tasks_stolen += n
+    def steal_adopt(self, t: float, kind: str, thief: str, d: dict) -> None:
+        self.tasks_stolen += d["n"]
         s = self.sink
         if s is not None:
-            s.emit({"ev": "steal.adopt", "t": t, "w": thief, "victim": victim,
-                    "n": n, "req": req})
+            s.emit({"ev": "steal.adopt", "t": t, "w": thief,
+                    "victim": d["victim"], "n": d["n"], "req": d["req"]})
 
-    def migrate_out(self, t: float, worker: str, target: str, n: int) -> None:
-        self.tasks_migrated += n
+    def migrate_out(self, t: float, kind: str, worker: str, d: dict) -> None:
+        self.tasks_migrated += d["n"]
         s = self.sink
         if s is not None:
             s.emit({"ev": "migrate.out", "t": t, "w": worker,
-                    "target": target, "n": n})
+                    "target": d["target"], "n": d["n"]})
 
-    def migrate_in(self, t: float, worker: str, sender: str, n: int) -> None:
+    def migrate_in(self, t: float, kind: str, worker: str, d: dict) -> None:
         s = self.sink
         if s is not None:
             s.emit({"ev": "migrate.in", "t": t, "w": worker,
-                    "sender": sender, "n": n})
+                    "sender": d["sender"], "n": d["n"]})
 
-    def heartbeat(self, t: float, worker: str) -> None:
+    def heartbeat(self, t: float, kind: str, worker: str, d: dict) -> None:
         """Peer-update RPC round-trip (counted, not wall-attributed: the
         update loop runs concurrently with the run loop, so its time
         overlaps the run-loop buckets)."""
@@ -261,19 +306,19 @@ class SpanProfiler:
     # Clearinghouse / network / simulator seams
     # ------------------------------------------------------------------
 
-    def control(self, t: float, kind: str, **detail: Any) -> None:
+    def control(self, t: float, kind: str, host: str, d: dict) -> None:
         """Clearinghouse lifecycle instant (register, death, result)."""
         self.control_events += 1
         s = self.sink
         if s is not None:
-            row = {"ev": kind, "t": t, "w": "clearinghouse"}
-            row.update(detail)
-            s.emit(row)
+            who = "sender" if kind == "ch.result" else "worker"
+            s.emit({"ev": "ch.death" if kind == "ch.worker_died" else kind,
+                    "t": t, "w": "clearinghouse", who: d[who]})
 
-    def msg(self, size_bytes: int) -> None:
+    def msg(self, t: float, kind: str, src: str, d: dict) -> None:
         """One wire datagram (the network's send hot path — counter only)."""
         self.msgs += 1
-        self.msg_bytes += size_bytes
+        self.msg_bytes += d["size"]
 
     def attach_sim(self, sim: Any) -> None:
         """Chain onto the simulator's monitor hook to sample kernel
@@ -316,9 +361,9 @@ class SpanProfiler:
         if t_end is None:
             t_end = self._end
         for worker, _t0 in sorted(self._span_open.items()):
-            self.worker_end(t_end, worker, "running")
+            self._close_span(t_end, worker, "running")
         for worker, phase in sorted(self._open):
-            self.phase_end(t_end, worker, phase)
+            self._close_phase(t_end, worker, phase)
         self._finalized = True
         if close_sink and self.sink is not None:
             self.sink.close(self.summary())

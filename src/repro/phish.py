@@ -26,6 +26,7 @@ from repro.micro.worker import Worker, WorkerConfig
 from repro.net.network import Network
 from repro.net.topology import Topology, UniformTopology
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram
 from repro.util.rng import RngRegistry
@@ -57,7 +58,7 @@ def build_cluster(
     profile: PlatformProfile,
     rng_registry: RngRegistry,
     topology: Optional[Topology] = None,
-    trace: Optional[TraceLog] = None,
+    probe: Optional[Probe] = None,
     profiles: Optional[List[PlatformProfile]] = None,
 ) -> tuple[Network, List[Workstation]]:
     """Create a network plus *n_hosts* workstations.
@@ -77,7 +78,7 @@ def build_cluster(
         sim,
         topology or UniformTopology(profile.net),
         rng=rng_registry.stream("net"),
-        trace=trace,
+        probe=probe,
     )
     hosts = [
         Workstation(
@@ -122,11 +123,13 @@ def run_job(
             the termination broadcast reaches every worker.
         profiles: optional per-workstation profiles (heterogeneous
             cluster); overrides *profile* machine-by-machine.
-        metrics: optional :class:`MetricsRegistry` wired through the
-            network, Clearinghouse, and every worker (``repro.cli obs``).
-        profiler: optional :class:`~repro.obs.prof.SpanProfiler` wired
-            through the same seams (``repro profile``); finalized after
-            the drain, with its summary on ``JobResult.profile``.
+        metrics: optional :class:`MetricsRegistry` fed from the network,
+            Clearinghouse, and every worker (``repro.cli obs``).
+        profiler: optional :class:`~repro.obs.prof.SpanProfiler` fed the
+            same way (``repro profile``); finalized after the drain,
+            with its summary on ``JobResult.profile``.  All three
+            observers subscribe to the run's one
+            :class:`~repro.obs.probe.Probe`.
         queue: event-queue backend for the :class:`Simulator`
             (``"auto"``/``"heap"``/``"calendar"``; see
             docs/performance.md, "Queue backends").
@@ -134,17 +137,15 @@ def run_job(
     sim = Simulator(queue=queue)
     reg = RngRegistry(seed)
     tracelog = TraceLog(enabled=True, capacity=200_000) if trace else None
+    probe = Probe.for_run(tracelog, metrics, profiler)
     network, hosts = build_cluster(
-        sim, n_workers, profile, reg, topology, tracelog, profiles=profiles
+        sim, n_workers, profile, reg, topology, probe, profiles=profiles
     )
-    if metrics is not None:
-        network.attach_metrics(metrics)
     if profiler is not None:
-        network.attach_profiler(profiler)
         profiler.attach_sim(sim)
 
-    ch = Clearinghouse(sim, network, hosts[0].name, job.name, ch_config, tracelog,
-                       metrics=metrics, profiler=profiler)
+    ch = Clearinghouse(sim, network, hosts[0].name, job.name, ch_config,
+                       probe=probe)
 
     base_cfg = worker_config or WorkerConfig()
     jitter_rng = reg.stream("start.jitter")
@@ -161,9 +162,7 @@ def run_job(
                 clearinghouse_host=hosts[0].name,
                 config=cfg,
                 rng=reg.stream(f"worker.{i}"),
-                trace=tracelog,
-                metrics=metrics,
-                profiler=profiler,
+                probe=probe,
             )
         )
 

@@ -109,6 +109,12 @@ class TraceLog:
 
     def emit(self, time: float, kind: str, source: str, **detail: Any) -> None:
         """Record one event (no-op when disabled or filtered out)."""
+        self.record(time, kind, source, detail)
+
+    def record(self, time: float, kind: str, source: str,
+               detail: Dict[str, Any]) -> None:
+        """:meth:`emit` with the detail dict passed as is — the shape a
+        :class:`~repro.obs.probe.Probe` subscriber is called with."""
         if not self.enabled:
             return
         categories = self.categories

@@ -83,6 +83,19 @@ def test_skip_redo_bug_caught():
     assert not run.ok
 
 
+def test_drop_migration_bug_caught():
+    """Shrink seed 8 reclaims ws00 mid-run: its migration batch reaches
+    an adopter that (bugged) silently loses half of the ready closures."""
+    from repro.check.fuzzer import APPS
+
+    spec = APPS["shrink"]
+    run = run_checked(spec.make(), n_workers=4, seed=8,
+                      perturbation=Perturbation.generate(8, 4),
+                      expected=spec.expected, worker_config=spec.worker_config,
+                      bug="drop-migration")
+    assert not run.ok
+
+
 def test_dup_exec_bug_caught_by_conservation():
     run = run_checked(fib_job(14), n_workers=4, seed=0,
                       perturbation=Perturbation.generate(0, 4),

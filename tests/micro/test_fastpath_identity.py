@@ -32,6 +32,7 @@ from repro.micro.worker import Worker, WorkerConfig
 from repro.obs import SpanProfiler, validate_perfetto
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.obs.stream import StreamingPerfettoWriter, TeeSink
 from repro.phish import build_cluster, run_job
 from repro.sim.core import Simulator
@@ -324,19 +325,98 @@ def test_worker_death_drops_the_dead_victim_everywhere():
 # ---------------------------------------------------------------------------
 
 
+CHANNELS = ["trace", "metrics", "metrics+health", "profiler", "all"]
+
+
+def _observers(channel):
+    """(registry, monitor, profiler) for one observer subset."""
+    reg = mon = prof = None
+    if channel in ("metrics", "metrics+health", "all"):
+        reg = MetricsRegistry()
+    if channel in ("metrics+health", "all"):
+        mon = HealthMonitor(reg)
+    if channel in ("profiler", "all"):
+        prof = SpanProfiler()
+    return reg, mon, prof
+
+
 def _observed(channel):
-    kwargs = {}
-    if channel == "trace":
-        kwargs["trace"] = True
-    elif channel == "metrics+health":
-        kwargs["metrics"] = MetricsRegistry()
-        HealthMonitor(kwargs["metrics"])
-    elif channel == "profiler":
-        kwargs["profiler"] = SpanProfiler()
-    res = run_job(fib_job(16), n_workers=4, seed=5, **kwargs)
+    reg, _mon, prof = _observers(channel)
+    res = run_job(fib_job(16), n_workers=4, seed=5, metrics=reg, profiler=prof,
+                  trace=channel in ("trace", "all"))
     return (res.result, repr(res.makespan), res.sim.events_processed,
             res.network.counters.sent, res.stats.tasks_executed,
             tuple(w.stats.max_tasks_in_use for w in res.workers))
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _outputs(reg, mon, prof, trace):
+    """sha256 of every observer's output; None for an absent observer."""
+    return {
+        "metrics": None if reg is None else _sha(reg.snapshot()),
+        "profile": None if prof is None else _sha(prof.summary()),
+        "incidents": (None if mon is None
+                      else _sha([i.row() for i in mon.incidents])),
+        "trace": hashlib.sha256(trace.dump().encode()).hexdigest(),
+    }
+
+
+OBSERVED_JOBS = {"fib16-p4": (lambda: fib_job(16), 4),
+                 "knary653-p8": (lambda: knary_job(6, 5, 3), 8)}
+
+#: What each observer reported on the commit *before* the probe seam
+#: (four separately wired channels), seed 1, every observer on; the
+#: "metrics" entry is the registry's snapshot when no HealthMonitor
+#: (whose incident ring rides the snapshot) is attached.
+OBSERVER_PINS = {
+    "fib16-p4": {
+        "result": 987,
+        "metrics": "4e9c3ed1e88a346f47c588683089e02842b2ad57f4a2ae22c5a01e00cde912bf",
+        "metrics+health":
+            "5c007b444758d94985314e4fd8720e5cbad2e2adf8a8e50abaee89b85852b9ac",
+        "profile": "f6aafcc4dfaf3a2355872e49557d0c93d208596fc90b9f5da0d23395a7e33f0c",
+        "incidents": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "trace": "8da9792543f1c1836574c05a48e96198eed12bdec676ad1fbfa73548b6bf5d9f",
+    },
+    "knary653-p8": {
+        "result": 3906,
+        "metrics": "6dfa59594cbd7d671f49b51703f7c912268505b8b81905528fa4d7e0537521d8",
+        "metrics+health":
+            "03053ed36f7d060435cafd0bacfd82cdaed0eede1bd488a88f7972eb806f4cec",
+        "profile": "489777faf19c2ea0024491654fddeca16d818c3e6b1379544940787fafaf98c6",
+        "incidents": "7646db2877cf2f6df403080614636f18bf5da0e0626d7a2ab67366bd305f9a79",
+        "trace": "2fb867bb45103c7b2d123ce896bf922d38e9e70a0f11746bbe6a0e9522a241c7",
+    },
+    # run_checked(fib(14), P=4, seed 2, --scenario spike) with a
+    # HealthMonitor: a steal storm behind the congestion spike.
+    "spike-seed2": {
+        "result": 377,
+        "metrics+health":
+            "ea9ca59c8d471f6c0d53ac835ac19b9d6bd46fa52adada1b1a0eea9c2313c41b",
+        "incidents": "c130f36f6e1bba7ef9dceda1073ddd24db763c93fd35ddc4159bb40eb7d431a2",
+        "trace": "79ccdd317e7c9cbd018dea0e3f3158c167ca71ba3e728519c27ba606cfa6be91",
+    },
+}
+
+
+def _observer_outputs(case, channel):
+    reg, mon, prof = _observers(channel)
+    if case == "spike-seed2":
+        run = run_checked(fib_job(14), n_workers=4, seed=2, metrics=reg,
+                          perturbation=Perturbation.generate(2, 4, scenario="spike"),
+                          expected=fib_serial(14))
+        run.require_ok()
+    else:
+        make, p = OBSERVED_JOBS[case]
+        run = run_job(make(), n_workers=p, seed=1, trace=True, metrics=reg,
+                      profiler=prof)
+    out = _outputs(reg, mon, prof, run.trace)
+    if mon is not None:
+        out["metrics+health"] = out.pop("metrics")
+    return dict(out, result=run.result)
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +424,18 @@ def plain_run():
     return _observed("plain")
 
 
-@pytest.mark.parametrize("channel", ["trace", "metrics+health", "profiler"])
+@pytest.mark.parametrize("channel", CHANNELS)
 def test_observed_run_equals_the_plain_run(channel, plain_run):
     assert _observed(channel) == plain_run
+    # ...and on top of the same simulation, each observer of the subset
+    # reports exactly what it reported before the seam, next to a
+    # byte-identical TraceLog.
+    for case, pins in OBSERVER_PINS.items():
+        if case == "spike-seed2" and channel not in ("trace", "metrics+health"):
+            continue  # run_checked takes the log and a registry only
+        for name, digest in _observer_outputs(case, channel).items():
+            if digest is not None:
+                assert digest == pins[name], (case, channel, name)
 
 
 class _ListSink(list):
@@ -366,14 +455,14 @@ def test_crash_mid_task_still_closes_the_profilers_working_interval(tmp_path):
     sim = Simulator()
     reg = RngRegistry(5)
     job = fib_job(16)
-    network, hosts = build_cluster(sim, 2, SPARCSTATION_1, reg)
-    network.attach_profiler(prof)
+    probe = Probe.for_run(profiler=prof)
+    network, hosts = build_cluster(sim, 2, SPARCSTATION_1, reg, probe=probe)
     prof.attach_sim(sim)
-    ch = Clearinghouse(sim, network, "ws00", job.name, profiler=prof)
+    ch = Clearinghouse(sim, network, "ws00", job.name, probe=probe)
     config = WorkerConfig(startup_cost_s=0.01, steal_timeout_s=0.02,
                           steal_backoff_s=0.002)
     workers = [Worker(sim, ws, network, job, "ws00", config=config,
-                      rng=reg.stream(f"worker.{i}"), profiler=prof)
+                      rng=reg.stream(f"worker.{i}"), probe=probe)
                for i, ws in enumerate(hosts)]
     victim = workers[1]
     while victim.stats.tasks_executed < 5:

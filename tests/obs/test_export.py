@@ -11,6 +11,7 @@ from repro.obs.export import (
     write_perfetto,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.phish import run_job
 from repro.util.trace import TraceLog
 
@@ -238,12 +239,13 @@ def test_export_health_incidents_on_worker_tracks():
     reg = MetricsRegistry()
     monitor = HealthMonitor(reg)
     trace = TraceLog()
-    trace.emit(0.0, "worker.start", "ws00")
-    trace.emit(0.0, "worker.start", "ws01")
-    trace.emit(2.0, "worker.exit.retired", "ws00")
-    trace.emit(2.0, "worker.exit.retired", "ws01")
+    emit = Probe.for_run(trace, reg).emit
+    emit(0.0, "worker.start", "ws00")
+    emit(0.0, "worker.start", "ws01")
     for i in range(10):
-        monitor.steal_timeout(1.0 + i * 0.01, "ws01", "ws00")
+        emit(1.0 + i * 0.01, "steal.timeout", "ws01", victim="ws00")
+    emit(2.0, "worker.exit.retired", "ws00")
+    emit(2.0, "worker.exit.retired", "ws01")
     monitor.job_sojourn(1.5, 7, sojourn_s=1.4, slo_s=0.5)
     doc = to_perfetto(trace, reg, "diag")
     assert validate_perfetto(doc) == []
@@ -269,6 +271,8 @@ def test_export_clamps_late_incident_into_range():
     trace = TraceLog()
     trace.emit(0.0, "worker.start", "ws00")
     trace.emit(1.0, "worker.exit.retired", "ws00")
-    monitor.death(5.0, "ws00", last_seen=4.0)  # past the last trace event
+    # Past the last trace event (so not through a probe the log is on).
+    monitor.death(5.0, "ch.worker_died", "ws00",
+                  {"worker": "ws00", "last_seen": 4.0})
     doc = to_perfetto(trace, reg, "diag")
     assert validate_perfetto(doc) == []

@@ -15,6 +15,15 @@ from repro.obs.health import (
     merge_incident_snapshots,
 )
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.probe import Probe
+
+
+def _wired(config=None):
+    """A monitor fed the way a run feeds it: through a Probe's emit."""
+    hm = HealthMonitor(config=config)
+    probe = Probe()
+    hm.subscribe(probe)
+    return hm, probe.emit
 
 
 def _incident(kind="steal-storm", t=1.0, subject="ws01", **evidence):
@@ -103,69 +112,69 @@ def test_sort_key_total_order_on_ties():
 
 
 def test_steal_storm_counts_timeouts_not_refusals():
-    hm = HealthMonitor(config=HealthConfig(storm_timeouts=5, window_s=0.25))
+    hm, emit = _wired(HealthConfig(storm_timeouts=5, window_s=0.25))
     for i in range(20):
-        hm.steal_refused(i * 0.01, "ws01", "ws02")
+        emit(i * 0.01, "steal.refused", "ws01", victim="ws02")
     assert not hm.incidents  # refusals never storm
     for i in range(5):
-        hm.steal_timeout(0.5 + i * 0.01, "ws01", "ws02")
+        emit(0.5 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
     kinds = [i.kind for i in hm.incidents]
     assert kinds.count("steal-storm") == 1
     # Debounced: staying above threshold re-fires nothing.
     for i in range(5):
-        hm.steal_timeout(0.6 + i * 0.01, "ws01", "ws02")
+        emit(0.6 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
     assert [i.kind for i in hm.incidents].count("steal-storm") == 1
 
 
 def test_steal_storm_rearms_after_abating():
-    hm = HealthMonitor(config=HealthConfig(storm_timeouts=4, window_s=0.1))
+    hm, emit = _wired(HealthConfig(storm_timeouts=4, window_s=0.1))
     for i in range(4):
-        hm.steal_timeout(i * 0.01, "ws01", "ws02")
+        emit(i * 0.01, "steal.timeout", "ws01", victim="ws02")
     # Quiet period: the window empties, the detector re-arms.
-    hm.steal_timeout(10.0, "ws01", "ws02")
+    emit(10.0, "steal.timeout", "ws01", victim="ws02")
     for i in range(4):
-        hm.steal_timeout(10.01 + i * 0.01, "ws01", "ws02")
+        emit(10.01 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
     assert [i.kind for i in hm.incidents].count("steal-storm") == 2
 
 
 def test_starvation_needs_a_holder():
     cfg = HealthConfig(starve_fails=3, starve_min_depth=4)
-    hm = HealthMonitor(config=cfg)
+    hm, emit = _wired(cfg)
     for i in range(10):
-        hm.steal_refused(i * 0.01, "ws01", "ws02")
+        emit(i * 0.01, "steal.refused", "ws01", victim="ws02")
     assert not hm.incidents  # nobody demonstrably holds work
-    hm.deque_sample(0.2, "ws02", 6)
-    hm.steal_refused(0.21, "ws01", "ws02")
+    emit(0.2, "deque.depth", "ws02", deque=6)
+    emit(0.21, "steal.refused", "ws01", victim="ws02")
     starved = [i for i in hm.incidents if i.kind == "starvation"]
     assert len(starved) == 1
     assert dict(starved[0].evidence)["holder"] == "ws02"
     # A successful steal clears the streak and the episode.
-    hm.steal_ok(0.3, "ws01")
+    emit(0.3, "steal.adopt", "ws01")
     for i in range(2):
-        hm.steal_refused(0.31 + i * 0.01, "ws01", "ws02")
+        emit(0.31 + i * 0.01, "steal.refused", "ws01", victim="ws02")
     assert len([i for i in hm.incidents if i.kind == "starvation"]) == 1
 
 
 def test_straggler_fires_on_ewma_outlier():
     cfg = HealthConfig(straggler_factor=4.0, straggler_min_tasks=5)
-    hm = HealthMonitor(config=cfg)
+    hm, emit = _wired(cfg)
     for i in range(20):
-        hm.task_done(i * 0.01, f"ws0{i % 3}", 0.001)
+        emit(i * 0.01, "task.done", f"ws0{i % 3}", deque=0, service_s=0.001)
     assert not hm.incidents
     # One slow machine among busy fast ones: its EWMA is a large
     # multiple of the cluster's (which its own rare samples barely move).
     for i in range(50):
-        hm.task_done(1.0 + i * 0.01, f"ws0{i % 3}", 0.001)
+        emit(1.0 + i * 0.01, "task.done", f"ws0{i % 3}", deque=0, service_s=0.001)
         if i % 10 == 0:
-            hm.task_done(1.0 + i * 0.01, "ws09", 0.5)
+            emit(1.0 + i * 0.01, "task.done", "ws09", deque=0, service_s=0.5)
     stragglers = [i for i in hm.incidents if i.kind == "straggler"]
     assert [i.subject for i in stragglers] == ["ws09"]
 
 
 def test_retransmission_fires_at_retry_limit_once():
-    hm = HealthMonitor(config=HealthConfig(retry_limit=3))
+    hm, emit = _wired(HealthConfig(retry_limit=3))
     for i in range(3):
-        hm.retransmission(i * 0.1, "ws01", "arg", 7)
+        emit(i * 0.1, "arg.retry", "ws01", seq=7)
     stalls = [i for i in hm.incidents if i.kind == "partition-stall"]
     assert len(stalls) == 1
     ev = dict(stalls[0].evidence)
@@ -174,53 +183,62 @@ def test_retransmission_fires_at_retry_limit_once():
 
 
 def test_link_drop_window():
-    hm = HealthMonitor(config=HealthConfig(link_drops=3, window_s=0.1))
-    hm.link_drop(0.0, "ws00", "ws01")
-    hm.link_drop(0.5, "ws00", "ws01")  # outside the window of the first
-    hm.link_drop(0.55, "ws00", "ws01")
+    hm, emit = _wired(HealthConfig(link_drops=3, window_s=0.1))
+    emit(0.0, "net.partition", "ws00", dst="ws01")
+    emit(0.5, "net.partition", "ws00", dst="ws01")  # outside the first's window
+    emit(0.55, "net.partition", "ws00", dst="ws01")
     assert not hm.incidents
-    hm.link_drop(0.58, "ws00", "ws01")
+    emit(0.58, "net.partition", "ws00", dst="ws01")
     stalls = [i for i in hm.incidents if i.kind == "partition-stall"]
     assert [i.subject for i in stalls] == ["ws00->ws01"]
 
 
 def test_pulse_heartbeat_gap_and_recovery():
-    hm = HealthMonitor()
-    hm.pulse(1.0, {"ws01": 0.95}, {}, 1.5, done=False)
+    hm, emit = _wired()
+    emit(1.0, "ch.scan", "ws00", workers={"ws01": 0.95}, forwarders={},
+         death_timeout_s=1.5, done=False)
     assert not hm.incidents
-    hm.pulse(2.0, {"ws01": 0.95}, {}, 1.5, done=False)
+    emit(2.0, "ch.scan", "ws00", workers={"ws01": 0.95}, forwarders={},
+         death_timeout_s=1.5, done=False)
     gaps = [i for i in hm.incidents if i.kind == "heartbeat-gap"]
     assert len(gaps) == 1 and gaps[0].severity == "warn"
     # Still silent: episode dedup holds.
-    hm.pulse(2.2, {"ws01": 0.95}, {}, 1.5, done=False)
+    emit(2.2, "ch.scan", "ws00", workers={"ws01": 0.95}, forwarders={},
+         death_timeout_s=1.5, done=False)
     assert len([i for i in hm.incidents if i.kind == "heartbeat-gap"]) == 1
     # A heartbeat ends the episode; renewed silence is a new incident.
-    hm.heartbeat(2.3, "ws01", 1.35)
-    hm.pulse(4.0, {"ws01": 2.3}, {}, 1.5, done=False)
+    emit(2.3, "ch.heartbeat", "ws00", worker="ws01", gap_s=1.35)
+    emit(4.0, "ch.scan", "ws00", workers={"ws01": 2.3}, forwarders={},
+         death_timeout_s=1.5, done=False)
     assert len([i for i in hm.incidents if i.kind == "heartbeat-gap"]) == 2
 
 
 def test_death_and_false_death():
-    hm = HealthMonitor()
-    hm.death(1.7, "ws02", last_seen=0.1)
-    hm.false_death(1.8, "ws02")
+    hm, emit = _wired()
+    emit(1.7, "ch.worker_died", "ws00", worker="ws02", last_seen=0.1)
+    emit(1.8, "ch.false_death", "ws00", worker="ws02")
     kinds = {(i.kind, i.severity) for i in hm.incidents}
     assert ("heartbeat-gap", "crit") in kinds
     assert ("false-death", "crit") in kinds
 
 
 def test_watchdog_stall_respects_done_and_progress():
-    hm = HealthMonitor(config=HealthConfig(watchdog_s=1.0))
-    hm.pulse(0.0, {"ws01": 0.0}, {}, 1.5, done=False)  # arms the watchdog
-    hm.task_done(0.5, "ws01", 0.01)
-    hm.pulse(1.2, {"ws01": 1.2}, {}, 1.5, done=False)
+    hm, emit = _wired(HealthConfig(watchdog_s=1.0))
+    emit(0.0, "ch.scan", "ws00", workers={"ws01": 0.0}, forwarders={},
+         death_timeout_s=1.5, done=False)  # arms the watchdog
+    emit(0.5, "task.done", "ws01", deque=0, service_s=0.01)
+    emit(1.2, "ch.scan", "ws00", workers={"ws01": 1.2}, forwarders={},
+         death_timeout_s=1.5, done=False)
     assert not [i for i in hm.incidents if i.kind == "stall"]
-    hm.pulse(1.6, {"ws01": 1.6}, {}, 1.5, done=True)  # done: never a stall
+    emit(1.6, "ch.scan", "ws00", workers={"ws01": 1.6}, forwarders={},
+         death_timeout_s=1.5, done=True)  # done: never a stall
     assert not [i for i in hm.incidents if i.kind == "stall"]
-    hm2 = HealthMonitor(config=HealthConfig(watchdog_s=1.0))
-    hm2.pulse(0.0, {"ws01": 0.0}, {}, 1.5, done=False)
-    hm2.task_done(0.5, "ws01", 0.01)
-    hm2.pulse(1.6, {"ws01": 1.6}, {}, 1.5, done=False)
+    hm2, emit2 = _wired(HealthConfig(watchdog_s=1.0))
+    emit2(0.0, "ch.scan", "ws00", workers={"ws01": 0.0}, forwarders={},
+          death_timeout_s=1.5, done=False)
+    emit2(0.5, "task.done", "ws01", deque=0, service_s=0.01)
+    emit2(1.6, "ch.scan", "ws00", workers={"ws01": 1.6}, forwarders={},
+          death_timeout_s=1.5, done=False)
     stalls = [i for i in hm2.incidents if i.kind == "stall"]
     assert len(stalls) == 1 and stalls[0].t_start == 0.5
 
@@ -239,12 +257,12 @@ def test_slo_breach_dedups_per_job():
 
 def test_state_stays_bounded_under_flood():
     cfg = HealthConfig(max_tracked=64, ring_capacity=32)
-    hm = HealthMonitor(config=cfg)
+    hm, emit = _wired(cfg)
     for i in range(20_000):
         t = i * 1e-4
-        hm.steal_timeout(t, f"ws{i % 8:02d}", "ws00")
-        hm.retransmission(t, f"ws{i % 8:02d}", "arg", i)  # unique seqs
-        hm.link_drop(t, f"ws{i % 100:02d}", "ws00")       # many links
+        emit(t, "steal.timeout", f"ws{i % 8:02d}", victim="ws00")
+        emit(t, "arg.retry", f"ws{i % 8:02d}", seq=i)  # unique seqs
+        emit(t, "net.partition", f"ws{i % 100:02d}", dst="ws00")  # many links
         hm.job_sojourn(t, i, sojourn_s=10.0, slo_s=1.0)   # many jobs
     # Every rolling structure obeys its cap: total state is O(window),
     # not O(events).  (8 workers' scalars + capped deques/dicts/sets.)

@@ -6,7 +6,6 @@ from repro.errors import ReproError
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
     LATENCY_BUCKETS_S,
-    NULL_INSTRUMENT,
     Counter,
     Gauge,
     Histogram,
@@ -138,20 +137,6 @@ def test_registry_names_prefix_filter():
     reg.counter("micro.a")
     reg.counter("net.b")
     assert reg.names("micro.") == ["micro.a"]
-
-
-def test_disabled_registry_hands_out_nulls():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("x")
-    h = reg.histogram("y")
-    assert c is NULL_INSTRUMENT
-    assert h is NULL_INSTRUMENT
-    # Null instruments absorb every operation.
-    c.inc()
-    h.observe(1.0)
-    assert h.percentile(0.5) is None
-    assert len(reg) == 0
-    assert reg.snapshot() == {}
 
 
 def test_registry_snapshot_round_trips_through_json():

@@ -1,0 +1,244 @@
+"""The probe seam: one vocabulary, declared once, spoken everywhere.
+
+The catalogue test holds three things equal — the kinds the five
+component files emit (AST scan), the kinds ``repro.obs.probe``
+declares, and the kinds table in ``docs/observability.md`` — and keeps
+the four pre-seam observer channels from growing back.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.apps.fib import fib_job, fib_serial
+from repro.check import Perturbation, run_checked
+from repro.cluster.platform import SPARCSTATION_1
+from repro.errors import ReproError
+from repro.macro.system import PhishSystem, PhishSystemConfig
+from repro.macro.traffic import TrafficConfig, TrafficSystem
+from repro.obs.health import HealthMonitor
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import OBSERVER_ONLY, PER_TASK, TRACED, Probe
+from repro.phish import build_cluster, run_job
+from repro.sim.core import Simulator
+from repro.util.rng import RngRegistry
+from repro.util.trace import TraceLog
+
+ROOT = Path(__file__).resolve().parents[2]
+COMPONENTS = [ROOT / "src" / "repro" / rel for rel in (
+    "micro/worker.py", "net/network.py", "clearinghouse/clearinghouse.py",
+    "macro/jobq.py", "macro/jobmanager.py")]
+
+#: Worker message tags handled without an emit, and why that is enough.
+UNPROBED = (
+    ("GRANT_ACK", "only disarms a reclaim timer; the grant (steal.grant) and "
+                  "any reclaim (steal.reclaim) are probed"),
+    ("ARG_ACK", "only clears a retransmit entry; the fill (join.fill) and "
+                "each retransmission (arg.retry) are probed"),
+    ("LOAD", "push-mode load gossip; the migrations it drives are probed "
+             "at the receiver (migrate.in)"),
+    ("PAUSE", "checkpoint stop-the-world flag; fault/checkpoint.py owns it"),
+    ("RESUME", "checkpoint stop-the-world flag; fault/checkpoint.py owns it"),
+    ("SNAPSHOT_REQ", "checkpoint read of worker state; changes nothing"),
+    ("JOB_DONE", "sets the done flags; the Clearinghouse probes ch.result "
+                 "and the exit is worker.exit.done"),
+    ("PEER_UPDATE", "replaces the peer list; the Clearinghouse probes "
+                    "ch.peer_update with the same list"),
+)
+
+
+def _kind_literals(node):
+    """The kind(s) an emit/bind call's second argument can evaluate to."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _kind_literals(node.body) | _kind_literals(node.orelse)
+    if isinstance(node, ast.JoinedStr):  # f"worker.exit.{reason}"
+        head = node.values[0]
+        assert isinstance(head, ast.Constant) and head.value.endswith(".")
+        return {head.value + "*"}
+    raise AssertionError(f"emit kind is not a literal: {ast.dump(node)}")
+
+
+def _emitted_kinds(tree):
+    kinds = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("emit", "bind")
+                and "probe" in ast.unparse(node.func.value)):
+            kinds |= _kind_literals(node.args[1])
+    return kinds
+
+
+def test_catalogue_equals_the_emit_sites_equals_the_docs_table():
+    declared = set(TRACED) | set(OBSERVER_ONLY)
+    assert not set(TRACED) & set(OBSERVER_ONLY)
+    assert set(PER_TASK) <= set(OBSERVER_ONLY)
+
+    emitted = set()
+    for path in COMPONENTS:
+        emitted |= _emitted_kinds(ast.parse(path.read_text()))
+    assert emitted == declared
+
+    rows = re.findall(r"^\| `([a-z_.*]+)` \| (log|—) \|([^|]*)\|([^|]*)\|",
+                      (ROOT / "docs" / "observability.md").read_text(), re.M)
+    assert {kind for kind, *_ in rows} == declared
+    assert {kind for kind, log, *_ in rows if log == "log"} == set(TRACED)
+    # Observer-only fields: italic in the docs, declared in TRACED.
+    for kind, log, _source, detail in rows:
+        italic = tuple(re.findall(r"\*(\w+)\*", detail))
+        assert italic == TRACED.get(kind, ()), kind
+
+
+def test_the_four_old_channels_do_not_grow_back():
+    guards = 0
+    for path in COMPONENTS:
+        text = path.read_text()
+        for gone in ("_m_", "_prof", "_health", "attach_metrics",
+                     "attach_profiler", "on_drop", ".trace.emit"):
+            assert gone not in text, f"{gone!r} is back in {path.name}"
+        # The only observer guard is on the probe...
+        assert not re.search(r"\b(trace|metrics|profiler) is (not )?None", text)
+        guards += len(re.findall(r"\b_?probe is (not )?None", text))
+    assert guards <= 85  # ...and there were 123 guards before the seam.
+
+
+def _emits(cls, name, seen=None):
+    """Does Worker method *name* reach a probe emit (through self.* calls)?"""
+    seen = set() if seen is None else seen
+    if name in seen or name not in cls:
+        return False
+    seen.add(name)
+    body = cls[name]
+    if _emitted_kinds(body):
+        return True
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "self"
+        and _emits(cls, n.func.attr, seen)
+        for n in ast.walk(body))
+
+
+def test_every_message_tag_is_probed_or_listed_unprobed():
+    tree = ast.parse(COMPONENTS[0].read_text())
+    worker = next(n for n in tree.body
+                  if isinstance(n, ast.ClassDef) and n.name == "Worker")
+    methods = {n.name: n for n in worker.body if isinstance(n, ast.FunctionDef)}
+    dispatched, silent = set(), set()
+    for node in ast.walk(methods["_net"]):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and ast.unparse(node.test).startswith("tag == P.")):
+            continue
+        tag = node.test.comparators[0].attr
+        dispatched.add(tag)
+        branch = ast.Module(body=node.body, type_ignores=[])
+        handlers = [n.func.attr for n in ast.walk(branch)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "self"]
+        if not any(_emits(methods, h) for h in handlers):
+            silent.add(tag)
+    assert len(dispatched) >= 14  # the scan found the dispatch chain
+    assert silent == {tag for tag, _why in UNPROBED}
+    assert all(why for _tag, why in UNPROBED)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
+def test_log_first_then_subscription_order_and_the_exit_family():
+    log = TraceLog()
+    probe = Probe.for_run(trace=log)
+    seen = []
+    probe.subscribe({"worker.exit.*": lambda t, k, s, d: seen.append((len(log), k)),
+                     "net.send": lambda t, k, s, d: seen.append((len(log), d["size"]))})
+    probe.emit(1.0, "worker.exit.retired", "ws01", deque=0)
+    probe.emit(2.0, "net.send", "ws00", dst="ws01", port=7, id=1, size=64)
+    probe.emit(3.0, "task.done", "ws00", cid=1)  # observer-only: never logged
+    # Each handler ran after the log had its record; the observer-only
+    # field reached the handler and not the log.
+    assert seen == [(1, "worker.exit.retired"), (2, 64)]
+    assert [(e.kind, e.detail) for e in log] == [
+        ("worker.exit.retired", {"deque": 0}),
+        ("net.send", {"dst": "ws01", "port": 7, "id": 1}),
+    ]
+    assert not probe.per_task
+    with pytest.raises(ReproError, match="unknown probe kind"):
+        probe.subscribe({"closure.nwe": print})
+
+
+def test_drop_accounting_lands_directly_after_the_drops_own_record():
+    """fib partition seed 27 loses a steal grant to a down host and a
+    migration batch to a severed link; the checker's subscriber accounts
+    each inside the same dispatch, right behind the log's record."""
+    run = run_checked(fib_job(14), n_workers=4, seed=27,
+                      perturbation=Perturbation.generate(27, 4, scenario="partition"),
+                      expected=fib_serial(14))
+    run.require_ok()
+    events = list(run.trace)
+    pairs = [(events[i - 1], ev) for i, ev in enumerate(events)
+             if ev.kind == "closure.lost" and ev.detail["reason"].startswith("net-")]
+    assert sorted((drop.kind, lost.detail["reason"]) for drop, lost in pairs) == [
+        ("net.drop.down", "net-down"), ("net.partition", "net-partition")]
+    assert all(drop.time == lost.time and "msg" not in drop.detail
+               for drop, lost in pairs)
+
+
+def test_no_observer_means_no_probe():
+    assert Probe.for_run() is None
+    res = run_job(fib_job(10), n_workers=2, seed=1)
+    assert res.network._probe is None and res.clearinghouse._probe is None
+    assert all(w._probe is None for w in res.workers)
+
+
+# ---------------------------------------------------------------------------
+# The silent late attach is an error now
+# ---------------------------------------------------------------------------
+
+
+def _hand_built(registry):
+    sim = Simulator()
+    build_cluster(sim, 2, SPARCSTATION_1, RngRegistry(1),
+                  probe=Probe.for_run(metrics=registry))
+
+
+LATE = {
+    "run_job": lambda reg: run_job(fib_job(8), n_workers=2, metrics=reg),
+    "hand-built cluster": _hand_built,
+    "TrafficSystem": lambda reg: TrafficSystem(TrafficConfig(n_jobs=1), metrics=reg),
+}
+
+
+@pytest.mark.parametrize("built", LATE)
+def test_monitor_constructed_after_the_run_was_built_is_refused(built):
+    registry = MetricsRegistry()
+    LATE[built](registry)
+    with pytest.raises(ReproError, match="construct the monitor before the run"):
+        HealthMonitor(registry)
+
+
+def test_monitor_on_a_phish_systems_own_registry_is_refused():
+    system = PhishSystem(PhishSystemConfig(n_workstations=2, metrics=True))
+    with pytest.raises(ReproError, match="construct the monitor before the run"):
+        HealthMonitor(system.metrics)
+    system.stop()
+
+
+def test_subscribing_to_a_bound_probe_is_refused():
+    log = TraceLog()
+    probe = Probe.for_run(trace=log)
+    build_cluster(Simulator(), 2, SPARCSTATION_1, RngRegistry(1), probe=probe)
+    with pytest.raises(ReproError, match="construct the monitor before the run"):
+        probe.subscribe({"steal.success": print})
+
+
+def test_monitor_constructed_first_sees_the_run():
+    registry = MetricsRegistry()
+    monitor = HealthMonitor(registry)
+    res = run_job(fib_job(10), n_workers=2, seed=1, metrics=registry)
+    assert res.result == fib_serial(10)
+    assert monitor._last_progress is not None  # task.done reached it

@@ -14,8 +14,16 @@ from repro.apps.fib import (
 )
 from repro.cluster.platform import SPARCSTATION_1
 from repro.obs import SpanProfiler, merge_profiles
+from repro.obs.probe import Probe
 from repro.obs.prof import BUCKETS, PROFILE_SCHEMA
 from repro.phish import run_job
+
+
+def _task_emitter(prof):
+    """Feed a profiler the way a run does: through a Probe's emit."""
+    probe = Probe()
+    prof.subscribe(probe)
+    return probe.emit
 
 
 def _profiled_fib(n, n_workers, seed):
@@ -150,16 +158,17 @@ class TestRedoInheritance:
         """A re-keyed redo copy inherits the original's pending span and
         depth, so the redone subtree extends the path, not restarts it."""
         prof = SpanProfiler()
-        prof.exec_begin(0.0, "w0", 1, "t", 0)
-        prof.edge(1, 2)
-        prof.exec_end(1.0, "w0", 1, 1.0)
-        prof.exec_done(1.0, "w0", 1)
+        emit = _task_emitter(prof)
+        emit(0.0, "closure.exec", "w0", cid=1, thread="t")
+        emit(0.0, "closure.new", "w0", cid=2)
+        emit(0.0, "task.done", "w0", cid=1, thread="t", depth=0, service_s=1.0)
+        emit(1.0, "task.charged", "w0", cid=1)
         assert prof.t_inf_s == 1.0 and prof.max_depth == 1
         # Closure 2 is lost before executing; its redo copy is 9.
-        prof.redo(1.5, "w0", [(2, 9)])
-        prof.exec_begin(2.0, "w1", 9, "t", 0)
-        prof.exec_end(4.0, "w1", 9, 2.0)
-        prof.exec_done(4.0, "w1", 9)
+        emit(1.5, "redo", "w0", dead="w9", n=1, pairs=[(2, 9)])
+        emit(2.0, "closure.exec", "w1", cid=9, thread="t")
+        emit(2.0, "task.done", "w1", cid=9, thread="t", depth=0, service_s=2.0)
+        emit(4.0, "task.charged", "w1", cid=9)
         assert prof.redo_copies == 1
         assert prof.t_inf_s == pytest.approx(3.0)  # 1.0 inherited + 2.0
         assert prof.max_depth == 2
@@ -167,10 +176,11 @@ class TestRedoInheritance:
 
     def test_redo_of_untouched_closure_is_noop_on_dag(self):
         prof = SpanProfiler()
-        prof.redo(0.0, "w0", [(5, 6)])
-        prof.exec_begin(1.0, "w0", 6, "t", 0)
-        prof.exec_end(2.0, "w0", 6, 1.0)
-        prof.exec_done(2.0, "w0", 6)
+        emit = _task_emitter(prof)
+        emit(0.0, "redo", "w0", dead="w9", n=1, pairs=[(5, 6)])
+        emit(1.0, "closure.exec", "w0", cid=6, thread="t")
+        emit(1.0, "task.done", "w0", cid=6, thread="t", depth=0, service_s=1.0)
+        emit(2.0, "task.charged", "w0", cid=6)
         assert prof.t_inf_s == pytest.approx(1.0)
         assert prof.max_depth == 1
 
