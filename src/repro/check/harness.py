@@ -457,11 +457,7 @@ def run_checked(
         _at(sim, t, reclaim, name=f"inject-reclaim@ws{idx:02d}")
 
     # Run to completion or the liveness horizon, whichever comes first.
-    while not ch.done.is_set:
-        if sim.peek() > horizon_s:
-            break
-        sim.step()
-    completed = ch.done.is_set
+    completed = sim.run_until(ch.done, horizon_s)
     if completed:
         sim.run(until=sim.now + drain_s)  # let the done broadcast land
 

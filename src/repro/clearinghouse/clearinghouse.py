@@ -112,7 +112,7 @@ class Clearinghouse:
         #: — no extra processes, purely observational.
         self._probe = probe
         if probe is not None:
-            probe.bind(sim.now, "ch.bind", host)
+            probe.bind(sim.now, "ch.bind", host, {})
 
         self.rpc = RpcServer(network, host, rpc_port, name=f"ch:{job_name}")
         self.rpc.register(P.RPC_REGISTER, self._rpc_register)
@@ -147,8 +147,8 @@ class Clearinghouse:
         self._peers_sorted = None
         self.forwarders.pop(name, None)  # a rejoining retiree is live again
         self.ever_registered.add(name)
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "ch.register", self.host, worker=name)
+        if self._probe is not None and (on := self._probe.get("ch.register")):
+            on(self.sim.now, "ch.register", self.host, {"worker": name})
         self._broadcast_peers()
         return {"peers": self._sorted_workers(), "run_root": run_root, "done": False}
 
@@ -166,8 +166,8 @@ class Clearinghouse:
             # have all resolved, and the worker is about to fall silent
             # legitimately — stop watching its heartbeat.
             self.forwarders.pop(name, None)
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "ch.unregister", self.host, worker=name)
+        if self._probe is not None and (on := self._probe.get("ch.unregister")):
+            on(self.sim.now, "ch.unregister", self.host, {"worker": name})
         self._broadcast_peers()
         return True
 
@@ -177,17 +177,17 @@ class Clearinghouse:
         table = (self.workers if name in self.workers
                  else self.forwarders if name in self.forwarders else None)
         if table is not None:
-            if self._probe is not None:
-                self._probe.emit(self.sim.now, "ch.heartbeat", self.host,
-                                 worker=name, gap_s=self.sim.now - table[name])
+            if self._probe is not None and (on := self._probe.get("ch.heartbeat")):
+                on(self.sim.now, "ch.heartbeat", self.host,
+                   {"worker": name, "gap_s": self.sim.now - table[name]})
             table[name] = self.sim.now
-        elif name in self.dead and self._probe is not None:
+        elif (name in self.dead and self._probe is not None
+                and (on := self._probe.get("ch.false_death"))):
             # The failure detector was wrong: a declared-dead worker is
             # still heartbeating (e.g. a partition outlasted the death
             # timeout).  The protocol absorbs this (redo duplicates are
             # rejected slot-wise); the diagnosis layer records it.
-            self._probe.emit(self.sim.now, "ch.false_death", self.host,
-                             worker=name)
+            on(self.sim.now, "ch.false_death", self.host, {"worker": name})
         # Deaths piggyback on the (reliable, retried) RPC reply: the
         # WORKER_DIED broadcast is a lone datagram, and a victim behind a
         # partition at announcement time would otherwise never learn of
@@ -225,9 +225,8 @@ class Clearinghouse:
                     self.result = payload[1]
                     self.finished_at = self.sim.now
                     self.flush_io()
-                    if self._probe is not None:
-                        self._probe.emit(self.sim.now, "ch.result", self.host,
-                                         sender=payload[2])
+                    if self._probe is not None and (on := self._probe.get("ch.result")):
+                        on(self.sim.now, "ch.result", self.host, {"sender": payload[2]})
                     self.done.set(payload[1])
                     self._broadcast((P.JOB_DONE, payload[1]), to=self.ever_registered)
         except Interrupt:
@@ -249,10 +248,11 @@ class Clearinghouse:
                 if probe is not None:
                     # Heartbeat-gap warnings and the liveness watchdog
                     # ride this scan (read-only over the same tables).
-                    probe.emit(now, "ch.scan", self.host, workers=self.workers,
-                               forwarders=self.forwarders,
-                               death_timeout_s=cfg.death_timeout_s,
-                               done=self.done.is_set)
+                    if on := probe.get("ch.scan"):
+                        on(now, "ch.scan", self.host,
+                           {"workers": self.workers, "forwarders": self.forwarders,
+                            "death_timeout_s": cfg.death_timeout_s,
+                            "done": self.done.is_set})
                     last_seen = {**self.workers, **self.forwarders}
                 dead = [
                     name
@@ -275,9 +275,9 @@ class Clearinghouse:
                     del self.forwarders[name]
                 for name in dead + dead_forwarders:
                     self.dead.add(name)
-                    if probe is not None:
-                        probe.emit(now, "ch.worker_died", self.host, worker=name,
-                                   last_seen=last_seen[name])
+                    if probe is not None and (on := probe.get("ch.worker_died")):
+                        on(now, "ch.worker_died", self.host,
+                           {"worker": name, "last_seen": last_seen[name]})
                     # To *everyone*, not just current registrants: a
                     # gracefully-departed victim still holds the redo
                     # obligation for closures this worker stole from it,
@@ -337,12 +337,11 @@ class Clearinghouse:
         peer list and the payload tuple are built once and shared across
         every recipient's datagram."""
         peers = self._sorted_workers()
-        if self._probe is not None:
+        if self._probe is not None and (on := self._probe.get("ch.peer_update")):
             # The checker pairs these with per-host deliveries to assert
             # that no peer update reaches a worker declared dead; the
             # live-participants series samples the list's length.
-            self._probe.emit(self.sim.now, "ch.peer_update", self.host,
-                             peers=peers)
+            on(self.sim.now, "ch.peer_update", self.host, {"peers": peers})
         self._broadcast((P.PEER_UPDATE, peers), to_sorted=peers)
 
     def _broadcast(self, payload: tuple, to: Optional[Set[str]] = None,

@@ -20,7 +20,7 @@ from repro.errors import ReproError
 from repro.micro.stats import JobStats
 from repro.micro.worker import Worker, WorkerConfig
 from repro.phish import JobResult, build_cluster
-from repro.sim.core import Simulator
+from repro.sim.core import Flag, Simulator
 from repro.tasks.program import JobProgram
 from repro.util.rng import RngRegistry
 
@@ -98,12 +98,10 @@ def run_job_with_crashes(
     for t, idx in plan.crashes:
         sim.process(crasher(t, idx), name=f"crash@{t}:{idx}")
 
-    done = ch.done.wait()
-    deadline = timeout_s
-    while not done.processed:
-        if sim.peek() > deadline:
-            raise ReproError(f"job did not survive the crashes within {timeout_s}s")
-        sim.step()
+    done = Flag()
+    ch.done.wait().subscribe(done)
+    if not sim.run_until(done, timeout_s):
+        raise ReproError(f"job did not survive the crashes within {timeout_s}s")
     sim.run(until=sim.now + 2.0)
 
     stats = JobStats(

@@ -158,9 +158,8 @@ class PhishJobManager:
         self.current_worker = worker
         self.current_job_id = descriptor["job_id"]
         self.jobs_started += 1
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "jm.start_worker", ws.name,
-                             job=descriptor["job_id"])
+        if self._probe is not None and (on := self._probe.get("jm.start_worker")):
+            on(self.sim.now, "jm.start_worker", ws.name, {"job": descriptor["job_id"]})
         finished = worker.finished.wait()
         while not worker.finished.is_set:
             tick = self.sim.timeout(cfg.reclaim_poll_s)
@@ -170,8 +169,8 @@ class PhishJobManager:
             if not cfg.idleness_policy.is_idle(ws):
                 # Owner is back: kill the worker (it migrates its tasks).
                 self.workers_reclaimed += 1
-                if self._probe is not None:
-                    self._probe.emit(self.sim.now, "jm.reclaim", ws.name)
+                if self._probe is not None and (on := self._probe.get("jm.reclaim")):
+                    on(self.sim.now, "jm.reclaim", ws.name, {})
                 worker._run_proc.interrupt("owner-reclaimed")
                 yield worker.finished.wait()
                 break
@@ -186,8 +185,9 @@ class PhishJobManager:
                     should = False
                 if should and not worker.finished.is_set:
                     self.workers_preempted += 1
-                    if self._probe is not None:
-                        self._probe.emit(self.sim.now, "jm.preempt", ws.name)
+                    if (self._probe is not None
+                            and (on := self._probe.get("jm.preempt"))):
+                        on(self.sim.now, "jm.preempt", ws.name, {})
                     worker._run_proc.interrupt("preempted")
                     yield worker.finished.wait()
                     break

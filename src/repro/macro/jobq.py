@@ -66,7 +66,7 @@ class PhishJobQ:
         #: The run's probe seam (repro.obs.probe), or None.
         self._probe = probe
         if probe is not None:
-            probe.bind(sim.now, "jobq.bind", host)
+            probe.bind(sim.now, "jobq.bind", host, {})
 
         self.rpc = RpcServer(network, host, P.JOBQ_PORT, name="jobq")
         self.rpc.register("submit", self._rpc_submit)
@@ -112,10 +112,9 @@ class PhishJobQ:
         self._active[record.job_id] = record
         self._levels.setdefault(record.priority, {})[record.job_id] = record
         self.policy.on_submit(record)
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "jobq.submit", self.host,
-                             job=record.name, id=record.job_id,
-                             depth=len(self._active))
+        if self._probe is not None and (on := self._probe.get("jobq.submit")):
+            on(self.sim.now, "jobq.submit", self.host,
+               {"job": record.name, "id": record.job_id, "depth": len(self._active)})
         self._notify_pool_change()
         return record
 
@@ -155,12 +154,11 @@ class PhishJobQ:
         first = record.first_granted_at is None
         if first:
             record.first_granted_at = self.sim.now
-        if self._probe is not None:
+        if self._probe is not None and (on := self._probe.get("jobq.grant")):
             # wait_s: queue wait, submission to *first* grant only.
-            self._probe.emit(
-                self.sim.now, "jobq.grant", self.host, job=record.name,
-                to=workstation,
-                wait_s=self.sim.now - record.submitted_at if first else None)
+            on(self.sim.now, "jobq.grant", self.host,
+               {"job": record.name, "to": workstation,
+                "wait_s": self.sim.now - record.submitted_at if first else None})
         return record.descriptor()
 
     def _rpc_job_done(self, job_id: int, _msg) -> bool:
@@ -178,9 +176,9 @@ class PhishJobQ:
             if not level:
                 del self._levels[record.priority]
         self.policy.on_done(record)
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "jobq.done", self.host, id=job_id,
-                             depth=len(self._active))
+        if self._probe is not None and (on := self._probe.get("jobq.done")):
+            on(self.sim.now, "jobq.done", self.host,
+               {"id": job_id, "depth": len(self._active)})
         return True
 
     def _rpc_release(self, args: dict, _msg) -> bool:

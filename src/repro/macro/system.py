@@ -31,7 +31,7 @@ from repro.net.rpc import rpc_call
 from repro.net.topology import Topology, UniformTopology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
-from repro.sim.core import Simulator
+from repro.sim.core import Flag, Simulator
 from repro.sim.events import AllOf
 from repro.tasks.program import JobProgram
 from repro.util.rng import RngRegistry
@@ -197,14 +197,12 @@ class PhishSystem:
         """Run until every submitted job completed (or raise on timeout)."""
         if not self.handles:
             raise JobError("no jobs submitted")
-        all_done = AllOf(self.sim, [h.done.wait() for h in self.handles])
-        deadline = self.sim.now + timeout_s
-        while not all_done.triggered:
-            if self.sim.peek() > deadline:
-                raise JobError(
-                    f"jobs did not finish within {timeout_s} simulated seconds"
-                )
-            self.sim.step()
+        all_done = Flag()
+        AllOf(self.sim, [h.done.wait() for h in self.handles]).subscribe(all_done)
+        if not self.sim.run_until(all_done, self.sim.now + timeout_s):
+            raise JobError(
+                f"jobs did not finish within {timeout_s} simulated seconds"
+            )
         self.sim.run(until=self.sim.now + drain_s)
 
     def run(self, until: float) -> None:

@@ -41,7 +41,7 @@ from repro.net.rpc import rpc_call
 from repro.net.topology import UniformTopology
 from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
 from repro.obs.probe import Probe
-from repro.sim.core import Interrupt, Simulator
+from repro.sim.core import Flag, Interrupt, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.resources import Signal
 from repro.tasks.program import JobProgram, ThreadProgram
@@ -479,6 +479,10 @@ class TrafficSystem:
         self._completing: Set[int] = set()
         self.submitted = 0
         self.completed = 0
+        #: Fired by the completion that makes ``completed == n_jobs``:
+        #: what :meth:`run` stops on (a plain flag, not a kernel event —
+        #: the run's event count is part of its fingerprint).
+        self._all_done = Flag()
         self._last_done_at = 0.0
         self._m_sojourn = self.metrics.histogram(
             "macro.traffic.sojourn_s", DURATION_BUCKETS_S)
@@ -609,6 +613,7 @@ class TrafficSystem:
                 "job_done", job_id,
             )
             self.completed += 1
+            self._all_done.fired = self.completed >= cfg.n_jobs
             self._last_done_at = record.finished_at or self.sim.now
             sojourn_s = (record.finished_at or self.sim.now) - record.submitted_at
             self._m_sojourn.observe(sojourn_s)
@@ -625,12 +630,7 @@ class TrafficSystem:
 
     def run(self) -> TrafficReport:
         """Run to completion (or the horizon) and report."""
-        cfg = self.config
-        while self.completed < cfg.n_jobs:
-            upcoming = self.sim.peek()
-            if upcoming == float("inf") or upcoming > cfg.horizon_s:
-                break
-            self.sim.step()
+        self.sim.run_until(self._all_done, self.config.horizon_s)
         return self.report()
 
     def stop(self) -> None:

@@ -206,7 +206,7 @@ class Worker:
         self._probe = probe
         if probe is not None:
             probe.bind(sim.now, "worker.bind", self.name,
-                       policy=self.config.victim_policy)
+                       {"policy": self.config.victim_policy})
         #: Steal-request send times, for request→grant latency (kept even
         #: without a registry: WorkerStats carries the per-worker sums).
         self._steal_sent: Dict[int, float] = {}
@@ -221,9 +221,6 @@ class Worker:
         #: surveillance (bug 12: a crash racing a reclaim, shrink seed
         #: 36291, lost the grant's redo obligation and deadlocked).
         self._steal_open: Dict[int, str] = {}
-        #: Suspension times of closures parked *here*, for fill latency
-        #: (only filled in when a probe is bound).
-        self._suspended_at: Dict[ClosureId, float] = {}
 
         self.done = False
         self.result: Any = None
@@ -319,11 +316,11 @@ class Worker:
     def new_cid(self) -> ClosureId:
         self._seq += 1
         cid = (self.name, self._seq)
-        if self._probe is not None:
+        if self._probe is not None and (on := self._probe.get("closure.new")):
             # Every closure birth on this worker (spawn, successor, root,
             # crash-redo copy) passes through here: the conservation
             # invariant's "created" set.
-            self._probe.emit(self.sim.now, "closure.new", self.name, cid=cid)
+            on(self.sim.now, "closure.new", self.name, {"cid": cid})
         return cid
 
     def enqueue_ready(self, closure: Closure, local: bool = False) -> None:
@@ -347,12 +344,12 @@ class Worker:
         # High-water mark, taken at every growth point: under "central"
         # a local fill ships the closure away mid-task, so the count is
         # not monotone within a task and cannot be sampled once per task.
-        n = len(self.deque) + len(self.suspended) + self.executing
+        depth = len(self.deque)
+        n = depth + len(self.suspended) + self.executing
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
-        if self._probe is not None and self._probe.per_task:
-            self._probe.emit(self.sim.now, "deque.depth", self.name,
-                             deque=len(self.deque))
+        if self._probe is not None and (on := self._probe.get("deque.depth")):
+            on(self.sim.now, "deque.depth", self.name, {"deque": depth})
 
     def register_suspended(self, closure: Closure) -> None:
         """Park a successor closure until its missing arguments arrive."""
@@ -360,10 +357,9 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + self.executing
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
-        if self._probe is not None:
-            self._suspended_at[closure.cid] = self.sim.now
-            self._probe.emit(self.sim.now, "closure.suspend", self.name,
-                             cid=closure.cid, missing=closure.join_counter)
+        if self._probe is not None and (on := self._probe.get("closure.suspend")):
+            on(self.sim.now, "closure.suspend", self.name,
+               {"cid": closure.cid, "missing": closure.join_counter})
 
     def deliver(self, continuation: Continuation, value: Any) -> None:
         """send_argument, performed by a task running on this worker."""
@@ -378,10 +374,9 @@ class Worker:
                     self._ensure_arg_flusher()
             self._post(self.ch_host, self.config.ch_data_port, (P.RESULT, value, self.name))
             return
-        if self._probe is not None and self._probe.per_task:
+        if self._probe is not None and (on := self._probe.get("arg.send")):
             # Dataflow edge: the successor cannot run before this send.
-            self._probe.emit(self.sim.now, "arg.send", self.name,
-                             cid=continuation.target)
+            on(self.sim.now, "arg.send", self.name, {"cid": continuation.target})
         if self._fill_local(continuation, value):
             return
         self.stats.non_local_synchs += 1
@@ -407,16 +402,13 @@ class Worker:
             remaining = closure.try_fill(continuation.slot, value)
             if remaining < 0:
                 self.stats.duplicate_sends += 1
-                if self._probe is not None:
-                    self._probe.emit(self.sim.now, "join.dup", self.name,
-                                     cid=cid, slot=continuation.slot)
+                if self._probe is not None and (on := self._probe.get("join.dup")):
+                    on(self.sim.now, "join.dup", self.name,
+                       {"cid": cid, "slot": continuation.slot})
                 return True
-            if self._probe is not None:
-                self._probe.emit(
-                    self.sim.now, "join.fill", self.name, cid=cid,
-                    slot=continuation.slot, remaining=remaining,
-                    suspended_at=(None if remaining
-                                  else self._suspended_at.pop(cid, None)))
+            if self._probe is not None and (on := self._probe.get("join.fill")):
+                on(self.sim.now, "join.fill", self.name,
+                   {"cid": cid, "slot": continuation.slot, "remaining": remaining})
             if remaining == 0:
                 del self.suspended[cid]
                 if self.config.track_completed:
@@ -429,9 +421,9 @@ class Worker:
             # A send to a closure of mine that no longer exists: a
             # crash-redo duplicate (the original already ran).
             self.stats.duplicate_sends += 1
-            if self._probe is not None:
-                self._probe.emit(self.sim.now, "join.dup", self.name,
-                                 cid=cid, slot=continuation.slot)
+            if self._probe is not None and (on := self._probe.get("join.dup")):
+                on(self.sim.now, "join.dup", self.name,
+                   {"cid": cid, "slot": continuation.slot})
             return True
         return False
 
@@ -507,9 +499,9 @@ class Worker:
                     if dest in self._seen_deaths:
                         del self._pending_args[seq]
                         continue
-                    if self._probe is not None:
-                        self._probe.emit(self.sim.now, "arg.retry", self.name,
-                                         cid=cont.target, slot=cont.slot, seq=seq)
+                    if self._probe is not None and (on := self._probe.get("arg.retry")):
+                        on(self.sim.now, "arg.retry", self.name,
+                           {"cid": cont.target, "slot": cont.slot, "seq": seq})
                     self._post(dest, cfg.port, (P.ARG, cont, value, self.name, seq))
                 for value in self._pending_results:
                     self._post(self.ch_host, cfg.ch_data_port,
@@ -527,17 +519,17 @@ class Worker:
         cfg = self.config
         probe = self._probe
         try:
-            if probe is not None:
+            if probe is not None and (on := probe.get("worker.begin")):
                 # A participation span opens, inside its "protocol"
                 # phase (startup + registration handshake).
-                probe.emit(self.sim.now, "worker.begin", self.name)
+                on(self.sim.now, "worker.begin", self.name, {})
             yield self.sim.timeout(cfg.startup_cost_s)
             reply = yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
                 P.RPC_REGISTER, self.name,
             )
-            if probe is not None:
-                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
+            if probe is not None and (on := probe.get("phase.end")):
+                on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
             self.stats.start_time = self.sim.now
             if reply.get("done"):
                 # The job finished before we could join.
@@ -547,8 +539,8 @@ class Worker:
             self._set_peers(reply["peers"])
             if reply["run_root"]:
                 self._enqueue_root()
-            if probe is not None:
-                probe.emit(self.sim.now, "worker.start", self.name)
+            if probe is not None and (on := probe.get("worker.start")):
+                on(self.sim.now, "worker.start", self.name, {})
 
             departed = yield from self._main_loop()
             if not departed:
@@ -565,7 +557,7 @@ class Worker:
         """
         cfg = self.config
         probe = self._probe
-        per_task = probe is not None and probe.per_task
+        charged_on = None if probe is None else probe.get("task.charged")
         while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -578,7 +570,7 @@ class Worker:
                     # Yielding the cycle-charging event is also the poll
                     # point where concurrent steal requests and arriving
                     # arguments interleave.
-                    if not per_task:
+                    if charged_on is None:
                         yield charged
                     else:
                         try:
@@ -588,8 +580,8 @@ class Worker:
                             # in the yield: the working interval and its
                             # B/E pair must close before _finish ends the
                             # participation span.
-                            probe.emit(self.sim.now, "task.charged", self.name,
-                                       cid=closure.cid)
+                            charged_on(self.sim.now, "task.charged", self.name,
+                                       {"cid": closure.cid})
                     if cfg.mode == "push":
                         self._maybe_push()
                     elif (cfg.proactive_threshold > 0
@@ -673,18 +665,17 @@ class Worker:
                     elif payload[0] == P.MIGRATE:
                         lost += [c.cid for c in payload[1]]
                         lost += [c.cid for c in payload[2]]
-                if lost:
-                    probe.emit(self.sim.now, "closure.lost", self.name,
-                               cids=lost, reason="crash")
+                if lost and (on := probe.get("closure.lost")):
+                    on(self.sim.now, "closure.lost", self.name,
+                       {"cids": lost, "reason": "crash"})
             # Closes the participation span; any phase the exit
             # interrupted (crash mid-steal, mid-protocol) is swept shut.
-            probe.emit(
-                self.sim.now, f"worker.exit.{reason}", self.name,
-                deque=len(self.deque), susp=len(self.suspended),
-                failed=self._failed_steals,
-                threshold=self.config.retire_after_failed_steals,
-                port=self.config.port,
-            )
+            if on := probe.get("worker.exit.*"):
+                on(self.sim.now, f"worker.exit.{reason}", self.name,
+                   {"deque": len(self.deque), "susp": len(self.suspended),
+                    "failed": self._failed_steals,
+                    "threshold": self.config.retire_after_failed_steals,
+                    "port": self.config.port})
         if self.on_exit:
             self.on_exit(reason)
         self.finished.set(reason)
@@ -740,24 +731,25 @@ class Worker:
         if n > stats.max_tasks_in_use:
             stats.max_tasks_in_use = n
         probe = self._probe
-        if probe is not None:
+        if probe is not None and (on := probe.get("closure.exec")):
             # Emitted before the thread function runs: its spawns/sends
             # take effect synchronously, so by the time a crash interrupt
             # can land (the cycle-charging yield) the task has executed.
             # Every closure.new / arg.send up to task.done is this
             # task's out-edge.
-            probe.emit(self.sim.now, "closure.exec", self.name,
-                       cid=closure.cid, thread=closure.thread_name)
+            on(self.sim.now, "closure.exec", self.name,
+               {"cid": closure.cid, "thread": closure.thread_name})
         workstation = self.workstation
         frame = Frame(self, workstation.profile, closure)
         ref = self.job.program.resolve(closure.thread_name)
         ref.fn(frame, *closure.call_args())
         stats.tasks_executed += 1
-        if probe is not None and probe.per_task:
-            probe.emit(self.sim.now, "task.done", self.name, cid=closure.cid,
-                       thread=closure.thread_name, depth=closure.depth,
-                       service_s=workstation.seconds_for(frame.cycles),
-                       deque=len(self.deque))
+        if probe is not None and (on := probe.get("task.done")):
+            on(self.sim.now, "task.done", self.name,
+               {"cid": closure.cid, "thread": closure.thread_name,
+                "depth": closure.depth,
+                "service_s": workstation.seconds_for(frame.cycles),
+                "deque": len(self.deque)})
         if self.config.track_completed and closure.join_counter == 0:
             self.completed.add(closure.cid)
         self.executing = False
@@ -771,11 +763,13 @@ class Worker:
         probe = self._probe
         if probe is None:
             return (yield from self._steal_attempt())
-        probe.emit(self.sim.now, "phase.begin", self.name, phase="stealing")
+        if on := probe.get("phase.begin"):
+            on(self.sim.now, "phase.begin", self.name, {"phase": "stealing"})
         try:
             return (yield from self._steal_attempt())
         finally:
-            probe.emit(self.sim.now, "phase.end", self.name, phase="stealing")
+            if on := probe.get("phase.end"):
+                on(self.sim.now, "phase.end", self.name, {"phase": "stealing"})
 
     def _steal_attempt(self) -> Generator:
         cfg = self.config
@@ -798,9 +792,9 @@ class Worker:
         # stolen work on a *crash*, so a lost grant would hang the job.
         self._steal_seq += 1
         req_id = self._steal_seq
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "steal.request", self.name,
-                             victim=victim, req=req_id)
+        if self._probe is not None and (on := self._probe.get("steal.request")):
+            on(self.sim.now, "steal.request", self.name,
+               {"victim": victim, "req": req_id})
         waiter = Event(self.sim)
         self._steal_waiters[req_id] = waiter
         self._steal_sent[req_id] = self.sim.now
@@ -821,10 +815,9 @@ class Worker:
             # (stragglers, partitioned or congested links).
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
         if self._probe is not None:
-            self._probe.emit(
-                self.sim.now,
-                "steal.refused" if waiter in settled else "steal.timeout",
-                self.name, victim=victim)
+            kind = "steal.refused" if waiter in settled else "steal.timeout"
+            if on := self._probe.get(kind):
+                on(self.sim.now, kind, self.name, {"victim": victim})
         return False
 
     def _proactive_steal(self) -> None:
@@ -845,9 +838,8 @@ class Worker:
             self._steal_sent.pop(req, None)
             self._proactive = None
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
-            if self._probe is not None:
-                self._probe.emit(self.sim.now, "steal.timeout", self.name,
-                                 victim=victim)
+            if self._probe is not None and (on := self._probe.get("steal.timeout")):
+                on(self.sim.now, "steal.timeout", self.name, {"victim": victim})
         victims = self._victims
         if not victims:
             return
@@ -859,9 +851,9 @@ class Worker:
         self._proactive = (req_id, victim)
         self._steal_sent[req_id] = self.sim.now
         self._steal_open[req_id] = victim
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "steal.request", self.name,
-                             victim=victim, req=req_id, proactive=True)
+        if self._probe is not None and (on := self._probe.get("steal.request")):
+            on(self.sim.now, "steal.request", self.name,
+               {"victim": victim, "req": req_id, "proactive": True})
         self._post(victim, cfg.port, (P.STEAL_REQ, self.name, req_id))
 
     # ------------------------------------------------------------------
@@ -949,11 +941,14 @@ class Worker:
             self._note_in_use()
             probe = self._probe
             if probe is not None:
-                for closure in batch:
-                    probe.emit(self.sim.now, "steal.grant", self.name,
-                               thief=thief, cid=closure.cid, req=req_id)
-                probe.emit(self.sim.now, "steal.batch", self.name, thief=thief,
-                           n=len(batch), req=req_id, deque=len(self.deque))
+                if on := probe.get("steal.grant"):
+                    for closure in batch:
+                        on(self.sim.now, "steal.grant", self.name,
+                           {"thief": thief, "cid": closure.cid, "req": req_id})
+                if on := probe.get("steal.batch"):
+                    on(self.sim.now, "steal.batch", self.name,
+                       {"thief": thief, "n": len(batch), "req": req_id,
+                        "deque": len(self.deque)})
             if self.config.grant_ack_timeout_s is not None:
                 # The grant may die on a lossy or partitioned link; arm
                 # the reclaim timer (disarmed by the thief's GRANT_ACK).
@@ -1000,12 +995,10 @@ class Worker:
         copies = [c.redo_copy(self.new_cid()) for c in originals]
         self.stats.tasks_redone += len(copies)
         self.stats.grants_reclaimed += len(copies)
-        if self._probe is not None:
-            self._probe.emit(
-                self.sim.now, "steal.reclaim", self.name, thief=thief,
-                req=req_id,
-                pairs=[(o.cid, c.cid) for o, c in zip(originals, copies)],
-            )
+        if self._probe is not None and (on := self._probe.get("steal.reclaim")):
+            on(self.sim.now, "steal.reclaim", self.name,
+               {"thief": thief, "req": req_id,
+                "pairs": [(o.cid, c.cid) for o, c in zip(originals, copies)]})
         if self.departed and not self._maybe_rejoin_idle():
             proc = self.sim.process(
                 self._redo_handoff(copies, []),
@@ -1034,10 +1027,9 @@ class Worker:
             if batch is not None:
                 self.stats.steal_latency_sum_s += latency
                 self.stats.steal_latency_count += 1
-                if self._probe is not None:
-                    self._probe.emit(self.sim.now, "steal.reply", self.name,
-                                     latency_s=latency,
-                                     policy=self.config.victim_policy)
+                if self._probe is not None and (on := self._probe.get("steal.reply")):
+                    on(self.sim.now, "steal.reply", self.name,
+                       {"latency_s": latency, "policy": self.config.victim_policy})
         if batch is not None:
             if self.config.grant_ack_timeout_s is not None:
                 # Receipt ack: disarms the victim's reclaim timer.  Sent
@@ -1048,11 +1040,10 @@ class Worker:
             if self.done:
                 # Job over; the victim's redundant copy is harmless, but
                 # the checker must know the grant terminated here.
-                if self._probe is not None:
+                if self._probe is not None and (on := self._probe.get("closure.drop")):
                     for closure in batch:
-                        self._probe.emit(self.sim.now, "closure.drop",
-                                         self.name, cid=closure.cid,
-                                         reason="thief-done")
+                        on(self.sim.now, "closure.drop", self.name,
+                           {"cid": closure.cid, "reason": "thief-done"})
             elif self.departed:
                 if self._maybe_rejoin_idle():
                     # Retired for lack of work — and work just arrived.
@@ -1065,15 +1056,15 @@ class Worker:
                         target = yield from self._migrate_with_ack(handoff, [])
                     finally:
                         self._handoffs_active -= 1
-                    if target is None and self._probe is not None:
+                    if (target is None and self._probe is not None
+                            and (on := self._probe.get("closure.drop"))):
                         # Nobody took it: the closures are gone (the
                         # victim still believes we have them and will not
                         # redo them unless we crash) — surface the loss
                         # to the checker.
                         for closure in handoff:
-                            self._probe.emit(self.sim.now, "closure.drop",
-                                             self.name, cid=closure.cid,
-                                             reason="no-peer")
+                            on(self.sim.now, "closure.drop", self.name,
+                               {"cid": closure.cid, "reason": "no-peer"})
             else:
                 self._adopt_stolen(batch, victim, req_id)
         if waiter is not None and not waiter.triggered:
@@ -1082,14 +1073,14 @@ class Worker:
     def _adopt_stolen(self, batch: List[Closure], victim: str, req_id: int) -> None:
         self.stats.tasks_stolen += len(batch)
         probe = self._probe
-        if probe is not None:
-            probe.emit(self.sim.now, "steal.adopt", self.name, victim=victim,
-                       n=len(batch), req=req_id)
+        if probe is not None and (on := probe.get("steal.adopt")):
+            on(self.sim.now, "steal.adopt", self.name,
+               {"victim": victim, "n": len(batch), "req": req_id})
         for closure in batch:
             self.enqueue_ready(closure, local=True)
-            if probe is not None:
-                probe.emit(self.sim.now, "steal.success", self.name,
-                           victim=victim, cid=closure.cid, req=req_id)
+            if probe is not None and (on := probe.get("steal.success")):
+                on(self.sim.now, "steal.success", self.name,
+                   {"victim": victim, "cid": closure.cid, "req": req_id})
 
     def _on_migrate(self, msg, ready: List[Closure], suspended: List[Closure],
                     sender: str, offer: Optional[int] = None) -> None:
@@ -1123,10 +1114,9 @@ class Worker:
                 # re-adopting — double-enqueueing the same closure
                 # objects would execute them twice.
                 self._post(host, port, (P.MIGRATE_ACK, self.name))
-                if self._probe is not None:
-                    self._probe.emit(self.sim.now, "migrate.dup", self.name,
-                                     sender=sender,
-                                     n=len(ready) + len(suspended))
+                if self._probe is not None and (on := self._probe.get("migrate.dup")):
+                    on(self.sim.now, "migrate.dup", self.name,
+                       {"sender": sender, "n": len(ready) + len(suspended)})
                 return
             self._adopted_batches.add(key)
         for closure in suspended:
@@ -1135,10 +1125,10 @@ class Worker:
         self.stats.tasks_migrated_in += len(ready) + len(suspended)
         self._note_in_use()
         self._post(host, port, (P.MIGRATE_ACK, self.name))
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "migrate.in", self.name,
-                             sender=sender, n=len(ready) + len(suspended),
-                             cids=[c.cid for c in ready] + [c.cid for c in suspended])
+        if self._probe is not None and (on := self._probe.get("migrate.in")):
+            on(self.sim.now, "migrate.in", self.name,
+               {"sender": sender, "n": len(ready) + len(suspended),
+                "cids": [c.cid for c in ready] + [c.cid for c in suspended]})
 
     def _on_job_done(self, result: Any) -> None:
         self.done = True
@@ -1177,11 +1167,10 @@ class Worker:
             originals = list(stolen.values())
             copies = [c.redo_copy(self.new_cid()) for c in originals]
             self.stats.tasks_redone += len(copies)
-            if self._probe is not None:
-                self._probe.emit(
-                    self.sim.now, "redo", self.name, dead=dead, n=len(copies),
-                    pairs=[(o.cid, c.cid) for o, c in zip(originals, copies)],
-                )
+            if self._probe is not None and (on := self._probe.get("redo")):
+                on(self.sim.now, "redo", self.name,
+                   {"dead": dead, "n": len(copies),
+                    "pairs": [(o.cid, c.cid) for o, c in zip(originals, copies)]})
             if self.departed and not self._maybe_rejoin_idle():
                 # Evacuated: hand the regenerated work to a peer that
                 # explicitly acks adoption — our peer list may be stale
@@ -1244,9 +1233,9 @@ class Worker:
                 still_suspended.append(closure)
                 pairs.append((closure.cid, closure.cid))
         self.stats.tasks_redone += len(batch)
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "redo", self.name, dead=dead,
-                             n=len(batch), pairs=pairs)
+        if self._probe is not None and (on := self._probe.get("redo")):
+            on(self.sim.now, "redo", self.name,
+               {"dead": dead, "n": len(batch), "pairs": pairs})
         if self.departed and not self._maybe_rejoin_idle():
             proc = self.sim.process(
                 self._redo_handoff(ready, still_suspended),
@@ -1281,10 +1270,10 @@ class Worker:
         finally:
             self._handoffs_active -= 1
         if target is None:
-            if self._probe is not None:
+            if self._probe is not None and (on := self._probe.get("closure.lost")):
                 cids = [c.cid for c in ready] + [c.cid for c in suspended]
-                self._probe.emit(self.sim.now, "closure.lost", self.name,
-                                 cids=cids, reason="redo-no-peer")
+                on(self.sim.now, "closure.lost", self.name,
+                   {"cids": cids, "reason": "redo-no-peer"})
             return
         for closure in suspended:
             self.forward_map[closure.cid] = target
@@ -1304,8 +1293,8 @@ class Worker:
         self._failed_steals = 0
         self.exit_reason = None
         self.stats.end_time = 0.0
-        if self._probe is not None:
-            self._probe.emit(self.sim.now, "worker.rejoin", self.name)
+        if self._probe is not None and (on := self._probe.get("worker.rejoin")):
+            on(self.sim.now, "worker.rejoin", self.name, {})
         self._run_proc = self.sim.process(
             self._run_rejoined(), name=f"worker-rejoin@{self.name}"
         )
@@ -1327,14 +1316,14 @@ class Worker:
         """
         probe = self._probe
         try:
-            if probe is not None:
-                probe.emit(self.sim.now, "worker.begin", self.name)
+            if probe is not None and (on := probe.get("worker.begin")):
+                on(self.sim.now, "worker.begin", self.name, {})
             reply = yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
                 P.RPC_REGISTER, self.name,
             )
-            if probe is not None:
-                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
+            if probe is not None and (on := probe.get("phase.end")):
+                on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
             if reply.get("done"):
                 self._on_job_done(reply.get("result"))
                 self._finish("done")
@@ -1426,10 +1415,11 @@ class Worker:
                     )
                 except Exception:
                     continue  # Clearinghouse unreachable; try next period
-                if self._probe is not None:
+                if (self._probe is not None
+                        and (on := self._probe.get("worker.heartbeat"))):
                     # Counted, not wall-attributed: this loop runs
                     # concurrently with the run loop's buckets.
-                    self._probe.emit(self.sim.now, "worker.heartbeat", self.name)
+                    on(self.sim.now, "worker.heartbeat", self.name, {})
                 if not self.done and not self.departed:
                     self._set_peers(reply["peers"])
                 # Deaths piggybacked on the (reliable) heartbeat reply:
@@ -1471,11 +1461,11 @@ class Worker:
                     # work: treat it as a fail-stop.  The closures are
                     # lost; the Clearinghouse times our heartbeat out and
                     # the crash-redo protocol regenerates the work.
-                    if self._probe is not None:
-                        self._probe.emit(
-                            self.sim.now, "closure.lost", self.name,
-                            cids=[c.cid for c in ready] + [c.cid for c in suspended],
-                            reason="reclaim-failstop")
+                    if (self._probe is not None
+                            and (on := self._probe.get("closure.lost"))):
+                        on(self.sim.now, "closure.lost", self.name,
+                           {"cids": [c.cid for c in ready] + [c.cid for c in suspended],
+                            "reason": "reclaim-failstop"})
                     self.suspended.clear()
                     self._finish("crashed")
                     # Complete the fail-stop: fall silent.  With the
@@ -1507,10 +1497,10 @@ class Worker:
                 self.forward_map[closure.cid] = target
             self.suspended.clear()
             self.stats.tasks_migrated_out += len(ready) + len(suspended)
-            if self._probe is not None:
-                self._probe.emit(self.sim.now, "migrate.out", self.name,
-                                 target=target, n=len(ready) + len(suspended),
-                                 cids=[c.cid for c in ready] + [c.cid for c in suspended])
+            if self._probe is not None and (on := self._probe.get("migrate.out")):
+                on(self.sim.now, "migrate.out", self.name,
+                   {"target": target, "n": len(ready) + len(suspended),
+                    "cids": [c.cid for c in ready] + [c.cid for c in suspended]})
             # Sends that arrived mid-handoff chase the closures to their
             # new home (the forward_map now routes any later ones).
             for continuation, value in held:
@@ -1525,8 +1515,8 @@ class Worker:
         self._forwarding = bool(self.forward_map or self.outstanding
                                 or self.migrated or self._steal_open)
         probe = self._probe
-        if probe is not None:
-            probe.emit(self.sim.now, "phase.begin", self.name, phase="protocol")
+        if probe is not None and (on := probe.get("phase.begin")):
+            on(self.sim.now, "phase.begin", self.name, {"phase": "protocol"})
         try:
             yield from rpc_call(
                 self.network, self.host, self.ch_host, self.config.ch_rpc_port,
@@ -1537,8 +1527,8 @@ class Worker:
         except Exception:
             pass  # Clearinghouse will eventually time us out
         finally:
-            if probe is not None:
-                probe.emit(self.sim.now, "phase.end", self.name, phase="protocol")
+            if probe is not None and (on := probe.get("phase.end")):
+                on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
         self._finish(reason)
         if self._forwarding and not self._update_proc.is_alive \
                 and not self.workstation.crashed:
@@ -1637,14 +1627,16 @@ class Worker:
         probe = self._probe
         if probe is None:
             return (yield from self._migrate_attempts(ready, suspended))
-        probe.emit(self.sim.now, "phase.begin", self.name, phase="migrating")
+        if on := probe.get("phase.begin"):
+            on(self.sim.now, "phase.begin", self.name, {"phase": "migrating"})
         try:
             target = yield from self._migrate_attempts(ready, suspended)
         finally:
-            probe.emit(self.sim.now, "phase.end", self.name, phase="migrating")
-        if target is not None:
-            probe.emit(self.sim.now, "migrate.acked", self.name, target=target,
-                       n=len(ready) + len(suspended))
+            if on := probe.get("phase.end"):
+                on(self.sim.now, "phase.end", self.name, {"phase": "migrating"})
+        if target is not None and (on := probe.get("migrate.acked")):
+            on(self.sim.now, "migrate.acked", self.name,
+               {"target": target, "n": len(ready) + len(suspended)})
         return target
 
     def _migrate_attempts(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
@@ -1685,11 +1677,10 @@ class Worker:
             if resilient and i > 0 and ready:
                 copies = [c.redo_copy(self.new_cid()) for c in ready]
                 self.stats.tasks_redone += len(copies)
-                if self._probe is not None:
-                    self._probe.emit(
-                        self.sim.now, "migrate.reoffer", self.name,
-                        pairs=[(o.cid, c.cid) for o, c in zip(ready, copies)],
-                    )
+                if (self._probe is not None
+                        and (on := self._probe.get("migrate.reoffer"))):
+                    on(self.sim.now, "migrate.reoffer", self.name,
+                       {"pairs": [(o.cid, c.cid) for o, c in zip(ready, copies)]})
                 # In place: the caller's view (undo-retirement requeue,
                 # loss accounting) must track the live identities.
                 ready[:] = copies
@@ -1703,9 +1694,10 @@ class Worker:
                          self._migrate_seq)
                 acked = received = False
                 for attempt in range(attempts):
-                    if attempt and self._probe is not None:
-                        self._probe.emit(self.sim.now, "migrate.retry",
-                                         self.name, seq=self._migrate_seq)
+                    if (attempt and self._probe is not None
+                            and (on := self._probe.get("migrate.retry"))):
+                        on(self.sim.now, "migrate.retry", self.name,
+                           {"seq": self._migrate_seq})
                     yield sock.sendto(
                         batch, target, self.config.port,
                         size_bytes=P.estimate_size(batch),

@@ -166,7 +166,7 @@ class Network:
         #: invariant checker accounts for closures lost in flight.
         self._probe = probe
         if probe is not None:
-            probe.bind(sim.now, "net.bind", "net")
+            probe.bind(sim.now, "net.bind", "net", {})
 
     # -- host / socket management ------------------------------------------
 
@@ -272,9 +272,9 @@ class Network:
         counters.bytes_sent += size_bytes
         counters.sent_by_host[src] = counters.sent_by_host.get(src, 0) + 1
         probe = self._probe
-        if probe is not None:
-            probe.emit(sim.now, "net.send", src, dst=dst, port=dst_port,
-                       id=msg.msg_id, size=size_bytes)
+        if probe is not None and (on := probe.get("net.send")):
+            on(sim.now, "net.send", src,
+               {"dst": dst, "port": dst_port, "id": msg.msg_id, "size": size_bytes})
 
         charge = self._cpu_charge.get(src)
         if charge:
@@ -284,22 +284,22 @@ class Network:
             # The sender paid its overhead; the datagram dies on the
             # severed link.  UDP semantics: nobody is told.
             counters.dropped_partition += 1
-            if probe is not None:
-                probe.emit(sim.now, "net.partition", src, dst=dst,
-                           id=msg.msg_id, msg=msg)
+            if probe is not None and (on := probe.get("net.partition")):
+                on(sim.now, "net.partition", src,
+                   {"dst": dst, "id": msg.msg_id, "msg": msg})
             return params
 
         if params.loss_prob > 0.0 and self.rng.random() < params.loss_prob:
             self.counters.dropped_loss += 1
-            if probe is not None:
-                probe.emit(sim.now, "net.loss", src, id=msg.msg_id, msg=msg)
+            if probe is not None and (on := probe.get("net.loss")):
+                on(sim.now, "net.loss", src, {"id": msg.msg_id, "msg": msg})
             return params
 
         flight = params.send_overhead_s + params.transfer_time(size_bytes)
         if params.jitter_s > 0.0:
             flight += self.rng.random() * params.jitter_s
-        if probe is not None:
-            probe.emit(sim.now, "net.wire", src)
+        if probe is not None and (on := probe.get("net.wire")):
+            on(sim.now, "net.wire", src, {})
         t = sim.now + flight
         last = self._last_delivery
         if (last is not None and last.callbacks is self._deliver_cbs
@@ -419,45 +419,45 @@ class Network:
         probe = self._probe
         if self.is_down(msg.dst):
             self.counters.dropped_unroutable += 1
-            if probe is not None:
-                probe.emit(self.sim.now, "net.loopback.drop", msg.dst,
-                           msg=msg, reason="down")
+            if probe is not None and (on := probe.get("net.loopback.drop")):
+                on(self.sim.now, "net.loopback.drop", msg.dst,
+                   {"msg": msg, "reason": "down"})
             return
         sock = self._sockets.get((msg.dst, msg.dst_port))
         if sock is None:
             self.counters.dropped_unroutable += 1
-            if probe is not None:
-                probe.emit(self.sim.now, "net.loopback.drop", msg.dst,
-                           msg=msg, reason="unbound")
+            if probe is not None and (on := probe.get("net.loopback.drop")):
+                on(self.sim.now, "net.loopback.drop", msg.dst,
+                   {"msg": msg, "reason": "unbound"})
             return
         self.counters.delivered += 1
-        if probe is not None:
-            probe.emit(self.sim.now, "net.loopback", msg.dst, id=msg.msg_id,
-                       port=msg.dst_port)
+        if probe is not None and (on := probe.get("net.loopback")):
+            on(self.sim.now, "net.loopback", msg.dst,
+               {"id": msg.msg_id, "port": msg.dst_port})
         sock._enqueue(msg)
 
     def _deliver(self, msg: Message, params: NetworkParams) -> None:
         probe = self._probe
         if self.is_down(msg.dst):
             self.counters.dropped_unroutable += 1
-            if probe is not None:
-                probe.emit(self.sim.now, "net.drop.down", msg.dst,
-                           id=msg.msg_id, msg=msg)
+            if probe is not None and (on := probe.get("net.drop.down")):
+                on(self.sim.now, "net.drop.down", msg.dst,
+                   {"id": msg.msg_id, "msg": msg})
             return
         sock = self._sockets.get((msg.dst, msg.dst_port))
         if sock is None:
             self.counters.dropped_unroutable += 1
-            if probe is not None:
-                probe.emit(self.sim.now, "net.drop.unbound", msg.dst,
-                           id=msg.msg_id, msg=msg)
+            if probe is not None and (on := probe.get("net.drop.unbound")):
+                on(self.sim.now, "net.drop.unbound", msg.dst,
+                   {"id": msg.msg_id, "msg": msg})
             return
         charge = self._cpu_charge.get(msg.dst)
         if charge:
             charge(params.recv_overhead_s)
         self.counters.delivered += 1
         self.counters.received_by_host[msg.dst] = self.counters.received_by_host.get(msg.dst, 0) + 1
-        if probe is not None:
-            probe.emit(self.sim.now, "net.recv", msg.dst, src=msg.src,
-                       id=msg.msg_id, port=msg.dst_port,
-                       latency_s=self.sim.now - msg.sent_at + params.recv_overhead_s)
+        if probe is not None and (on := probe.get("net.recv")):
+            on(self.sim.now, "net.recv", msg.dst,
+               {"src": msg.src, "id": msg.msg_id, "port": msg.dst_port,
+                "latency_s": self.sim.now - msg.sent_at + params.recv_overhead_s})
         sock._enqueue(msg)

@@ -291,7 +291,7 @@ class HealthMonitor:
             "steal.adopt": self.steal_ok,
             "deque.depth": self.deque_sample,
             "steal.batch": self.deque_sample,
-            "task.done": self.deque_sample,
+            "task.done": self.task_done,
             "arg.retry": self.retransmission,
             "migrate.retry": self.retransmission,
             "net.partition": self.link_drop,
@@ -300,7 +300,6 @@ class HealthMonitor:
             "ch.scan": self.pulse,
             "ch.worker_died": self.death,
         })
-        probe.subscribe({"task.done": self.task_done})  # after its deque sample
 
     # ------------------------------------------------------------------
     # Worker-side hooks
@@ -361,8 +360,10 @@ class HealthMonitor:
         self._last_depth[worker] = d["deque"]
 
     def task_done(self, now: float, kind: str, worker: str, d: dict) -> None:
-        """A closure retired: feeds the watchdog and the straggler EWMA."""
+        """A closure retired: a deque sample, and it feeds the watchdog
+        and the straggler EWMA."""
         cfg = self.config
+        self._last_depth[worker] = d["deque"]
         service_s = d["service_s"]
         self._last_progress = now
         self._stalled = False
@@ -377,11 +378,12 @@ class HealthMonitor:
             all_ewma = service_s
         all_ewma = all_ewma + a * (service_s - all_ewma)
         self._service_all = (all_ewma, all_n + 1)
-        if (not self._stragglers.get(worker)
-                and n + 1 >= cfg.straggler_min_tasks
-                and all_n + 1 >= 2 * cfg.straggler_min_tasks
+        # The test that almost always fails goes first.
+        if (ewma >= cfg.straggler_factor * all_ewma
                 and all_ewma > 0.0
-                and ewma >= cfg.straggler_factor * all_ewma):
+                and not self._stragglers.get(worker)
+                and n + 1 >= cfg.straggler_min_tasks
+                and all_n + 1 >= 2 * cfg.straggler_min_tasks):
             self._stragglers[worker] = True
             self._emit(Incident(
                 kind="straggler", severity="info",

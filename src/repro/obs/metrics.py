@@ -108,11 +108,12 @@ class Histogram:
     For edges ``(e0, .., e{n-1})`` there are ``n + 1`` buckets: bucket 0
     is the underflow (``v < e0``), bucket ``i`` covers ``e{i-1} <= v <
     e{i}``, and bucket ``n`` is the overflow (``v >= e{n-1}``).  Exact
-    sum/count/min/max are tracked alongside, so averages are exact and
-    only percentiles are bucket-interpolated.
+    sum/min/max are tracked alongside (and the count is the buckets'
+    total), so averages are exact and only percentiles are
+    bucket-interpolated.
     """
 
-    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max")
+    __slots__ = ("name", "edges", "counts", "sum", "min", "max")
     kind = "histogram"
 
     def __init__(self, name: str, edges: Sequence[float] = LATENCY_BUCKETS_S) -> None:
@@ -123,14 +124,12 @@ class Histogram:
         self.name = name
         self.edges: Tuple[float, ...] = tuple(float(e) for e in edges)
         self.counts: List[int] = [0] * (len(self.edges) + 1)
-        self.count = 0
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
         self.counts[bisect_right(self.edges, value)] += 1
-        self.count += 1
         self.sum += value
         if value < self.min:
             self.min = value
@@ -138,8 +137,13 @@ class Histogram:
             self.max = value
 
     @property
+    def count(self) -> int:
+        return sum(self.counts)
+
+    @property
     def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
+        count = self.count
+        return self.sum / count if count else None
 
     def percentile(self, q: float) -> Optional[float]:
         """Bucket-interpolated q-quantile (q in [0, 1]); None when empty.
@@ -150,9 +154,10 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ReproError(f"percentile wants q in [0, 1], got {q!r}")
-        if self.count == 0:
+        count = self.count
+        if count == 0:
             return None
-        target = q * self.count
+        target = q * count
         cum = 0
         for i, n in enumerate(self.counts):
             if n == 0:
@@ -170,12 +175,13 @@ class Histogram:
         return self.max
 
     def snapshot(self) -> Dict[str, Any]:
+        count = self.count
         snap: Dict[str, Any] = {
             "kind": self.kind,
-            "count": self.count,
+            "count": count,
             "sum": self.sum,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
+            "min": None if count == 0 else self.min,
+            "max": None if count == 0 else self.max,
             "mean": self.mean,
             "edges": list(self.edges),
             "counts": list(self.counts),
@@ -207,10 +213,11 @@ class Series:
         self.dropped = 0
 
     def record(self, time: float, value: float) -> None:
-        if self.capacity is not None and len(self.samples) >= self.capacity:
+        samples = self.samples
+        if len(samples) == self.capacity:
             self.dropped += 1
             return
-        self.samples.append((time, float(value)))
+        samples.append((time, float(value)))
 
     @property
     def last(self) -> Optional[float]:
@@ -264,7 +271,6 @@ def _merge_two(name: str, a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any
         # interpolation over the combined buckets.
         rebuilt = Histogram(name, a["edges"])
         rebuilt.counts = list(out["counts"])
-        rebuilt.count = out["count"]
         rebuilt.sum = out["sum"]
         rebuilt.min = out["min"] if out["min"] is not None else float("inf")
         rebuilt.max = out["max"] if out["max"] is not None else float("-inf")
@@ -402,6 +408,14 @@ class ProbeMetrics:
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._deque_series: Dict[str, Series] = {}
+        #: cid -> when it was parked, for closures still suspended on
+        #: the worker that created them (fill latency); an entry leaves
+        #: with its closure: filled, migrated out, lost, or worker gone.
+        #: cids are unique within a job; when two jobs' workers share a
+        #: host name *and* this registry (PhishSystem, two jobs submitted
+        #: from one workstation), a cid parked by both at once maps to
+        #: None — neither fill is observed, rather than a wrong latency.
+        self._suspended: Dict[Any, Optional[float]] = {}
 
     def subscribe(self, probe: Any) -> None:
         probe.subscribe({
@@ -409,7 +423,11 @@ class ProbeMetrics:
             "net.bind": self._net_bind,
             "ch.bind": self._ch_bind,
             "jobq.bind": self._jobq_bind,
+            "closure.suspend": self._suspend,
             "join.fill": self._fill,
+            "migrate.out": self._unpark,
+            "closure.lost": self._unpark,
+            "worker.exit.*": self._worker_exit,
             "task.done": self._task_done,
             "deque.depth": self._deque,
             "steal.batch": self._deque,
@@ -465,15 +483,34 @@ class ProbeMetrics:
 
     # -- per-step updates ------------------------------------------------
 
+    def _suspend(self, t: float, kind: str, source: str, d: dict) -> None:
+        cid = d["cid"]
+        self._suspended[cid] = None if cid in self._suspended else t
+
     def _fill(self, t: float, kind: str, source: str, d: dict) -> None:
-        # Set on the final fill of a closure that was suspended on the
-        # filling worker (one migrated in was parked elsewhere).
-        if d["suspended_at"] is not None:
-            self._fill_latency.observe(t - d["suspended_at"])
+        # The final fill of a closure that was suspended on the filling
+        # worker.  One migrated in was parked elsewhere — and its entry
+        # may still be here: the sender says migrate.out only once the
+        # ack is back, after the adopter may already have filled it.
+        if not d["remaining"] and d["cid"][0] == source:
+            parked_at = self._suspended.pop(d["cid"], None)
+            if parked_at is not None:
+                self._fill_latency.observe(t - parked_at)
+
+    def _unpark(self, t: float, kind: str, source: str, d: dict) -> None:
+        for cid in d["cids"]:
+            self._suspended.pop(cid, None)
+
+    def _worker_exit(self, t: float, kind: str, source: str, d: dict) -> None:
+        # Closures are only ever parked under their creator's name.
+        for cid in [c for c in self._suspended if c[0] == source]:
+            del self._suspended[cid]
 
     def _task_done(self, t: float, kind: str, source: str, d: dict) -> None:
         self._task_grain.observe(d["service_s"])
-        self._deque(t, kind, source, d)
+        depth = d["deque"]
+        self._deque_series[source].record(t, depth)
+        self._deque_depth.observe(depth)
 
     def _deque(self, t: float, kind: str, source: str, d: dict) -> None:
         depth = d["deque"]

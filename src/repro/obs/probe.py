@@ -2,14 +2,24 @@
 
 Worker, network, Clearinghouse, JobQ and JobManager each hold one
 ``self._probe`` — ``None`` when nobody observes, so an unobserved run
-pays exactly one guard per site — and report every step as
-``probe.emit(t, kind, source, **detail)``, the shape ``TraceLog.emit``
-always had.  Everything that watches a run is a per-kind *subscriber*:
-the :class:`~repro.util.trace.TraceLog`, the metrics consumer
-(:class:`~repro.obs.metrics.ProbeMetrics`, which owns every instrument
-handle), the :class:`~repro.obs.health.HealthMonitor`, the
-:class:`~repro.obs.prof.SpanProfiler`, and the checker's drop
-accounting.  A new observer subscribes to kinds; no call site changes.
+pays exactly one guard per site.  A :class:`Probe` *is* the compiled
+dispatch table, kind -> the one callable that reaches every observer
+of that kind, and a site calls it directly::
+
+    if self._probe is not None and (on := self._probe.get("closure.new")):
+        on(self.sim.now, "closure.new", self.name, {"cid": cid})
+
+A kind nobody observes is absent, so its event is never built.
+Everything that watches a run is a per-kind *subscriber* — the metrics
+consumer (:class:`~repro.obs.metrics.ProbeMetrics`, which owns every
+instrument handle), the :class:`~repro.obs.health.HealthMonitor`, the
+:class:`~repro.obs.prof.SpanProfiler`, the checker's drop accounting —
+behind the run's :class:`~repro.util.trace.TraceLog`, whose recorder
+hands each event on itself.  The callable is re-resolved on every
+``subscribe`` (the window closes at the first ``bind``), so from the
+first event on a lone observer is called by the site, with no dispatch
+frame in between.  A new observer subscribes to kinds; no call site
+changes.
 
 The catalogue below is the contract (``docs/observability.md`` carries
 the same table; ``tests/obs/test_probe.py`` holds the three in step).
@@ -22,23 +32,23 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.errors import ReproError
 
 #: A subscriber: ``fn(t, kind, source, detail)`` — *detail* is the
-#: emit's keyword dict, shared by every subscriber of the event.
+#: site's dict literal, shared by every subscriber of the event.
 Handler = Callable[[float, str, str, Dict[str, Any]], None]
 
 #: Kinds the TraceLog records -> the observer-only detail fields it
-#: strips first (everything else is the log's exact, pinned detail).
-#: ``worker.exit.*`` is the one formatted family (``worker.exit.<reason>``).
+#: strips first (everything else is the log's exact, pinned detail); no
+#: per-task kind has any.  ``worker.exit.*`` is the one family: sites
+#: look it up under that key and pass ``worker.exit.<reason>`` as kind.
 TRACED: Dict[str, Tuple[str, ...]] = {
     **dict.fromkeys((
         "closure.new", "closure.exec", "closure.suspend", "closure.lost",
-        "closure.drop", "join.dup", "arg.retry",
+        "closure.drop", "join.fill", "join.dup", "arg.retry",
         "steal.request", "steal.grant", "steal.success", "steal.reclaim",
         "migrate.in", "migrate.out", "migrate.dup", "migrate.reoffer", "redo",
         "worker.start", "worker.rejoin", "worker.exit.*",
         "net.loopback", "ch.register", "ch.unregister", "ch.result",
         "ch.peer_update", "jm.start_worker", "jm.reclaim", "jm.preempt",
     ), ()),
-    "join.fill": ("suspended_at",),
     "net.send": ("size",),
     "net.recv": ("latency_s",),
     "net.partition": ("msg",),
@@ -64,26 +74,62 @@ OBSERVER_ONLY: Tuple[str, ...] = (
     "jobq.bind",
 )
 
-#: The observer-only kinds emitted once or more per executed task.
-PER_TASK: Tuple[str, ...] = ("deque.depth", "arg.send", "task.done", "task.charged")
+
+def _fan_out(subs: Tuple[Handler, ...]) -> Handler:
+    """The one callable that reaches *subs* in order: the lone
+    subscriber itself, a fixed-arity call for two or three (no loop, no
+    tuple walk on the per-task path), a loop beyond that."""
+    if len(subs) == 1:
+        return subs[0]
+    if len(subs) == 2:
+        a, b = subs
+
+        def both(t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
+            a(t, kind, source, detail)
+            b(t, kind, source, detail)
+        return both
+    if len(subs) == 3:
+        a, b, c = subs
+
+        def all_three(t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
+            a(t, kind, source, detail)
+            b(t, kind, source, detail)
+            c(t, kind, source, detail)
+        return all_three
+
+    def each(t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
+        for fn in subs:
+            fn(t, kind, source, detail)
+    return each
 
 
-class Probe:
-    """Per-kind dispatch from components to a run's observers."""
+class Probe(Dict[str, Handler]):
+    """A run's compiled dispatch table: kind -> the one callable that
+    reaches that kind's observers — the log first (when there is one and
+    the kind is :data:`TRACED`), then the subscribers in subscription
+    order."""
 
-    def __init__(self) -> None:
+    def __init__(self, log: Optional[Any] = None) -> None:
+        super().__init__()
+        self._log = log
         self._subs: Dict[str, Tuple[Handler, ...]] = {}
         #: True once a component has taken this probe (see :meth:`bind`).
         self.bound = False
-        #: True once a :data:`PER_TASK` kind has a subscriber.  A probe
-        #: without one (every ``repro check`` seed: log + drop accounting)
-        #: stays False, and those four sites skip building events nobody
-        #: reads — several per task, against ~3 traced ones.
-        self.per_task = False
+        if log is not None:
+            for kind in TRACED:
+                self._compile(kind)
+
+    def _compile(self, kind: str) -> None:
+        """Resolve *kind* to its one callable: the subscribers' fan-out,
+        behind the log's recorder when the log records this kind."""
+        on = _fan_out(self._subs[kind]) if kind in self._subs else None
+        if self._log is not None and kind in TRACED:
+            on = self._log.recorder(on, TRACED[kind])
+        self[kind] = on
 
     def subscribe(self, handlers: Mapping[str, Handler]) -> None:
-        """Register *handlers* (kind -> fn); dispatch order is
-        subscription order."""
+        """Register *handlers* (kind -> fn) behind any earlier
+        subscriber of the same kind."""
         if self.bound:
             raise ReproError(
                 "probe already bound by a component: this subscriber would "
@@ -93,48 +139,28 @@ class Probe:
             if kind not in TRACED and kind not in OBSERVER_ONLY:
                 raise ReproError(f"unknown probe kind {kind!r}")
             self._subs[kind] = self._subs.get(kind, ()) + (fn,)
-            self.per_task = self.per_task or kind in PER_TASK
+            self._compile(kind)
 
-    def emit(self, t: float, kind: str, source: str, **detail: Any) -> None:
-        subs = self._subs.get(kind)
-        if subs is None:
-            # First sight of a kind nobody named exactly: resolve the
-            # worker.exit.<reason> family (or nothing) once and cache it.
-            subs = self._subs[kind] = self._subs.get(
-                kind.rpartition(".")[0] + ".*", ())
-        for fn in subs:
-            fn(t, kind, source, detail)
-
-    def bind(self, t: float, kind: str, source: str, **detail: Any) -> None:
+    def bind(self, t: float, kind: str, source: str,
+             detail: Dict[str, Any]) -> None:
         """A component's constructor taking this probe: closes the
         subscription window, then announces the component."""
         self.bound = True
-        self.emit(t, kind, source, **detail)
+        on = self.get(kind)
+        if on is not None:
+            on(t, kind, source, detail)
 
     @classmethod
     def for_run(cls, trace: Optional[Any] = None, metrics: Optional[Any] = None,
                 profiler: Optional[Any] = None) -> Optional["Probe"]:
         """The probe for one run's observers, or None without any.  The
-        log subscribes first: every other observer sees an event after
-        its record exists."""
+        log comes first: every other observer sees an event after its
+        record exists."""
         if trace is None and metrics is None and profiler is None:
             return None
-        probe = cls()
-        if trace is not None:
-            probe.subscribe({
-                kind: trace.record if not extras else _stripping(trace, extras)
-                for kind, extras in TRACED.items()})
+        probe = cls(trace)
         if metrics is not None:
             metrics.subscribe(probe)
         if profiler is not None:
             profiler.subscribe(probe)
         return probe
-
-
-def _stripping(trace: Any, extras: Tuple[str, ...]) -> Handler:
-    def record(t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
-        kept = detail.copy()  # later subscribers still want the extras
-        for key in extras:
-            kept.pop(key, None)
-        trace.record(t, kind, source, kept)
-    return record

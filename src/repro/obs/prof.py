@@ -79,8 +79,8 @@ class SpanProfiler:
         # -- live DAG state (O(live closures)) -----------------------------
         self._base: Dict[Any, float] = {}    # cid -> max predecessor span
         self._bdepth: Dict[Any, int] = {}    # cid -> max predecessor depth
-        self._out: Dict[Any, List[Any]] = {} # executing cid -> out-edges
-        self._exec: Dict[str, Any] = {}      # worker -> cid its thread fn is in
+        # worker -> out-edges so far of the task its thread fn is in
+        self._exec: Dict[str, Optional[List[Any]]] = {}
         # -- per-worker attribution ----------------------------------------
         self._buckets: Dict[str, Dict[str, float]] = {}
         self._open: Dict[Tuple[str, str], float] = {}   # (worker, phase) -> t0
@@ -133,20 +133,14 @@ class SpanProfiler:
         """``closure.exec``: the thread function is about to run.  It
         runs synchronously up to ``task.done``, so every closure it
         creates or sends to in between is an out-edge of this task."""
-        self._exec[worker] = d["cid"]
+        self._exec[worker] = []
 
     def edge(self, t: float, kind: str, worker: str, d: dict) -> None:
         """``closure.new`` / ``arg.send``: a dependency edge when a task
         is executing on *worker* (redo copies and the root are minted
         outside task execution and never land here)."""
-        src = self._exec.get(worker)
-        if src is None:
-            return
-        self.edges += 1
-        out = self._out.get(src)
-        if out is None:
-            self._out[src] = [d["cid"]]
-        else:
+        out = self._exec.get(worker)
+        if out is not None:
             out.append(d["cid"])
 
     def task_done(self, t: float, kind: str, worker: str, d: dict) -> None:
@@ -155,7 +149,9 @@ class SpanProfiler:
         depth, which is what lets this node's span finish immediately."""
         cid = d["cid"]
         dur_s = d["service_s"]
+        out = self._exec.get(worker) or ()
         self._exec[worker] = None
+        self.edges += len(out)
         self._open[(worker, "working")] = t
         s = self.sink
         if s is not None:
@@ -170,7 +166,7 @@ class SpanProfiler:
         if depth > self.max_depth:
             self.max_depth = depth
         base, bdepth = self._base, self._bdepth
-        for nxt in self._out.pop(cid, ()):
+        for nxt in out:
             if span > base.get(nxt, -1.0):
                 base[nxt] = span
             if depth > bdepth.get(nxt, 0):

@@ -9,6 +9,7 @@ same seed and the same program, every run produces the same event order.
 Public surface:
 
 * :class:`Simulator` — the event loop and clock.
+* :class:`Flag` — a stop marker for :meth:`Simulator.run_until`.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — waitables.
 * :class:`Interrupt` — exception delivered by :meth:`Process.interrupt`.
 * :class:`AnyOf`, :class:`AllOf` — condition events.
@@ -21,6 +22,7 @@ from repro.sim.core import (
     NORMAL,
     URGENT,
     Event,
+    Flag,
     Interrupt,
     Process,
     Simulator,
@@ -33,6 +35,7 @@ from repro.sim.resources import Channel, Resource, Signal, Store
 __all__ = [
     "Simulator",
     "Event",
+    "Flag",
     "Timeout",
     "Process",
     "Interrupt",

@@ -292,9 +292,10 @@ class _SoonEvent(Event):
 _SOON_CBS = (_run_soon,)
 
 
-class _Flag:
-    """Slotted done-marker for ``run(until=event)`` — replaces the old
-    per-call ``[False]`` list plus closure."""
+class Flag:
+    """A stop marker for :meth:`Simulator.run_until`: flip ``fired`` from
+    code an event callback runs, or subscribe the flag itself to an
+    event (it fires when that event is processed)."""
 
     __slots__ = ("fired",)
 
@@ -626,52 +627,55 @@ class Simulator:
                 been processed and returns its value (re-raising its
                 failure, if any).
 
-        All three forms take a batched drain loop when no monitor hook
-        is installed: identical event order and semantics to ``step()``
-        in a loop, with the per-event clock/counter writes deferred to
-        the points where user code can observe them.  A monitor needs an
-        exact per-event counter, so its presence selects the plain
-        stepping path.
+        All three forms, and :meth:`run_until`, take a batched drain
+        loop when no monitor hook is installed: identical event order
+        and semantics to ``step()`` in a loop, with the per-event
+        clock/counter writes deferred to the points where user code can
+        observe them.  A monitor needs an exact per-event counter, so
+        its presence selects the plain stepping path.
         """
+        if isinstance(until, Event):
+            if not until.processed:
+                flag = Flag()
+                until.subscribe(flag)
+                if not self.run_until(flag):
+                    raise SimulationError(_DEADLOCK_MSG)
+            if until._ok is False:
+                until.defused = True
+                raise until._value
+            return until._value
+        horizon = _INF if until is None else float(until)
+        if horizon < self.now:
+            raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
+        self._advance(horizon, None)
         if until is not None:
-            if isinstance(until, Event):
-                target = until
-                if not target.processed:
-                    flag = _Flag()
-                    target.subscribe(flag)
-                    if self.monitor is not None:
-                        while not flag.fired:
-                            if not self._has_work():
-                                raise SimulationError(_DEADLOCK_MSG)
-                            self.step()
-                    else:
-                        self._drain(_INF, flag)
-                        if not flag.fired:
-                            raise SimulationError(_DEADLOCK_MSG)
-                if target._ok is False:
-                    target.defused = True
-                    raise target._value
-                return target._value
-            horizon = float(until)
-            if horizon < self.now:
-                raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
-            if self.monitor is not None:
-                while self._has_work() and self.peek() <= horizon:
-                    self.step()
-            else:
-                self._drain(horizon, None)
             self.now = horizon
-            return None
-        if self.monitor is not None:
-            # The monitor hook needs an exact per-event counter; take the
-            # plain stepping path.
-            while self._has_work():
-                self.step()
-            return None
-        self._drain(_INF, None)
         return None
 
-    def _drain(self, limit: float, stop: Optional[_Flag]) -> None:
+    def run_until(self, stop: Any, deadline: float = _INF) -> bool:
+        """Run until *stop* fires, the next event lies beyond *deadline*
+        or none is left; True means *stop* fired.
+
+        *stop* is anything with a ``fired`` attribute that code run from
+        an event callback flips: a :class:`Flag`, or a
+        :class:`~repro.sim.resources.Signal`.  The clock stays at the
+        last processed event (``run(until=t)`` is what moves it to *t*).
+        """
+        if not stop.fired:
+            self._advance(deadline, stop)
+        return stop.fired
+
+    def _advance(self, limit: float, stop: Optional[Any]) -> None:
+        """Process events up to *limit* or until *stop* fires: batched
+        without a monitor, stepping (exact per-event counter) with one."""
+        if self.monitor is None:
+            self._drain(limit, stop)
+            return
+        while ((stop is None or not stop.fired) and self._has_work()
+               and self.peek() <= limit):
+            self.step()
+
+    def _drain(self, limit: float, stop: Optional[Any]) -> None:
         """Batched event loop: process events with time <= *limit* until
         the queue empties or *stop* fires (checked after callbacks, the
         only place it can flip).  Identical event order and semantics to
@@ -960,7 +964,7 @@ class CalendarSimulator(Simulator):
         if self.monitor is not None and self.events_processed % self.monitor_interval == 0:
             self.monitor(self)
 
-    def _drain(self, limit: float, stop: Optional[_Flag]) -> None:
+    def _drain(self, limit: float, stop: Optional[Any]) -> None:
         """Batched drain (see :meth:`Simulator._drain` for the contract).
 
         Bucket lengths and cursors live in locals on the no-callback

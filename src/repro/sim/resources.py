@@ -161,13 +161,15 @@ class Signal:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._set = False
+        #: True once set — the attribute :meth:`Simulator.run_until`
+        #: reads, so a Signal can be what a run stops on.
+        self.fired = False
         self._value: Any = None
         self._waiters: List[Event] = []
 
     @property
     def is_set(self) -> bool:
-        return self._set
+        return self.fired
 
     @property
     def value(self) -> Any:
@@ -177,7 +179,7 @@ class Signal:
     def wait(self) -> Event:
         """Event that succeeds (with the signal's value) once set."""
         ev = Event(self.sim)
-        if self._set:
+        if self.fired:
             ev.succeed(self._value)
         else:
             self._waiters.append(ev)
@@ -185,9 +187,9 @@ class Signal:
 
     def set(self, value: Any = None) -> None:
         """Set the flag and wake all current waiters."""
-        if self._set:
+        if self.fired:
             return
-        self._set = True
+        self.fired = True
         self._value = value
         waiters, self._waiters = self._waiters, []
         for ev in waiters:

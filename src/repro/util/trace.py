@@ -6,8 +6,9 @@ the experiment harness query it to assert ordering properties (e.g. "no
 steal reply precedes its request") and to debug runs.  Tracing is off by
 default because the paper's largest run executes millions of tasks.
 
-Emitting is deliberately cheap: a record is four attribute stores on a
-slotted object (no dataclass machinery), and rendering is lazy — the
+Recording is deliberately cheap: a record is four attribute stores on a
+slotted object (no dataclass machinery, and :meth:`TraceLog.recorder`
+skips even the constructor call), and rendering is lazy — the
 ``[time] source kind k=v`` line is only formatted when someone calls
 ``str()``/:meth:`TraceLog.dump`.  A log can additionally be restricted to
 *categories* (kind prefixes) so a consumer that only needs, say, the
@@ -71,6 +72,9 @@ class TraceEvent:
         return f"[{self.time:12.6f}] {self.source:<16} {self.kind:<20} {extras}"
 
 
+_new_event = TraceEvent.__new__
+
+
 class TraceLog:
     """Append-only trace collector with simple query helpers."""
 
@@ -106,23 +110,41 @@ class TraceLog:
         #: capacity-limited log stays cheap no matter how long the run.
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
+        self._record = self.recorder()
 
     def emit(self, time: float, kind: str, source: str, **detail: Any) -> None:
         """Record one event (no-op when disabled or filtered out)."""
-        self.record(time, kind, source, detail)
+        self._record(time, kind, source, detail)
 
-    def record(self, time: float, kind: str, source: str,
-               detail: Dict[str, Any]) -> None:
-        """:meth:`emit` with the detail dict passed as is — the shape a
-        :class:`~repro.obs.probe.Probe` subscriber is called with."""
-        if not self.enabled:
-            return
-        categories = self.categories
-        if categories is not None and not kind.startswith(categories):
-            return
-        if self.capacity is not None and len(self._events) == self.capacity:
-            self._dropped += 1  # deque(maxlen) evicts the oldest silently
-        self._events.append(TraceEvent(time, kind, source, detail))
+    def recorder(self, then: Optional[Callable[..., None]] = None,
+                 strip: Tuple[str, ...] = ()) -> Callable[..., None]:
+        """``record(time, kind, source, detail)`` into this log — the
+        shape a :class:`~repro.obs.probe.Probe` calls its subscribers
+        with.  The record keeps *detail* itself, minus the *strip* keys;
+        *then*, when given, is handed the same event afterwards
+        (recorded or filtered out), so the log and a kind's other
+        observers cost one call frame, not a fan-out plus two."""
+        events = self._events
+
+        def record(time: float, kind: str, source: str,
+                   detail: Dict[str, Any]) -> None:
+            if self.enabled and ((categories := self.categories) is None
+                                 or kind.startswith(categories)):
+                if len(events) == self.capacity:
+                    self._dropped += 1  # deque(maxlen) evicts the oldest silently
+                # TraceEvent(time, kind, source, detail) without the
+                # constructor frame: most records of a long run are evicted
+                # from the ring unread, so construction is their whole cost.
+                ev = _new_event(TraceEvent)
+                ev.time = time
+                ev.kind = kind
+                ev.source = source
+                ev.detail = detail if not strip else {
+                    k: v for k, v in detail.items() if k not in strip}
+                events.append(ev)
+            if then is not None:
+                then(time, kind, source, detail)
+        return record
 
     @property
     def dropped(self) -> int:

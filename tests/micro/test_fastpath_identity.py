@@ -438,6 +438,46 @@ def test_observed_run_equals_the_plain_run(channel, plain_run):
                 assert digest == pins[name], (case, channel, name)
 
 
+#: run_checked(shrink, P=4, seed 12, --scenario mixed) on the commit before
+#: the probe became a compiled table: a reclaim with a migration out, a
+#: crash with its redo and a lost closure, clean.  Single-observer
+#: subsets beside the log: what the other observer would read is never
+#: built, and what this one reads must not notice.
+CHURN_PINS = {
+    "trace": "1c5e11a5af449870132384c2e8121334628ce3c6e07b810caf2bef0a9dc088d5",
+    "metrics": "cf75481381c891ac6f17d4de84baf37a82b4777c9ca454ad6cde029c142b0721",
+    "profile": "7bb125b5de8b9be43fa485c61823b9015876db42a57dccc1df60bc0d689e92be",
+}
+
+
+@pytest.mark.parametrize("channel", ["metrics", "profiler"])
+def test_single_observer_subsets_stay_pinned_on_the_churn_path(channel, monkeypatch):
+    from repro.check.fuzzer import APPS as FUZZ_APPS
+
+    reg, _mon, prof = _observers(channel)
+    if prof is not None:
+        # run_checked takes the log and a registry only; hand its probe
+        # the profiler where it builds one.
+        for_run = Probe.for_run.__func__
+        monkeypatch.setattr(Probe, "for_run", classmethod(
+            lambda cls, trace=None, metrics=None, profiler=None:
+            for_run(cls, trace, metrics, prof)))
+    spec = FUZZ_APPS["shrink"]
+    run = run_checked(spec.make(), n_workers=4, seed=12, metrics=reg,
+                      perturbation=Perturbation.generate(12, 4, scenario="mixed"),
+                      expected=spec.expected, worker_config=spec.worker_config)
+    run.require_ok()
+    assert {"migrate.out", "redo", "closure.lost"} <= {k for k, _n in run.trace.kinds()}
+    probe = run.workers[0]._probe
+    assert ("deque.depth" in probe, "task.charged" in probe) == (
+        reg is not None, prof is not None)
+    if prof is not None:
+        prof.finalize(run.sim.now)
+    for name, digest in _outputs(reg, None, prof, run.trace).items():
+        if digest is not None:
+            assert digest == CHURN_PINS[name], (channel, name)
+
+
 class _ListSink(list):
     emit = list.append
 

@@ -12,6 +12,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
+from tests.obs.emitting import emitter
 from repro.phish import run_job
 from repro.util.trace import TraceLog
 
@@ -239,7 +240,7 @@ def test_export_health_incidents_on_worker_tracks():
     reg = MetricsRegistry()
     monitor = HealthMonitor(reg)
     trace = TraceLog()
-    emit = Probe.for_run(trace, reg).emit
+    emit = emitter(Probe.for_run(trace, reg))
     emit(0.0, "worker.start", "ws00")
     emit(0.0, "worker.start", "ws01")
     for i in range(10):

@@ -16,14 +16,15 @@ from repro.obs.health import (
 )
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.probe import Probe
+from tests.obs.emitting import emitter
 
 
 def _wired(config=None):
-    """A monitor fed the way a run feeds it: through a Probe's emit."""
+    """A monitor fed the way a run feeds it: through a Probe's table."""
     hm = HealthMonitor(config=config)
     probe = Probe()
     hm.subscribe(probe)
-    return hm, probe.emit
+    return hm, emitter(probe)
 
 
 def _incident(kind="steal-storm", t=1.0, subject="ws01", **evidence):

@@ -150,3 +150,66 @@ def test_registry_snapshot_round_trips_through_json():
     assert doc["c"]["value"] == 2
     assert doc["h"]["count"] == 1
     assert doc["s"]["peak"] == 7.0
+
+
+# ------------------------------------------------- fill-latency bookkeeping
+
+
+def test_fill_latency_table_is_empty_after_churn():
+    """A suspended closure leaves the suspend -> final-fill table with
+    the closure itself — filled, migrated out (shrink seeds 8, 12, 30,
+    42: the worker-side table this replaced kept those entries for
+    good), lost, or its worker gone — and the histogram reads what it
+    read before the table moved into ``ProbeMetrics``.  fib faults-only
+    seed 11 fills two migrated closures at their adopter *before* the
+    sender's ``migrate.out``: not this worker's to measure."""
+    import hashlib
+    import json
+
+    from repro.check import Perturbation, run_checked
+    from repro.check.fuzzer import APPS
+
+    cases = [("shrink", "mixed", seed) for seed in range(50)]
+    cases.append(("fib", "faults-only", 11))
+    snapshots, migrated_out = [], 0
+    for app, scenario, seed in cases:
+        spec, registry = APPS[app], MetricsRegistry()
+        run = run_checked(
+            spec.make(), n_workers=4, seed=seed, expected=spec.expected,
+            perturbation=Perturbation.generate(seed, 4, scenario=scenario),
+            worker_config=spec.worker_config, metrics=registry)
+        run.require_ok()
+        probe = run.workers[0]._probe
+        (consumer,) = {fn.__self__ for fn in probe._subs["closure.suspend"]}
+        assert consumer._suspended == {}, (app, scenario, seed)
+        assert not hasattr(run.workers[0], "_suspended_at")
+        migrated_out += run.trace.count("migrate.out")
+        snapshots.append(registry.get("micro.fill.latency_s").snapshot())
+    assert migrated_out >= 5  # the departures that used to leak
+    digest = hashlib.sha256(json.dumps(snapshots, sort_keys=True).encode())
+    # Taken on the commit before the table moved (PR 13, 9b045e3).
+    assert digest.hexdigest() == (
+        "8a2ccbaccc46d3842a1ee6d851cbf6999ed769246c05c0f5f497024cd23062d2")
+
+
+def test_a_cid_parked_twice_at_once_is_skipped_not_mismeasured():
+    """Two jobs sharing a registry and a host name can park equal cids
+    (cids are unique per job): neither fill is observed."""
+    from repro.obs.probe import Probe
+    from tests.obs.emitting import emitter
+
+    registry = MetricsRegistry()
+    probe = Probe.for_run(metrics=registry)
+    emit = emitter(probe)
+    emit(0.0, "worker.bind", "ws00", policy="random")
+    fills = registry.get("micro.fill.latency_s")
+    emit(1.0, "closure.suspend", "ws00", cid=("ws00", 5), missing=1)
+    emit(2.0, "closure.suspend", "ws00", cid=("ws00", 5), missing=1)  # the other job's
+    emit(3.0, "join.fill", "ws00", cid=("ws00", 5), slot=0, remaining=0)
+    emit(4.0, "join.fill", "ws00", cid=("ws00", 5), slot=0, remaining=0)
+    assert fills.count == 0
+    emit(5.0, "closure.suspend", "ws00", cid=("ws00", 5), missing=1)
+    emit(5.5, "join.fill", "ws01", cid=("ws00", 5), slot=0, remaining=0)  # at an adopter
+    assert fills.count == 0
+    emit(6.0, "join.fill", "ws00", cid=("ws00", 5), slot=0, remaining=0)
+    assert (fills.count, fills.sum) == (1, 1.0)

@@ -3,11 +3,15 @@
 The catalogue test holds three things equal — the kinds the five
 component files emit (AST scan), the kinds ``repro.obs.probe``
 declares, and the kinds table in ``docs/observability.md`` — and keeps
-the four pre-seam observer channels from growing back.
+the four pre-seam observer channels from growing back.  The budget test
+counts what one observed task costs in Python calls, which no machine's
+speed can move.
 """
 
 import ast
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,11 +24,13 @@ from repro.macro.system import PhishSystem, PhishSystemConfig
 from repro.macro.traffic import TrafficConfig, TrafficSystem
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import OBSERVER_ONLY, PER_TASK, TRACED, Probe
+from repro.obs.probe import OBSERVER_ONLY, TRACED, Probe
+from repro.obs.prof import SpanProfiler
 from repro.phish import build_cluster, run_job
 from repro.sim.core import Simulator
 from repro.util.rng import RngRegistry
 from repro.util.trace import TraceLog
+from tests.obs.emitting import emitter
 
 ROOT = Path(__file__).resolve().parents[2]
 COMPONENTS = [ROOT / "src" / "repro" / rel for rel in (
@@ -49,33 +55,58 @@ UNPROBED = (
 )
 
 
-def _kind_literals(node):
-    """The kind(s) an emit/bind call's second argument can evaluate to."""
+def _kind_literals(node, scope):
+    """The kind(s) a site's lookup key / kind argument can evaluate to."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return {node.value}
     if isinstance(node, ast.IfExp):
-        return _kind_literals(node.body) | _kind_literals(node.orelse)
+        return _kind_literals(node.body, scope) | _kind_literals(node.orelse, scope)
     if isinstance(node, ast.JoinedStr):  # f"worker.exit.{reason}"
         head = node.values[0]
         assert isinstance(head, ast.Constant) and head.value.endswith(".")
         return {head.value + "*"}
-    raise AssertionError(f"emit kind is not a literal: {ast.dump(node)}")
+    if isinstance(node, ast.Name):  # kind = "a" if ... else "b", once, above
+        (value,) = [n.value for n in ast.walk(scope) if isinstance(n, ast.Assign)
+                    and ast.unparse(n.targets[0]) == node.id]
+        return _kind_literals(value, scope)
+    raise AssertionError(f"probe kind is not a literal: {ast.dump(node)}")
+
+
+def _on_a_probe(call, attr):
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == attr and "probe" in ast.unparse(call.func.value))
 
 
 def _emitted_kinds(tree):
+    """Kinds of every ``probe.get(kind)`` lookup and ``probe.bind`` in
+    *tree* — after checking the one call shape: the looked-up callable is
+    named ``on`` / ``charged_on`` and called as ``(t, kind, source,
+    {dict literal})`` with the kind it was looked up under."""
     kinds = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("emit", "bind")
-                and "probe" in ast.unparse(node.func.value)):
-            kinds |= _kind_literals(node.args[1])
+    scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)] or [tree]
+    for scope in scopes:
+        looked_up = set()
+        for node in ast.walk(scope):
+            if _on_a_probe(node, "get"):
+                looked_up |= _kind_literals(node.args[0], scope)
+            elif _on_a_probe(node, "bind"):
+                kinds |= _kind_literals(node.args[1], scope)
+                assert isinstance(node.args[3], ast.Dict)
+            assert not _on_a_probe(node, "emit"), ast.unparse(node)
+        said = set()
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("on", "charged_on")):
+                said |= _kind_literals(node.args[1], scope)
+                assert isinstance(node.args[3], ast.Dict), ast.unparse(node)
+        assert said == looked_up, (getattr(scope, "name", "?"), said, looked_up)
+        kinds |= looked_up
     return kinds
 
 
 def test_catalogue_equals_the_emit_sites_equals_the_docs_table():
     declared = set(TRACED) | set(OBSERVER_ONLY)
     assert not set(TRACED) & set(OBSERVER_ONLY)
-    assert set(PER_TASK) <= set(OBSERVER_ONLY)
 
     emitted = set()
     for path in COMPONENTS:
@@ -97,12 +128,13 @@ def test_the_four_old_channels_do_not_grow_back():
     for path in COMPONENTS:
         text = path.read_text()
         for gone in ("_m_", "_prof", "_health", "attach_metrics",
-                     "attach_profiler", "on_drop", ".trace.emit"):
+                     "attach_profiler", "on_drop", ".trace.emit",
+                     "per_task", "_suspended_at"):
             assert gone not in text, f"{gone!r} is back in {path.name}"
         # The only observer guard is on the probe...
         assert not re.search(r"\b(trace|metrics|profiler) is (not )?None", text)
         guards += len(re.findall(r"\b_?probe is (not )?None", text))
-    assert guards <= 85  # ...and there were 123 guards before the seam.
+    assert guards <= 71  # ...and there were 123 guards before the seam.
 
 
 def _emits(cls, name, seen=None):
@@ -156,9 +188,10 @@ def test_log_first_then_subscription_order_and_the_exit_family():
     seen = []
     probe.subscribe({"worker.exit.*": lambda t, k, s, d: seen.append((len(log), k)),
                      "net.send": lambda t, k, s, d: seen.append((len(log), d["size"]))})
-    probe.emit(1.0, "worker.exit.retired", "ws01", deque=0)
-    probe.emit(2.0, "net.send", "ws00", dst="ws01", port=7, id=1, size=64)
-    probe.emit(3.0, "task.done", "ws00", cid=1)  # observer-only: never logged
+    emit = emitter(probe)
+    emit(1.0, "worker.exit.retired", "ws01", deque=0)
+    emit(2.0, "net.send", "ws00", dst="ws01", port=7, id=1, size=64)
+    emit(3.0, "task.done", "ws00", cid=1)  # nobody reads it: not in the table
     # Each handler ran after the log had its record; the observer-only
     # field reached the handler and not the log.
     assert seen == [(1, "worker.exit.retired"), (2, 64)]
@@ -166,9 +199,78 @@ def test_log_first_then_subscription_order_and_the_exit_family():
         ("worker.exit.retired", {"deque": 0}),
         ("net.send", {"dst": "ws01", "port": 7, "id": 1}),
     ]
-    assert not probe.per_task
+    assert "task.done" not in probe
     with pytest.raises(ReproError, match="unknown probe kind"):
         probe.subscribe({"closure.nwe": print})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_kind_compiles_to_one_callable_reaching_subscribers_in_order(n):
+    probe, seen = Probe(), []
+    handlers = [lambda t, k, s, d, i=i: seen.append((i, t, k, s, d)) for i in range(n)]
+    for fn in handlers:
+        probe.subscribe({"redo": fn})
+    if n == 1:
+        assert probe["redo"] is handlers[0]  # the lone subscriber itself
+    detail = {"n": 1}
+    probe["redo"](0.5, "redo", "ws00", detail)
+    assert seen == [(i, 0.5, "redo", "ws00", detail) for i in range(n)]
+    assert all(row[4] is detail for row in seen)  # one dict, shared
+
+
+def test_a_probe_holds_only_the_kinds_its_observers_read():
+    """What nobody reads is not in the table, so its site builds nothing."""
+    log_only = Probe.for_run(trace=TraceLog())
+    assert set(log_only) == set(TRACED)
+    registry_only = Probe.for_run(metrics=MetricsRegistry())
+    assert not {"arg.send", "task.charged", "closure.new", "closure.exec"} & set(registry_only)
+    assert {"task.done", "deque.depth", "join.fill"} <= set(registry_only)
+    profiler_only = Probe.for_run(profiler=SpanProfiler())
+    assert not {"deque.depth", "join.fill", "closure.suspend"} & set(profiler_only)
+    assert {"task.done", "task.charged", "arg.send"} <= set(profiler_only)
+
+
+def _obs_calls_per(unit, **observers):
+    """Python calls into ``repro/obs/`` and ``repro/util/trace.py`` made
+    by a fib(16) P=4 run, per task executed / per record written."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            path = frame.f_code.co_filename.replace(os.sep, "/")
+            if "/repro/obs/" in path or path.endswith("/repro/util/trace.py"):
+                calls += 1
+
+    sys.setprofile(count)
+    try:
+        res = run_job(fib_job(16), n_workers=4, seed=1, **observers)
+    finally:
+        sys.setprofile(None)
+    assert res.result == fib_serial(16)
+    if unit == "task":
+        return calls / sum(w.stats.tasks_executed for w in res.workers)
+    return calls / (len(res.trace) + res.trace.dropped)
+
+
+def test_dispatch_budget_in_python_calls():
+    """A count, not a timing: the same on every machine.
+
+    Before the table was compiled (``Probe.emit(t, kind, source,
+    **detail)`` looping over subscribers) this run cost 31.12 observer
+    calls per task with every observer on (6.68 emits, each a call, ahead
+    of the handlers) and 3.23 per record in a log-only run (emit,
+    ``TraceLog.record``, ``TraceEvent.__init__``, and a stripping copy on
+    ``join.fill``).  Now a lone subscriber is called by the site itself.
+    """
+    registry = MetricsRegistry()
+    HealthMonitor(registry)
+    per_task = _obs_calls_per("task", trace=True, metrics=registry,
+                              profiler=SpanProfiler())
+    assert per_task <= 0.70 * 31.12
+    # One call per record: TraceLog.record.  The margin is set-up (a few
+    # dozen calls) and the stripped net.* kinds (two calls, ~10 records).
+    assert _obs_calls_per("record", trace=True) < 1.01
 
 
 def test_drop_accounting_lands_directly_after_the_drops_own_record():

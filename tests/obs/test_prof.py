@@ -17,13 +17,14 @@ from repro.obs import SpanProfiler, merge_profiles
 from repro.obs.probe import Probe
 from repro.obs.prof import BUCKETS, PROFILE_SCHEMA
 from repro.phish import run_job
+from tests.obs.emitting import emitter
 
 
 def _task_emitter(prof):
-    """Feed a profiler the way a run does: through a Probe's emit."""
+    """Feed a profiler the way a run does: through a Probe's table."""
     probe = Probe()
     prof.subscribe(probe)
-    return probe.emit
+    return emitter(probe)
 
 
 def _profiled_fib(n, n_workers, seed):
@@ -108,7 +109,7 @@ class TestFibAnalyticPin:
         _res, prof = run
         assert prof._base == {}
         assert prof._bdepth == {}
-        assert prof._out == {}
+        assert all(out is None for out in prof._exec.values())
 
     def test_bound_report_sane(self, run):
         res, prof = run

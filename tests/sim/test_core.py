@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import NORMAL, URGENT, Event, Interrupt, Process, Simulator, Timeout
+from repro.sim.core import (
+    NORMAL, URGENT, Event, Flag, Interrupt, Process, Simulator, Timeout,
+)
+from repro.sim.resources import Signal
 
 
 class TestEvent:
@@ -297,6 +300,51 @@ class TestSimulatorRun:
         ev = sim.event()
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(ev)
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_run_until_stops_on_the_flag_or_the_deadline_and_says_which(
+            self, queue, monitored):
+        def ticker(sim, stop, fire_at):
+            for tick in range(1, 11):
+                yield sim.timeout(1.0)
+                if tick == fire_at:
+                    stop.fired = True
+
+        def build(fire_at):
+            sim = Simulator(queue=queue)
+            if monitored:  # the exact stepping path instead of the drain
+                sim.monitor = lambda _sim: None
+            stop = Flag()
+            sim.process(ticker(sim, stop, fire_at))
+            return sim, stop
+
+        sim, stop = build(fire_at=4)
+        assert sim.run_until(stop, 100.0) is True
+        assert sim.now == 4.0  # stopped right after the firing callback
+        processed = sim.events_processed
+        assert sim.run_until(stop, 100.0) is True  # already fired: nothing runs
+        assert sim.events_processed == processed
+
+        sim, stop = build(fire_at=None)
+        assert sim.run_until(stop, 6.5) is False
+        assert sim.now == 6.0 and sim.peek() == 7.0  # the clock is not moved
+        assert sim.run_until(stop) is False  # no deadline: until nothing is left
+        assert sim.now == 10.0 and sim.peek() == float("inf")
+
+    def test_run_until_takes_a_signal_or_a_subscribed_flag(self, sim):
+        done = Signal(sim)
+
+        def setter():
+            yield sim.timeout(2.0)
+            done.set("ok")
+            yield sim.timeout(5.0)
+
+        sim.process(setter())
+        assert sim.run_until(done, 10.0) is True and sim.now == 2.0
+        seen = Flag()
+        sim.timeout(1.0).subscribe(seen)  # fires when that event is processed
+        assert sim.run_until(seen) is True and sim.now == 3.0
 
     def test_step_empty_raises(self, sim):
         with pytest.raises(SimulationError):
