@@ -9,8 +9,9 @@ Public surface:
 * :func:`fuzz` — sweep many seeds of a registered app, shrinking failures.
 * :func:`fuzz_sharded` — the same sweep fanned out over a process pool
   (``--jobs``), merged byte-identically to the serial run.
-* :func:`verify_queue_backends` — prove the heap and calendar event-queue
-  backends produce byte-identical traces on full checked runs.
+* :func:`verify_queue_backends` — prove the production event queue
+  byte-identical, trace for trace, to the plain-``heapq`` reference
+  kernel on full checked runs (the only caller of ``run_checked(queue=)``).
 * :class:`Perturbation` — one seed-derived point in schedule space.
 
 See ``docs/checking.md`` for the invariant catalog and workflow.

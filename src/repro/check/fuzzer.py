@@ -147,7 +147,6 @@ def fuzz(
     seeds: Optional[Sequence[int]] = None,
     metrics: Optional["MetricsRegistry"] = None,
     scenario: str = "mixed",
-    queue: str = "auto",
 ) -> FuzzResult:
     """Fuzz *n_seeds* schedules of one registered application.
 
@@ -167,11 +166,6 @@ def fuzz(
         scenario: perturbation scenario class (see
             :attr:`Perturbation.SCENARIOS`) — "partition" and "spike"
             force that network dynamic into every seed.
-        queue: event-queue backend for every run's Simulator
-            ("auto"/"heap"/"calendar"); the backend must be
-            unobservable, so any sweep can be replayed on the other
-            backend and must reproduce byte-identical traces (see
-            :func:`verify_queue_backends`).
     """
     spec = APPS.get(app)
     if spec is None:
@@ -195,7 +189,6 @@ def fuzz(
                 worker_config=spec.worker_config,
                 horizon_s=horizon_s,
                 bug=bug,
-                queue=queue,
             )
         except Exception as exc:
             # Attach the owning seed: in a sharded run this crosses the
@@ -218,7 +211,6 @@ def fuzz(
                 worker_config=spec.worker_config,
                 horizon_s=horizon_s,
                 bug=bug,
-                queue=queue,
             )
         if metrics is not None:
             metrics.counter("check.seeds_run").inc()
@@ -258,7 +250,6 @@ class FuzzShardSpec:
     shrink: bool
     horizon_s: float
     scenario: str = "mixed"
-    queue: str = "auto"
 
     def describe(self) -> str:
         if not self.seeds:
@@ -285,7 +276,6 @@ def _run_fuzz_shard(spec: FuzzShardSpec) -> Tuple[FuzzResult, Dict[str, Any]]:
         horizon_s=spec.horizon_s,
         metrics=registry,
         scenario=spec.scenario,
-        queue=spec.queue,
     )
     return result, registry.snapshot()
 
@@ -312,7 +302,6 @@ def fuzz_sharded(
     progress: Optional[Callable[[int, bool], None]] = None,
     shards_per_job: int = 4,
     scenario: str = "mixed",
-    queue: str = "auto",
 ) -> ShardedFuzz:
     """Shard a fuzz sweep's seed range across worker processes.
 
@@ -331,7 +320,6 @@ def fuzz_sharded(
             balance load when one shard hits a slow shrink cycle.
         scenario: perturbation scenario class, forwarded to every shard
             (see :attr:`Perturbation.SCENARIOS`).
-        queue: event-queue backend, forwarded to every shard.
     """
     from repro.obs.metrics import merge_snapshots
     from repro.parallel import ShardedRunner, resolve_jobs, split_evenly
@@ -344,7 +332,7 @@ def fuzz_sharded(
     specs = [
         FuzzShardSpec(app=app, seeds=tuple(chunk), n_workers=n_workers,
                       bug=bug, shrink=shrink, horizon_s=horizon_s,
-                      scenario=scenario, queue=queue)
+                      scenario=scenario)
         for chunk in chunks
     ]
 
@@ -386,7 +374,7 @@ class BackendVerifyResult:
     app: str
     n_workers: int
     seeds: Tuple[int, ...]
-    #: Seeds whose heap- and calendar-backend traces differed.
+    #: Seeds whose reference (heap) and production (calendar) traces differed.
     mismatched: List[int] = field(default_factory=list)
 
     @property
@@ -411,16 +399,17 @@ def verify_queue_backends(
     scenario: str = "mixed",
     progress: Optional[Callable[[int, bool], None]] = None,
 ) -> BackendVerifyResult:
-    """Prove the queue backends equivalent on full cluster runs.
+    """Prove the production event queue against the reference on full
+    cluster runs.
 
     For every seed, the same checked run (same job, same perturbation)
-    executes once on the reference heap backend and once on the
-    calendar backend; the two :class:`~repro.util.trace.TraceLog` dumps
-    must match byte for byte.  This is the contract that lets the
-    accelerated backend be the default: any divergence — one message
-    reordered, one timer fired in a different order — shows up as a
-    trace diff on some seed (``repro check --verify-queue``; CI runs
-    this on every push).
+    executes once on the plain-``heapq`` reference kernel
+    (``Simulator(queue="heap")``) and once on the production calendar
+    queue; the two :class:`~repro.util.trace.TraceLog` dumps must match
+    byte for byte.  This is the contract that lets the calendar queue be
+    the kernel: any divergence — one message reordered, one timer fired
+    in a different order — shows up as a trace diff on some seed
+    (``repro check --verify-queue``; CI runs this on every push).
     """
     spec = APPS.get(app)
     if spec is None:

@@ -369,10 +369,10 @@ def run_checked(
             when given it subscribes to the run's probe next to the
             trace (this is how ``repro diagnose`` attaches a
             :class:`~repro.obs.health.HealthMonitor` to checked runs).
-        queue: event-queue backend for the run's :class:`Simulator`
-            (``"auto"``/``"heap"``/``"calendar"``) — the backend must be
-            unobservable, so checked runs can pin either side of the
-            byte-identical-trace contract (``repro check --queue``).
+        queue: ``"heap"`` runs on the plain-``heapq`` reference kernel
+            instead of the production queue — the one consumer is
+            :func:`~repro.check.fuzzer.verify_queue_backends`, which
+            requires the two traces to be byte-identical.
     """
     pert = perturbation if perturbation is not None else Perturbation()
     for _t, idx in pert.crashes:

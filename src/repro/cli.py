@@ -283,7 +283,6 @@ def _cmd_check(args: argparse.Namespace) -> str:
         jobs=args.jobs,
         progress=progress,
         scenario=args.scenario,
-        queue=args.queue,
     )
     elapsed = time.time() - started
     result, stats = outcome.result, outcome.stats
@@ -856,14 +855,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "'spike' force that network dynamic into every "
                           "seed; 'faults-only' disables both (default "
                           "mixed: probabilistic)")
-    chk.add_argument("--queue", default="auto",
-                     choices=["auto", "heap", "calendar"],
-                     help="event-queue backend for every run's Simulator "
-                          "(default auto; see docs/performance.md)")
     chk.add_argument("--verify-queue", action="store_true",
-                     help="instead of fuzzing, run every seed once per "
-                          "queue backend (heap and calendar) and require "
-                          "byte-identical traces")
+                     help="instead of fuzzing, run every seed on the "
+                          "plain-heapq reference kernel and on the "
+                          "production queue and require byte-identical "
+                          "traces")
     chk.add_argument("--inject-bug", default=None,
                      choices=["skip-redo", "drop-migration", "dup-exec"],
                      help="deliberately break the scheduler to prove the "

@@ -103,7 +103,6 @@ def run_job(
     profiles: Optional[List[PlatformProfile]] = None,
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Any] = None,
-    queue: str = "auto",
 ) -> JobResult:
     """Run *job* on *n_workers* dedicated workstations and collect stats.
 
@@ -130,11 +129,8 @@ def run_job(
             with its summary on ``JobResult.profile``.  All three
             observers subscribe to the run's one
             :class:`~repro.obs.probe.Probe`.
-        queue: event-queue backend for the :class:`Simulator`
-            (``"auto"``/``"heap"``/``"calendar"``; see
-            docs/performance.md, "Queue backends").
     """
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     reg = RngRegistry(seed)
     tracelog = TraceLog(enabled=True, capacity=200_000) if trace else None
     probe = Probe.for_run(tracelog, metrics, profiler)

@@ -18,51 +18,40 @@ but still reproducible — interleaving per seed.  The schedule fuzzer in
 events keep strict insertion order because the kernel relies on it for
 its own bookkeeping.
 
-Queue backends (this module is the hottest code in the repository —
+The event queue (this module is the hottest code in the repository —
 every message, timeout, and task execution passes through it):
 
-``Simulator(queue=...)`` selects the event-queue implementation:
+:class:`Simulator` is a calendar/bucket queue that exploits the timeout
+quantization of the scheduled workload (steal backoffs, heartbeats, and
+retry timers recur at a handful of deltas, so many events share exact
+trigger times).  Events are bucketed by exact float timestamp in a dict;
+a small heap of *distinct* times orders the buckets.  Within a bucket,
+URGENT events drain FIFO first, then NORMAL events FIFO — which *is*
+(priority, seq) order, so no per-event tuples or comparisons are needed
+at all (bucket shapes and the ``tiebreak_rng`` variant: the class
+docstring).
 
-* ``"heap"`` — the reference implementation: one priority queue of
-  ``(time, priority, seq, event)`` tuples (``(time, priority, sub, seq,
-  event)`` when a ``tiebreak_rng`` is installed) running in one of three
-  modes.  While events are only being scheduled (``_MODE_LAZY``) it is
-  an unsorted append-only list.  The first pop sorts it once, descending,
-  and switches to ``_MODE_DRAIN`` where each pop is an O(1) ``list.pop()``
-  from the end.  A push while draining heapifies the remainder and falls
-  back to a classic binary heap (``_MODE_HEAP``).
-* ``"calendar"`` — the accelerated backend: a calendar/bucket queue that
-  exploits the timeout quantization of the scheduled workload (steal
-  backoffs, heartbeats, and retry timers recur at a handful of deltas, so
-  many events share exact trigger times).  Events are bucketed by exact
-  float timestamp in a dict; a small heap of *distinct* times orders the
-  buckets.  Within a bucket, URGENT events drain FIFO first, then NORMAL
-  events FIFO — which *is* (priority, seq) order, so no per-event tuples
-  or comparisons are needed at all.  With a ``tiebreak_rng`` the NORMAL
-  half of each bucket stores ``(sub, seq, event)`` tuples and is sorted
-  once when the bucket is first drained (mid-drain arrivals are bisected
-  into the remaining tail), reproducing the heap's shuffled order key
-  for key.  A bucket holding a single NORMAL event is represented by the
-  bare event (no list allocations), the common case when trigger times
-  are mostly unique.
-* ``"auto"`` (default) — currently the calendar queue.
-
-Both backends pop events in exactly the same total order — the property
-tests in ``tests/sim/test_queue_equivalence.py`` drive both against a
-plain-heapq oracle, and the schedule fuzzer asserts byte-identical
-traces for full cluster runs (see docs/performance.md, "Queue
-backends").
+``Simulator(queue="heap")`` builds :class:`ReferenceSimulator` instead:
+one ``heapq`` of ``(time, priority, [sub,] seq, event)`` tuples popped
+one event at a time.  Its job is to be slow, obviously correct, and
+never on a production path — it is the written-down definition of the
+total order the calendar queue must reproduce.  The property tests in
+``tests/sim/test_queue_equivalence.py`` drive both against an
+independent plain-heapq oracle, and ``repro check --verify-queue``
+asserts byte-identical traces for full cluster runs (see
+docs/performance.md, "Queue backends").  ``"auto"`` and ``"calendar"``
+both name the production queue.
 
 Other hot-path machinery:
 
 * :class:`Timeout` events start with a shared immutable empty-callbacks
   marker instead of a fresh list; :meth:`Event.subscribe` materialises a
   real list on first use.  ``processed`` remains ``callbacks is None``.
-* The calendar backend recycles :class:`Timeout` objects through a
-  per-simulator free list: after a waited-on timeout has fired and its
-  callbacks have run, ``sys.getrefcount`` proves no caller still holds a
-  reference, and the object is reused by a later :meth:`Simulator.timeout`
-  call instead of allocating a fresh one.
+* :class:`Timeout` objects are recycled through a per-simulator free
+  list: after a waited-on timeout has fired and its callbacks have run,
+  ``sys.getrefcount`` proves no caller still holds a reference, and the
+  object is reused by a later :meth:`Simulator.timeout` call instead of
+  allocating a fresh one.
 * :meth:`Simulator.call_soon` and the already-processed branch of
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
@@ -75,7 +64,7 @@ Other hot-path machinery:
 from __future__ import annotations
 
 import sys
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from bisect import insort as _insort
 from typing import Any, Callable, Generator, List, Optional
 
@@ -92,12 +81,6 @@ _PENDING = object()
 #: Immutable and falsy: the kernel skips the callback loop, and
 #: ``subscribe`` swaps in a real list the first time one is needed.
 _NO_CALLBACKS: tuple = ()
-
-#: Event-queue modes of the reference ("heap") backend (see module
-#: docstring).
-_MODE_LAZY = 0   # append-only; nothing popped yet
-_MODE_DRAIN = 1  # sorted descending; pop from the end
-_MODE_HEAP = 2   # classic heapq
 
 _INF = float("inf")
 
@@ -118,17 +101,6 @@ _DEADLOCK_MSG = (
     "simulation ran out of events before the awaited event triggered "
     "(deadlock?)"
 )
-
-
-def _resolve_queue(queue: str) -> str:
-    """Map a ``Simulator(queue=...)`` argument to a concrete backend."""
-    if queue == "auto":
-        return "calendar"
-    if queue in ("heap", "calendar"):
-        return queue
-    raise SimulationError(
-        f"unknown queue backend {queue!r}; expected one of {QUEUE_BACKENDS}"
-    )
 
 
 class Interrupt(Exception):
@@ -246,8 +218,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         self.sim = sim
         self.callbacks = _NO_CALLBACKS
         self._value = value
@@ -421,31 +393,52 @@ class Process(Event):
 
 
 class Simulator:
-    """The event loop: a clock plus a priority queue of triggered events.
+    """The event loop: a clock plus a calendar queue of triggered events.
+
+    Events are bucketed by exact trigger time in ``_buckets``; a heap of
+    distinct times (``_times``) orders the buckets.  Bucket shapes:
+
+    * a bare :class:`Event` — a single NORMAL event, no ``tiebreak_rng``
+      (the dominant case when trigger times are mostly unique); promoted
+      to a full bucket if a second event lands on the same time;
+    * a list ``[urgent, normal, u_i, n_i, sorted]`` — ``urgent`` (a list
+      or None) drains FIFO first, then ``normal``; ``u_i``/``n_i`` are
+      drain cursors so mid-drain arrivals at the same time are picked up
+      in exactly (priority, seq) order.  With a ``tiebreak_rng``,
+      ``normal`` holds ``(sub, seq, event)`` tuples, is sorted when
+      first drained (``sorted`` flag), and mid-drain arrivals are
+      bisected into the remaining tail.
+
+    A drained bucket is deleted only once exhausted, so same-time
+    arrivals during its callbacks always join the live bucket; the
+    one-bucket-at-a-time invariant (``_cur``) holds because the clock
+    never moves backwards.
 
     Args:
         tiebreak_rng: optional seeded RNG perturbing same-time
             NORMAL-event order (schedule fuzzing); install it at
             construction time, before scheduling anything.
-        queue: event-queue backend — ``"heap"`` (the reference
-            three-mode queue), ``"calendar"`` (the accelerated bucket
-            queue), or ``"auto"`` (currently the calendar queue).  Both
-            backends process events in exactly the same total order; see
-            the module docstring and docs/performance.md.
+        queue: ``"auto"`` or ``"calendar"`` — this class; ``"heap"``
+            builds the plain-``heapq`` :class:`ReferenceSimulator`, which
+            processes events in exactly the same total order (see the
+            module docstring and docs/performance.md).
     """
 
+    #: Which event queue this is: "calendar", or "heap" for the reference.
+    queue_backend = "calendar"
+
     def __new__(cls, tiebreak_rng: Optional[Any] = None, queue: str = "auto") -> "Simulator":
-        if cls is Simulator and _resolve_queue(queue) == "calendar":
-            cls = CalendarSimulator
+        if queue not in QUEUE_BACKENDS:
+            raise SimulationError(
+                f"unknown queue backend {queue!r}; expected one of {QUEUE_BACKENDS}"
+            )
+        if queue == "heap" and cls is Simulator:
+            cls = ReferenceSimulator
         return object.__new__(cls)
 
     def __init__(self, tiebreak_rng: Optional[Any] = None, queue: str = "auto") -> None:
-        #: Resolved backend name ("heap" or "calendar").
-        self.queue_backend = "heap"
         #: Current simulated time in seconds.
         self.now: float = 0.0
-        self._heap: List = []
-        self._mode = _MODE_LAZY
         self._seq = 0
         self._active: Optional[Process] = None
         #: Count of processed events (a cheap progress/perf metric).
@@ -463,6 +456,16 @@ class Simulator:
         self.monitor_interval: int = 4096
         #: Free list of :class:`_SoonEvent` carriers (see call_soon).
         self._soon_pool: List[_SoonEvent] = []
+        self._init_queue()
+
+    def _init_queue(self) -> None:
+        self._buckets: dict = {}
+        self._times: List[float] = []
+        #: Bucket currently being drained (list shape), or None.
+        self._cur: Optional[list] = None
+        self._cur_time = 0.0
+        #: Free list of recycled Timeout objects (see module docstring).
+        self._timeout_pool: List[Timeout] = []
 
     # -- construction helpers ---------------------------------------------
 
@@ -476,32 +479,33 @@ class Simulator:
         This is the kernel's single hottest entry point (every poll,
         backoff, and cycle charge is a timeout), so the event
         construction and enqueue are inlined here rather than routed
-        through ``Timeout.__init__``/:meth:`_enqueue`.
+        through ``Timeout.__init__``/:meth:`_enqueue` (schedule fuzzing
+        needs a shuffle key per entry and takes the plain path).
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        ev = Timeout.__new__(Timeout)
-        ev.sim = self
+        if self.tiebreak_rng is not None:
+            return Timeout(self, delay, value)
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = Timeout.__new__(Timeout)
+            ev.sim = self
+            ev._ok = True
         ev.callbacks = _NO_CALLBACKS
         ev._value = value
-        ev._ok = True
         ev.defused = False
-        seq = self._seq = self._seq + 1
-        rng = self.tiebreak_rng
-        if rng is None:
-            entry = (self.now + delay, NORMAL, seq, ev)
+        t = self.now + delay
+        buckets = self._buckets
+        b = buckets.get(t)
+        if b is None:
+            buckets[t] = ev
+            _heappush(self._times, t)
+        elif type(b) is list:
+            b[1].append(ev)
         else:
-            entry = (self.now + delay, NORMAL, rng.random(), seq, ev)
-        mode = self._mode
-        heap = self._heap
-        if mode == _MODE_HEAP:
-            _heappush(heap, entry)
-        elif mode == _MODE_LAZY:
-            heap.append(entry)
-        else:
-            heap.append(entry)
-            _heapify(heap)
-            self._mode = _MODE_HEAP
+            buckets[t] = [None, [b, ev], 0, 0, False]
         return ev
 
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
@@ -528,82 +532,151 @@ class Simulator:
         ev.arg = arg
         self._enqueue(ev, 0.0, URGENT)
 
-    # -- scheduling & execution -------------------------------------------
+    # -- scheduling --------------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        seq = self._seq = self._seq + 1
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        t = self.now + delay
+        buckets = self._buckets
+        b = buckets.get(t)
         rng = self.tiebreak_rng
-        if rng is not None and priority == NORMAL:
-            # Schedule fuzzing: same-time NORMAL events are processed in
-            # a seed-determined shuffle instead of insertion order.
-            entry = (self.now + delay, priority, rng.random(), seq, event)
+        if rng is None:
+            if b is None:
+                if priority == NORMAL:
+                    buckets[t] = event
+                else:
+                    buckets[t] = [[event], [], 0, 0, False]
+                _heappush(self._times, t)
+            elif type(b) is list:
+                if priority == NORMAL:
+                    b[1].append(event)
+                else:
+                    u = b[0]
+                    if u is None:
+                        b[0] = [event]
+                    else:
+                        u.append(event)
+            elif priority == NORMAL:
+                buckets[t] = [None, [b, event], 0, 0, False]
+            else:
+                buckets[t] = [[event], [b], 0, 0, False]
+            return
+        # Schedule fuzzing: NORMAL entries carry a (sub, seq) shuffle key,
+        # so same-time NORMAL events are processed in a seed-determined
+        # shuffle instead of insertion order (every bucket is a list).
+        seq = self._seq = self._seq + 1
+        if b is None:
+            b = buckets[t] = [None, [], 0, 0, False]
+            _heappush(self._times, t)
+        if priority == NORMAL:
+            sub = rng.random()
+            normal = b[1]
+            if b[4]:
+                # The bucket is mid-drain: keep the remaining tail sorted.
+                _insort(normal, (sub, seq, event), b[3])
+            else:
+                normal.append((sub, seq, event))
         else:
-            entry = (self.now + delay, priority, seq, event)
-        mode = self._mode
-        if mode == _MODE_HEAP:
-            _heappush(self._heap, entry)
-        elif mode == _MODE_LAZY:
-            self._heap.append(entry)
-        else:
-            # Push while draining: re-establish the heap invariant over
-            # the (descending-sorted) remainder and fall back to heapq.
-            self._heap.append(entry)
-            _heapify(self._heap)
-            self._mode = _MODE_HEAP
+            u = b[0]
+            if u is None:
+                b[0] = [event]
+            else:
+                u.append(event)
 
     def _tail_token(self, event: Event) -> Any:
         """Opaque token for :meth:`_at_tail` (delivery coalescing)."""
-        return self._seq
+        return None
 
     def _at_tail(self, event: Event, token: Any) -> bool:
-        """True iff *event* is still the queue tail among entries sharing
-        its (time, NORMAL) key — i.e. a new enqueue at that key would
-        land directly after it, so batching the two preserves the exact
-        total order.  The reference backend proves it conservatively: no
-        event of any kind has been enqueued since the token was taken.
+        """True iff *event* (which carries its trigger time as ``.t``) is
+        still the queue tail among entries sharing its (time, NORMAL)
+        key — i.e. a new enqueue at that key would land directly after
+        it, so batching the two preserves the exact total order.
+
+        Structural check: the event must still be the last NORMAL entry
+        of a live bucket (rng mode stores tuples, so the identity test
+        fails there and coalescing is off — as it must be, because a new
+        entry would draw its own shuffle key).
         """
-        return self.tiebreak_rng is None and self._seq == token
+        b = self._buckets.get(event.t)
+        if b is event:
+            return True
+        if type(b) is list:
+            normal = b[1]
+            return bool(normal) and normal[-1] is event
+        return False
+
+    # -- queue state -------------------------------------------------------
+
+    def _bucket_live(self, b: list) -> bool:
+        """True if the bucket still has undrained events; a dead current
+        bucket is retired (deleted) on the spot."""
+        u = b[0]
+        if (u is not None and b[2] < len(u)) or b[3] < len(b[1]):
+            return True
+        del self._buckets[self._cur_time]
+        self._cur = None
+        return False
 
     def _has_work(self) -> bool:
         """True while at least one scheduled event remains."""
-        return bool(self._heap)
-
-    def _queue_len(self) -> int:
-        return len(self._heap)
+        b = self._cur
+        if b is not None and self._bucket_live(b):
+            return True
+        return bool(self._times)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        heap = self._heap
-        if not heap:
-            return _INF
-        mode = self._mode
-        if mode == _MODE_HEAP:
-            return heap[0][0]
-        if mode == _MODE_LAZY:
-            heap.sort(reverse=True)
-            self._mode = _MODE_DRAIN
-        return heap[-1][0]
+        b = self._cur
+        if b is not None and self._bucket_live(b):
+            return self._cur_time
+        times = self._times
+        return times[0] if times else _INF
+
+    # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        heap = self._heap
-        if not heap:
-            raise SimulationError("step() on an empty schedule")
-        mode = self._mode
-        if mode == _MODE_HEAP:
-            entry = _heappop(heap)
+        b = self._cur
+        if b is not None and not self._bucket_live(b):
+            b = None
+        if b is None:
+            times = self._times
+            if not times:
+                raise SimulationError("step() on an empty schedule")
+            t = _heappop(times)
+            if t < self.now:
+                raise SimulationError("time went backwards (kernel bug)")
+            b = self._buckets[t]
+            if type(b) is not list:
+                # Singleton: retire it before its callbacks run so a
+                # same-time arrival opens a fresh bucket behind it.
+                del self._buckets[t]
+                self.now = t
+                self._process_one(b)
+                return
+            self._cur = b
+            self._cur_time = t
+        self.now = self._cur_time
+        u = b[0]
+        if u is not None and b[2] < len(u):
+            i = b[2]
+            b[2] = i + 1
+            ev = u[i]
         else:
-            if mode == _MODE_LAZY:
-                heap.sort(reverse=True)
-                self._mode = _MODE_DRAIN
-            entry = heap.pop()
-        time = entry[0]
-        if time < self.now:
-            raise SimulationError("time went backwards (kernel bug)")
-        self.now = time
-        event = entry[-1]
+            i = b[3]
+            b[3] = i + 1
+            if self.tiebreak_rng is not None:
+                if not b[4]:
+                    b[1].sort()
+                    b[4] = True
+                ev = b[1][i][2]
+            else:
+                ev = b[1][i]
+        self._process_one(ev)
+
+    def _process_one(self, event: Event) -> None:
         callbacks = event.callbacks
         event.callbacks = None
         self.events_processed += 1
@@ -670,7 +743,11 @@ class Simulator:
         without a monitor, stepping (exact per-event counter) with one."""
         if self.monitor is None:
             self._drain(limit, stop)
-            return
+        else:
+            self._step_through(limit, stop)
+
+    def _step_through(self, limit: float, stop: Optional[Any]) -> None:
+        """The plain loop: ``peek()``/``step()`` one event at a time."""
         while ((stop is None or not stop.fired) and self._has_work()
                and self.peek() <= limit):
             self.step()
@@ -679,293 +756,9 @@ class Simulator:
         """Batched event loop: process events with time <= *limit* until
         the queue empties or *stop* fires (checked after callbacks, the
         only place it can flip).  Identical event order and semantics to
-        ``step()`` in a loop: the clock and the processed-events counter
+        ``step()`` in a loop; the clock and the processed-events counter
         are written back only when user code can observe them (callbacks,
-        exceptions, exit), and the pop mode is kept in a local that is
-        refreshed whenever callbacks ran (only user code can flip it).
-        """
-        heap = self._heap
-        mode = self._mode
-        now = self.now
-        n = 0
-        try:
-            while heap:
-                if mode == _MODE_HEAP:
-                    if heap[0][0] > limit:
-                        break
-                    entry = _heappop(heap)
-                elif mode == _MODE_DRAIN:
-                    if heap[-1][0] > limit:
-                        break
-                    entry = heap.pop()
-                else:
-                    heap.sort(reverse=True)
-                    mode = self._mode = _MODE_DRAIN
-                    continue
-                now = entry[0]
-                event = entry[-1]
-                n += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self.now = now
-                    self.events_processed += n
-                    n = 0
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event.defused:
-                        raise event._value
-                    if stop is not None and stop.fired:
-                        return
-                    mode = self._mode
-                elif event._ok is False and not event.defused:
-                    raise event._value
-        finally:
-            self.now = now
-            self.events_processed += n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<{type(self).__name__} now={self.now:.6f} "
-                f"queued={self._queue_len()}>")
-
-
-class CalendarSimulator(Simulator):
-    """Calendar/bucket-queue backend (``Simulator(queue="calendar")``).
-
-    Events are bucketed by exact trigger time in ``_buckets``; a heap of
-    distinct times (``_times``) orders the buckets.  Bucket shapes:
-
-    * a bare :class:`Event` — a single NORMAL event, no ``tiebreak_rng``
-      (the dominant case when trigger times are mostly unique); promoted
-      to a full bucket if a second event lands on the same time;
-    * a list ``[urgent, normal, u_i, n_i, sorted]`` — ``urgent`` (a list
-      or None) drains FIFO first, then ``normal``; ``u_i``/``n_i`` are
-      drain cursors so mid-drain arrivals at the same time are picked up
-      in exactly the (priority, seq) order the reference backend would
-      produce.  With a ``tiebreak_rng``, ``normal`` holds ``(sub, seq,
-      event)`` tuples, is sorted when first drained (``sorted`` flag),
-      and mid-drain arrivals are bisected into the remaining tail.
-
-    A drained bucket is deleted only once exhausted, so same-time
-    arrivals during its callbacks always join the live bucket; the
-    one-bucket-at-a-time invariant (``_cur``) holds because the clock
-    never moves backwards.
-    """
-
-    def __init__(self, tiebreak_rng: Optional[Any] = None, queue: str = "calendar") -> None:
-        super().__init__(tiebreak_rng, queue="heap")
-        self.queue_backend = "calendar"
-        self._buckets: dict = {}
-        self._times: List[float] = []
-        #: Bucket currently being drained (list shape), or None.
-        self._cur: Optional[list] = None
-        self._cur_time = 0.0
-        #: Free list of recycled Timeout objects (see module docstring).
-        self._timeout_pool: List[Timeout] = []
-
-    # -- scheduling --------------------------------------------------------
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """See :meth:`Simulator.timeout`; calendar fast path."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        if self.tiebreak_rng is not None:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
-            self._enqueue(ev, delay, NORMAL)
-            return ev
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev.defused = False
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
-        t = self.now + delay
-        buckets = self._buckets
-        b = buckets.get(t)
-        if b is None:
-            buckets[t] = ev
-            _heappush(self._times, t)
-        elif type(b) is list:
-            b[1].append(ev)
-        else:
-            buckets[t] = [None, [b, ev], 0, 0, False]
-        return ev
-
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        t = self.now + delay
-        buckets = self._buckets
-        b = buckets.get(t)
-        rng = self.tiebreak_rng
-        if rng is None:
-            if b is None:
-                if priority == NORMAL:
-                    buckets[t] = event
-                else:
-                    buckets[t] = [[event], [], 0, 0, False]
-                _heappush(self._times, t)
-            elif type(b) is list:
-                if priority == NORMAL:
-                    b[1].append(event)
-                else:
-                    u = b[0]
-                    if u is None:
-                        b[0] = [event]
-                    else:
-                        u.append(event)
-            elif priority == NORMAL:
-                buckets[t] = [None, [b, event], 0, 0, False]
-            else:
-                buckets[t] = [[event], [b], 0, 0, False]
-            return
-        # Fuzzing mode: NORMAL entries carry a (sub, seq) shuffle key.
-        seq = self._seq = self._seq + 1
-        if b is None:
-            b = buckets[t] = [None, [], 0, 0, False]
-            _heappush(self._times, t)
-        elif type(b) is not list:
-            # A bare pre-rng singleton (tiebreak_rng installed after
-            # scheduling — unsupported but tolerated): keep it first.
-            b = buckets[t] = [None, [(-1.0, 0, b)], 0, 0, False]
-        if priority == NORMAL:
-            sub = rng.random()
-            normal = b[1]
-            if b[4]:
-                # The bucket is mid-drain: keep the remaining tail sorted.
-                _insort(normal, (sub, seq, event), b[3])
-            else:
-                normal.append((sub, seq, event))
-        else:
-            u = b[0]
-            if u is None:
-                b[0] = [event]
-            else:
-                u.append(event)
-
-    def _tail_token(self, event: Event) -> Any:
-        return None
-
-    def _at_tail(self, event: Event, token: Any) -> bool:
-        # Structural check: the event must still be the last NORMAL entry
-        # of a live bucket (rng mode stores tuples, so the identity test
-        # fails there and coalescing is off — as it must be, because a
-        # new entry would draw its own shuffle key).
-        try:
-            b = self._buckets.get(event.t)
-        except AttributeError:  # pragma: no cover - defensive
-            return False
-        if b is event:
-            return True
-        if type(b) is list:
-            normal = b[1]
-            return bool(normal) and normal[-1] is event
-        return False
-
-    # -- queue state -------------------------------------------------------
-
-    def _bucket_live(self, b: list) -> bool:
-        """True if the bucket still has undrained events; a dead current
-        bucket is retired (deleted) on the spot."""
-        u = b[0]
-        if (u is not None and b[2] < len(u)) or b[3] < len(b[1]):
-            return True
-        del self._buckets[self._cur_time]
-        self._cur = None
-        return False
-
-    def _has_work(self) -> bool:
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return True
-        return bool(self._times)
-
-    def _queue_len(self) -> int:
-        n = 0
-        for b in self._buckets.values():
-            if type(b) is not list:
-                n += 1
-                continue
-            u = b[0]
-            if u is not None:
-                n += len(u) - b[2]
-            n += len(b[1]) - b[3]
-        return n
-
-    def peek(self) -> float:
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return self._cur_time
-        times = self._times
-        return times[0] if times else _INF
-
-    # -- execution ---------------------------------------------------------
-
-    def step(self) -> None:
-        b = self._cur
-        if b is not None and not self._bucket_live(b):
-            b = None
-        if b is None:
-            times = self._times
-            if not times:
-                raise SimulationError("step() on an empty schedule")
-            t = _heappop(times)
-            if t < self.now:
-                raise SimulationError("time went backwards (kernel bug)")
-            b = self._buckets[t]
-            if type(b) is not list:
-                # Singleton: retire it before its callbacks run so a
-                # same-time arrival opens a fresh bucket behind it.
-                del self._buckets[t]
-                self.now = t
-                self._process_one(b)
-                return
-            self._cur = b
-            self._cur_time = t
-        self.now = self._cur_time
-        u = b[0]
-        if u is not None and b[2] < len(u):
-            i = b[2]
-            b[2] = i + 1
-            ev = u[i]
-        else:
-            i = b[3]
-            b[3] = i + 1
-            if self.tiebreak_rng is not None:
-                if not b[4]:
-                    b[1].sort()
-                    b[4] = True
-                ev = b[1][i][2]
-            else:
-                ev = b[1][i]
-        self._process_one(ev)
-
-    def _process_one(self, event: Event) -> None:
-        callbacks = event.callbacks
-        event.callbacks = None
-        self.events_processed += 1
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event.defused:
-            raise event._value
-        if self.monitor is not None and self.events_processed % self.monitor_interval == 0:
-            self.monitor(self)
-
-    def _drain(self, limit: float, stop: Optional[Any]) -> None:
-        """Batched drain (see :meth:`Simulator._drain` for the contract).
+        exceptions, exit).
 
         Bucket lengths and cursors live in locals on the no-callback
         fast path; they are written back before callbacks run (the only
@@ -1015,6 +808,10 @@ class CalendarSimulator(Simulator):
                         continue
                     self._cur = b
                     self._cur_time = t
+                elif self._cur_time > limit:
+                    # Only on entry: an earlier run_until() stopped
+                    # mid-bucket and this one's deadline lies before it.
+                    break
                 else:
                     now = self._cur_time
                 urgent = b[0]
@@ -1075,3 +872,59 @@ class CalendarSimulator(Simulator):
         finally:
             self.now = now
             self.events_processed += n
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<{type(self).__name__} now={self.now:.6f} "
+                f"processed={self.events_processed}>")
+
+
+class ReferenceSimulator(Simulator):
+    """``Simulator(queue="heap")``: the written-down total order.
+
+    One ``heapq`` of ``(time, priority, seq, event)`` entries —
+    ``(time, NORMAL, sub, seq, event)`` for NORMAL events under a
+    ``tiebreak_rng`` — popped one event at a time by the inherited
+    ``peek()``/``step()`` loop.  Slow, obviously correct, and never on a
+    production path: it exists so the calendar queue has something
+    readable to be byte-identical to (``repro check --verify-queue``).
+    """
+
+    queue_backend = "heap"
+
+    def _init_queue(self) -> None:
+        self._heap: List[tuple] = []
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        self._seq += 1
+        if self.tiebreak_rng is not None and priority == NORMAL:
+            entry = (self.now + delay, priority, self.tiebreak_rng.random(), self._seq, event)
+        else:
+            entry = (self.now + delay, priority, self._seq, event)
+        _heappush(self._heap, entry)
+
+    def _tail_token(self, event: Event) -> Any:
+        return self._seq
+
+    def _at_tail(self, event: Event, token: Any) -> bool:
+        # Conservative: nothing of any kind was enqueued since the token.
+        return self.tiebreak_rng is None and self._seq == token
+
+    def _has_work(self) -> bool:
+        return bool(self._heap)
+
+    def peek(self) -> float:
+        return self._heap[0][0] if self._heap else _INF
+
+    def step(self) -> None:
+        if not self._heap:
+            raise SimulationError("step() on an empty schedule")
+        entry = _heappop(self._heap)
+        self.now = entry[0]
+        self._process_one(entry[-1])
+
+    _advance = Simulator._step_through

@@ -332,6 +332,62 @@ class TestSimulatorRun:
         assert sim.run_until(stop) is False  # no deadline: until nothing is left
         assert sim.now == 10.0 and sim.peek() == float("inf")
 
+        # Stopped mid-bucket (three events share t=1.0), then asked to run
+        # to a deadline *before* that bucket: nothing more may run.
+        sim, stop = build(fire_at=None)
+        fired = []
+
+        def hit(_ev, name):
+            fired.append(name)
+            stop.fired = name == "a"
+
+        for name in "abc":
+            sim.timeout(1.0).subscribe(lambda ev, name=name: hit(ev, name))
+        assert sim.run_until(stop, 100.0) is True and fired == ["a"]
+        assert sim.run_until(Flag(), 0.5) is False
+        assert fired == ["a"] and sim.now == sim.peek() == 1.0
+        assert sim.run_until(Flag(), 1.0) is False and fired == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    def test_run_to_a_horizon_then_resume(self, queue):
+        sim = Simulator(queue=queue)
+        hits = []
+        for d in (1.0, 2.0, 3.0, 4.0):
+            sim.timeout(d).subscribe(lambda ev: hits.append(ev.sim.now))
+        sim.run(until=2.5)
+        assert hits == [1.0, 2.0]
+        assert sim.now == 2.5
+        sim.timeout(1.0).subscribe(lambda ev: hits.append(ev.sim.now))  # due 3.5
+        sim.run()
+        assert hits == [1.0, 2.0, 3.0, 3.5, 4.0]
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    def test_nan_delay_is_rejected_and_inf_is_legal(self, queue):
+        sim = Simulator(queue=queue)
+        nan = float("nan")
+        for schedule in (lambda: sim.timeout(nan),
+                         lambda: Timeout(sim, nan),
+                         lambda: sim.event().succeed(None, delay=nan)):
+            with pytest.raises(SimulationError, match="nan"):
+                schedule()
+        assert sim.peek() == float("inf")  # nothing slipped into the queue
+        sim.timeout(float("inf"))
+        sim.timeout(1.0)
+        sim.run(until=2.0)
+        assert sim.events_processed == 1 and sim.peek() == float("inf")
+
+    def test_simulator_is_the_production_queue_and_the_reference_is_plain(self):
+        from repro.sim.core import ReferenceSimulator
+
+        sim = Simulator()
+        assert type(sim) is Simulator and sim.queue_backend == "calendar"
+        ref = Simulator(queue="heap")
+        assert type(ref) is ReferenceSimulator and ref.queue_backend == "heap"
+        # No batched drain, no inlined timeout, no Timeout pool: the
+        # reference overrides queue primitives and steps one event at a time.
+        assert "_drain" not in vars(ReferenceSimulator)
+        assert ReferenceSimulator._advance is Simulator._step_through
+        assert not hasattr(ref, "_timeout_pool")
     def test_run_until_takes_a_signal_or_a_subscribed_flag(self, sim):
         done = Signal(sim)
 
@@ -399,107 +455,3 @@ class TestSimulatorRun:
             return order
 
         assert build() == build()
-
-
-class TestEventQueueModes:
-    """The queue's three internal modes (lazy list / sorted drain /
-    heap) must be invisible: same total order, same observable state."""
-
-    def _modes(self):
-        from repro.sim import core
-
-        return core._MODE_LAZY, core._MODE_DRAIN, core._MODE_HEAP
-
-    def test_starts_lazy_then_drains_sorted(self):
-        LAZY, DRAIN, _HEAP = self._modes()
-        sim = Simulator(queue="heap")
-        assert sim._mode == LAZY
-        for d in (5.0, 1.0, 3.0):
-            sim.timeout(d)
-        assert sim._mode == LAZY  # scheduling alone never sorts
-        assert sim.peek() == 1.0  # first observation sorts once...
-        assert sim._mode == DRAIN  # ...and switches to drain mode
-        sim.run()
-        assert sim.now == 5.0
-        assert sim.events_processed == 3
-
-    def test_push_during_drain_falls_back_to_heap(self):
-        _LAZY, DRAIN, HEAP = self._modes()
-        sim = Simulator(queue="heap")
-        for d in (2.0, 4.0, 6.0):
-            sim.timeout(d)
-        sim.step()  # sorts, drains the t=2 event
-        assert sim._mode == DRAIN
-        sim.timeout(0.5)  # new work while draining -> re-heapify
-        assert sim._mode == HEAP
-        fired = []
-        while sim.peek() != float("inf"):
-            sim.step()
-            fired.append(sim.now)
-        # The late push lands between the drained prefix and the rest.
-        assert fired == [2.5, 4.0, 6.0]
-
-    def test_mode_transitions_preserve_total_order(self):
-        import random
-
-        rng = random.Random(7)
-        delays = [rng.uniform(0.0, 50.0) for _ in range(100)]
-        # Index 0 shares its callback-time pushes with every 10th event:
-        # timeouts scheduled from inside callbacks force pushes while the
-        # queue is mid-drain, exercising the heap fallback.
-
-        def wire(sim, order):
-            def fire(ev, i):
-                order.append((ev.sim.now, i))
-                if i % 10 == 0:
-                    sim.timeout(1.0 + (i % 7)).subscribe(
-                        lambda ev2, i=i: order.append((ev2.sim.now, 1000 + i))
-                    )
-
-            for i, d in enumerate(delays):
-                sim.timeout(d).subscribe(lambda ev, i=i: fire(ev, i))
-
-        # Drive one copy with run()'s fast drain loop...
-        run_sim, run_order = Simulator(queue="heap"), []
-        wire(run_sim, run_order)
-        run_sim.run()
-
-        # ...and an identical copy one step() at a time, with peek()
-        # observations interleaved (peek flips lazy -> drain early).
-        step_sim, step_order = Simulator(queue="heap"), []
-        wire(step_sim, step_order)
-        while step_sim.peek() != float("inf"):
-            step_sim.step()
-
-        assert len(run_order) == 110  # 100 up-front + 10 follow-ups
-        assert run_order == step_order
-        assert run_sim.now == step_sim.now
-        assert run_sim.events_processed == step_sim.events_processed == 110
-
-    def test_peek_in_every_mode(self):
-        LAZY, DRAIN, HEAP = self._modes()
-        sim = Simulator(queue="heap")
-        assert sim.peek() == float("inf")  # empty, lazy
-        sim.timeout(3.0)
-        sim.timeout(1.0)
-        assert sim.peek() == 1.0  # lazy -> drain
-        assert sim._mode == DRAIN
-        assert sim.peek() == 1.0  # drain steady-state
-        sim.timeout(0.25)
-        assert sim._mode == HEAP
-        assert sim.peek() == 0.25  # heap
-        sim.run()
-        assert sim.peek() == float("inf")  # drained
-
-    def test_run_until_horizon_across_modes(self):
-        sim = Simulator(queue="heap")
-        hits = []
-        for d in (1.0, 2.0, 3.0, 4.0):
-            sim.timeout(d).subscribe(lambda ev: hits.append(ev.sim.now))
-        sim.run(until=2.5)
-        assert hits == [1.0, 2.0]
-        assert sim.now == 2.5
-        # Due at 3.5, queued in heap/drain mode.
-        sim.timeout(1.0).subscribe(lambda ev: hits.append(ev.sim.now))
-        sim.run()
-        assert hits == [1.0, 2.0, 3.0, 3.5, 4.0]
