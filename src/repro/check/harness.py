@@ -42,10 +42,10 @@ from repro.net.topology import (
     UniformTopology,
 )
 from repro.obs.probe import Probe
-from repro.phish import build_cluster
+from repro.phish import start_job
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import derive_seed
 from repro.util.trace import TraceLog
 
 #: Scheduler settings scaled down from the paper's (2-minute heartbeats,
@@ -223,7 +223,7 @@ def _bug_drop_migration(worker: Worker) -> None:
     """Migration silently loses half of each incoming ready batch."""
     orig = worker._on_migrate
 
-    def lossy(msg, ready, suspended, sender, offer=None) -> None:
+    def lossy(msg, ready, suspended, sender, offer) -> None:
         orig(msg, ready[: len(ready) // 2], suspended, sender, offer)
 
     worker._on_migrate = lossy  # type: ignore[method-assign]
@@ -301,14 +301,7 @@ def install_network_accounting(probe: Probe, trace: TraceLog) -> None:
 
     def on_drop(t: float, kind: str, source: str, detail: dict) -> None:
         msg = detail["msg"]
-        payload = msg.payload
-        if not isinstance(payload, tuple) or not payload:
-            return
-        cids = []
-        if payload[0] == P.STEAL_REPLY and payload[1] is not None:
-            cids = [c.cid for c in payload[1]]
-        elif payload[0] == P.MIGRATE:
-            cids = [c.cid for c in payload[1]] + [c.cid for c in payload[2]]
+        cids = P.carried_cids(msg.payload)
         if cids:
             # net.partition / net.loss / net.drop.<why>; the loopback
             # drop names its why in the detail.
@@ -319,16 +312,6 @@ def install_network_accounting(probe: Probe, trace: TraceLog) -> None:
     probe.subscribe(dict.fromkeys(
         ("net.partition", "net.loss", "net.drop.down", "net.drop.unbound",
          "net.loopback.drop"), on_drop))
-
-
-def _at(sim: Simulator, time_s: float, fn: Callable[[], None], name: str) -> None:
-    """Run *fn* at simulated time *time_s* (fire-and-forget process)."""
-
-    def proc():
-        yield sim.timeout(time_s)
-        fn()
-
-    sim.process(proc(), name=name)
 
 
 def run_checked(
@@ -397,12 +380,12 @@ def run_checked(
         random.Random(pert.tiebreak_seed) if pert.tiebreak_seed is not None else None
     )
     sim = Simulator(tiebreak_rng=tiebreak, queue=queue)
-    reg = RngRegistry(seed)
     trace = TraceLog(enabled=True, capacity=trace_capacity)
     net_params = dataclasses.replace(
         profile.net, jitter_s=profile.net.jitter_s + pert.latency_jitter_s
     )
     topology = UniformTopology(net_params)
+    base_cfg = worker_config or CHECK_WORKER
     if pert.spikes or pert.partitions:
         # Layer the perturbation's network dynamics over the uniform LAN.
         # Static runs keep the plain topology: the network then skips the
@@ -416,27 +399,14 @@ def run_checked(
                 for s, e, island in pert.partitions
             ),
         )
+        base_cfg = dataclasses.replace(base_cfg, **RESILIENT_TIMEOUTS)
     probe = Probe.for_run(trace, metrics)
     install_network_accounting(probe, trace)
-    network, hosts = build_cluster(sim, n_workers, profile, reg, topology, probe)
-
-    ch = Clearinghouse(sim, network, hosts[0].name, job.name,
-                       ch_config or CHECK_CH, probe=probe)
-
-    base_cfg = worker_config or CHECK_WORKER
-    if pert.spikes or pert.partitions:
-        base_cfg = dataclasses.replace(base_cfg, **RESILIENT_TIMEOUTS)
-    jitter_rng = reg.stream("start.jitter")
-    workers: List[Worker] = []
-    for i, ws in enumerate(hosts):
-        start_jitter = jitter_rng.random() * 0.02 if i > 0 else 0.0
-        cfg = dataclasses.replace(
-            base_cfg, startup_cost_s=base_cfg.startup_cost_s + start_jitter
-        )
-        workers.append(Worker(
-            sim, ws, network, job, clearinghouse_host=hosts[0].name,
-            config=cfg, rng=reg.stream(f"worker.{i}"), probe=probe,
-        ))
+    cluster = start_job(
+        sim, job, n_workers, seed, base_cfg, ch_config or CHECK_CH, profile,
+        start_jitter_s=0.02, topology=topology, probe=probe,
+    )
+    _sim, network, hosts, ch, workers = cluster
 
     auditor = DequeAuditor()
     for w in workers:
@@ -448,13 +418,13 @@ def run_checked(
             BUGS[bug](w)
 
     for t, idx in pert.crashes:
-        _at(sim, t, hosts[idx].crash, name=f"inject-crash@ws{idx:02d}")
+        cluster.at(t, hosts[idx].crash, name=f"inject-crash@ws{idx:02d}")
     for t, idx in pert.reclaims:
         def reclaim(i: int = idx) -> None:
             w = workers[i]
-            if not w.done and not w.departed and w._run_proc.is_alive:
-                w._run_proc.interrupt("owner-reclaimed")
-        _at(sim, t, reclaim, name=f"inject-reclaim@ws{idx:02d}")
+            if not w.done and not w.departed:
+                w.evict("owner-reclaimed")
+        cluster.at(t, reclaim, name=f"inject-reclaim@ws{idx:02d}")
 
     # Run to completion or the liveness horizon, whichever comes first.
     completed = sim.run_until(ch.done, horizon_s)

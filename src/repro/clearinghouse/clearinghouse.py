@@ -318,7 +318,7 @@ class Clearinghouse:
             # strands the job forever.
             self.root_owner = None
             for name in sorted(self.ever_registered):
-                self._post(name, (P.RUN_ROOT,))
+                self._post(name, (P.RUN_ROOT, None))
 
     # ------------------------------------------------------------------
     # Broadcast helpers

@@ -20,22 +20,19 @@ job with the exact same result.  :func:`restore_job` does that.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.clearinghouse.clearinghouse import Clearinghouse, ClearinghouseConfig
+from repro.clearinghouse.clearinghouse import ClearinghouseConfig
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
 from repro.errors import ReproError
 from repro.micro import protocol as P
-from repro.micro.stats import JobStats
 from repro.micro.worker import Worker, WorkerConfig
 from repro.net.socket import Socket
-from repro.phish import JobResult, build_cluster
+from repro.phish import JobResult, start_job
 from repro.sim.core import Simulator
 from repro.tasks.closure import Closure
 from repro.tasks.program import JobProgram
-from repro.util.rng import RngRegistry
 
 
 @dataclass
@@ -132,46 +129,16 @@ def restore_job(
         raise ReproError(
             "checkpoint holds no closures — the job had effectively finished"
         )
-    names = sorted(checkpoint.workers)
     sim = Simulator()
-    reg = RngRegistry(seed)
-    network, hosts = build_cluster(sim, len(names), profile, reg)
-    # Rename hosts to the checkpointed identities.
-    for ws, name in zip(hosts, names):
-        ws.name = name
-        network.attach_cpu(name, ws.charge)
-    ch = Clearinghouse(
-        sim, network, names[0], checkpoint.job_name, ch_config, assign_root=False
+    cluster = start_job(
+        sim, job, len(checkpoint.workers), seed, worker_config or WorkerConfig(),
+        ch_config, profile,
+        restore={name: (state.ready, state.suspended, state.seq)
+                 for name, state in checkpoint.workers.items()},
     )
-    base_cfg = worker_config or WorkerConfig()
-    workers = []
-    for i, (ws, name) in enumerate(zip(hosts, names)):
-        state = checkpoint.workers[name]
-        cfg = dataclasses.replace(base_cfg)
-        workers.append(
-            Worker(
-                sim, ws, network, job, names[0], config=cfg,
-                rng=reg.stream(f"restore.{i}"),
-                initial_state=(state.ready, state.suspended, state.seq),
-            )
-        )
-    sim.run(ch.done.wait())
+    sim.run(cluster.clearinghouse.done.wait())
     sim.run(until=sim.now + drain_s)
-    stats = JobStats(
-        workers=[w.stats for w in workers],
-        messages_sent=network.counters.sent,
-        makespan=(ch.finished_at or sim.now) - (ch.started_at or 0.0),
-        result=ch.result,
-    )
-    return JobResult(
-        result=ch.result,
-        stats=stats,
-        makespan=stats.makespan,
-        sim=sim,
-        workers=workers,
-        clearinghouse=ch,
-        network=network,
-    )
+    return cluster.result()
 
 
 def checkpoint_and_kill_run(
@@ -189,16 +156,9 @@ def checkpoint_and_kill_run(
     is for.
     """
     sim = Simulator()
-    reg = RngRegistry(seed)
-    network, hosts = build_cluster(sim, n_workers, profile, reg)
-    ch = Clearinghouse(sim, network, hosts[0].name, job.name)
-    base_cfg = worker_config or WorkerConfig()
-    workers = [
-        Worker(sim, ws, network, job, hosts[0].name,
-               config=dataclasses.replace(base_cfg),
-               rng=reg.stream(f"worker.{i}"))
-        for i, ws in enumerate(hosts)
-    ]
+    cluster = start_job(sim, job, n_workers, seed, worker_config or WorkerConfig(),
+                        profile=profile)
+    ch, workers = cluster.clearinghouse, cluster.workers
 
     box: List[JobCheckpoint] = []
 

@@ -10,19 +10,16 @@ detector regenerate the lost work.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.clearinghouse.clearinghouse import Clearinghouse, ClearinghouseConfig
+from repro.clearinghouse.clearinghouse import ClearinghouseConfig
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
 from repro.errors import ReproError
-from repro.micro.stats import JobStats
-from repro.micro.worker import Worker, WorkerConfig
-from repro.phish import JobResult, build_cluster
+from repro.micro.worker import WorkerConfig
+from repro.phish import JobResult, start_job
 from repro.sim.core import Flag, Simulator
 from repro.tasks.program import JobProgram
-from repro.util.rng import RngRegistry
 
 
 @dataclass(frozen=True)
@@ -73,49 +70,17 @@ def run_job_with_crashes(
         if not (0 < idx < n_workers):
             raise ReproError(f"crash index {idx} out of range for {n_workers} workers")
     sim = Simulator()
-    reg = RngRegistry(seed)
-    network, hosts = build_cluster(sim, n_workers, profile, reg)
-    ch = Clearinghouse(
-        sim, network, hosts[0].name, job.name, ch_config or FAST_FAULT_CH
+    cluster = start_job(
+        sim, job, n_workers, seed, worker_config or FAST_FAULT_WORKER,
+        ch_config or FAST_FAULT_CH, profile, start_jitter_s,
     )
-    base_cfg = worker_config or FAST_FAULT_WORKER
-    jitter_rng = reg.stream("start.jitter")
-    workers: List[Worker] = []
-    for i, ws in enumerate(hosts):
-        jitter = jitter_rng.random() * start_jitter_s if i > 0 else 0.0
-        cfg = dataclasses.replace(
-            base_cfg, startup_cost_s=base_cfg.startup_cost_s + jitter
-        )
-        workers.append(
-            Worker(sim, ws, network, job, hosts[0].name, config=cfg,
-                   rng=reg.stream(f"worker.{i}"))
-        )
-
-    def crasher(delay: float, index: int) -> Generator:
-        yield sim.timeout(delay)
-        hosts[index].crash()
 
     for t, idx in plan.crashes:
-        sim.process(crasher(t, idx), name=f"crash@{t}:{idx}")
+        cluster.at(t, cluster.hosts[idx].crash, name=f"crash@{t}:{idx}")
 
     done = Flag()
-    ch.done.wait().subscribe(done)
+    cluster.clearinghouse.done.wait().subscribe(done)
     if not sim.run_until(done, timeout_s):
         raise ReproError(f"job did not survive the crashes within {timeout_s}s")
     sim.run(until=sim.now + 2.0)
-
-    stats = JobStats(
-        workers=[w.stats for w in workers],
-        messages_sent=network.counters.sent,
-        makespan=(ch.finished_at or sim.now) - (ch.started_at or 0.0),
-        result=ch.result,
-    )
-    return JobResult(
-        result=ch.result,
-        stats=stats,
-        makespan=stats.makespan,
-        sim=sim,
-        workers=workers,
-        clearinghouse=ch,
-        network=network,
-    )
+    return cluster.result()

@@ -171,7 +171,7 @@ class PhishJobManager:
                 self.workers_reclaimed += 1
                 if self._probe is not None and (on := self._probe.get("jm.reclaim")):
                     on(self.sim.now, "jm.reclaim", ws.name, {})
-                worker._run_proc.interrupt("owner-reclaimed")
+                worker.evict("owner-reclaimed")
                 yield worker.finished.wait()
                 break
             if cfg.enable_preemption:
@@ -188,7 +188,7 @@ class PhishJobManager:
                     if (self._probe is not None
                             and (on := self._probe.get("jm.preempt"))):
                         on(self.sim.now, "jm.preempt", ws.name, {})
-                    worker._run_proc.interrupt("preempted")
+                    worker.evict("preempted")
                     yield worker.finished.wait()
                     break
         # Tell the JobQ this machine no longer participates.

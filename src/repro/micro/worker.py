@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.workstation import Workstation
 from repro.micro import protocol as P
@@ -46,7 +46,7 @@ from repro.net.network import Network
 from repro.net.rpc import rpc_call
 from repro.net.socket import Socket
 from repro.obs.probe import Probe
-from repro.sim.core import Event, Interrupt, Simulator
+from repro.sim.core import Event, Interrupt, Process, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.resources import Signal
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, ClosureId, Continuation
@@ -278,8 +278,6 @@ class Worker:
         self.finished = Signal(sim)
         #: Why the run loop ended: "done", "retired", "reclaimed", "crashed".
         self.exit_reason: Optional[str] = None
-        #: Optional hook invoked (reason) when the run loop ends.
-        self.on_exit: Optional[Callable[[str], None]] = None
 
         if initial_state is not None:
             # Checkpoint restore: preload frozen task state.  Pushing in
@@ -295,19 +293,17 @@ class Worker:
             self._note_in_use()
 
         self.socket = Socket(network, self.host, self.config.port)
-        self._run_proc = sim.process(self._run(), name=f"worker-run@{self.name}")
-        self._net_proc = sim.process(self._net(), name=f"worker-net@{self.name}")
-        self._update_proc = sim.process(self._updates(), name=f"worker-upd@{self.name}")
-        workstation.register_process(self._run_proc)
-        workstation.register_process(self._net_proc)
-        workstation.register_process(self._update_proc)
-        if self.config.mode == "push":
-            self._balancer_proc = sim.process(
-                self._balancer(), name=f"worker-bal@{self.name}"
-            )
-            workstation.register_process(self._balancer_proc)
-        else:
-            self._balancer_proc = None
+        self._run_proc = self._spawn(self._participate(), "worker-run")
+        self._net_proc = self._spawn(self._net(), "worker-net")
+        self._update_proc = self._spawn(self._updates(), "worker-upd")
+        self._balancer_proc = (self._spawn(self._balancer(), "worker-bal")
+                               if self.config.mode == "push" else None)
+
+    def _spawn(self, steps: Generator, name: str) -> Process:
+        """Start one of this worker's processes; it dies with the machine."""
+        proc = self.sim.process(steps, name=f"{name}@{self.name}")
+        self.workstation.register_process(proc)
+        return proc
 
     # ------------------------------------------------------------------
     # SchedulerOps interface (used by Frame)
@@ -338,7 +334,7 @@ class Worker:
             and self.name != self.ch_host
         ):
             self.stats.tasks_migrated_out += 1
-            self._post(self.ch_host, self.config.port, (P.MIGRATE, [closure], [], self.name))
+            self._post(self.ch_host, self.config.port, (P.MIGRATE, [closure], [], self.name, None))
             return
         self.deque.push(closure)
         # High-water mark, taken at every growth point: under "central"
@@ -400,39 +396,34 @@ class Worker:
         closure = self.suspended.get(cid)
         if closure is not None:
             remaining = closure.try_fill(continuation.slot, value)
-            if remaining < 0:
-                self.stats.duplicate_sends += 1
-                if self._probe is not None and (on := self._probe.get("join.dup")):
-                    on(self.sim.now, "join.dup", self.name,
-                       {"cid": cid, "slot": continuation.slot})
+            if remaining >= 0:
+                if self._probe is not None and (on := self._probe.get("join.fill")):
+                    on(self.sim.now, "join.fill", self.name,
+                       {"cid": cid, "slot": continuation.slot, "remaining": remaining})
+                if remaining == 0:
+                    del self.suspended[cid]
+                    if self.config.track_completed:
+                        self.completed.add(cid)
+                    self.enqueue_ready(closure)
                 return True
-            if self._probe is not None and (on := self._probe.get("join.fill")):
-                on(self.sim.now, "join.fill", self.name,
-                   {"cid": cid, "slot": continuation.slot, "remaining": remaining})
-            if remaining == 0:
-                del self.suspended[cid]
-                if self.config.track_completed:
-                    self.completed.add(cid)
-                self.enqueue_ready(closure)
-            return True
-        if cid in self.forward_map:
+        elif cid in self.forward_map:
             return False  # departed: the caller forwards
-        if cid[0] == self.name or cid in self.completed:
-            # A send to a closure of mine that no longer exists: a
-            # crash-redo duplicate (the original already ran).
-            self.stats.duplicate_sends += 1
-            if self._probe is not None and (on := self._probe.get("join.dup")):
-                on(self.sim.now, "join.dup", self.name,
-                   {"cid": cid, "slot": continuation.slot})
-            return True
-        return False
+        elif cid[0] != self.name and cid not in self.completed:
+            return False
+        # A filled slot, or a send to a closure of mine that no longer
+        # exists: a crash-redo duplicate (the original already ran).
+        self.stats.duplicate_sends += 1
+        if self._probe is not None and (on := self._probe.get("join.dup")):
+            on(self.sim.now, "join.dup", self.name,
+               {"cid": cid, "slot": continuation.slot})
+        return True
 
     def _on_remote_arg(
         self,
         continuation: Continuation,
         value: Any,
         sender: str,
-        seq: Optional[int] = None,
+        seq: Optional[int],
     ) -> None:
         """ARG datagram: fill locally or forward (no synch counted here —
         the synchronization was counted at the sending worker)."""
@@ -475,8 +466,7 @@ class Worker:
         if self._arg_flusher_on:
             return
         self._arg_flusher_on = True
-        proc = self.sim.process(self._arg_flusher(), name=f"arg-retry@{self.name}")
-        self.workstation.register_process(proc)
+        self._spawn(self._arg_flusher(), "arg-retry")
 
     def _arg_flusher(self) -> Generator:
         """Retransmit unacknowledged argument sends (and unconfirmed
@@ -515,46 +505,54 @@ class Worker:
     # The run loop
     # ------------------------------------------------------------------
 
-    def _run(self) -> Generator:
-        cfg = self.config
+    def _participate(self, rejoining: bool = False) -> Generator:
+        """Register with the Clearinghouse, then work until the job ends
+        or this worker departs.
+
+        A retired worker re-recruited by :meth:`_rejoin` runs the same
+        steps minus the process start-up: re-registration restores
+        Clearinghouse heartbeat tracking (and peer visibility), and if
+        the root owner died with no survivors, the first re-registrant
+        is handed the root again.
+        """
         probe = self._probe
         try:
             if probe is not None and (on := probe.get("worker.begin")):
                 # A participation span opens, inside its "protocol"
                 # phase (startup + registration handshake).
                 on(self.sim.now, "worker.begin", self.name, {})
-            yield self.sim.timeout(cfg.startup_cost_s)
-            reply = yield from rpc_call(
-                self.network, self.host, self.ch_host, self.config.ch_rpc_port,
-                P.RPC_REGISTER, self.name,
-            )
+            if not rejoining:
+                yield self.sim.timeout(self.config.startup_cost_s)
+            reply = yield from self._ch_call(P.RPC_REGISTER, self.name)
             if probe is not None and (on := probe.get("phase.end")):
                 on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
-            self.stats.start_time = self.sim.now
+            if not rejoining:
+                self.stats.start_time = self.sim.now
             if reply.get("done"):
                 # The job finished before we could join.
                 self._on_job_done(reply.get("result"))
                 self._finish("done")
                 return
             self._set_peers(reply["peers"])
-            if reply["run_root"]:
+            # The Clearinghouse appointed us owner while we were
+            # mid-departure; the register reply cannot re-grant the root
+            # (root_owner still names us), so the parked ping is honored
+            # here.  (Only ever parked on a departed worker.)
+            forced = self._recruit_pending == "assigned"
+            self._recruit_pending = None
+            if reply["run_root"] or forced:
                 self._enqueue_root()
-            if probe is not None and (on := probe.get("worker.start")):
+            if (not rejoining and probe is not None
+                    and (on := probe.get("worker.start"))):
                 on(self.sim.now, "worker.start", self.name, {})
 
-            departed = yield from self._main_loop()
-            if not departed:
-                self._finish("done")
+            yield from self._main_loop()
         except Interrupt as intr:
             yield from self._on_run_interrupt(intr)
 
     def _main_loop(self) -> Generator:
-        """Steal/execute until the job ends or this worker departs.
-
-        Returns True if the worker departed (retirement already ran its
-        own finish protocol), False when the loop ended because the job
-        is done.
-        """
+        """Steal/execute until the job ends or this worker retires
+        (retirement runs its own finish protocol)."""
         cfg = self.config
         probe = self._probe
         charged_on = None if probe is None else probe.get("task.charged")
@@ -598,7 +596,7 @@ class Worker:
                     self.stats.failed_steal_attempts += 1
                     yield self.sim.timeout(cfg.steal_backoff_s)
                     continue
-                got = yield from self._steal_once()
+                got = yield from self._in_phase("stealing", self._steal_attempt())
                 if got:
                     self._failed_steals = 0
                     continue
@@ -607,12 +605,12 @@ class Worker:
                     cfg.retire_after_failed_steals is not None
                     and self._failed_steals >= cfg.retire_after_failed_steals
                     and len(self.peers) > 1
-                    and not self.suspended_or_deque_nonempty()
+                    and not self.deque and not self.suspended
                 ):
-                    yield from self._depart(reason="retired", migrate_ready=False)
-                    return True
+                    yield from self._depart("retired")
+                    return
                 yield self.sim.timeout(cfg.steal_backoff_s)
-        return False
+        self._finish("done")
 
     def _on_run_interrupt(self, intr: Interrupt) -> Generator:
         cause = str(intr.cause)
@@ -627,16 +625,11 @@ class Worker:
         # migrate tasks and die.
         reason = {"owner-reclaimed": "reclaimed"}.get(cause, cause)
         try:
-            yield from self._depart(reason=reason, migrate_ready=True)
+            yield from self._depart(reason)
         except Interrupt as again:
             # The machine crashed (or was torn down) while the departure
             # was still awaiting its migrate ack (bug 13).
             yield from self._on_run_interrupt(again)
-
-    def suspended_or_deque_nonempty(self) -> bool:
-        """True if this worker still holds closures it cannot abandon
-        without migrating them (blocks no-migration retirement paths)."""
-        return bool(self.deque) or bool(self.suspended)
 
     def _finish(self, reason: str) -> None:
         if self.stats.end_time == 0.0:
@@ -657,14 +650,7 @@ class Worker:
                 # sender's redo obligation; the accounting must still
                 # record where these copies terminated.
                 for msg in self.socket.buffered_messages():
-                    payload = msg.payload
-                    if not isinstance(payload, tuple) or not payload:
-                        continue
-                    if payload[0] == P.STEAL_REPLY and payload[1] is not None:
-                        lost += [c.cid for c in payload[1]]
-                    elif payload[0] == P.MIGRATE:
-                        lost += [c.cid for c in payload[1]]
-                        lost += [c.cid for c in payload[2]]
+                    lost += P.carried_cids(msg.payload)
                 if lost and (on := probe.get("closure.lost")):
                     on(self.sim.now, "closure.lost", self.name,
                        {"cids": lost, "reason": "crash"})
@@ -676,8 +662,6 @@ class Worker:
                     "failed": self._failed_steals,
                     "threshold": self.config.retire_after_failed_steals,
                     "port": self.config.port})
-        if self.on_exit:
-            self.on_exit(reason)
         self.finished.set(reason)
 
     def _enqueue_root(self) -> None:
@@ -686,7 +670,7 @@ class Worker:
         root = Closure(self.new_cid(), self.job.root.name, args, depth=0)
         self.enqueue_ready(root)
 
-    def _on_run_root(self, assigned: Optional[str] = None) -> None:
+    def _on_run_root(self, assigned: Optional[str]) -> None:
         """The Clearinghouse lost the root owner and picked (or is
         recruiting) this machine to restart the root task.
 
@@ -707,7 +691,7 @@ class Worker:
                 if forced == "assigned":
                     # We are the appointed owner: the register reply
                     # will not re-grant the root (root_owner still
-                    # names us), so _run_rejoined must force it.
+                    # names us), so the rejoined run loop must force it.
                     self._recruit_pending = forced
             elif self.retired:
                 # Mid-departure: the run loop is still unwinding (its
@@ -759,17 +743,19 @@ class Worker:
     # Stealing (thief side)
     # ------------------------------------------------------------------
 
-    def _steal_once(self) -> Generator:
+    def _in_phase(self, phase: str, steps: Generator) -> Generator:
+        """Run *steps* inside a ``phase.begin`` / ``phase.end`` bracket
+        (closed on any exit, an Interrupt included)."""
         probe = self._probe
         if probe is None:
-            return (yield from self._steal_attempt())
+            return (yield from steps)
         if on := probe.get("phase.begin"):
-            on(self.sim.now, "phase.begin", self.name, {"phase": "stealing"})
+            on(self.sim.now, "phase.begin", self.name, {"phase": phase})
         try:
-            return (yield from self._steal_attempt())
+            return (yield from steps)
         finally:
             if on := probe.get("phase.end"):
-                on(self.sim.now, "phase.end", self.name, {"phase": "stealing"})
+                on(self.sim.now, "phase.end", self.name, {"phase": phase})
 
     def _steal_attempt(self) -> Generator:
         cfg = self.config
@@ -783,24 +769,10 @@ class Worker:
             self.stats.failed_steal_attempts += 1
             yield self.sim.timeout(cfg.steal_backoff_s)
             return False
-        victim = self.victim_policy.choose(victims)
-        self.stats.steal_requests_sent += 1
-        # Replies come back to the worker's *main* socket (tagged with a
-        # request id), so a reply that arrives after we stopped waiting —
-        # slow link, or we were interrupted by the owner — is adopted by
-        # the net loop rather than lost.  The victim only regenerates
-        # stolen work on a *crash*, so a lost grant would hang the job.
-        self._steal_seq += 1
-        req_id = self._steal_seq
-        if self._probe is not None and (on := self._probe.get("steal.request")):
-            on(self.sim.now, "steal.request", self.name,
-               {"victim": victim, "req": req_id})
+        req_id, victim = self._request_steal(victims, {})
         waiter = Event(self.sim)
         self._steal_waiters[req_id] = waiter
-        self._steal_sent[req_id] = self.sim.now
-        self._steal_open[req_id] = victim
         try:
-            self._post(victim, cfg.port, (P.STEAL_REQ, self.name, req_id))
             deadline = self.sim.timeout(cfg.steal_timeout_s)
             settled = yield AnyOf(self.sim, [waiter, deadline])
         finally:
@@ -843,24 +815,37 @@ class Worker:
         victims = self._victims
         if not victims:
             return
+        self.stats.proactive_steals_sent += 1
+        self._proactive = self._request_steal(victims, {"proactive": True})
+
+    def _request_steal(self, victims: Sequence[str], flags: dict) -> Tuple[int, str]:
+        """Pick a victim and send it a steal request; returns
+        ``(req_id, victim)``.
+
+        Replies come back to the worker's *main* socket (tagged with the
+        request id), so a reply that arrives after we stopped waiting —
+        slow link, or we were interrupted by the owner — is adopted by
+        the net loop rather than lost.  The victim only regenerates
+        stolen work on a *crash*, so a lost grant would hang the job.
+        """
         victim = self.victim_policy.choose(victims)
         self.stats.steal_requests_sent += 1
-        self.stats.proactive_steals_sent += 1
         self._steal_seq += 1
         req_id = self._steal_seq
-        self._proactive = (req_id, victim)
         self._steal_sent[req_id] = self.sim.now
         self._steal_open[req_id] = victim
         if self._probe is not None and (on := self._probe.get("steal.request")):
             on(self.sim.now, "steal.request", self.name,
-               {"victim": victim, "req": req_id, "proactive": True})
-        self._post(victim, cfg.port, (P.STEAL_REQ, self.name, req_id))
+               {"victim": victim, "req": req_id, **flags})
+        self._post(victim, self.config.port, (P.STEAL_REQ, self.name, req_id))
+        return req_id, victim
 
     # ------------------------------------------------------------------
     # The net loop (victim side + control messages)
     # ------------------------------------------------------------------
 
     def _net(self) -> Generator:
+        handlers = P.HANDLERS
         try:
             while True:
                 msg = yield self.socket.recv()
@@ -868,53 +853,44 @@ class Worker:
                 if not isinstance(payload, tuple) or not payload:
                     continue
                 tag = payload[0]
-                if tag == P.STEAL_REQ:
-                    yield from self._serve_steal(msg, payload[1], payload[2])
-                elif tag == P.STEAL_REPLY:
-                    yield from self._on_steal_reply(payload[1], payload[2], payload[3])
-                elif tag == P.GRANT_ACK:
-                    self._pending_grants.pop((payload[1], payload[2]), None)
-                elif tag == P.ARG:
-                    self._on_remote_arg(payload[1], payload[2], payload[3],
-                                        payload[4] if len(payload) > 4 else None)
-                elif tag == P.ARG_ACK:
-                    self._pending_args.pop(payload[2], None)
-                elif tag == P.MIGRATE:
-                    self._on_migrate(msg, payload[1], payload[2], payload[3],
-                                     payload[4] if len(payload) > 4 else None)
-                elif tag == P.JOB_DONE:
-                    self._on_job_done(payload[1])
-                    if self.departed:
-                        return  # forwarder duty over
-                elif tag == P.PEER_UPDATE:
-                    self._on_peer_update(payload[1])
-                elif tag == P.WORKER_DIED:
-                    self._on_worker_died(payload[1])
-                elif tag == P.RUN_ROOT:
-                    self._on_run_root(payload[1] if len(payload) > 1 else None)
-                elif tag == P.LOAD:
-                    self.peer_loads[payload[1]] = payload[2]
-                elif tag == P.PAUSE:
-                    self.paused = True
-                elif tag == P.RESUME:
-                    self.paused = False
-                elif tag == P.SNAPSHOT_REQ:
-                    host, port = msg.reply_addr()
-                    self._post(
-                        host, port,
-                        (
-                            P.SNAPSHOT_REPLY,
-                            self.name,
-                            self.deque.peek_all(),
-                            list(self.suspended.values()),
-                            self._seq,
-                        ),
-                    )
+                known = handlers.get(tag)
+                if known is None:
+                    continue
+                # Looked up per message: the checker's deliberate bugs
+                # patch handlers on the instance.
+                name, replies = known
+                handler = getattr(self, name)
+                steps = (handler(msg, *payload[1:]) if replies
+                         else handler(*payload[1:]))
+                if steps is not None:
+                    yield from steps  # a handler that sends and waits
+                if self.departed and tag == P.JOB_DONE:
+                    return  # forwarder duty over
         except Interrupt:
             return
         finally:
             if self.done or self.workstation.crashed:
                 self.socket.close()
+
+    def _on_grant_ack(self, thief: str, req_id: int) -> None:
+        self._pending_grants.pop((thief, req_id), None)
+
+    def _on_arg_ack(self, _acker: str, seq: int) -> None:
+        self._pending_args.pop(seq, None)
+
+    def _on_load(self, sender: str, depth: int) -> None:
+        self.peer_loads[sender] = depth
+
+    def _on_pause(self) -> None:
+        self.paused = True
+
+    def _on_resume(self) -> None:
+        self.paused = False
+
+    def _on_snapshot_req(self, msg) -> None:
+        host, port = msg.reply_addr()
+        self._post(host, port, (P.SNAPSHOT_REPLY, self.name, self.deque.peek_all(),
+                                list(self.suspended.values()), self._seq))
 
     def _serve_steal(self, msg, thief: str, req_id: int) -> Generator:
         self.stats.steal_requests_received += 1
@@ -953,11 +929,7 @@ class Worker:
                 # The grant may die on a lossy or partitioned link; arm
                 # the reclaim timer (disarmed by the thief's GRANT_ACK).
                 self._pending_grants[(thief, req_id)] = list(batch)
-                proc = self.sim.process(
-                    self._grant_reclaim_timer(thief, req_id),
-                    name=f"grant-ack@{self.name}",
-                )
-                self.workstation.register_process(proc)
+                self._spawn(self._grant_reclaim_timer(thief, req_id), "grant-ack")
         host, port = msg.reply_addr()
         reply = (P.STEAL_REPLY, batch, self.name, req_id)
         yield self.socket.sendto(reply, host, port, size_bytes=P.estimate_size(reply))
@@ -999,15 +971,7 @@ class Worker:
             on(self.sim.now, "steal.reclaim", self.name,
                {"thief": thief, "req": req_id,
                 "pairs": [(o.cid, c.cid) for o, c in zip(originals, copies)]})
-        if self.departed and not self._maybe_rejoin_idle():
-            proc = self.sim.process(
-                self._redo_handoff(copies, []),
-                name=f"reclaim-handoff@{self.name}",
-            )
-            self.workstation.register_process(proc)
-        else:
-            for copy in copies:
-                self.enqueue_ready(copy)
+        self._rehome(copies, [])
 
     def _on_steal_reply(self, batch: Optional[List[Closure]], victim: str, req_id: int) -> Generator:
         """A steal reply (possibly late) arrived at the main socket."""
@@ -1083,7 +1047,7 @@ class Worker:
                    {"victim": victim, "cid": closure.cid, "req": req_id})
 
     def _on_migrate(self, msg, ready: List[Closure], suspended: List[Closure],
-                    sender: str, offer: Optional[int] = None) -> None:
+                    sender: str, offer: Optional[int]) -> None:
         if self.done or self.workstation.crashed:
             return
         if self.departed:
@@ -1171,18 +1135,7 @@ class Worker:
                 on(self.sim.now, "redo", self.name,
                    {"dead": dead, "n": len(copies),
                     "pairs": [(o.cid, c.cid) for o, c in zip(originals, copies)]})
-            if self.departed and not self._maybe_rejoin_idle():
-                # Evacuated: hand the regenerated work to a peer that
-                # explicitly acks adoption — our peer list may be stale
-                # (we stopped fetching updates at departure), so a blind
-                # post could vanish into a dead or departed machine.
-                proc = self.sim.process(
-                    self._redo_handoff(copies, []), name=f"redo-handoff@{self.name}"
-                )
-                self.workstation.register_process(proc)
-            else:
-                for copy in copies:
-                    self.enqueue_ready(copy)
+            self._rehome(copies, [])
         self._redo_migrated(dead)
 
     def _maybe_rejoin_idle(self) -> bool:
@@ -1236,18 +1189,21 @@ class Worker:
         if self._probe is not None and (on := self._probe.get("redo")):
             on(self.sim.now, "redo", self.name,
                {"dead": dead, "n": len(batch), "pairs": pairs})
+        self._rehome(ready, still_suspended)
+
+    def _rehome(self, ready: List[Closure], suspended: List[Closure]) -> None:
+        """Give regenerated closures a home: here if this worker still
+        participates (or is retired and idle, in which case it rejoins),
+        else with a peer that explicitly acks adoption — an evacuated
+        worker's peer list may be stale (it stopped fetching updates at
+        departure), so a blind post could vanish into a dead or departed
+        machine."""
         if self.departed and not self._maybe_rejoin_idle():
-            proc = self.sim.process(
-                self._redo_handoff(ready, still_suspended),
-                name=f"redo-migrated@{self.name}",
-            )
-            self.workstation.register_process(proc)
+            self._spawn(self._redo_handoff(ready, suspended), "redo-handoff")
             return
-        # Rejoined (or a prior redo this event already rejoined us):
-        # adopt the batch locally.
         for copy in ready:
             self.enqueue_ready(copy)
-        for closure in still_suspended:
+        for closure in suspended:
             self.forward_map.pop(closure.cid, None)
             self.suspended[closure.cid] = closure
             for continuation, value in self._forwarded.pop(closure.cid, []):
@@ -1277,7 +1233,6 @@ class Worker:
             return
         for closure in suspended:
             self.forward_map[closure.cid] = target
-        for closure in suspended:
             for continuation, value in self._forwarded.get(closure.cid, ()):
                 self._send_arg(target, continuation, value)
 
@@ -1295,53 +1250,9 @@ class Worker:
         self.stats.end_time = 0.0
         if self._probe is not None and (on := self._probe.get("worker.rejoin")):
             on(self.sim.now, "worker.rejoin", self.name, {})
-        self._run_proc = self.sim.process(
-            self._run_rejoined(), name=f"worker-rejoin@{self.name}"
-        )
-        self.workstation.register_process(self._run_proc)
-        if not self._update_proc.is_alive:
-            # (The old heartbeat loop may not have noticed the departure
-            # yet; if it is still running it simply carries on.)
-            self._update_proc = self.sim.process(
-                self._updates(), name=f"worker-upd@{self.name}"
-            )
-            self.workstation.register_process(self._update_proc)
-
-    def _run_rejoined(self) -> Generator:
-        """The run loop of a re-recruited worker: re-register, then work.
-
-        Re-registration restores Clearinghouse heartbeat tracking (and
-        peer visibility); if the root owner died with no survivors, the
-        re-registrant is handed the root again.
-        """
-        probe = self._probe
-        try:
-            if probe is not None and (on := probe.get("worker.begin")):
-                on(self.sim.now, "worker.begin", self.name, {})
-            reply = yield from rpc_call(
-                self.network, self.host, self.ch_host, self.config.ch_rpc_port,
-                P.RPC_REGISTER, self.name,
-            )
-            if probe is not None and (on := probe.get("phase.end")):
-                on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
-            if reply.get("done"):
-                self._on_job_done(reply.get("result"))
-                self._finish("done")
-                return
-            self._set_peers(reply["peers"])
-            forced = self._recruit_pending == "assigned"
-            self._recruit_pending = None
-            if reply["run_root"] or forced:
-                # ``forced``: the Clearinghouse appointed us owner while
-                # we were mid-departure; the register reply cannot
-                # re-grant the root (root_owner still names us), so the
-                # parked ping is honored here.
-                self._enqueue_root()
-            departed = yield from self._main_loop()
-            if not departed:
-                self._finish("done")
-        except Interrupt as intr:
-            yield from self._on_run_interrupt(intr)
+        self._run_proc = self._spawn(self._participate(rejoining=True),
+                                     "worker-rejoin")
+        self._ensure_heartbeat()
 
     # ------------------------------------------------------------------
     # Sender-initiated balancing (the "push" baseline)
@@ -1387,7 +1298,7 @@ class Worker:
         if batch:
             self.stats.tasks_migrated_out += len(batch)
             self.peer_loads[target] = load + len(batch)
-            self._post(target, cfg.port, (P.MIGRATE, batch, [], self.name))
+            self._post(target, cfg.port, (P.MIGRATE, batch, [], self.name, None))
 
     # ------------------------------------------------------------------
     # Peer updates / heartbeat
@@ -1409,10 +1320,7 @@ class Worker:
                     # deaths.
                     return
                 try:
-                    reply = yield from rpc_call(
-                        self.network, self.host, self.ch_host, self.config.ch_rpc_port,
-                        P.RPC_UPDATE, self.name,
-                    )
+                    reply = yield from self._ch_call(P.RPC_UPDATE, self.name)
                 except Exception:
                     continue  # Clearinghouse unreachable; try next period
                 if (self._probe is not None
@@ -1437,11 +1345,12 @@ class Worker:
     # Departure: retirement and owner reclaim
     # ------------------------------------------------------------------
 
-    def _depart(self, reason: str, migrate_ready: bool) -> Generator:
+    def _depart(self, reason: str) -> Generator:
         """Leave the computation gracefully, migrating tasks to a peer."""
         self.retired = reason == "retired"
         self.departed = True
-        ready = self.deque.drain() if migrate_ready else []
+        # (A worker only retires with nothing on its ready list.)
+        ready = [] if self.retired else self.deque.drain()
         suspended = list(self.suspended.values())
         if ready or suspended:
             self._fill_hold = []
@@ -1514,30 +1423,12 @@ class Worker:
         # between departure and the reply must stay under surveillance.
         self._forwarding = bool(self.forward_map or self.outstanding
                                 or self.migrated or self._steal_open)
-        probe = self._probe
-        if probe is not None and (on := probe.get("phase.begin")):
-            on(self.sim.now, "phase.begin", self.name, {"phase": "protocol"})
-        try:
-            yield from rpc_call(
-                self.network, self.host, self.ch_host, self.config.ch_rpc_port,
-                P.RPC_UNREGISTER,
-                {"name": self.name, "graceful": True,
-                 "forwarding": self._forwarding},
-            )
-        except Exception:
-            pass  # Clearinghouse will eventually time us out
-        finally:
-            if probe is not None and (on := probe.get("phase.end")):
-                on(self.sim.now, "phase.end", self.name, {"phase": "protocol"})
+        yield from self._in_phase("protocol", self._unregister())
         self._finish(reason)
-        if self._forwarding and not self._update_proc.is_alive \
-                and not self.workstation.crashed:
+        if self._forwarding:
             # The heartbeat loop may have noticed ``departed`` and exited
             # during the migration handshake; forwarders need it back.
-            self._update_proc = self.sim.process(
-                self._updates(), name=f"worker-upd@{self.name}"
-            )
-            self.workstation.register_process(self._update_proc)
+            self._ensure_heartbeat()
         if self.retired:
             # Stay reachable.  A retired worker is an idle machine whose
             # owner still permits the job, so its daemon keeps listening
@@ -1576,21 +1467,8 @@ class Worker:
                 # amend the unregister so the Clearinghouse watches our
                 # heartbeat (the first one said forwarding=False).
                 self._forwarding = True
-                try:
-                    yield from rpc_call(
-                        self.network, self.host, self.ch_host,
-                        self.config.ch_rpc_port, P.RPC_UNREGISTER,
-                        {"name": self.name, "graceful": True,
-                         "forwarding": True},
-                    )
-                except Exception:
-                    pass
-                if not self._update_proc.is_alive \
-                        and not self.workstation.crashed:
-                    self._update_proc = self.sim.process(
-                        self._updates(), name=f"worker-upd@{self.name}"
-                    )
-                    self.workstation.register_process(self._update_proc)
+                yield from self._unregister()
+                self._ensure_heartbeat()
                 return
             if self._steal_open:
                 # Open steal requests outlived the full linger window.
@@ -1607,15 +1485,7 @@ class Worker:
                 # Clearinghouse stops watching a heartbeat that is about
                 # to stop on purpose.
                 self._forwarding = False
-                try:
-                    yield from rpc_call(
-                        self.network, self.host, self.ch_host,
-                        self.config.ch_rpc_port, P.RPC_UNREGISTER,
-                        {"name": self.name, "graceful": True,
-                         "forwarding": False},
-                    )
-                except Exception:
-                    pass
+                yield from self._unregister()
             self._net_proc.interrupt("departed-no-forwarding")
             self._update_proc.interrupt("departed")
             self.socket.close()
@@ -1623,18 +1493,30 @@ class Worker:
         # sends to migrated closures, and listening for WORKER_DIED so
         # closures we granted to a since-crashed thief still get redone.
 
-    def _migrate_with_ack(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
-        probe = self._probe
-        if probe is None:
-            return (yield from self._migrate_attempts(ready, suspended))
-        if on := probe.get("phase.begin"):
-            on(self.sim.now, "phase.begin", self.name, {"phase": "migrating"})
+    def _unregister(self) -> Generator:
+        """Tell the Clearinghouse this worker left; ``_forwarding`` says
+        whether to keep it under death surveillance.  Sent again when
+        the flag changes after the departure."""
         try:
-            target = yield from self._migrate_attempts(ready, suspended)
-        finally:
-            if on := probe.get("phase.end"):
-                on(self.sim.now, "phase.end", self.name, {"phase": "migrating"})
-        if target is not None and (on := probe.get("migrate.acked")):
+            yield from self._ch_call(P.RPC_UNREGISTER, {
+                "name": self.name, "graceful": True,
+                "forwarding": self._forwarding})
+        except Exception:
+            pass  # Clearinghouse will eventually time us out
+
+    def _ensure_heartbeat(self) -> None:
+        """Restart the update loop if it already ended (it exits once it
+        notices a completed departure; if it has not noticed yet it
+        simply carries on)."""
+        if not self._update_proc.is_alive and not self.workstation.crashed:
+            self._update_proc = self._spawn(self._updates(), "worker-upd")
+
+    def _migrate_with_ack(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
+        target = yield from self._in_phase(
+            "migrating", self._migrate_attempts(ready, suspended))
+        probe = self._probe
+        if (target is not None and probe is not None
+                and (on := probe.get("migrate.acked"))):
             on(self.sim.now, "migrate.acked", self.name,
                {"target": target, "n": len(ready) + len(suspended)})
         return target
@@ -1733,6 +1615,11 @@ class Worker:
     # Helpers
     # ------------------------------------------------------------------
 
+    def _ch_call(self, method: str, args: Any) -> Generator:
+        """One RPC to this job's Clearinghouse (raises RpcError)."""
+        return rpc_call(self.network, self.host, self.ch_host,
+                        self.config.ch_rpc_port, method, args)
+
     def _post(self, host: str, port: int, payload: tuple) -> None:
         """Fire-and-forget datagram (split-phase: nobody waits on it)."""
         self.network.post(
@@ -1744,6 +1631,12 @@ class Worker:
         n = len(self.deque) + len(self.suspended) + (1 if self.executing else 0)
         if n > self.stats.max_tasks_in_use:
             self.stats.max_tasks_in_use = n
+
+    def evict(self, cause: str) -> bool:
+        """Gracefully evict this worker (``"owner-reclaimed"``,
+        ``"preempted"``): the interrupted run loop migrates its tasks to
+        a peer and departs.  False if the run loop had already ended."""
+        return self._run_proc.interrupt(cause)
 
     def stop(self) -> None:
         """Forcibly stop all of this worker's processes (test teardown)."""

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import (
+    Any, Callable, Dict, Generator, List, NamedTuple, Optional, Sequence,
+)
 
 from repro.clearinghouse.clearinghouse import Clearinghouse, ClearinghouseConfig
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
@@ -60,13 +62,15 @@ def build_cluster(
     topology: Optional[Topology] = None,
     probe: Optional[Probe] = None,
     profiles: Optional[List[PlatformProfile]] = None,
+    names: Optional[Sequence[str]] = None,
 ) -> tuple[Network, List[Workstation]]:
     """Create a network plus *n_hosts* workstations.
 
     Homogeneous by default; pass *profiles* (one per host) for a
     heterogeneous cluster — the case the paper's measurements
     deliberately avoided ("we did our measurements using only
-    SparcStation 1's") and its future work targets.
+    SparcStation 1's") and its future work targets.  Hosts are called
+    ``ws00``, ``ws01``, ... unless *names* says otherwise.
     """
     if n_hosts < 1:
         raise ReproError("need at least one workstation")
@@ -82,11 +86,103 @@ def build_cluster(
     )
     hosts = [
         Workstation(
-            sim, f"ws{i:02d}", profiles[i] if profiles else profile, network
+            sim, names[i] if names else f"ws{i:02d}",
+            profiles[i] if profiles else profile, network
         )
         for i in range(n_hosts)
     ]
     return network, hosts
+
+
+class Cluster(NamedTuple):
+    """One job stood up on its own dedicated cluster (see :func:`start_job`)."""
+
+    sim: Simulator
+    network: Network
+    hosts: List[Workstation]
+    clearinghouse: Clearinghouse
+    workers: List[Worker]
+
+    def at(self, time_s: float, fn: Callable[[], None], name: str) -> None:
+        """Run *fn* at simulated time *time_s* (fault injection)."""
+
+        def proc() -> Generator:
+            yield self.sim.timeout(time_s)
+            fn()
+
+        self.sim.process(proc(), name=name)
+
+    def result(self, **observed: Any) -> JobResult:
+        """The finished job's :class:`JobResult` (*observed*: the run's
+        ``trace`` / ``metrics`` / ``profile``)."""
+        ch = self.clearinghouse
+        stats = JobStats(
+            workers=[w.stats for w in self.workers],
+            messages_sent=self.network.counters.sent,
+            makespan=(ch.finished_at or self.sim.now) - (ch.started_at or 0.0),
+            result=ch.result,
+        )
+        return JobResult(
+            result=ch.result, stats=stats, makespan=stats.makespan, sim=self.sim,
+            workers=self.workers, clearinghouse=ch, network=self.network,
+            **observed,
+        )
+
+
+def start_job(
+    sim: Simulator,
+    job: JobProgram,
+    n_workers: int,
+    seed: int,
+    worker_config: WorkerConfig,
+    ch_config: Optional[ClearinghouseConfig] = None,
+    profile: PlatformProfile = SPARCSTATION_1,
+    start_jitter_s: float = 0.0,
+    topology: Optional[Topology] = None,
+    probe: Optional[Probe] = None,
+    profiles: Optional[List[PlatformProfile]] = None,
+    restore: Optional[Dict[str, tuple]] = None,
+) -> Cluster:
+    """Stand one job up on *sim*: the cluster, the Clearinghouse on the
+    first workstation, and one worker per machine — the bring-up every
+    harness (:func:`run_job`, the crash and checkpoint harnesses,
+    :func:`repro.check.run_checked`) shares.  Nothing has run yet.
+
+    Workers after the first start up to *start_jitter_s* late (stream
+    ``start.jitter``); worker *i* draws from stream ``worker.{i}``.
+    *restore* restarts a checkpoint instead: it maps each checkpointed
+    worker's name to its ``(ready, suspended, seq)`` state; the fresh
+    workstations take those names (so saved continuations still address
+    the right hosts), the workers preload that state and draw from
+    ``restore.{i}``, and nobody is handed the root — it lives inside the
+    checkpointed state.
+    """
+    reg = RngRegistry(seed)
+    names = sorted(restore) if restore is not None else None
+    network, hosts = build_cluster(
+        sim, n_workers, profile, reg, topology, probe, profiles, names
+    )
+    ch = Clearinghouse(sim, network, hosts[0].name, job.name, ch_config,
+                       assign_root=restore is None, probe=probe)
+    jitter_rng = reg.stream("start.jitter")
+    stream = "worker" if restore is None else "restore"
+    workers: List[Worker] = []
+    for i, ws in enumerate(hosts):
+        jitter = jitter_rng.random() * start_jitter_s if i > 0 else 0.0
+        cfg = dataclasses.replace(
+            worker_config, startup_cost_s=worker_config.startup_cost_s + jitter
+        )
+        workers.append(
+            Worker(
+                sim, ws, network, job,
+                clearinghouse_host=hosts[0].name,
+                config=cfg,
+                rng=reg.stream(f"{stream}.{i}"),
+                initial_state=None if restore is None else restore[ws.name],
+                probe=probe,
+            )
+        )
+    return Cluster(sim, network, hosts, ch, workers)
 
 
 def run_job(
@@ -131,57 +227,19 @@ def run_job(
             :class:`~repro.obs.probe.Probe`.
     """
     sim = Simulator()
-    reg = RngRegistry(seed)
     tracelog = TraceLog(enabled=True, capacity=200_000) if trace else None
     probe = Probe.for_run(tracelog, metrics, profiler)
-    network, hosts = build_cluster(
-        sim, n_workers, profile, reg, topology, probe, profiles=profiles
-    )
     if profiler is not None:
         profiler.attach_sim(sim)
-
-    ch = Clearinghouse(sim, network, hosts[0].name, job.name, ch_config,
-                       probe=probe)
-
-    base_cfg = worker_config or WorkerConfig()
-    jitter_rng = reg.stream("start.jitter")
-    workers: List[Worker] = []
-    for i, ws in enumerate(hosts):
-        jitter = jitter_rng.random() * start_jitter_s if i > 0 else 0.0
-        cfg = dataclasses.replace(base_cfg, startup_cost_s=base_cfg.startup_cost_s + jitter)
-        workers.append(
-            Worker(
-                sim,
-                ws,
-                network,
-                job,
-                clearinghouse_host=hosts[0].name,
-                config=cfg,
-                rng=reg.stream(f"worker.{i}"),
-                probe=probe,
-            )
-        )
-
-    sim.run(ch.done.wait())
+    cluster = start_job(
+        sim, job, n_workers, seed, worker_config or WorkerConfig(), ch_config,
+        profile, start_jitter_s, topology, probe, profiles,
+    )
+    sim.run(cluster.clearinghouse.done.wait())
     sim.run(until=sim.now + drain_s)  # let the done broadcast land everywhere
     if profiler is not None:
         profiler.finalize(sim.now)
-
-    stats = JobStats(
-        workers=[w.stats for w in workers],
-        messages_sent=network.counters.sent,
-        makespan=(ch.finished_at or sim.now) - (ch.started_at or 0.0),
-        result=ch.result,
-    )
-    return JobResult(
-        result=ch.result,
-        stats=stats,
-        makespan=stats.makespan,
-        sim=sim,
-        workers=workers,
-        clearinghouse=ch,
-        network=network,
-        trace=tracelog,
-        metrics=metrics,
+    return cluster.result(
+        trace=tracelog, metrics=metrics,
         profile=profiler.summary() if profiler is not None else None,
     )

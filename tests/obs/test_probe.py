@@ -22,6 +22,8 @@ from repro.cluster.platform import SPARCSTATION_1
 from repro.errors import ReproError
 from repro.macro.system import PhishSystem, PhishSystemConfig
 from repro.macro.traffic import TrafficConfig, TrafficSystem
+from repro.micro import protocol as P
+from repro.micro.worker import Worker
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import OBSERVER_ONLY, TRACED, Probe
@@ -158,21 +160,19 @@ def test_every_message_tag_is_probed_or_listed_unprobed():
     worker = next(n for n in tree.body
                   if isinstance(n, ast.ClassDef) and n.name == "Worker")
     methods = {n.name: n for n in worker.body if isinstance(n, ast.FunctionDef)}
-    dispatched, silent = set(), set()
-    for node in ast.walk(methods["_net"]):
-        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
-                and ast.unparse(node.test).startswith("tag == P.")):
-            continue
-        tag = node.test.comparators[0].attr
-        dispatched.add(tag)
-        branch = ast.Module(body=node.body, type_ignores=[])
-        handlers = [n.func.attr for n in ast.walk(branch)
-                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                    and isinstance(n.func.value, ast.Name)
-                    and n.func.value.id == "self"]
-        if not any(_emits(methods, h) for h in handlers):
-            silent.add(tag)
-    assert len(dispatched) >= 14  # the scan found the dispatch chain
+    # The net loop dispatches on the schema table: one lookup, one getattr.
+    assert "P.HANDLERS" in ast.unparse(methods["_net"])
+    assert "tag ==" not in ast.unparse(methods["_net"]).replace(
+        "tag == P.JOB_DONE", "")
+    handled = {tag: entry.handler for tag, entry in P.SCHEMA.items()
+               if entry.handler}
+    assert len(handled) >= 14
+    assert {tag: (h, P.SCHEMA[tag].replies) for tag, h in handled.items()} \
+        == P.HANDLERS
+    for tag, handler in handled.items():
+        assert handler in methods and callable(getattr(Worker, handler)), tag
+    silent = {tag.upper() for tag, handler in handled.items()
+              if not _emits(methods, handler)}
     assert silent == {tag for tag, _why in UNPROBED}
     assert all(why for _tag, why in UNPROBED)
 
