@@ -43,6 +43,7 @@ from repro.micro.deque import ReadyDeque
 from repro.micro.stats import WorkerStats
 from repro.micro.steal import make_victim_policy
 from repro.net.network import Network
+from repro.errors import RpcError
 from repro.net.rpc import rpc_call
 from repro.net.socket import Socket
 from repro.obs.probe import Probe
@@ -1321,7 +1322,7 @@ class Worker:
                     return
                 try:
                     reply = yield from self._ch_call(P.RPC_UPDATE, self.name)
-                except Exception:
+                except RpcError:
                     continue  # Clearinghouse unreachable; try next period
                 if (self._probe is not None
                         and (on := self._probe.get("worker.heartbeat"))):
@@ -1455,37 +1456,39 @@ class Worker:
             # worker.
             try:
                 yield self.sim.timeout(self.config.steal_timeout_s)
+                if (self.forward_map or self.outstanding or self.migrated
+                        or self._handoffs_active):
+                    # A straggler adopted during the linger left us with
+                    # relay duties after all (or a late grant's handoff is
+                    # still seeking an adopter — its closures are acked to
+                    # the victim, so tearing down now would lose them):
+                    # stay up as a forwarder, and
+                    # amend the unregister so the Clearinghouse watches our
+                    # heartbeat (the first one said forwarding=False).
+                    self._forwarding = True
+                    yield from self._unregister()
+                    self._ensure_heartbeat()
+                    return
+                if self._steal_open:
+                    # Open steal requests outlived the full linger window.
+                    # Stop waiting and fall silent *while still flagged as a
+                    # forwarder*: the Clearinghouse times our heartbeat out,
+                    # and if any reply was a grant lost in flight, the
+                    # WORKER_DIED it broadcasts makes the victim redo the
+                    # closures (a lost refusal just yields a harmless false
+                    # death — our outstanding tables are empty).
+                    self._steal_open.clear()
+                elif self._forwarding:
+                    # We unregistered as a forwarder only for steal requests
+                    # that have since all been answered; amend so the
+                    # Clearinghouse stops watching a heartbeat that is about
+                    # to stop on purpose.
+                    self._forwarding = False
+                    yield from self._unregister()
             except Interrupt:
-                return  # crashed/stopped while lingering
-            if (self.forward_map or self.outstanding or self.migrated
-                    or self._handoffs_active):
-                # A straggler adopted during the linger left us with
-                # relay duties after all (or a late grant's handoff is
-                # still seeking an adopter — its closures are acked to
-                # the victim, so tearing down now would lose them):
-                # stay up as a forwarder, and
-                # amend the unregister so the Clearinghouse watches our
-                # heartbeat (the first one said forwarding=False).
-                self._forwarding = True
-                yield from self._unregister()
-                self._ensure_heartbeat()
+                # Crashed/stopped while lingering or amending: _finish
+                # already ran, so end quietly (no second worker.exit).
                 return
-            if self._steal_open:
-                # Open steal requests outlived the full linger window.
-                # Stop waiting and fall silent *while still flagged as a
-                # forwarder*: the Clearinghouse times our heartbeat out,
-                # and if any reply was a grant lost in flight, the
-                # WORKER_DIED it broadcasts makes the victim redo the
-                # closures (a lost refusal just yields a harmless false
-                # death — our outstanding tables are empty).
-                self._steal_open.clear()
-            elif self._forwarding:
-                # We unregistered as a forwarder only for steal requests
-                # that have since all been answered; amend so the
-                # Clearinghouse stops watching a heartbeat that is about
-                # to stop on purpose.
-                self._forwarding = False
-                yield from self._unregister()
             self._net_proc.interrupt("departed-no-forwarding")
             self._update_proc.interrupt("departed")
             self.socket.close()
@@ -1501,7 +1504,7 @@ class Worker:
             yield from self._ch_call(P.RPC_UNREGISTER, {
                 "name": self.name, "graceful": True,
                 "forwarding": self._forwarding})
-        except Exception:
+        except RpcError:
             pass  # Clearinghouse will eventually time us out
 
     def _ensure_heartbeat(self) -> None:

@@ -152,3 +152,61 @@ def test_fib_crash_during_reclaim_migration_is_a_failstop(seed):
     (lost,) = [e for e in run.trace.events()
                if e.kind == "closure.lost" and e.source == dead.name]
     assert len(lost.detail["cids"]) >= exit_ev.detail["deque"] + exit_ev.detail["susp"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Bug 15: a crash Interrupt landing inside a Clearinghouse RPC was swallowed
+# ---------------------------------------------------------------------------
+
+
+def test_crash_during_the_heartbeat_rpc_stops_the_heartbeat_loop():
+    """``Interrupt`` subclasses ``Exception``, and the heartbeat loop
+    wrapped its RPC in ``except Exception: continue`` — so a crash that
+    landed while the request was in flight was eaten and the loop of a
+    dead machine kept running until the simulation ended."""
+    import dataclasses
+
+    from repro.apps.fib import fib_job, fib_serial
+    from repro.check.harness import CHECK_WORKER
+
+    # ws01's first heartbeat request leaves at 0.02 s (the period); the
+    # crash lands 100 us later, before the reply can be back.
+    cfg = dataclasses.replace(CHECK_WORKER, update_interval_s=0.02)
+    run = run_checked(fib_job(18), n_workers=4, seed=3, worker_config=cfg,
+                      perturbation=Perturbation(crashes=((0.0201, 1),)),
+                      expected=fib_serial(18))
+    dead = run.workers[1]
+    assert dead.exit_reason == "crashed"
+    assert not [e for e in run.trace.events()
+                if e.kind == "worker.heartbeat" and e.source == "ws01"]
+    assert not dead._update_proc.is_alive
+    assert run.completed, run.report.summary()
+    run.require_ok()
+
+
+def test_crash_during_the_unregister_rpc_is_a_failstop_not_a_departure():
+    """The same swallow around ``_depart``'s unregister recorded a crashed
+    machine as ``worker.exit.reclaimed`` and let the departure run on on
+    a dead host (bug 13's sibling)."""
+    from repro.apps.fib import fib_job, fib_serial
+
+    def go(crashes):
+        return run_checked(
+            fib_job(16), n_workers=4, seed=5, expected=fib_serial(16),
+            perturbation=Perturbation(reclaims=((0.03, 2),), crashes=crashes))
+
+    clean = go(())
+    (landed,) = [e.time for e in clean.trace.events() if e.kind == "ch.unregister"
+                 and e.detail["worker"] == "ws02"]
+    (exited,) = [e.time for e in clean.trace.events()
+                 if e.kind == "worker.exit.reclaimed" and e.source == "ws02"]
+    assert 0.03 < landed < exited
+    # Crash while the unregister's reply is on the wire.
+    run = go((((landed + exited) / 2, 2),))
+    dead = run.workers[2]
+    exits = [e.kind for e in run.trace.events()
+             if e.kind.startswith("worker.exit.") and e.source == "ws02"]
+    assert exits == ["worker.exit.crashed"] and dead.exit_reason == "crashed"
+    assert not dead._run_proc.is_alive and not dead._update_proc.is_alive
+    assert run.completed, run.report.summary()
+    run.require_ok()
