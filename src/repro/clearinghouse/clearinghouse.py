@@ -192,8 +192,10 @@ class Clearinghouse:
         # WORKER_DIED broadcast is a lone datagram, and a victim behind a
         # partition at announcement time would otherwise never learn of
         # its redo obligation.  Workers process the list idempotently.
+        # ``ever``: a departed forwarder receives no peer updates, and
+        # draws the adopters of a migration redo from this set.
         return {"peers": self._sorted_workers(), "done": self.done.is_set,
-                "dead": sorted(self.dead)}
+                "dead": sorted(self.dead), "ever": sorted(self.ever_registered)}
 
     def _rpc_io_write(self, args: Dict[str, Any], _msg) -> bool:
         """Buffered worker I/O: 'a user need only watch the Clearinghouse

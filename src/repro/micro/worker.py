@@ -1220,10 +1220,17 @@ class Worker:
         dropped in flight at the crash would otherwise be lost forever.
         """
         self._handoffs_active += 1
+        target = None
         try:
-            target = yield from self._migrate_with_ack(ready, suspended)
+            while target is None and not self.done:
+                target = yield from self._migrate_with_ack(ready, suspended)
+                if target is None:
+                    # This is the only copy: keep offering while the job
+                    # runs — the heartbeat in between learns of workers
+                    # that registered since (or were mid-departure).
+                    yield self.sim.timeout(self.config.update_interval_s)
         except Interrupt:
-            target = None
+            pass
         finally:
             self._handoffs_active -= 1
         if target is None:
@@ -1329,7 +1336,12 @@ class Worker:
                     # Counted, not wall-attributed: this loop runs
                     # concurrently with the run loop's buckets.
                     on(self.sim.now, "worker.heartbeat", self.name, {})
-                if not self.done and not self.departed:
+                if self.departed:
+                    # No PEER_UPDATE reaches a departed worker, yet it may
+                    # still owe a redo handoff: workers that registered
+                    # after it left must be among the candidates (bug 14).
+                    self._peers_seen.update(reply["ever"])
+                elif not self.done:
                     self._set_peers(reply["peers"])
                 # Deaths piggybacked on the (reliable) heartbeat reply:
                 # the WORKER_DIED broadcast is a plain datagram, so a
@@ -1412,8 +1424,12 @@ class Worker:
                    {"target": target, "n": len(ready) + len(suspended),
                     "cids": [c.cid for c in ready] + [c.cid for c in suspended]})
             # Sends that arrived mid-handoff chase the closures to their
-            # new home (the forward_map now routes any later ones).
+            # new home (the forward_map now routes any later ones) — and
+            # are retained like any relayed fill: the adopter may crash
+            # before they land, and the migration redo must replay them.
             for continuation, value in held:
+                self._forwarded.setdefault(continuation.target, []).append(
+                    (continuation, value))
                 self._send_arg(target, continuation, value)
         # Relay/redo duties outlive the departure: the Clearinghouse must
         # keep watching our heartbeat, because fills routed through a
