@@ -1378,42 +1378,27 @@ class Worker:
             finally:
                 held, self._fill_hold = self._fill_hold, None
             if target is None:
-                if reason == "reclaimed":
-                    # Owner wants the machine *now* and nobody took the
-                    # work: treat it as a fail-stop.  The closures are
-                    # lost; the Clearinghouse times our heartbeat out and
-                    # the crash-redo protocol regenerates the work.
-                    if (self._probe is not None
-                            and (on := self._probe.get("closure.lost"))):
-                        on(self.sim.now, "closure.lost", self.name,
-                           {"cids": [c.cid for c in ready] + [c.cid for c in suspended],
-                            "reason": "reclaim-failstop"})
-                    self.suspended.clear()
-                    self._finish("crashed")
-                    # Complete the fail-stop: fall silent.  With the
-                    # socket closed, peers' datagrams are dropped at the
-                    # NIC exactly as on a machine crash — a "dead"
-                    # worker that kept receiving would confuse both
-                    # peers and the causality invariant.
-                    self._net_proc.interrupt("reclaim-failstop")
-                    self._update_proc.interrupt("reclaim-failstop")
-                    self.socket.close()
-                    return
-                # Voluntary retirement: undo and keep living (the run
-                # loop returns us to stealing); replay the parked sends
-                # against the suspended table we kept.
-                self.deque.extend_tail(ready)
-                self.departed = False
-                self.retired = False
-                for continuation, value in held:
-                    self._fill_local(continuation, value)
-                if self._recruit_pending:
-                    # A root-recruitment ping landed during the aborted
-                    # departure; we are alive and registered, so answer
-                    # it directly (a duplicate root is sound — its sends
-                    # are dropped at the receivers).
-                    self._recruit_pending = None
-                    self._enqueue_root()
+                # The machine is wanted back *now* (by its owner, or by a
+                # higher-priority job) and nobody took the work: treat it
+                # as a fail-stop.  The closures are lost; the
+                # Clearinghouse times our heartbeat out and the
+                # crash-redo protocol regenerates the work.  (Retirement
+                # never gets here: a worker retires holding nothing.)
+                if (self._probe is not None
+                        and (on := self._probe.get("closure.lost"))):
+                    on(self.sim.now, "closure.lost", self.name,
+                       {"cids": [c.cid for c in ready] + [c.cid for c in suspended],
+                        "reason": "reclaim-failstop"})
+                self.suspended.clear()
+                self._finish("crashed")
+                # Complete the fail-stop: fall silent.  With the socket
+                # closed, peers' datagrams are dropped at the NIC exactly
+                # as on a machine crash — a "dead" worker that kept
+                # receiving would confuse both peers and the causality
+                # invariant.
+                self._net_proc.interrupt("reclaim-failstop")
+                self._update_proc.interrupt("reclaim-failstop")
+                self.socket.close()
                 return
             for closure in suspended:
                 self.forward_map[closure.cid] = target

@@ -82,3 +82,37 @@ def test_graceful_retirement_beats_heartbeat_timeout():
                      worker_config=cfg, ch_config=ch_cfg)
     assert result.result == shrink_expected(36, 2000)
     assert sum(w.tasks_redone for w in result.stats.workers) == 0
+
+
+@pytest.mark.parametrize("cause", ["owner-reclaimed", "preempted"])
+def test_eviction_with_no_adopter_is_a_failstop_whatever_the_cause(sim, cause):
+    """Bug 17: only ``owner-reclaimed`` fail-stopped when no peer acked
+    the migration; a *preempted* worker "undid" its departure instead —
+    but its run loop had already ended, so it sat registered and
+    heartbeating forever with its closures stranded, ``finished`` never
+    set (the JobManager waits on it) and the job unable to complete."""
+    from repro.apps.fib import fib_job, fib_serial
+    from repro.clearinghouse.clearinghouse import ClearinghouseConfig
+    from repro.phish import start_job
+
+    fast = WorkerConfig(startup_cost_s=0.01, update_interval_s=0.5)
+    cluster = start_job(
+        sim, fib_job(20), 1, 1, fast,
+        ClearinghouseConfig(update_interval_s=0.5, death_timeout_s=1.5,
+                            check_interval_s=0.2))
+    (lone,) = cluster.workers
+    sim.run(until=0.2)
+    assert len(lone.deque) + len(lone.suspended) > 0 and not lone.finished.is_set
+    assert lone.evict(cause)
+    sim.run(until=0.3)
+    assert lone.finished.is_set and lone.exit_reason == "crashed"
+    assert not lone._net_proc.is_alive and not lone._update_proc.is_alive
+    # The job survives it: the Clearinghouse declares the silent worker
+    # dead, and the next machine to register inherits the root.
+    from repro.cluster.workstation import Workstation
+    from repro.micro.worker import Worker
+
+    ws = Workstation(sim, "ws01", cluster.hosts[0].profile, cluster.network)
+    Worker(sim, ws, cluster.network, lone.job, "ws00", config=fast)
+    sim.run(cluster.clearinghouse.done.wait())
+    assert cluster.clearinghouse.result == fib_serial(20)
