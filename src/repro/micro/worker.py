@@ -464,10 +464,9 @@ class Worker:
         self._post(dest, self.config.port, (P.ARG, continuation, value, self.name, seq))
 
     def _ensure_arg_flusher(self) -> None:
-        if self._arg_flusher_on:
-            return
-        self._arg_flusher_on = True
-        self._spawn(self._arg_flusher(), "arg-retry")
+        if not self._arg_flusher_on:
+            self._arg_flusher_on = True
+            self._spawn(self._arg_flusher(), "arg-retry")
 
     def _arg_flusher(self) -> Generator:
         """Retransmit unacknowledged argument sends (and unconfirmed
@@ -936,15 +935,6 @@ class Worker:
         yield self.socket.sendto(reply, host, port, size_bytes=P.estimate_size(reply))
 
     def _grant_reclaim_timer(self, thief: str, req_id: int) -> Generator:
-        try:
-            yield self.sim.timeout(self.config.grant_ack_timeout_s)
-        except Interrupt:
-            return
-        batch = self._pending_grants.pop((thief, req_id), None)
-        if batch:
-            self._reclaim_grant(thief, req_id, batch)
-
-    def _reclaim_grant(self, thief: str, req_id: int, batch: List[Closure]) -> None:
         """No GRANT_ACK in time: presume the grant died in flight and
         regenerate the closures, exactly like a crash redo.
 
@@ -953,7 +943,12 @@ class Worker:
         slot-wise at the receivers — the same safety argument as redo
         after a falsely-suspected death.
         """
-        if self.done or self.workstation.crashed:
+        try:
+            yield self.sim.timeout(self.config.grant_ack_timeout_s)
+        except Interrupt:
+            return
+        batch = self._pending_grants.pop((thief, req_id), None)
+        if not batch or self.done or self.workstation.crashed:
             return
         mine = self.outstanding.get(thief)
         originals: List[Closure] = []
@@ -1009,63 +1004,52 @@ class Worker:
                     for closure in batch:
                         on(self.sim.now, "closure.drop", self.name,
                            {"cid": closure.cid, "reason": "thief-done"})
-            elif self.departed:
-                if self._maybe_rejoin_idle():
-                    # Retired for lack of work — and work just arrived.
-                    self._adopt_stolen(batch, victim, req_id)
-                else:
-                    # Evacuated: pass the late grant to a peer.
-                    handoff = list(batch)  # may be re-keyed on failover
-                    self._handoffs_active += 1
-                    try:
-                        target = yield from self._migrate_with_ack(handoff, [])
-                    finally:
-                        self._handoffs_active -= 1
-                    if (target is None and self._probe is not None
-                            and (on := self._probe.get("closure.drop"))):
-                        # Nobody took it: the closures are gone (the
-                        # victim still believes we have them and will not
-                        # redo them unless we crash) — surface the loss
-                        # to the checker.
-                        for closure in handoff:
-                            on(self.sim.now, "closure.drop", self.name,
-                               {"cid": closure.cid, "reason": "no-peer"})
+            elif self.departed and not self._maybe_rejoin_idle():
+                # Evacuated: pass the late grant to a peer.
+                handoff = list(batch)  # may be re-keyed on failover
+                self._handoffs_active += 1
+                try:
+                    target = yield from self._migrate_with_ack(handoff, [])
+                finally:
+                    self._handoffs_active -= 1
+                if (target is None and self._probe is not None
+                        and (on := self._probe.get("closure.drop"))):
+                    # Nobody took it: the closures are gone (the victim
+                    # still believes we have them and will not redo them
+                    # unless we crash) — surface the loss to the checker.
+                    for closure in handoff:
+                        on(self.sim.now, "closure.drop", self.name,
+                           {"cid": closure.cid, "reason": "no-peer"})
             else:
-                self._adopt_stolen(batch, victim, req_id)
+                # (A worker retired for lack of work has just rejoined.)
+                self.stats.tasks_stolen += len(batch)
+                probe = self._probe
+                if probe is not None and (on := probe.get("steal.adopt")):
+                    on(self.sim.now, "steal.adopt", self.name,
+                       {"victim": victim, "n": len(batch), "req": req_id})
+                for closure in batch:
+                    self.enqueue_ready(closure, local=True)
+                    if probe is not None and (on := probe.get("steal.success")):
+                        on(self.sim.now, "steal.success", self.name,
+                           {"victim": victim, "cid": closure.cid, "req": req_id})
         if waiter is not None and not waiter.triggered:
             waiter.succeed(batch is not None)
-
-    def _adopt_stolen(self, batch: List[Closure], victim: str, req_id: int) -> None:
-        self.stats.tasks_stolen += len(batch)
-        probe = self._probe
-        if probe is not None and (on := probe.get("steal.adopt")):
-            on(self.sim.now, "steal.adopt", self.name,
-               {"victim": victim, "n": len(batch), "req": req_id})
-        for closure in batch:
-            self.enqueue_ready(closure, local=True)
-            if probe is not None and (on := probe.get("steal.success")):
-                on(self.sim.now, "steal.success", self.name,
-                   {"victim": victim, "cid": closure.cid, "req": req_id})
 
     def _on_migrate(self, msg, ready: List[Closure], suspended: List[Closure],
                     sender: str, offer: Optional[int]) -> None:
         if self.done or self.workstation.crashed:
             return
-        if self.departed:
-            if not self.retired or self._run_proc.is_alive:
-                # Reclaimed (the owner has the machine back), or retired
-                # but the old run loop is still mid-departure.  We cannot
-                # take responsibility; send no ack — the migrating worker
-                # will retry with another peer.
-                return
-            # Retired for lack of work — but work just arrived.  The
-            # machine is idle and its owner still permits the job, so it
-            # rejoins the computation (the adaptive join/leave of the
-            # paper's NOW model).  Without this, a schedule where every
-            # live worker retires while an undetected-dead peer holds
-            # the remaining closures would strand the job: the migration
-            # redo that regenerates them would find no adopter.
-            self._rejoin()
+        if self.departed and not self._maybe_rejoin_idle():
+            # Reclaimed (the owner has the machine back), or retired but
+            # the old run loop is still mid-departure.  We cannot take
+            # responsibility; send no ack — the migrating worker will
+            # retry with another peer.  (A retired, idle machine has
+            # just rejoined: the adaptive join/leave of the paper's NOW
+            # model.  Without it, a schedule where every live worker
+            # retires while an undetected-dead peer holds the remaining
+            # closures would strand the job: the migration redo that
+            # regenerates them would find no adopter.)
+            return
         host, port = msg.reply_addr()
         if offer is not None:
             # Acked-offer path only: push-mode migrations never carry an
@@ -1448,12 +1432,11 @@ class Worker:
             return
         if not self.forward_map and not self.outstanding and not self.migrated:
             # Nothing to forward and no redo obligations — but a steal
-            # reply may still be in
-            # flight to us, and a grant lost here would hang the job
-            # (victims only regenerate stolen work on a *crash*).
-            # Linger one steal-timeout so the net loop can adopt any
-            # straggler and pass it to a live peer, then release the
-            # port so this machine can rejoin the job with a fresh
+            # reply may still be in flight to us, and a grant lost here
+            # would hang the job (victims only regenerate stolen work on
+            # a *crash*).  Linger one steal-timeout so the net loop can
+            # adopt any straggler and pass it to a live peer, then release
+            # the port so this machine can rejoin the job with a fresh
             # worker.
             try:
                 yield self.sim.timeout(self.config.steal_timeout_s)
@@ -1463,9 +1446,9 @@ class Worker:
                     # relay duties after all (or a late grant's handoff is
                     # still seeking an adopter — its closures are acked to
                     # the victim, so tearing down now would lose them):
-                    # stay up as a forwarder, and
-                    # amend the unregister so the Clearinghouse watches our
-                    # heartbeat (the first one said forwarding=False).
+                    # stay up as a forwarder, and amend the unregister so
+                    # the Clearinghouse watches our heartbeat (the first
+                    # one said forwarding=False).
                     self._forwarding = True
                     yield from self._unregister()
                     self._ensure_heartbeat()
@@ -1644,11 +1627,10 @@ class Worker:
 
     def stop(self) -> None:
         """Forcibly stop all of this worker's processes (test teardown)."""
-        procs = [self._run_proc, self._net_proc, self._update_proc]
-        if self._balancer_proc is not None:
-            procs.append(self._balancer_proc)
-        for proc in procs:
-            proc.interrupt("worker-stop")
+        for proc in (self._run_proc, self._net_proc, self._update_proc,
+                     self._balancer_proc):
+            if proc is not None:
+                proc.interrupt("worker-stop")
         self.socket.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -210,3 +210,65 @@ def test_crash_during_the_unregister_rpc_is_a_failstop_not_a_departure():
     assert not dead._run_proc.is_alive and not dead._update_proc.is_alive
     assert run.completed, run.report.summary()
     run.require_ok()
+
+
+# ---------------------------------------------------------------------------
+# Bugs 14 and 16: a departed forwarder's migration redo
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app, seed", [
+    ("fib", 6835), ("shrink", 2357), ("shrink", 4905), ("shrink", 2305)])
+def test_departed_forwarder_rehomes_a_dead_adopters_batch(app, seed):
+    """Bug 14 (both "known open" hangs of ROADMAP item 1, and ten more
+    shrink seeds in 0..9999).  ws00 is reclaimed before the jittered late
+    starters have registered, migrates everything to the one peer it
+    knows, and that adopter crashes.  ws00 still holds the batch
+    (``Worker.migrated``) and the duty to re-home it, but drew its
+    candidates from a peer set frozen at departure — empty once the
+    adopter is dead — made one pass, recorded ``closure.lost
+    reason=redo-no-peer`` and gave up for good, with live (or retired but
+    listening) workers standing by.  Heartbeat replies now tell a
+    departed worker who ever registered, and the handoff of an only copy
+    is retried every update interval while the job runs."""
+    spec = APPS[app]
+    pert = Perturbation.generate(seed, 4)
+    assert pert.crashes and pert.reclaims == ((pert.reclaims[0][0], 0),)
+    assert pert.reclaims[0][0] < pert.crashes[0][0]  # depart, adopter dies
+    run = run_checked(spec.make(), n_workers=4, seed=seed, perturbation=pert,
+                      expected=spec.expected, worker_config=spec.worker_config)
+    assert run.completed, run.report.summary()
+    run.require_ok()
+    adopter = f"ws{pert.crashes[0][1]:02d}"
+    events = list(run.trace.events())
+    (out,) = [e for e in events if e.kind == "migrate.out" and e.source == "ws00"]
+    assert out.detail["target"] == adopter
+    redo = next(e for e in events if e.kind == "redo" and e.source == "ws00"
+                and e.detail["n"] == out.detail["n"])
+    rehomed = [e for e in events if e.kind == "migrate.in" and e.time > redo.time
+               and e.detail["sender"] == "ws00"]
+    assert rehomed and sum(e.detail["n"] for e in rehomed) == out.detail["n"]
+    assert not [e for e in events if e.kind == "closure.lost"
+                and e.detail["reason"] == "redo-no-peer"]
+
+
+@pytest.mark.parametrize("seed", [6877, 7290, 8552])
+def test_fills_parked_during_a_handoff_survive_the_adopters_crash(seed):
+    """Bug 16.  The adopter crashes within milliseconds of adopting,
+    around the time the departing ws00 sees its ack.  Argument sends
+    that reached ws00 during the handoff were parked, then sent on to the
+    adopter — into a dead NIC — and, unlike fills relayed later through
+    the forward map, were not retained for the migration redo's replay:
+    the re-homed suspended closure waited forever on a slot whose value
+    no longer existed anywhere."""
+    spec = APPS["shrink"]
+    pert = Perturbation.generate(seed, 4)
+    run = run_checked(spec.make(), n_workers=4, seed=seed, perturbation=pert,
+                      expected=spec.expected, worker_config=spec.worker_config)
+    assert run.completed, run.report.summary()
+    run.require_ok()
+    events = list(run.trace.events())
+    (adopted,) = [e for e in events if e.kind == "migrate.in"
+                  and e.source == f"ws{pert.crashes[0][1]:02d}"]
+    assert 0 < pert.crashes[0][0] - adopted.time < 5e-3
+    assert run.workers[0]._forwarded  # what the redo replayed
