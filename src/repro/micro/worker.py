@@ -670,11 +670,11 @@ class Worker:
         root = Closure(self.new_cid(), self.job.root.name, args, depth=0)
         self.enqueue_ready(root)
 
-    def _on_run_root(self, assigned: Optional[str]) -> None:
+    def _on_run_root(self, assignee: Optional[str]) -> None:
         """The Clearinghouse lost the root owner and picked (or is
         recruiting) this machine to restart the root task.
 
-        ``assigned`` names the worker the Clearinghouse appointed as the
+        ``assignee`` names the worker the Clearinghouse appointed as the
         new owner (the survivor path); ``None`` is an open recruitment
         ping where the first re-registrant inherits the root.
         """
@@ -686,7 +686,7 @@ class Worker:
             # rejoins and re-registers, and for an open recruitment the
             # Clearinghouse grants run_root to the first registrant
             # after clearing the owner.
-            forced = "assigned" if assigned == self.name else "recruit"
+            forced = "assigned" if assignee == self.name else "recruit"
             if self._maybe_rejoin_idle():
                 if forced == "assigned":
                     # We are the appointed owner: the register reply
@@ -743,20 +743,6 @@ class Worker:
     # Stealing (thief side)
     # ------------------------------------------------------------------
 
-    def _in_phase(self, phase: str, steps: Generator) -> Generator:
-        """Run *steps* inside a ``phase.begin`` / ``phase.end`` bracket
-        (closed on any exit, an Interrupt included)."""
-        probe = self._probe
-        if probe is None:
-            return (yield from steps)
-        if on := probe.get("phase.begin"):
-            on(self.sim.now, "phase.begin", self.name, {"phase": phase})
-        try:
-            return (yield from steps)
-        finally:
-            if on := probe.get("phase.end"):
-                on(self.sim.now, "phase.end", self.name, {"phase": phase})
-
     def _steal_attempt(self) -> Generator:
         cfg = self.config
         if cfg.mode == "central":
@@ -769,7 +755,7 @@ class Worker:
             self.stats.failed_steal_attempts += 1
             yield self.sim.timeout(cfg.steal_backoff_s)
             return False
-        req_id, victim = self._request_steal(victims, {})
+        req_id, victim = self._request_steal(victims)
         waiter = Event(self.sim)
         self._steal_waiters[req_id] = waiter
         try:
@@ -816,11 +802,10 @@ class Worker:
         if not victims:
             return
         self.stats.proactive_steals_sent += 1
-        self._proactive = self._request_steal(victims, {"proactive": True})
+        self._proactive = self._request_steal(victims, proactive=True)
 
-    def _request_steal(self, victims: Sequence[str], flags: dict) -> Tuple[int, str]:
-        """Pick a victim and send it a steal request; returns
-        ``(req_id, victim)``.
+    def _request_steal(self, victims: Sequence[str], proactive: bool = False) -> tuple:
+        """Send a steal request to a chosen victim: ``(req_id, victim)``.
 
         Replies come back to the worker's *main* socket (tagged with the
         request id), so a reply that arrives after we stopped waiting —
@@ -836,7 +821,8 @@ class Worker:
         self._steal_open[req_id] = victim
         if self._probe is not None and (on := self._probe.get("steal.request")):
             on(self.sim.now, "steal.request", self.name,
-               {"victim": victim, "req": req_id, **flags})
+               {"victim": victim, "req": req_id,
+                **({"proactive": True} if proactive else {})})
         self._post(victim, self.config.port, (P.STEAL_REQ, self.name, req_id))
         return req_id, victim
 
@@ -1601,6 +1587,20 @@ class Worker:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+
+    def _in_phase(self, phase: str, steps: Generator) -> Generator:
+        """Run *steps* inside a ``phase.begin`` / ``phase.end`` bracket
+        (closed on any exit, an Interrupt included)."""
+        probe = self._probe
+        if probe is None:
+            return (yield from steps)
+        if on := probe.get("phase.begin"):
+            on(self.sim.now, "phase.begin", self.name, {"phase": phase})
+        try:
+            return (yield from steps)
+        finally:
+            if on := probe.get("phase.end"):
+                on(self.sim.now, "phase.end", self.name, {"phase": phase})
 
     def _ch_call(self, method: str, args: Any) -> Generator:
         """One RPC to this job's Clearinghouse (raises RpcError)."""
