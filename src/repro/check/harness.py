@@ -108,20 +108,19 @@ class Perturbation:
 
     #: Scenario names understood by :meth:`generate` (CLI ``--scenario``).
     SCENARIOS = ("mixed", "partition", "spike", "faults-only")
+    #: What :meth:`generate` draws against: how often a seed gets a
+    #: crash / a reclaim / (under "mixed") a spike / a partition, the
+    #: window faults start in, and the latency-jitter ceiling.
+    P_CRASH = 0.6
+    P_RECLAIM = 0.5
+    P_SPIKE = 0.4
+    P_PARTITION = 0.35
+    FAULT_WINDOW_S = (0.012, 0.06)
+    MAX_JITTER_S = 2.0e-3
 
     @classmethod
-    def generate(
-        cls,
-        seed: int,
-        n_workers: int,
-        p_crash: float = 0.6,
-        p_reclaim: float = 0.5,
-        fault_window_s: Tuple[float, float] = (0.012, 0.06),
-        max_jitter_s: float = 2.0e-3,
-        p_spike: float = 0.4,
-        p_partition: float = 0.35,
-        scenario: str = "mixed",
-    ) -> "Perturbation":
+    def generate(cls, seed: int, n_workers: int,
+                 scenario: str = "mixed") -> "Perturbation":
         """Derive a perturbation from *seed* (stable across processes).
 
         ``scenario`` focuses the network dynamics: "mixed" uses the
@@ -136,12 +135,12 @@ class Perturbation:
                 f"unknown scenario {scenario!r}; known: {sorted(cls.SCENARIOS)}"
             )
         rng = random.Random(derive_seed(seed, "check.perturb"))
-        lo, hi = fault_window_s
+        lo, hi = cls.FAULT_WINDOW_S
         crashes: List[Tuple[float, int]] = []
-        if n_workers > 1 and rng.random() < p_crash:
+        if n_workers > 1 and rng.random() < cls.P_CRASH:
             crashes.append((lo + rng.random() * (hi - lo), rng.randrange(1, n_workers)))
         reclaims: List[Tuple[float, int]] = []
-        if n_workers > 1 and rng.random() < p_reclaim:
+        if n_workers > 1 and rng.random() < cls.P_RECLAIM:
             # Any worker may be reclaimed, including the Clearinghouse
             # host's (reclaim only evicts the worker; the CH survives).
             t = lo + rng.random() * (hi - lo)
@@ -158,9 +157,9 @@ class Perturbation:
                 reclaims.append((t, idx))
         # Drawn after the original components so pre-topology seeds keep
         # their exact crash/reclaim/jitter values.
-        jitter = rng.random() * max_jitter_s
-        eff_spike = {"spike": 1.0, "faults-only": 0.0}.get(scenario, p_spike)
-        eff_part = {"partition": 1.0, "faults-only": 0.0}.get(scenario, p_partition)
+        jitter = rng.random() * cls.MAX_JITTER_S
+        eff_spike = {"spike": 1.0, "faults-only": 0.0}.get(scenario, cls.P_SPIKE)
+        eff_part = {"partition": 1.0, "faults-only": 0.0}.get(scenario, cls.P_PARTITION)
         spikes: List[Tuple[float, float, float]] = []
         r = rng.random()
         start = lo + rng.random() * (hi - lo)

@@ -29,9 +29,9 @@ from repro.errors import AddressError, RpcError
 from repro.micro import protocol as P
 from repro.micro.worker import Worker, WorkerConfig
 from repro.net.network import Network
-from repro.net.rpc import rpc_call
+from repro.net.rpc import RpcClient
 from repro.obs.probe import Probe
-from repro.sim.core import Interrupt, Simulator
+from repro.sim.core import Event, Interrupt, Simulator
 from repro.sim.events import AnyOf
 
 
@@ -60,7 +60,15 @@ class JobManagerConfig:
 
 
 class PhishJobManager:
-    """Idle-cycle harvesting daemon for one workstation."""
+    """Idle-cycle harvesting daemon for one workstation.
+
+    The machine side of the macro protocol is written once, in
+    :meth:`_run`; its two steps that vary are methods a subclass may
+    replace: how to wait when the JobQ has no work (:meth:`_no_job_wait`)
+    and what participating in a granted job means (:meth:`_participate`)
+    — the traffic engine (:mod:`repro.macro.traffic`) swaps in a wait on
+    the JobQ's bell and a synthetic service drain.
+    """
 
     def __init__(
         self,
@@ -75,7 +83,8 @@ class PhishJobManager:
         self.sim = sim
         self.workstation = workstation
         self.network = network
-        self.jobq_host = jobq_host
+        #: Every call this daemon makes to the PhishJobQ goes through here.
+        self.jobq = RpcClient(network, workstation.name, jobq_host, P.JOBQ_PORT)
         self.config = config or JobManagerConfig()
         self.rng = rng or random.Random(0)
         #: The run's probe seam (repro.obs.probe), or None; shared with
@@ -106,53 +115,61 @@ class PhishJobManager:
                     if not cfg.idleness_policy.is_idle(ws):
                         break  # owner came back while we were asking
                     try:
-                        descriptor = yield from rpc_call(
-                            self.network, ws.name, self.jobq_host, P.JOBQ_PORT,
-                            "request_job", ws.name,
-                        )
+                        descriptor = yield from self.jobq.call("request_job", ws.name)
                     except RpcError:
                         descriptor = None  # JobQ unreachable; retry later
                     if descriptor is None:
-                        yield self.sim.timeout(cfg.no_job_retry_s)
+                        yield self._no_job_wait()
                 if descriptor is None:
                     continue
-                # Phase 3: run a worker and watch for the owner's return.
-                yield from self._run_worker(descriptor)
+                # Phase 3: participate until done, drained or reclaimed.
+                yield from self._participate(descriptor)
         except Interrupt:
             if self.current_worker is not None:
                 self.current_worker.stop()
             return
 
-    def _run_worker(self, descriptor: dict) -> Generator:
+    def _no_job_wait(self) -> Event:
+        """What to wait on after the JobQ answered "no job" (paper: 30 s)."""
+        return self.sim.timeout(self.config.no_job_retry_s)
+
+    def _release(self, job_id: int) -> Generator:
+        """Tell the JobQ this machine no longer participates in *job_id*
+        (until it hears: a slot left taken by a machine that is gone
+        counts against the job's ``max_workers`` for good)."""
+        args = {"job_id": job_id, "workstation": self.workstation.name}
+        while True:
+            try:
+                return (yield from self.jobq.call("release", args))
+            except RpcError:  # JobQ unreachable; retry later
+                yield self.sim.timeout(self.config.no_job_retry_s)
+
+    def start_worker(self, descriptor: dict, rng: random.Random) -> Worker:
+        """A worker for the described job on this workstation (also how
+        ``PhishSystem.submit`` starts a job's first worker)."""
+        return Worker(
+            self.sim, self.workstation, self.network, descriptor["program"],
+            clearinghouse_host=descriptor["ch_host"],
+            config=dataclasses.replace(
+                self.config.worker_config,
+                port=descriptor["worker_port"],
+                ch_rpc_port=descriptor["ch_rpc_port"],
+                ch_data_port=descriptor["ch_data_port"],
+            ),
+            rng=rng, probe=self._probe,
+        )
+
+    def _participate(self, descriptor: dict) -> Generator:
+        """Run a worker for the granted job and watch for the owner's return."""
         cfg = self.config
         ws = self.workstation
-        worker_cfg = dataclasses.replace(
-            cfg.worker_config,
-            port=descriptor["worker_port"],
-            ch_rpc_port=descriptor["ch_rpc_port"],
-            ch_data_port=descriptor["ch_data_port"],
-        )
         try:
-            worker = Worker(
-                self.sim,
-                ws,
-                self.network,
-                descriptor["program"],
-                clearinghouse_host=descriptor["ch_host"],
-                config=worker_cfg,
-                rng=random.Random(self.rng.getrandbits(64)),
-                probe=self._probe,
-            )
+            worker = self.start_worker(
+                descriptor, random.Random(self.rng.getrandbits(64)))
         except AddressError:
             # A previous worker for this job still forwards on the port;
             # release the slot and come back later.
-            try:
-                yield from rpc_call(
-                    self.network, ws.name, self.jobq_host, P.JOBQ_PORT,
-                    "release", {"job_id": descriptor["job_id"], "workstation": ws.name},
-                )
-            except RpcError:
-                pass
+            yield from self._release(descriptor["job_id"])
             yield self.sim.timeout(self.config.no_job_retry_s)
             return
         self.current_worker = worker
@@ -176,8 +193,7 @@ class PhishJobManager:
                 break
             if cfg.enable_preemption:
                 try:
-                    should = yield from rpc_call(
-                        self.network, ws.name, self.jobq_host, P.JOBQ_PORT,
+                    should = yield from self.jobq.call(
                         "check_preempt",
                         {"workstation": ws.name, "job_id": descriptor["job_id"]},
                     )
@@ -191,14 +207,7 @@ class PhishJobManager:
                     worker.evict("preempted")
                     yield worker.finished.wait()
                     break
-        # Tell the JobQ this machine no longer participates.
-        try:
-            yield from rpc_call(
-                self.network, ws.name, self.jobq_host, P.JOBQ_PORT,
-                "release", {"job_id": self.current_job_id, "workstation": ws.name},
-            )
-        except RpcError:
-            pass
+        yield from self._release(descriptor["job_id"])
         self.current_worker = None
         self.current_job_id = None
 

@@ -66,6 +66,8 @@ class AssignmentPolicy:
 
     def __init__(self) -> None:
         self.scanned = 0
+        #: Every pooled (not yet done) job, by id.
+        self._records: Dict[int, JobRecord] = {}
 
     @staticmethod
     def eligible(record: JobRecord, requester: str) -> bool:
@@ -102,6 +104,17 @@ class AssignmentPolicy:
         """Pick a job for *requester*, or None if nothing is eligible."""
         raise NotImplementedError
 
+    def _next_in(self, ring: CycleList, requester: str) -> Optional[JobRecord]:
+        """The first eligible job on *ring*, one revolution from its
+        cursor; the cursor moves on to that job's successor."""
+        for job_id in ring.from_cursor():
+            self.scanned += 1
+            record = self._records[job_id]
+            if self.eligible(record, requester):
+                ring.advance_past(job_id)
+                return record
+        return None
+
 
 class RoundRobinAssignment(AssignmentPolicy):
     """The paper's policy: cycle through the pool, one job per request.
@@ -117,7 +130,6 @@ class RoundRobinAssignment(AssignmentPolicy):
     def __init__(self) -> None:
         super().__init__()
         self._ring = CycleList()
-        self._records: Dict[int, JobRecord] = {}
 
     def on_submit(self, record: JobRecord) -> None:
         self._records[record.job_id] = record
@@ -128,13 +140,7 @@ class RoundRobinAssignment(AssignmentPolicy):
         self._records.pop(record.job_id, None)
 
     def choose(self, requester: str) -> Optional[JobRecord]:
-        for job_id in self._ring.from_cursor():
-            self.scanned += 1
-            record = self._records[job_id]
-            if self.eligible(record, requester):
-                self._ring.advance_past(job_id)
-                return record
-        return None
+        return self._next_in(self._ring, requester)
 
 
 class InterruptSharingAssignment(RoundRobinAssignment):
@@ -144,17 +150,81 @@ class InterruptSharingAssignment(RoundRobinAssignment):
     Kelly (PAPERS.md): instead of idle machines rediscovering work on a
     retry timer (the paper's 30-second poll), the scheduler interrupts
     parked idle machines the moment a submission or release makes work
-    available.  Assignment order is unchanged — the win is the removed
-    rediscovery latency, which the traffic sweeps measure as job-latency
-    percentiles.  Honoured by :class:`repro.macro.traffic.TrafficSystem`
-    (the JobQ exposes the pool-change hook; pull-mode daemons ignore it).
+    available.  The policy itself only sets the flag: *which* job a
+    machine gets is plain round-robin, and the wake-up is the daemon's
+    no-job wait (``PhishJobManager._no_job_wait``, which the traffic
+    engine's daemon turns into a park on the JobQ's pool-change bell;
+    the paper's pull-mode daemon ignores the flag and polls).  The win
+    is the removed rediscovery latency, which the traffic sweeps
+    measure as job-latency percentiles.
     """
 
     name = "interrupt-sharing"
     interrupt_driven = True
 
 
-class PriorityAssignment(AssignmentPolicy):
+def _pop_first(heap: LazyMinHeap, take, requester: str) -> Optional[JobRecord]:
+    """Pop *heap* best-first until ``take(item, requester)`` yields a
+    record; the entries it declined go back under their old keys, so a
+    requester's ineligibility never reorders anyone else's view.  The
+    caller re-pushes the taken item (under its new key) and compacts."""
+    skipped = []
+    picked: Optional[JobRecord] = None
+    while picked is None:
+        entry = heap.pop_min()
+        if entry is None:
+            break
+        key, item = entry
+        picked = take(item, requester)
+        if picked is None:
+            skipped.append((item, key))
+    for item, key in skipped:
+        heap.push(item, key)
+    return picked
+
+
+class KeyedAssignment(AssignmentPolicy):
+    """Best-first on a per-job key: one :class:`LazyMinHeap` of job ids.
+
+    A subclass supplies :meth:`_key` (ending in the job id, so keys are
+    totally ordered) and says when a job is re-keyed: always at
+    submission and after being chosen, and — for keys derived from
+    participation — on every grant/release via :meth:`_refresh`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap = LazyMinHeap()
+
+    def _key(self, record: JobRecord):
+        raise NotImplementedError
+
+    def _refresh(self, record: JobRecord, _ws: str = "") -> None:
+        if record.job_id in self._records and not record.done:
+            self._heap.push(record.job_id, self._key(record))
+
+    def on_submit(self, record: JobRecord) -> None:
+        self._records[record.job_id] = record
+        self._heap.push(record.job_id, self._key(record))
+
+    def on_done(self, record: JobRecord) -> None:
+        self._heap.discard(record.job_id)
+        self._records.pop(record.job_id, None)
+
+    def _take(self, job_id: int, requester: str) -> Optional[JobRecord]:
+        self.scanned += 1
+        record = self._records[job_id]
+        return record if self.eligible(record, requester) else None
+
+    def choose(self, requester: str) -> Optional[JobRecord]:
+        picked = _pop_first(self._heap, self._take, requester)
+        if picked is not None:
+            self._heap.push(picked.job_id, self._key(picked))
+        self._heap.compact()
+        return picked
+
+
+class PriorityAssignment(KeyedAssignment):
     """Highest priority wins; least-recently-granted within a level.
 
     Deterministic ordering, pinned: the key is ``(-priority, serve_seq,
@@ -168,47 +238,16 @@ class PriorityAssignment(AssignmentPolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap = LazyMinHeap()
-        self._records: Dict[int, JobRecord] = {}
         self._seq = 0
 
     def _key(self, record: JobRecord):
+        # Every (re-)keying is a fresh stamp: a submitted job joins, and
+        # a granted job goes to, the back of its level.
+        self._seq += 1
         return (-record.priority, self._seq, record.job_id)
 
-    def on_submit(self, record: JobRecord) -> None:
-        self._seq += 1
-        self._records[record.job_id] = record
-        self._heap.push(record.job_id, self._key(record))
 
-    def on_done(self, record: JobRecord) -> None:
-        self._heap.discard(record.job_id)
-        self._records.pop(record.job_id, None)
-
-    def choose(self, requester: str) -> Optional[JobRecord]:
-        skipped = []
-        picked: Optional[JobRecord] = None
-        while True:
-            entry = self._heap.pop_min()
-            if entry is None:
-                break
-            key, job_id = entry
-            record = self._records[job_id]
-            self.scanned += 1
-            if self.eligible(record, requester):
-                picked = record
-                break
-            skipped.append((job_id, key))
-        for job_id, key in skipped:
-            self._heap.push(job_id, key)
-        if picked is not None:
-            # Re-stamp: the granted job goes to the back of its level.
-            self._seq += 1
-            self._heap.push(picked.job_id, self._key(picked))
-        self._heap.compact()
-        return picked
-
-
-class LeastWorkersAssignment(AssignmentPolicy):
+class LeastWorkersAssignment(KeyedAssignment):
     """Send the workstation to the job with the fewest participants.
 
     Equalises space shares, so a freshly-submitted job catches up fast.
@@ -217,54 +256,13 @@ class LeastWorkersAssignment(AssignmentPolicy):
     """
 
     name = "least-workers"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap = LazyMinHeap()
-        self._records: Dict[int, JobRecord] = {}
+    on_grant = on_release = KeyedAssignment._refresh
 
     def _key(self, record: JobRecord):
         return (len(record.participants), record.job_id)
 
-    def _refresh(self, record: JobRecord, _ws: str = "") -> None:
-        if record.job_id in self._records and not record.done:
-            self._heap.push(record.job_id, self._key(record))
 
-    on_grant = _refresh
-    on_release = _refresh
-
-    def on_submit(self, record: JobRecord) -> None:
-        self._records[record.job_id] = record
-        self._heap.push(record.job_id, self._key(record))
-
-    def on_done(self, record: JobRecord) -> None:
-        self._heap.discard(record.job_id)
-        self._records.pop(record.job_id, None)
-
-    def choose(self, requester: str) -> Optional[JobRecord]:
-        skipped = []
-        picked: Optional[JobRecord] = None
-        while True:
-            entry = self._heap.pop_min()
-            if entry is None:
-                break
-            key, job_id = entry
-            record = self._records[job_id]
-            self.scanned += 1
-            if self.eligible(record, requester):
-                picked = record
-                break
-            skipped.append((job_id, key))
-        for job_id, key in skipped:
-            self._heap.push(job_id, key)
-        if picked is not None:
-            # on_grant will re-key with the updated participant count.
-            self._heap.push(picked.job_id, self._key(picked))
-        self._heap.compact()
-        return picked
-
-
-class ShortestRemainingAssignment(AssignmentPolicy):
+class ShortestRemainingAssignment(KeyedAssignment):
     """Shortest remaining parallelism first — macro-level SRPT.
 
     The job with the least remaining work estimate (``remaining_s``,
@@ -278,11 +276,7 @@ class ShortestRemainingAssignment(AssignmentPolicy):
     """
 
     name = "srp"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap = LazyMinHeap()
-        self._records: Dict[int, JobRecord] = {}
+    on_grant = on_release = KeyedAssignment._refresh
 
     def _key(self, record: JobRecord):
         remaining = record.remaining_s
@@ -291,42 +285,6 @@ class ShortestRemainingAssignment(AssignmentPolicy):
         if remaining is None:
             remaining = _UNSIZED
         return (remaining, record.job_id)
-
-    def _refresh(self, record: JobRecord, _ws: str = "") -> None:
-        if record.job_id in self._records and not record.done:
-            self._heap.push(record.job_id, self._key(record))
-
-    on_grant = _refresh
-    on_release = _refresh
-
-    def on_submit(self, record: JobRecord) -> None:
-        self._records[record.job_id] = record
-        self._heap.push(record.job_id, self._key(record))
-
-    def on_done(self, record: JobRecord) -> None:
-        self._heap.discard(record.job_id)
-        self._records.pop(record.job_id, None)
-
-    def choose(self, requester: str) -> Optional[JobRecord]:
-        skipped = []
-        picked: Optional[JobRecord] = None
-        while True:
-            entry = self._heap.pop_min()
-            if entry is None:
-                break
-            _key, job_id = entry
-            record = self._records[job_id]
-            self.scanned += 1
-            if self.eligible(record, requester):
-                picked = record
-                break
-            skipped.append((job_id, _key))
-        for job_id, key in skipped:
-            self._heap.push(job_id, key)
-        if picked is not None:
-            self._heap.push(picked.job_id, self._key(picked))
-        self._heap.compact()
-        return picked
 
 
 class FairShareAssignment(AssignmentPolicy):
@@ -349,7 +307,6 @@ class FairShareAssignment(AssignmentPolicy):
         self._usage: Dict[str, int] = {}
         self._owner_heap = LazyMinHeap()
         self._owner_jobs: Dict[str, CycleList] = {}
-        self._records: Dict[int, JobRecord] = {}
 
     @staticmethod
     def owner_of(record: JobRecord) -> str:
@@ -376,35 +333,16 @@ class FairShareAssignment(AssignmentPolicy):
                 self._owner_heap.discard(owner)
         self._records.pop(record.job_id, None)
 
+    def _take(self, owner: str, requester: str) -> Optional[JobRecord]:
+        # An owner is in the heap exactly while it has a ring of jobs.
+        return self._next_in(self._owner_jobs[owner], requester)
+
     def choose(self, requester: str) -> Optional[JobRecord]:
-        skipped = []
-        picked: Optional[JobRecord] = None
-        picked_owner: Optional[str] = None
-        while True:
-            entry = self._owner_heap.pop_min()
-            if entry is None:
-                break
-            key, owner = entry
-            ring = self._owner_jobs.get(owner)
-            if ring is None:
-                continue  # stale owner entry
-            for job_id in ring.from_cursor():
-                self.scanned += 1
-                record = self._records[job_id]
-                if self.eligible(record, requester):
-                    ring.advance_past(job_id)
-                    picked = record
-                    picked_owner = owner
-                    break
-            if picked is not None:
-                break
-            skipped.append((owner, key))
-        for owner, key in skipped:
-            self._owner_heap.push(owner, key)
-        if picked is not None and picked_owner is not None:
-            self._usage[picked_owner] += 1
-            self._owner_heap.push(
-                picked_owner, (self._usage[picked_owner], picked_owner))
+        picked = _pop_first(self._owner_heap, self._take, requester)
+        if picked is not None:
+            owner = self.owner_of(picked)
+            self._usage[owner] += 1
+            self._owner_heap.push(owner, (self._usage[owner], owner))
         self._owner_heap.compact()
         return picked
 

@@ -10,7 +10,6 @@ the PhishJobQ so that idle machines pick it up.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional
@@ -26,11 +25,11 @@ from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import AssignmentPolicy
 from repro.micro import protocol as P
 from repro.micro.worker import Worker
-from repro.net.network import Network
-from repro.net.rpc import rpc_call
-from repro.net.topology import Topology, UniformTopology
+from repro.net.rpc import RpcClient
+from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
+from repro.phish import build_cluster
 from repro.sim.core import Flag, Simulator
 from repro.sim.events import AllOf
 from repro.tasks.program import JobProgram
@@ -81,35 +80,26 @@ class PhishSystem:
         )
         #: The one probe every component of this system reports through.
         self.probe = Probe.for_run(self.trace, self.metrics)
-        self.network = Network(
-            self.sim,
-            cfg.topology or UniformTopology(cfg.profile.net),
-            rng=self.rng.stream("net"),
-            probe=self.probe,
+        self.network, self.workstations = build_cluster(
+            self.sim, cfg.n_workstations, cfg.profile, self.rng, cfg.topology,
+            self.probe,
         )
-        self.workstations: List[Workstation] = []
-        self.owners: List[Owner] = []
-        self.jobmanagers: Dict[str, PhishJobManager] = {}
-        for i in range(cfg.n_workstations):
-            ws = Workstation(self.sim, f"ws{i:02d}", cfg.profile, self.network)
-            self.workstations.append(ws)
-            trace = cfg.owner_trace(self.rng.stream(f"owner.{i}"), ws.name)
-            self.owners.append(Owner(ws, trace))
+        self.owners: List[Owner] = [
+            Owner(ws, cfg.owner_trace(self.rng.stream(f"owner.{i}"), ws.name))
+            for i, ws in enumerate(self.workstations)
+        ]
         #: The JobQ lives on the first workstation (paper: "one computer").
         self.jobq = PhishJobQ(
             self.sim, self.network, self.workstations[0].name, cfg.policy,
             probe=self.probe,
         )
-        for i, ws in enumerate(self.workstations):
-            self.jobmanagers[ws.name] = PhishJobManager(
-                self.sim,
-                ws,
-                self.network,
-                jobq_host=self.workstations[0].name,
-                config=cfg.jobmanager,
-                rng=self.rng.stream(f"jm.{i}"),
-                probe=self.probe,
+        self.jobmanagers: Dict[str, PhishJobManager] = {
+            ws.name: PhishJobManager(
+                self.sim, ws, self.network, self.jobq.host, cfg.jobmanager,
+                rng=self.rng.stream(f"jm.{i}"), probe=self.probe,
             )
+            for i, ws in enumerate(self.workstations)
+        }
         self.handles: List[JobHandle] = []
 
     def workstation(self, name: str) -> Workstation:
@@ -152,22 +142,8 @@ class PhishSystem:
         )
         first_worker: Optional[Worker] = None
         if start_first_worker:
-            wcfg = dataclasses.replace(
-                self.config.jobmanager.worker_config,
-                port=worker_port,
-                ch_rpc_port=ch_rpc,
-                ch_data_port=ch_data,
-            )
-            first_worker = Worker(
-                self.sim,
-                self.workstation(host),
-                self.network,
-                program,
-                clearinghouse_host=host,
-                config=wcfg,
-                rng=self.rng.stream(f"job{record.job_id}.first"),
-                probe=self.probe,
-            )
+            first_worker = self.jobmanagers[host].start_worker(
+                record.descriptor(), self.rng.stream(f"job{record.job_id}.first"))
         self.sim.process(
             self._job_watcher(record, ch, first_worker),
             name=f"job-watcher:{record.job_id}",
@@ -179,17 +155,13 @@ class PhishSystem:
     def _job_watcher(self, record: JobRecord, ch: Clearinghouse, first_worker) -> Generator:
         """Submitter-side bookkeeping: release the first worker's slot and
         mark the job done at the JobQ."""
+        jobq = RpcClient(self.network, record.ch_host, self.jobq.host, P.JOBQ_PORT)
         if first_worker is not None:
             yield first_worker.finished.wait()
-            yield from rpc_call(
-                self.network, record.ch_host, self.jobq.host, P.JOBQ_PORT,
-                "release", {"job_id": record.job_id, "workstation": record.ch_host},
-            )
+            yield from jobq.call(
+                "release", {"job_id": record.job_id, "workstation": record.ch_host})
         yield ch.done.wait()
-        yield from rpc_call(
-            self.network, record.ch_host, self.jobq.host, P.JOBQ_PORT,
-            "job_done", record.job_id,
-        )
+        yield from jobq.call("job_done", record.job_id)
 
     # ------------------------------------------------------------------
 

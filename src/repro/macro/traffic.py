@@ -4,10 +4,10 @@ The paper measures the macro level with a handful of hand-submitted
 jobs.  This module subjects the same PhishJobQ to *production* traffic:
 a seeded arrival process (Poisson, diurnal, bursty) submits thousands
 of synthetic jobs with heavy-tailed service demands to the real JobQ
-RPC server, while one agent per workstation plays the machine side of
-the protocol — request a job when the owner is away, serve it in
-quanta, give the machine back the moment the owner returns (the
-paper's sovereignty contract), and release/complete over RPC.
+RPC server, while every workstation runs the paper's PhishJobManager
+daemon — request a job when the owner is away, participate, give the
+machine back the moment the owner returns (the paper's sovereignty
+contract), and release/complete over RPC.
 
 Jobs are synthetic at the micro level: a job is a service demand in
 machine-seconds (``JobRecord.remaining_s``) that participating machines
@@ -29,19 +29,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.owner import AlwaysIdleTrace, Owner, OwnerTrace
+from repro.cluster.owner import AlwaysIdleTrace, Owner, OwnerTrace, ScriptedTrace
 from repro.cluster.platform import SPARCSTATION_1
 from repro.cluster.workstation import Workstation
-from repro.errors import JobError, ReproError
+from repro.errors import JobError, ReproError, RpcError
+from repro.macro.jobmanager import JobManagerConfig, PhishJobManager
 from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import make_policy
-from repro.micro import protocol as P
-from repro.net.network import Network
-from repro.net.rpc import rpc_call
-from repro.net.topology import UniformTopology
 from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
 from repro.obs.probe import Probe
-from repro.sim.core import Flag, Interrupt, Simulator
+from repro.phish import build_cluster
+from repro.sim.core import Event, Flag, Interrupt, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.resources import Signal
 from repro.tasks.program import JobProgram, ThreadProgram
@@ -264,26 +262,16 @@ class BoundedParetoSizes(SizeDistribution):
 # ======================================================================
 
 
-class ReplayOwnerTrace(OwnerTrace):
+class ReplayOwnerTrace(ScriptedTrace):
     """An owner trace replayed from a login/logout event log.
 
     Where :class:`~repro.cluster.owner.ScriptedTrace` takes period
-    lengths, this takes the raw form real workstation logs come in —
-    timestamped ``login``/``logout`` events — and converts them to the
-    alternating periods the :class:`~repro.cluster.owner.Owner`
-    process consumes.  The state after the final event persists.
+    lengths, :meth:`from_events` takes the raw form real workstation
+    logs come in — timestamped ``login``/``logout`` events — and
+    converts them to the alternating periods the
+    :class:`~repro.cluster.owner.Owner` process consumes.  The state
+    after the final event persists.
     """
-
-    def __init__(self, periods: Iterable[Tuple[str, float]]) -> None:
-        self._periods: List[Tuple[str, float]] = list(periods)
-        for state, dur in self._periods:
-            if state not in ("busy", "idle"):
-                raise ReproError(f"bad trace state {state!r}")
-            if dur < 0:
-                raise ReproError(f"negative trace duration {dur!r}")
-
-    def periods(self):
-        return iter(self._periods)
 
     @classmethod
     def from_events(
@@ -435,14 +423,45 @@ def _synthetic_program(name: str = "traffic") -> JobProgram:
     return JobProgram(prog, root)
 
 
+class _TrafficJobManager(PhishJobManager):
+    """The paper's daemon with the traffic engine's two steps swapped in.
+
+    The idle-wait -> ``request_job`` -> participate -> release loop is
+    :meth:`PhishJobManager._run`, unchanged.  Participation is the
+    engine's quantum drain instead of a micro-level worker, and under an
+    ``interrupt_driven`` policy the no-job wait parks on the JobQ's bell
+    (with ``park_timeout_s`` as the fallback wake) instead of polling.
+    """
+
+    def __init__(self, system: "TrafficSystem", workstation: Workstation) -> None:
+        self.system = system
+        cfg = system.config
+        super().__init__(
+            system.sim, workstation, system.network, system.jobq.host,
+            JobManagerConfig(busy_poll_s=cfg.owner_poll_s,
+                             no_job_retry_s=cfg.retry_s),
+        )
+
+    def _no_job_wait(self) -> Event:
+        system = self.system
+        if not system.policy.interrupt_driven:
+            return super()._no_job_wait()
+        return AnyOf(self.sim, [
+            system._bell.wait(),
+            self.sim.timeout(system.config.park_timeout_s)])
+
+    def _participate(self, descriptor: dict) -> Generator:
+        return self.system._serve(self, descriptor["job_id"])
+
+
 class TrafficSystem:
     """A workstation network under synthetic production traffic.
 
     The real pieces: the :class:`PhishJobQ` RPC server with a real
-    assignment policy, simulated UDP underneath, owner sovereignty on
-    every machine.  The synthetic piece: jobs are service demands
-    drained in quanta by per-machine *agents* instead of micro-level
-    worker processes.
+    assignment policy, a :class:`PhishJobManager` daemon on every
+    machine, simulated UDP underneath, owner sovereignty throughout.
+    The synthetic piece: jobs are service demands the daemons drain in
+    quanta instead of starting micro-level worker processes.
     """
 
     def __init__(
@@ -459,17 +478,12 @@ class TrafficSystem:
         #: one attached later is refused (the registry is subscribed here).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._health = self.metrics.health
-        self.network = Network(
-            self.sim,
-            UniformTopology(SPARCSTATION_1.net),
-            rng=self.rng.stream("net"),
-        )
-        self.workstations: List[Workstation] = []
-        self.owners: List[Owner] = []
-        for i in range(cfg.n_workstations):
-            ws = Workstation(self.sim, f"ws{i:02d}", SPARCSTATION_1, self.network)
-            self.workstations.append(ws)
-            self.owners.append(Owner(ws, self._owner_trace(i)))
+        self.network, self.workstations = build_cluster(
+            self.sim, cfg.n_workstations, SPARCSTATION_1, self.rng)
+        self.owners: List[Owner] = [
+            Owner(ws, self._owner_trace(i))
+            for i, ws in enumerate(self.workstations)
+        ]
         self.policy = make_policy(cfg.policy)
         self.jobq = PhishJobQ(
             self.sim, self.network, self.workstations[0].name,
@@ -488,16 +502,16 @@ class TrafficSystem:
             "macro.traffic.sojourn_s", DURATION_BUCKETS_S)
         self._program = _synthetic_program()
         self._schedule = self._build_schedule()
-        #: Interrupt-driven work sharing: parked agents wait on the
+        #: Interrupt-driven work sharing: parked daemons wait on the
         #: bell; every pool change re-arms it and rings the old one.
-        self.interrupt_mode = self.policy.interrupt_driven
         self._bell = Signal(self.sim)
-        if self.interrupt_mode:
+        if self.policy.interrupt_driven:
             self.jobq.add_pool_listener(self._ring)
-        self._procs = [self.sim.process(self._submitter(), name="traffic-submitter")]
-        for ws in self.workstations:
-            self._procs.append(
-                self.sim.process(self._agent(ws), name=f"agent@{ws.name}"))
+        self._submitter_proc = self.sim.process(
+            self._submitter(), name="traffic-submitter")
+        self.jobmanagers: Dict[str, PhishJobManager] = {
+            ws.name: _TrafficJobManager(self, ws) for ws in self.workstations
+        }
 
     # -- construction helpers ------------------------------------------
 
@@ -564,34 +578,10 @@ class TrafficSystem:
         except Interrupt:
             return
 
-    def _agent(self, ws: Workstation) -> Generator:
-        """The machine side of the protocol: request, serve, give back."""
-        cfg = self.config
-        sim = self.sim
-        try:
-            while True:
-                if ws.user_logged_in:
-                    yield sim.timeout(cfg.owner_poll_s)
-                    continue
-                desc = yield from rpc_call(
-                    self.network, ws.name, self.jobq.host, P.JOBQ_PORT,
-                    "request_job", ws.name,
-                )
-                if desc is None:
-                    if self.interrupt_mode:
-                        bell = self._bell
-                        yield AnyOf(sim, [
-                            bell.wait(), sim.timeout(cfg.park_timeout_s)])
-                    else:
-                        yield sim.timeout(cfg.retry_s)
-                    continue
-                yield from self._serve(ws, desc["job_id"])
-        except Interrupt:
-            return
-
-    def _serve(self, ws: Workstation, job_id: int) -> Generator:
+    def _serve(self, daemon: PhishJobManager, job_id: int) -> Generator:
         """Drain a granted job in quanta until done, drained, or reclaimed."""
         cfg = self.config
+        ws = daemon.workstation
         record = self.jobq.jobs[job_id]
         while True:
             if record.done or job_id in self._completing:
@@ -608,23 +598,22 @@ class TrafficSystem:
         drained = (record.remaining_s or 0.0) <= 0.0
         if drained and not record.done and job_id not in self._completing:
             self._completing.add(job_id)
-            yield from rpc_call(
-                self.network, ws.name, self.jobq.host, P.JOBQ_PORT,
-                "job_done", job_id,
-            )
-            self.completed += 1
-            self._all_done.fired = self.completed >= cfg.n_jobs
-            self._last_done_at = record.finished_at or self.sim.now
-            sojourn_s = (record.finished_at or self.sim.now) - record.submitted_at
-            self._m_sojourn.observe(sojourn_s)
-            if self._health is not None and cfg.slo_s is not None:
-                self._health.job_sojourn(
-                    self.sim.now, job_id, sojourn_s, cfg.slo_s)
-        else:
-            yield from rpc_call(
-                self.network, ws.name, self.jobq.host, P.JOBQ_PORT,
-                "release", {"job_id": job_id, "workstation": ws.name},
-            )
+            try:
+                yield from daemon.jobq.call("job_done", job_id)
+            except RpcError:
+                pass  # lost in a JobQ outage: record.done says if it landed
+            if record.done:
+                self.completed += 1
+                self._all_done.fired = self.completed >= cfg.n_jobs
+                self._last_done_at = record.finished_at or self.sim.now
+                sojourn_s = (record.finished_at or self.sim.now) - record.submitted_at
+                self._m_sojourn.observe(sojourn_s)
+                if self._health is not None and cfg.slo_s is not None:
+                    self._health.job_sojourn(
+                        self.sim.now, job_id, sojourn_s, cfg.slo_s)
+                return
+            self._completing.discard(job_id)  # whoever is granted it next retries
+        yield from daemon._release(job_id)
 
     # -- driving and reporting -----------------------------------------
 
@@ -635,8 +624,9 @@ class TrafficSystem:
 
     def stop(self) -> None:
         self.jobq.stop()
-        for proc in self._procs:
-            proc.interrupt("traffic-stop")
+        self._submitter_proc.interrupt("traffic-stop")
+        for daemon in self.jobmanagers.values():
+            daemon.stop()
 
     def report(self) -> TrafficReport:
         cfg = self.config

@@ -44,7 +44,7 @@ from repro.micro.stats import WorkerStats
 from repro.micro.steal import make_victim_policy
 from repro.net.network import Network
 from repro.errors import RpcError
-from repro.net.rpc import rpc_call
+from repro.net.rpc import RpcClient
 from repro.net.socket import Socket
 from repro.obs.probe import Probe
 from repro.sim.core import Event, Interrupt, Process, Simulator
@@ -294,6 +294,10 @@ class Worker:
             self._note_in_use()
 
         self.socket = Socket(network, self.host, self.config.port)
+        #: ``_ch_call(method, args)``: one RPC to this job's Clearinghouse
+        #: (raises RpcError).
+        self._ch_call = RpcClient(
+            network, self.host, self.ch_host, self.config.ch_rpc_port).call
         self._run_proc = self._spawn(self._participate(), "worker-run")
         self._net_proc = self._spawn(self._net(), "worker-net")
         self._update_proc = self._spawn(self._updates(), "worker-upd")
@@ -1601,11 +1605,6 @@ class Worker:
         finally:
             if on := probe.get("phase.end"):
                 on(self.sim.now, "phase.end", self.name, {"phase": phase})
-
-    def _ch_call(self, method: str, args: Any) -> Generator:
-        """One RPC to this job's Clearinghouse (raises RpcError)."""
-        return rpc_call(self.network, self.host, self.ch_host,
-                        self.config.ch_rpc_port, method, args)
 
     def _post(self, host: str, port: int, payload: tuple) -> None:
         """Fire-and-forget datagram (split-phase: nobody waits on it)."""

@@ -12,8 +12,9 @@ generator to be driven with ``yield from``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator
+from typing import Any, Callable, Deque, Dict, Generator, Tuple
 
 from repro.errors import RpcError
 from repro.net.message import DEFAULT_SIZE_BYTES
@@ -32,6 +33,9 @@ class _Request:
     req_id: int
     method: str
     args: Any
+    #: When the server may forget its reply: the caller's give-up time
+    #: plus one more timeout for a last retransmission still in flight.
+    forget_at: float
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,10 @@ class RpcServer:
     exception produces an error reply that re-raises at the caller as
     :class:`RpcError`.  Duplicate requests (retransmissions of a request
     already answered) are answered from a reply cache so that handlers
-    observe at-most-once execution despite at-least-once delivery.
+    observe at-most-once execution despite at-least-once delivery.  A
+    reply is kept only until its caller can no longer retransmit
+    (``_Request.forget_at``), so the cache holds the in-flight window,
+    not every reply ever sent.
     """
 
     def __init__(self, network: Network, host: str, port: int, name: str = "rpc") -> None:
@@ -59,6 +66,8 @@ class RpcServer:
         self.socket = Socket(network, host, port)
         self._handlers: Dict[str, Callable[[Any, Any], Any]] = {}
         self._reply_cache: Dict[tuple, _Reply] = {}
+        #: (forget_at, cache key) of every cached reply, in arrival order.
+        self._forget_queue: Deque[Tuple[float, tuple]] = deque()
         self._proc = network.sim.process(self._serve(), name=f"{name}@{host}:{port}")
         #: Number of requests actually executed (cache hits excluded).
         self.requests_served = 0
@@ -83,6 +92,9 @@ class RpcServer:
                 req = msg.payload
                 if not isinstance(req, _Request):
                     continue  # stray datagram; UDP semantics say ignore
+                forget = self._forget_queue
+                while forget and forget[0][0] <= self.network.sim.now:
+                    del self._reply_cache[forget.popleft()[1]]
                 cache_key = (msg.src, msg.src_port, req.req_id)
                 reply = self._reply_cache.get(cache_key)
                 if reply is None:
@@ -96,6 +108,7 @@ class RpcServer:
                         except Exception as exc:  # handler bug -> error reply
                             reply = _Reply(req.req_id, False, f"{type(exc).__name__}: {exc}")
                     self._reply_cache[cache_key] = reply
+                    forget.append((req.forget_at, cache_key))
                 yield self.socket.sendto(reply, msg.src, msg.src_port)
         except Interrupt:
             return
@@ -122,7 +135,8 @@ def rpc_call(
     sim = network.sim
     sock = Socket(network, src_host, port=None)  # ephemeral
     try:
-        req = _Request(req_id=sock.port, method=method, args=args)
+        req = _Request(sock.port, method, args,
+                       forget_at=sim.now + (2 + retries) * timeout_s)
         for _attempt in range(1 + retries):
             yield sock.sendto(req, dst, dst_port, size_bytes=size_bytes)
             deadline = sim.timeout(timeout_s)
@@ -146,7 +160,9 @@ def rpc_call(
 
 
 class RpcClient:
-    """Convenience wrapper binding the static arguments of :func:`rpc_call`."""
+    """One caller's handle on one server: binds the static arguments of
+    :func:`rpc_call` (every PhishJobManager holds one for the PhishJobQ,
+    every worker one for its Clearinghouse)."""
 
     def __init__(
         self,

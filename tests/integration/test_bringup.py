@@ -62,11 +62,15 @@ def test_nothing_else_under_src_assembles_a_dedicated_cluster():
     for path in SRC.rglob("*.py"):
         calls = {n.func.id for n in ast.walk(ast.parse(path.read_text()))
                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-        for name in ("JobStats", "build_cluster", "RngRegistry"):
+        for name in ("JobStats", "build_cluster", "RngRegistry", "Network"):
             if name in calls:
                 builders.setdefault(name, set()).add(
                     path.relative_to(SRC).as_posix())
     assert builders["JobStats"] == {"phish.py"}
-    assert builders["build_cluster"] == {"phish.py"}
+    # ... and the two macro systems get their network + workstations there
+    # too (they add owners, the JobQ and a daemon per machine on top).
+    assert builders["build_cluster"] == {
+        "phish.py", "macro/system.py", "macro/traffic.py"}
+    assert not builders["Network"] & {"macro/system.py", "macro/traffic.py"}
     for harness in ("check/harness.py", "fault/crash.py", "fault/checkpoint.py"):
         assert harness not in builders["RngRegistry"]

@@ -124,3 +124,44 @@ def test_config_validation_rejects_nonsense():
 def test_run_traffic_validates_its_config():
     with pytest.raises(JobError):
         run_traffic(TrafficConfig(n_jobs=0))
+
+
+def _daemons_alive(system):
+    return all(jm.process.is_alive for jm in system.jobmanagers.values())
+
+
+def test_daemons_survive_a_lossy_network():
+    """Half the datagrams vanish, so whole ``request_job`` / ``job_done``
+    / ``release`` calls exhaust their retransmissions: every machine's
+    daemon treats that as "JobQ unreachable; retry later" and every job
+    still completes."""
+    system = TrafficSystem(dataclasses.replace(TINY, horizon_s=20_000.0))
+    topology = system.network.topology
+    topology.params = dataclasses.replace(topology.params, loss_prob=0.5)
+    try:
+        report = system.run()
+        assert system.network.counters.dropped_loss > 0
+        assert report.n_completed == TINY.n_jobs
+        assert _daemons_alive(system)
+    finally:
+        system.stop()
+
+
+def test_daemons_survive_a_jobq_outage():
+    """The JobQ's host drops off the network for longer than an RPC's
+    whole retry budget (5 x 2 s) while jobs are being requested, served
+    and completed.  No machine stops participating, and no job is left
+    holding phantom participants (a lost ``release``) or undone (a lost
+    ``job_done``): once the JobQ is back the run finishes."""
+    system = TrafficSystem(dataclasses.replace(TINY, policy="srp"))
+    try:
+        system.sim.run(until=20.0)
+        system.network.set_host_down(system.jobq.host, True)
+        system.sim.run(until=45.0)
+        system.network.set_host_down(system.jobq.host, False)
+        report = system.run()
+        assert _daemons_alive(system)
+    finally:
+        system.stop()
+    assert report.n_completed == TINY.n_jobs
+    assert report.makespan_s < 200.0  # not rescued by the horizon

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import RpcError
-from repro.net.rpc import RpcClient, RpcServer, rpc_call
+from repro.net.rpc import RpcClient, RpcServer, _Request, rpc_call
+from repro.net.socket import Socket
 
 
 @pytest.fixture
@@ -123,13 +124,50 @@ def test_concurrent_clients(sim, network, server):
     assert sorted(results) == [(f"c{i}", i + 1) for i in range(5)]
 
 
-def test_rpc_client_wrapper(sim, network, server):
-    client = RpcClient(network, "client", "server", 9000)
+def test_reply_cache_holds_the_in_flight_window_not_every_reply(sim, network, server):
+    """At-most-once needs a reply only until its caller can no longer
+    retransmit: 10k spaced calls (through a bound ``RpcClient``, the way
+    every daemon and worker calls) leave a window's worth cached."""
+    client = RpcClient(network, "client", "server", 9000, timeout_s=0.5, retries=1)
+    peak = 0
 
     def proc(sim):
-        return (yield from client.call("add", (10, 20)))
+        nonlocal peak
+        for i in range(10_000):
+            assert (yield from client.call("add", (i, 1))) == i + 1
+            peak = max(peak, len(server._reply_cache))
+            yield sim.timeout(0.1)
 
-    assert sim.run(sim.process(proc(sim))) == 30
+    sim.run(sim.process(proc(sim)))
+    # forget_at = call time + (2 + retries) * timeout_s = 1.5 s, one call
+    # per ~0.1 s: never more than ~15 replies alive at once.
+    assert peak <= 16
+    assert server.requests_served == 10_000
+
+
+def test_retransmission_inside_the_window_is_answered_from_the_cache(sim, network):
+    """A duplicate arriving while its caller may still retransmit gets
+    the cached reply (the handler does not run again), however much
+    other traffic the server saw in between; past ``forget_at`` the
+    server no longer remembers it."""
+    srv = RpcServer(network, "server", 9000)
+    ran = []
+    srv.register("mark", lambda args, msg: (ran.append(args), len(ran))[1])
+    sock = Socket(network, "client", 7000)
+    request = _Request(req_id=1, method="mark", args="x", forget_at=3.0)
+    replies = []
+
+    def proc(sim):
+        for wait_s in (0.0, 2.0, 2.0):      # sent at t = 0, ~2 and ~4
+            yield sim.timeout(wait_s)
+            yield sock.sendto(request, "server", 9000)
+            replies.append((yield sock.recv()).payload.value)
+            for i in range(5):               # unrelated calls in between
+                yield from rpc_call(network, "other", "server", 9000, "mark", i)
+
+    sim.run(sim.process(proc(sim)))
+    assert replies == [1, 1, 12]             # cached inside the window ...
+    assert ran.count("x") == 2               # ... executed anew only past it
 
 
 def test_requests_served_counter(sim, network, server):

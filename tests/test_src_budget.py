@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
-CEILING = 19328
+CEILING = 19251
 
 
 def test_src_does_not_grow_without_saying_so():
