@@ -1,9 +1,8 @@
 """Bench ablation: heterogeneous network cuts (the paper's future work)."""
 
-from repro.experiments.ablations import (
-    format_heterogeneity_ablation,
-    run_heterogeneity_ablation,
-)
+from repro.experiments.ablations import SECTIONS
+
+run_heterogeneity_ablation, format_heterogeneity_ablation = SECTIONS["heterogeneity"]
 
 
 def test_heterogeneity_ablation(once, show, bench_seed):

@@ -1,10 +1,9 @@
 """Bench ablation: idle-initiated stealing vs central queue vs
 sender-initiated (Parform-style) pushing."""
 
-from repro.experiments.ablations import (
-    format_initiation_ablation,
-    run_initiation_ablation,
-)
+from repro.experiments.ablations import SECTIONS
+
+run_initiation_ablation, format_initiation_ablation = SECTIONS["initiation"]
 
 
 def test_initiation_ablation(once, show, bench_seed):

@@ -1,6 +1,8 @@
 """Bench ablation: LIFO-exec/FIFO-steal (paper) vs the other 3 combos."""
 
-from repro.experiments.ablations import format_order_ablation, run_order_ablation
+from repro.experiments.ablations import SECTIONS
+
+run_order_ablation, format_order_ablation = SECTIONS["order"]
 
 
 def test_order_ablation(once, show, bench_seed):

@@ -1,6 +1,8 @@
 """Bench ablation: random victim (paper) vs round-robin victim."""
 
-from repro.experiments.ablations import format_victim_ablation, run_victim_ablation
+from repro.experiments.ablations import SECTIONS
+
+run_victim_ablation, format_victim_ablation = SECTIONS["victim"]
 
 
 def test_victim_ablation(once, show, bench_seed):

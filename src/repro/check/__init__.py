@@ -25,6 +25,7 @@ from repro.check.fuzzer import (
     FuzzResult,
     FuzzShardSpec,
     ShardedFuzz,
+    app_spec,
     fuzz,
     fuzz_sharded,
     verify_queue_backends,
@@ -65,6 +66,7 @@ __all__ = [
     "Perturbation",
     "ShardedFuzz",
     "Violation",
+    "app_spec",
     "check_invariants",
     "collect_leftovers",
     "fuzz",

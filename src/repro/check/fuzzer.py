@@ -9,18 +9,16 @@ to a minimal reproducing schedule.
 
 Reproduce a reported failure exactly::
 
-    from repro.apps.fib import fib_job, fib_serial
-    from repro.check import Perturbation, run_checked
+    from repro.check import app_spec
 
-    run = run_checked(fib_job(14), n_workers=4, seed=BAD_SEED,
-                      perturbation=Perturbation.generate(BAD_SEED, 4),
-                      expected=fib_serial(14))
+    run = app_spec("fib").check(BAD_SEED, n_workers=4)
     print(run.report.summary())
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -53,6 +51,29 @@ class AppSpec:
     #: shrink app actually exercises the departure protocol).
     worker_config: Optional[WorkerConfig] = None
 
+    def check(
+        self,
+        seed: int,
+        n_workers: int = 4,
+        perturbation: Optional[Perturbation] = None,
+        scenario: Optional[str] = "mixed",
+        **kwargs: Any,
+    ) -> CheckedRun:
+        """One checked run of this app at *seed* — the one place a
+        registered app's job, oracle and config meet :func:`run_checked`.
+
+        The schedule is *perturbation* when given, else the point *seed*
+        maps to under *scenario* (``None``: unperturbed).  *kwargs* go to
+        :func:`run_checked` (``horizon_s``, ``bug``, ``metrics``, ``queue``).
+        """
+        if perturbation is None and scenario is not None:
+            perturbation = Perturbation.generate(seed, n_workers, scenario=scenario)
+        return run_checked(
+            self.make(), n_workers=n_workers, seed=seed,
+            perturbation=perturbation, expected=self.expected,
+            worker_config=self.worker_config, **kwargs,
+        )
+
 
 def _builtin_apps() -> Dict[str, AppSpec]:
     from repro.apps.fib import fib_job, fib_serial
@@ -76,6 +97,14 @@ def _builtin_apps() -> Dict[str, AppSpec]:
 #: Applications the fuzzer knows how to run (small instances of the
 #: paper's workloads, each with a closed-form oracle).
 APPS: Dict[str, AppSpec] = _builtin_apps()
+
+
+def app_spec(name: str) -> AppSpec:
+    """The registered app called *name* (``ReproError`` if there is none)."""
+    spec = APPS.get(name)
+    if spec is None:
+        raise ReproError(f"unknown app {name!r}; known: {sorted(APPS)}")
+    return spec
 
 
 @dataclass
@@ -167,9 +196,7 @@ def fuzz(
             :attr:`Perturbation.SCENARIOS`) — "partition" and "spike"
             force that network dynamic into every seed.
     """
-    spec = APPS.get(app)
-    if spec is None:
-        raise ReproError(f"unknown app {app!r}; known: {sorted(APPS)}")
+    spec = app_spec(app)
     seed_window = (
         tuple(seeds) if seeds is not None
         else tuple(range(start_seed, start_seed + n_seeds))
@@ -179,17 +206,10 @@ def fuzz(
     for seed in seed_window:
         seed_started = time.perf_counter()
         pert = Perturbation.generate(seed, n_workers, scenario=scenario)
+        rerun = functools.partial(spec.check, seed, n_workers,
+                                  horizon_s=horizon_s, bug=bug)
         try:
-            run = run_checked(
-                spec.make(),
-                n_workers=n_workers,
-                seed=seed,
-                perturbation=pert,
-                expected=spec.expected,
-                worker_config=spec.worker_config,
-                horizon_s=horizon_s,
-                bug=bug,
-            )
+            run = rerun(pert)
         except Exception as exc:
             # Attach the owning seed: in a sharded run this crosses the
             # process boundary as text, so the context must be in the
@@ -202,16 +222,7 @@ def fuzz(
             progress(seed, run)
         shrunk, shrink_runs = pert, 0
         if not run.ok and shrink:
-            shrunk, shrink_runs = shrink_perturbation(
-                spec.make,
-                pert,
-                n_workers=n_workers,
-                seed=seed,
-                expected=spec.expected,
-                worker_config=spec.worker_config,
-                horizon_s=horizon_s,
-                bug=bug,
-            )
+            shrunk, shrink_runs = shrink_perturbation(rerun, pert)
         if metrics is not None:
             metrics.counter("check.seeds_run").inc()
             metrics.histogram("check.seed_wall_s").observe(
@@ -324,8 +335,7 @@ def fuzz_sharded(
     from repro.obs.metrics import merge_snapshots
     from repro.parallel import ShardedRunner, resolve_jobs, split_evenly
 
-    if app not in APPS:  # fail in the parent, not 4 children
-        raise ReproError(f"unknown app {app!r}; known: {sorted(APPS)}")
+    app_spec(app)  # an unknown app fails in the parent, not 4 children
     seeds = list(range(start_seed, start_seed + n_seeds))
     jobs = resolve_jobs(jobs)
     chunks = split_evenly(seeds, jobs * max(1, shards_per_job))
@@ -411,26 +421,15 @@ def verify_queue_backends(
     in a different order — shows up as a trace diff on some seed
     (``repro check --verify-queue``; CI runs this on every push).
     """
-    spec = APPS.get(app)
-    if spec is None:
-        raise ReproError(f"unknown app {app!r}; known: {sorted(APPS)}")
+    spec = app_spec(app)
     seed_window = tuple(range(start_seed, start_seed + n_seeds))
     result = BackendVerifyResult(app=app, n_workers=n_workers, seeds=seed_window)
     for seed in seed_window:
-        pert = Perturbation.generate(seed, n_workers, scenario=scenario)
-        dumps = []
-        for backend in ("heap", "calendar"):
-            run = run_checked(
-                spec.make(),
-                n_workers=n_workers,
-                seed=seed,
-                perturbation=pert,
-                expected=spec.expected,
-                worker_config=spec.worker_config,
-                horizon_s=horizon_s,
-                queue=backend,
-            )
-            dumps.append(run.trace.dump())
+        dumps = [
+            spec.check(seed, n_workers, scenario=scenario, horizon_s=horizon_s,
+                       queue=backend).trace.dump()
+            for backend in ("heap", "calendar")
+        ]
         ok = dumps[0] == dumps[1]
         if not ok:
             result.mismatched.append(seed)

@@ -484,10 +484,9 @@ def _simplifications(pert: Perturbation):
 
 
 def shrink_perturbation(
-    make_job: Callable[[], JobProgram],
+    rerun: Callable[[Perturbation], CheckedRun],
     failing: Perturbation,
     max_runs: int = 40,
-    **run_kwargs: Any,
 ) -> Tuple[Perturbation, int]:
     """Greedy delta-debugging over a failing perturbation.
 
@@ -498,7 +497,8 @@ def shrink_perturbation(
     removal preserves the failure or *max_runs* re-executions are spent.
 
     Returns the minimal failing perturbation found and the number of
-    re-executions used.  ``make_job`` must build a fresh job per call.
+    re-executions used.  ``rerun(candidate)`` is the failing run again
+    (a fresh job, same seed and settings) under *candidate*.
     """
     current = failing
     runs = 0
@@ -507,7 +507,7 @@ def shrink_perturbation(
         improved = False
         for candidate in _simplifications(current):
             runs += 1
-            if not run_checked(make_job(), perturbation=candidate, **run_kwargs).ok:
+            if not rerun(candidate).ok:
                 current = candidate
                 improved = True
                 break

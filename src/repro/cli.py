@@ -26,6 +26,10 @@ any ``--jobs`` (see docs/checking.md, "Parallel runs").
 to drop a provenance manifest (see docs/observability.md) next to the
 printed output; ``check --manifest`` additionally records merged
 per-shard metrics and the fan-out speedup.
+
+The exhibit commands (``table1`` ... ``ablations``) are not written here:
+their subparsers and dispatch are built from
+``repro.experiments.EXHIBITS``, one entry per exhibit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, List, Optional
+
+from repro.experiments import EXHIBITS
+from repro.experiments.pfold import PFOLD_SEQUENCE
 
 
 def _obs_job(app: str, scale: Optional[int] = None):
@@ -47,7 +54,7 @@ def _obs_job(app: str, scale: Optional[int] = None):
         return knary_job(scale if scale is not None else 7, 4, 1)
     if app == "pfold":
         from repro.apps.pfold import pfold_job
-        return pfold_job("HPHPPHHPHPPH", work_scale=float(scale or 40))
+        return pfold_job(PFOLD_SEQUENCE, work_scale=float(scale or 40))
     raise SystemExit(f"unknown obs app {app!r}")
 
 
@@ -65,7 +72,7 @@ def _fmt_s(value: Optional[float]) -> str:
 def _cmd_obs(args: argparse.Namespace) -> str:
     """Run a seeded job with full observability wired in and report."""
     from repro.experiments.report import render_table
-    from repro.obs import MetricsRegistry, build_manifest, write_manifest
+    from repro.obs import MetricsRegistry
     from repro.phish import run_job
 
     registry = MetricsRegistry()
@@ -116,94 +123,56 @@ def _cmd_obs(args: argparse.Namespace) -> str:
         "Counters", ["metric", "value"], scalar_rows,
     ))
 
-    manifest = build_manifest(
-        command="obs",
-        seed=args.seed,
-        app=args.app,
-        cluster={"workers": args.workers, "profile": "SparcStation-1"},
-        wall_s=wall,
-        registry=registry,
-        extra={"makespan_s": res.makespan},
+    return "\n\n".join(sections) + _maybe_manifest(
+        args, args.app, _ss1_cluster(args), wall,
+        registry=registry, extra={"makespan_s": res.makespan},
     )
-    write_manifest(manifest, args.manifest)
-    sections.append(f"wrote manifest {args.manifest}")
-    return "\n\n".join(sections)
+
+
+def _ss1_cluster(args: argparse.Namespace) -> dict:
+    """Manifest ``cluster`` of a run on ``--workers`` SparcStation 1s."""
+    return {"workers": args.workers, "profile": "SparcStation-1"}
 
 
 def _maybe_manifest(
     args: argparse.Namespace,
-    command: str,
     app: str,
     cluster: dict,
     wall_s: float,
+    **payload: Any,
 ) -> str:
-    """Write a provenance manifest when the command got ``--manifest``."""
+    """Write a provenance manifest when the command got ``--manifest``
+    (*payload*: ``build_manifest``'s registry / metrics_snapshot / extra)."""
     path = getattr(args, "manifest", None)
     if not path:
         return ""
     from repro.obs import build_manifest, write_manifest
 
     manifest = build_manifest(
-        command=command,
-        seed=getattr(args, "seed", 0),
+        command=args.command,
+        seed=args.seed,
         app=app,
         cluster=cluster,
         wall_s=wall_s,
+        **payload,
     )
     write_manifest(manifest, path)
     return f"\n\nwrote manifest {path}"
 
 
-def _cmd_table1(args: argparse.Namespace) -> str:
-    from repro.experiments.table1 import format_table1, run_table1
-
-    return format_table1(run_table1(seed=args.seed))
-
-
-def _cmd_table2(args: argparse.Namespace) -> str:
-    from repro.experiments.table2 import format_table2, run_table2
-
+def _cmd_exhibit(args: argparse.Namespace) -> str:
+    """Regenerate one exhibit of ``repro.experiments.EXHIBITS``: its
+    flags (and ``--jobs``, if it shards) are its runner's arguments."""
+    exhibit = EXHIBITS[args.command]
+    params = {name: value for name, value in vars(args).items()
+              if name not in ("command", "manifest")}
     started = time.time()
-    out = format_table2(run_table2(seed=args.seed, jobs=args.jobs))
+    result = exhibit.run(**params)
+    out = exhibit.format(result)
+    if exhibit.app is None:
+        return out
     return out + _maybe_manifest(
-        args, "table2", "pfold", {"workers": [4, 8]}, time.time() - started
-    )
-
-
-def _cmd_figure4(args: argparse.Namespace) -> str:
-    from repro.experiments.figures import (
-        PAPER_PARTICIPANTS, format_figure4, run_speedup_curve,
-    )
-
-    started = time.time()
-    out = format_figure4(run_speedup_curve(seed=args.seed, jobs=args.jobs))
-    return out + _maybe_manifest(
-        args, "figure4", "pfold", {"workers": list(PAPER_PARTICIPANTS)},
-        time.time() - started,
-    )
-
-
-def _cmd_figure5(args: argparse.Namespace) -> str:
-    from repro.experiments.figures import (
-        PAPER_PARTICIPANTS, format_figure5, run_speedup_curve,
-    )
-
-    started = time.time()
-    out = format_figure5(run_speedup_curve(seed=args.seed, jobs=args.jobs))
-    return out + _maybe_manifest(
-        args, "figure5", "pfold", {"workers": list(PAPER_PARTICIPANTS)},
-        time.time() - started,
-    )
-
-
-def _cmd_ablations(args: argparse.Namespace) -> str:
-    from repro.experiments.ablations import SECTIONS, run_sections
-
-    which = args.which
-    names = list(SECTIONS) if which == "all" else [which]
-    if not all(name in SECTIONS for name in names):
-        raise SystemExit(f"unknown ablation {which!r}")
-    return "\n\n".join(run_sections(names, seed=args.seed, jobs=args.jobs))
+        args, exhibit.app, exhibit.cluster(result), time.time() - started)
 
 
 def _cmd_macro_demo(args: argparse.Namespace) -> str:
@@ -222,7 +191,7 @@ def _cmd_macro_demo(args: argparse.Namespace) -> str:
     system = PhishSystem(
         PhishSystemConfig(n_workstations=6, seed=args.seed, owner_trace=traces)
     )
-    h1 = system.submit(pfold_job("HPHPPHHPHPPH", work_scale=40.0), from_host="ws00")
+    h1 = system.submit(pfold_job(PFOLD_SEQUENCE, work_scale=40.0), from_host="ws00")
     h2 = system.submit(nqueens_job(8), from_host="ws01")
     system.run_until_done(timeout_s=3600)
     rows = []
@@ -304,76 +273,27 @@ def _cmd_check(args: argparse.Namespace) -> str:
             f"  shard work {stats.work_s:.1f}s / wall {stats.wall_s:.1f}s "
             f"= {stats.speedup:.2f}x harvest\n"
         )
-    if getattr(args, "manifest", None):
-        from repro.obs import build_manifest, write_manifest
-
-        manifest = build_manifest(
-            command="check",
-            seed=args.seed,
-            app=args.app,
-            cluster={"workers": args.workers, "profile": "SparcStation-1"},
-            wall_s=elapsed,
-            metrics_snapshot=outcome.metrics,
-            extra={
-                "parallel": stats.to_dict(),
-                "fuzz": {
-                    "seeds": len(result.seeds),
-                    "failures": len(result.failures),
-                    "bug": result.bug,
-                    "scenario": result.scenario,
-                },
+    note = _maybe_manifest(
+        args, args.app, _ss1_cluster(args), elapsed,
+        metrics_snapshot=outcome.metrics,
+        extra={
+            "parallel": stats.to_dict(),
+            "fuzz": {
+                "seeds": len(result.seeds),
+                "failures": len(result.failures),
+                "bug": result.bug,
+                "scenario": result.scenario,
             },
-        )
-        write_manifest(manifest, args.manifest)
-        sys.stderr.write(f"wrote manifest {args.manifest}\n")
+        },
+    )
+    if note:
+        sys.stderr.write(note.lstrip() + "\n")
     if not result.ok:
         # Non-zero exit so CI fails loudly; the summary names the seeds
         # and prints shrunk reproducing schedules.
         print(result.summary())
         raise SystemExit(1)
     return result.summary()
-
-
-def _cmd_latency(args: argparse.Namespace) -> str:
-    """Makespan vs steal latency per victim/steal policy, against the
-    Gast et al. analytical bound (see docs/stealing.md)."""
-    from repro.experiments.latency import format_latency, run_latency_sweep
-
-    started = time.time()
-    sweep = run_latency_sweep(seed=args.seed, jobs=args.jobs,
-                              n_workers=args.workers)
-    return format_latency(sweep) + _maybe_manifest(
-        args, "latency", "pfold", {"workers": args.workers, "segments": 2},
-        time.time() - started,
-    )
-
-
-def _cmd_traffic(args: argparse.Namespace) -> str:
-    """Policy × arrival competition under thousand-job synthetic
-    traffic on the real PhishJobQ (see docs/traffic.md)."""
-    from repro.experiments.traffic import format_traffic, run_traffic_matrix
-    from repro.macro.traffic import TrafficConfig
-
-    started = time.time()
-    base = TrafficConfig(
-        rate_per_s=args.rate,
-        owners=args.owners,
-        sizes=args.sizes,
-    )
-    matrix = run_traffic_matrix(
-        policies=[p for p in args.policies.split(",") if p],
-        arrivals=[a for a in args.arrivals.split(",") if a],
-        n_jobs=args.njobs,
-        n_workstations=args.machines,
-        seed=args.seed,
-        jobs=args.jobs,
-        base=base,
-    )
-    return format_traffic(matrix) + _maybe_manifest(
-        args, "traffic", "traffic",
-        {"workers": args.machines, "n_jobs": args.njobs},
-        time.time() - started,
-    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
@@ -388,21 +308,8 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     return (
         format_bench(results)
         + f"\n\nwrote {args.out}"
-        + _maybe_manifest(args, "bench", "-", {"workers": 0},
-                          time.time() - started)
+        + _maybe_manifest(args, "-", {"workers": 0}, time.time() - started)
     )
-
-
-def _cmd_harvest(args: argparse.Namespace) -> str:
-    from repro.experiments.harvest import (
-        format_harvest, format_harvest_sweep, run_harvest, run_harvest_sweep,
-    )
-
-    if args.reps <= 1:
-        return format_harvest(run_harvest(seed=args.seed))
-    seeds = list(range(args.seed, args.seed + args.reps))
-    reports = run_harvest_sweep(seeds, jobs=args.jobs)
-    return format_harvest_sweep(seeds, reports)
 
 
 def _warn_truncated(trace, stream=None) -> bool:
@@ -541,7 +448,7 @@ def _cmd_timeline(args: argparse.Namespace) -> str:
         PhishSystemConfig(n_workstations=6, seed=args.seed, owner_trace=traces,
                           trace=True, metrics=perfetto_path is not None)
     )
-    system.submit(pfold_job("HPHPPHHPHPPH", work_scale=60.0), from_host="ws00")
+    system.submit(pfold_job(PFOLD_SEQUENCE, work_scale=60.0), from_host="ws00")
     system.run_until_done(timeout_s=36000)
     assert system.trace is not None
     out = render_timeline(system.trace)
@@ -579,7 +486,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> str:
         diff = diff_manifests(load_manifest(path_a), load_manifest(path_b))
         return render_run_diff(f"{path_a} vs {path_b}", diff)
 
-    from repro.obs import build_manifest, write_manifest
     from repro.obs.diagnose import diagnose_sweep
 
     started = time.time()
@@ -626,25 +532,16 @@ def _cmd_diagnose(args: argparse.Namespace) -> str:
         sections.append(f"wrote {n} incidents to {args.incidents}")
     if args.perfetto:
         sections.append(_diagnose_perfetto(args))
-    if args.manifest:
-        manifest = build_manifest(
-            command="diagnose",
-            seed=args.seed,
-            app=args.app,
-            cluster={"workers": args.workers, "profile": "SparcStation-1"},
-            wall_s=wall,
-            metrics_snapshot=sweep.metrics,
-            extra={"diagnose": {
-                "scenario": args.scenario,
-                "seeds": len(sweep.runs),
-                "incidents": len(sweep.incidents),
-                "kinds": sweep.kind_counts,
-            }},
-        )
-        write_manifest(manifest, args.manifest)
-        sections.append(f"wrote manifest {args.manifest}")
-
-    out = "\n\n".join(sections)
+    out = "\n\n".join(sections) + _maybe_manifest(
+        args, args.app, _ss1_cluster(args), wall,
+        metrics_snapshot=sweep.metrics,
+        extra={"diagnose": {
+            "scenario": args.scenario,
+            "seeds": len(sweep.runs),
+            "incidents": len(sweep.incidents),
+            "kinds": sweep.kind_counts,
+        }},
+    )
     if args.fail_on_incident and sweep.incidents:
         print(out)
         raise SystemExit(1)
@@ -656,39 +553,22 @@ def _diagnose_perfetto(args: argparse.Namespace) -> str:
     it with the health incidents on the worker tracks."""
     if args.app == "traffic":
         return "(--perfetto skipped: the traffic engine keeps no TraceLog)"
-    from repro.check.fuzzer import APPS
-    from repro.check.harness import Perturbation, run_checked
-    from repro.obs import HealthMonitor, MetricsRegistry, write_perfetto
+    from repro.obs import write_perfetto
+    from repro.obs.diagnose import DiagnoseSpec, diagnosed_run
 
-    spec = APPS[args.app]
-    registry = MetricsRegistry()
-    HealthMonitor(registry)
-    pert = None
-    if args.scenario != "clean":
-        pert = Perturbation.generate(args.seed, args.workers,
-                                     scenario=args.scenario)
-    run = run_checked(
-        spec.make(), n_workers=args.workers, seed=args.seed,
-        perturbation=pert, expected=spec.expected,
-        worker_config=spec.worker_config, metrics=registry,
-    )
+    run, registry = diagnosed_run(DiagnoseSpec(
+        app=args.app, seed=args.seed, n_workers=args.workers,
+        scenario=args.scenario))
     write_perfetto(run.trace, args.perfetto, registry,
                    job_name=f"diagnose-{args.app}")
     return (f"wrote Perfetto trace {args.perfetto} for seed {args.seed} "
             f"(open at ui.perfetto.dev)")
 
 
+#: The subcommands that are not registry exhibits.
 COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "figure4": _cmd_figure4,
-    "figure5": _cmd_figure5,
-    "ablations": _cmd_ablations,
     "macro-demo": _cmd_macro_demo,
     "timeline": _cmd_timeline,
-    "harvest": _cmd_harvest,
-    "latency": _cmd_latency,
-    "traffic": _cmd_traffic,
     "check": _cmd_check,
     "bench": _cmd_bench,
     "obs": _cmd_obs,
@@ -697,7 +577,57 @@ COMMANDS = {
 }
 
 
+def _add_path(cmd: argparse.ArgumentParser, flag: str, help: str,
+              default: Optional[str] = None) -> None:
+    """An optional output-file flag."""
+    cmd.add_argument(flag, default=default, metavar="PATH", help=help)
+
+
+def _add_manifest(cmd: argparse.ArgumentParser) -> None:
+    _add_path(cmd, "--manifest", "also write a run-provenance manifest JSON")
+
+
+def _add_jobs(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for independent runs (0 = one per "
+             "CPU, default 1 = serial); results are identical at "
+             "any value",
+    )
+
+
+def _add_app(cmd: argparse.ArgumentParser, apps: List[str]) -> None:
+    """Which application to run, on how many machines."""
+    cmd.add_argument("--app", default="fib", choices=apps,
+                     help="application to run (default fib)")
+    cmd.add_argument("--workers", type=int, default=4,
+                     help="cluster size (default 4)")
+
+
+def _add_single_run(cmd: argparse.ArgumentParser) -> None:
+    """What ``obs`` and ``profile`` run: one seeded job of one app."""
+    _add_app(cmd, ["fib", "knary", "pfold"])
+    cmd.add_argument("--scale", type=int, default=None,
+                     help="problem size override (fib n / knary n / "
+                          "pfold work scale)")
+
+
+def _add_seed_sweep(cmd: argparse.ArgumentParser, apps: List[str], seeds: int,
+                    scenarios: tuple, scenario_help: str) -> None:
+    """What ``check`` and ``diagnose`` sweep: consecutive seeds of one
+    registered app under one perturbation scenario (the first listed
+    is the default)."""
+    _add_app(cmd, apps)
+    cmd.add_argument("--seeds", type=int, default=seeds,
+                     help=f"number of consecutive seeds (default {seeds})")
+    cmd.add_argument("--scenario", default=scenarios[0], choices=scenarios,
+                     help=scenario_help)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.check import APPS, Perturbation
+    from repro.obs.diagnose import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="phish-repro",
         description="Regenerate the tables and figures of Blumofe & Park (HPDC'94).",
@@ -705,44 +635,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for independent runs (0 = one per "
-                 "CPU, default 1 = serial); results are identical at "
-                 "any value",
-        )
-
-    for name in ("table1", "macro-demo"):
-        sub.add_parser(name)
-    harvest = sub.add_parser("harvest")
-    harvest.add_argument("--reps", type=int, default=1, metavar="N",
-                         help="repetitions at consecutive seeds (owner "
-                              "churn is stochastic; default 1)")
-    add_jobs(harvest)
-    for name in ("table2", "figure4", "figure5"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--manifest", default=None, metavar="PATH",
-                         help="also write a run-provenance manifest JSON")
-        add_jobs(cmd)
+    for name, exhibit in EXHIBITS.items():
+        # An explicit help=None would still list the command in --help.
+        cmd = sub.add_parser(name, **({"help": exhibit.help} if exhibit.help else {}))
+        for flag, keywords in exhibit.flags:
+            cmd.add_argument(flag, **keywords)
+        if exhibit.app is not None:
+            _add_manifest(cmd)
+        if exhibit.sharded:
+            _add_jobs(cmd)
+    sub.add_parser("macro-demo")
     timeline = sub.add_parser("timeline")
-    timeline.add_argument("--perfetto", default=None, metavar="PATH",
-                          help="also export the run as Chrome/Perfetto "
-                               "trace_event JSON (open at ui.perfetto.dev)")
+    _add_path(timeline, "--perfetto",
+              "also export the run as Chrome/Perfetto trace_event JSON "
+              "(open at ui.perfetto.dev)")
     obs = sub.add_parser(
         "obs",
         help="run one seeded job with full metrics wired in, print the "
              "latency/counter report, and write a run manifest",
     )
-    obs.add_argument("--app", default="fib", choices=["fib", "knary", "pfold"],
-                     help="application to run (default fib)")
-    obs.add_argument("--workers", type=int, default=4,
-                     help="cluster size (default 4)")
-    obs.add_argument("--scale", type=int, default=None,
-                     help="problem size override (fib n / knary n / "
-                          "pfold work scale)")
-    obs.add_argument("--manifest", default="obs_manifest.json", metavar="PATH",
-                     help="manifest output path (default obs_manifest.json)")
+    _add_single_run(obs)
+    _add_path(obs, "--manifest", "manifest output path (default "
+              "obs_manifest.json)", default="obs_manifest.json")
     profile = sub.add_parser(
         "profile",
         help="critical-path profile of one seeded run: T1/T-inf, "
@@ -750,31 +664,13 @@ def main(argv: Optional[List[str]] = None) -> int:
              "per-worker overhead-attribution table; optionally stream "
              "the span log to JSONL and/or Perfetto",
     )
-    profile.add_argument("--app", default="fib",
-                         choices=["fib", "knary", "pfold"],
-                         help="application to profile (default fib)")
-    profile.add_argument("--workers", type=int, default=4,
-                         help="cluster size (default 4)")
-    profile.add_argument("--scale", type=int, default=None,
-                         help="problem size override (fib n / knary n / "
-                              "pfold work scale)")
-    profile.add_argument("--out", default=None, metavar="PATH",
-                         help="stream the span log as JSONL to PATH "
-                              "(bounded memory; mergeable across shards)")
-    profile.add_argument("--perfetto", default=None, metavar="PATH",
-                         help="stream a Chrome/Perfetto trace_event doc "
-                              "to PATH (open at ui.perfetto.dev)")
+    _add_single_run(profile)
+    _add_path(profile, "--out", "stream the span log as JSONL to PATH "
+              "(bounded memory; mergeable across shards)")
+    _add_path(profile, "--perfetto", "stream a Chrome/Perfetto trace_event "
+              "doc to PATH (open at ui.perfetto.dev)")
     profile.add_argument("--buffer", type=int, default=8192,
                          help="sink flush buffer, in events (default 8192)")
-    ab = sub.add_parser("ablations")
-    ab.add_argument(
-        "which",
-        nargs="?",
-        default="all",
-        choices=["all", "order", "victim", "initiation", "sharing",
-                 "retirement", "faults", "heterogeneity"],
-    )
-    add_jobs(ab)
     bench = sub.add_parser(
         "bench",
         help="benchmark the simulation substrate (kernel event throughput, "
@@ -793,68 +689,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="benchmark sections to run: 'timeouts' measures "
                             "only the timeout-churn microbench and merges it "
                             "into the existing record (default full)")
-    bench.add_argument("--manifest", default=None, metavar="PATH",
-                       help="also write a run-provenance manifest JSON")
-    lat = sub.add_parser(
-        "latency",
-        help="sweep backbone steal latency on a two-segment cluster per "
-             "victim/steal policy and compare against the Gast et al. "
-             "analytical makespan bound",
-    )
-    lat.add_argument("--workers", type=int, default=8,
-                     help="cluster size, split over two segments (default 8)")
-    lat.add_argument("--manifest", default=None, metavar="PATH",
-                     help="also write a run-provenance manifest JSON")
-    add_jobs(lat)
-    traffic = sub.add_parser(
-        "traffic",
-        help="run the policy x arrival competition under thousand-job "
-             "synthetic traffic on the real PhishJobQ and report "
-             "makespan, throughput and job-latency percentiles",
-    )
-    traffic.add_argument("--policies", default="rr,srp,fair,interrupt",
-                         metavar="LIST",
-                         help="comma-separated assignment policies "
-                              "(default rr,srp,fair,interrupt)")
-    traffic.add_argument("--arrivals", default="poisson,diurnal",
-                         metavar="LIST",
-                         help="comma-separated arrival processes: poisson, "
-                              "diurnal, bursty (default poisson,diurnal)")
-    traffic.add_argument("--njobs", type=int, default=1000,
-                         help="jobs submitted per cell (default 1000)")
-    traffic.add_argument("--machines", type=int, default=16,
-                         help="workstations in the network (default 16)")
-    traffic.add_argument("--rate", type=float, default=0.5,
-                         help="mean arrival rate, jobs per simulated "
-                              "second (default 0.5)")
-    traffic.add_argument("--sizes", default="pareto",
-                         choices=["pareto", "exponential"],
-                         help="job-size distribution (default pareto, "
-                              "heavy-tailed)")
-    traffic.add_argument("--owners", default="idle",
-                         choices=["idle", "workday"],
-                         help="owner model: dedicated idle machines or "
-                              "replayed login/logout logs (default idle)")
-    traffic.add_argument("--manifest", default=None, metavar="PATH",
-                         help="also write a run-provenance manifest JSON")
-    add_jobs(traffic)
+    _add_manifest(bench)
     chk = sub.add_parser(
         "check",
         help="fuzz schedules (tie-breaks, jitter, crashes, reclaims) and "
              "verify runtime invariants on every run",
     )
-    chk.add_argument("--seeds", type=int, default=25,
-                     help="number of fuzz seeds to run (default 25)")
-    chk.add_argument("--app", default="fib", choices=["fib", "knary", "shrink"],
-                     help="application to fuzz (default fib)")
-    chk.add_argument("--workers", type=int, default=4,
-                     help="cluster size (default 4)")
-    chk.add_argument("--scenario", default="mixed",
-                     choices=["mixed", "partition", "spike", "faults-only"],
-                     help="perturbation scenario class: 'partition' and "
-                          "'spike' force that network dynamic into every "
-                          "seed; 'faults-only' disables both (default "
-                          "mixed: probabilistic)")
+    _add_seed_sweep(
+        chk, sorted(APPS), 25, Perturbation.SCENARIOS,
+        "perturbation scenario class: 'partition' and 'spike' force that "
+        "network dynamic into every seed; 'faults-only' disables both "
+        "(default mixed: probabilistic)")
     chk.add_argument("--verify-queue", action="store_true",
                      help="instead of fuzzing, run every seed on the "
                           "plain-heapq reference kernel and on the "
@@ -864,10 +709,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      choices=["skip-redo", "drop-migration", "dup-exec"],
                      help="deliberately break the scheduler to prove the "
                           "checker catches it")
-    chk.add_argument("--manifest", default=None, metavar="PATH",
-                     help="write a run manifest with merged per-shard "
-                          "metrics and the fan-out speedup")
-    add_jobs(chk)
+    _add_path(chk, "--manifest", "write a run manifest with merged per-shard "
+              "metrics and the fan-out speedup")
+    _add_jobs(chk)
     diag = sub.add_parser(
         "diagnose",
         help="run seeds with the streaming health detectors attached "
@@ -876,32 +720,20 @@ def main(argv: Optional[List[str]] = None) -> int:
              "and print the incident timeline; --diff compares two run "
              "manifests",
     )
-    diag.add_argument("--app", default="fib",
-                      choices=["fib", "knary", "shrink", "traffic"],
-                      help="application to diagnose (default fib)")
-    diag.add_argument("--workers", type=int, default=4,
-                      help="cluster size (default 4)")
-    diag.add_argument("--seeds", type=int, default=1,
-                      help="number of consecutive seeds (default 1)")
-    diag.add_argument("--scenario", default="clean",
-                      choices=["clean", "mixed", "partition", "spike",
-                               "faults-only"],
-                      help="perturbation scenario: 'clean' runs no "
-                           "faults (the false-positive gate); the rest "
-                           "match `check --scenario` (default clean)")
+    _add_seed_sweep(
+        diag, [*sorted(APPS), "traffic"], 1, SCENARIOS,
+        "perturbation scenario: 'clean' runs no faults (the false-positive "
+        "gate); the rest match `check --scenario` (default clean)")
     diag.add_argument("--slo", type=float, default=None, metavar="S",
                       help="per-job sojourn SLO in simulated seconds "
                            "(traffic app only)")
     diag.add_argument("--njobs", type=int, default=200,
                       help="jobs per traffic run (default 200)")
-    diag.add_argument("--incidents", default=None, metavar="PATH",
-                      help="also write the incident stream as JSONL")
-    diag.add_argument("--perfetto", default=None, metavar="PATH",
-                      help="re-run the first seed and export its trace "
-                           "with incidents as Perfetto instants")
-    diag.add_argument("--manifest", default=None, metavar="PATH",
-                      help="write a run manifest with the merged metric "
-                           "snapshot and incident counts")
+    _add_path(diag, "--incidents", "also write the incident stream as JSONL")
+    _add_path(diag, "--perfetto", "re-run the first seed and export its "
+              "trace with incidents as Perfetto instants")
+    _add_path(diag, "--manifest", "write a run manifest with the merged "
+              "metric snapshot and incident counts")
     diag.add_argument("--fail-on-incident", action="store_true",
                       help="exit 1 if any incident fired (CI gate for "
                            "clean runs)")
@@ -909,7 +741,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       metavar=("A", "B"),
                       help="compare two run manifests (provenance drift "
                            "+ metric deltas) instead of running")
-    add_jobs(diag)
+    _add_jobs(diag)
     # --seed works both before and after the subcommand; SUPPRESS keeps a
     # pre-subcommand value from being clobbered by a subparser default.
     for cmd in sub.choices.values():
@@ -917,7 +749,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="root random seed (default 0)")
     args = parser.parse_args(argv)
     started = time.time()
-    output = COMMANDS[args.command](args)
+    output = COMMANDS.get(args.command, _cmd_exhibit)(args)
     print(output)
     print(f"\n[{args.command} regenerated in {time.time() - started:.1f}s real time]")
     return 0

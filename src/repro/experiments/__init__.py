@@ -16,6 +16,10 @@ formats it next to the published values:
   DESIGN.md calls out (LIFO/FIFO orders, victim policy, idle- vs
   sender-initiated vs central queue, space- vs time-sharing, retirement,
   fault overhead, network heterogeneity).
+
+:data:`EXHIBITS` (:mod:`repro.experiments.registry`) declares each of
+them — runner, formatter, command-line flags, manifest meta — and is
+what ``repro.cli`` builds its exhibit subcommands from.
 """
 
 from repro.experiments.table1 import Table1Row, format_table1, run_table1
@@ -33,8 +37,11 @@ from repro.experiments.latency import (
     gast_bound_s,
     run_latency_sweep,
 )
+from repro.experiments.registry import EXHIBITS, Exhibit
 
 __all__ = [
+    "EXHIBITS",
+    "Exhibit",
     "run_table1",
     "format_table1",
     "Table1Row",

@@ -1,8 +1,9 @@
 """Ablations: the design choices the paper argues for, measured.
 
-Each function runs a controlled comparison and returns rows suitable
-for :func:`repro.experiments.report.render_table`; ``format_*``
-companions render them.  These back the claims:
+Each section of :data:`SECTIONS` is a controlled comparison: a runner
+returning rows and a formatter rendering them.  The studies that vary
+only the worker's configuration or the network under one workload are
+rows of a table (:func:`_variant_section`).  These back the claims:
 
 * LIFO execution + FIFO stealing preserves memory and communication
   locality (Section 2, "supported by intuition, analytic results, and
@@ -20,29 +21,31 @@ companions render them.  These back the claims:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.pfold import pfold_job, pfold_serial
 from repro.baselines.sharing import SharingComparison, compare_sharing
-from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
+from repro.cluster.platform import ETHERNET_UDP
+from repro.experiments.pfold import PFOLD_SEQUENCE, PfoldRun, run_pfold
 from repro.experiments.report import render_table
 from repro.fault.crash import CrashPlan, run_job_with_crashes
 from repro.micro.worker import WorkerConfig
-from repro.net.topology import SegmentedTopology
+from repro.net.topology import SegmentedTopology, Topology
 from repro.phish import run_job
-from repro.tasks.program import JobProgram
 
 #: Standard ablation workload: big enough for steals to matter, small
 #: enough for quick runs.
-ABLATION_SEQUENCE = "HPHPPHHPHPPH"
+ABLATION_SEQUENCE = PFOLD_SEQUENCE
 ABLATION_SCALE = 60.0
 ABLATION_P = 8
 
 
-def _job() -> JobProgram:
-    return pfold_job(ABLATION_SEQUENCE, work_scale=ABLATION_SCALE)
-
+# ---------------------------------------------------------------------------
+# Worker-variant studies: one workload, one row per scheduler variant
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AblationRow:
@@ -55,21 +58,47 @@ class AblationRow:
     correct: bool
 
 
-def _measure(config: WorkerConfig, seed: int = 0, n: int = ABLATION_P,
-             profile: PlatformProfile = SPARCSTATION_1, topology=None,
-             variant: str = "") -> AblationRow:
-    expected = pfold_serial(ABLATION_SEQUENCE, work_scale=ABLATION_SCALE).result
-    result = run_job(_job(), n_workers=n, profile=profile, seed=seed,
-                     worker_config=config, topology=topology)
-    return AblationRow(
-        variant=variant,
-        avg_time_s=result.stats.average_execution_time,
-        tasks_stolen=result.stats.tasks_stolen,
-        messages_sent=result.stats.messages_sent,
-        max_tasks_in_use=result.stats.max_tasks_in_use,
-        migrated=sum(w.tasks_migrated_in for w in result.stats.workers),
-        correct=result.result == expected,
+def _slow_backbone() -> Topology:
+    """Two equal segments joined by a congested bridge: 100x the wire
+    latency, a tenth of the bandwidth."""
+    inter = dataclasses.replace(
+        ETHERNET_UDP,
+        wire_latency_s=ETHERNET_UDP.wire_latency_s * 100,
+        bandwidth_bytes_per_s=ETHERNET_UDP.bandwidth_bytes_per_s / 10,
     )
+    return SegmentedTopology(
+        {f"ws{i:02d}": ("segA" if i < ABLATION_P // 2 else "segB")
+         for i in range(ABLATION_P)},
+        intra=ETHERNET_UDP,
+        inter=inter,
+    )
+
+
+#: One variant: (label, WorkerConfig overrides, topology factory or None
+#: for the uniform LAN).
+Variant = Tuple[str, Dict[str, Any], Optional[Callable[[], Topology]]]
+
+
+def _run_variants(variants: Sequence[Variant], seed: int = 0) -> List[AblationRow]:
+    """Run the ablation workload once per variant."""
+    expected = pfold_serial(ABLATION_SEQUENCE, work_scale=ABLATION_SCALE).result
+    rows = []
+    for label, overrides, topology in variants:
+        stats = run_pfold(PfoldRun(
+            ABLATION_P, seed, work_scale=ABLATION_SCALE,
+            worker_config=WorkerConfig(**overrides),
+            topology=topology() if topology else None,
+        ))
+        rows.append(AblationRow(
+            variant=label,
+            avg_time_s=stats.average_execution_time,
+            tasks_stolen=stats.tasks_stolen,
+            messages_sent=stats.messages_sent,
+            max_tasks_in_use=stats.max_tasks_in_use,
+            migrated=sum(w.tasks_migrated_in for w in stats.workers),
+            correct=stats.result == expected,
+        ))
+    return rows
 
 
 def _render(title: str, rows: List[AblationRow]) -> str:
@@ -85,78 +114,13 @@ def _render(title: str, rows: List[AblationRow]) -> str:
     )
 
 
-# ---------------------------------------------------------------------------
-# 1. Execution/steal order
-# ---------------------------------------------------------------------------
-
-def run_order_ablation(seed: int = 0) -> List[AblationRow]:
-    """The paper's LIFO-exec/FIFO-steal versus the other three combos.
-
-    Expectation: FIFO execution explodes the working set ("max in use");
-    LIFO stealing exports leaf tasks, multiplying steal traffic.
-    """
-    rows = []
-    for exec_order in ("lifo", "fifo"):
-        for steal_order in ("fifo", "lifo"):
-            cfg = WorkerConfig(exec_order=exec_order, steal_order=steal_order)
-            label = f"exec={exec_order} steal={steal_order}"
-            if exec_order == "lifo" and steal_order == "fifo":
-                label += " (paper)"
-            rows.append(_measure(cfg, seed=seed, variant=label))
-    return rows
-
-
-def format_order_ablation(rows: List[AblationRow]) -> str:
-    return _render("Ablation — ready-list execution and steal order", rows)
+def _variant_section(title: str, *variants: Variant):
+    """The ``(runner, formatter)`` pair of a worker-variant study."""
+    return partial(_run_variants, variants), partial(_render, title)
 
 
 # ---------------------------------------------------------------------------
-# 2. Victim selection
-# ---------------------------------------------------------------------------
-
-def run_victim_ablation(seed: int = 0) -> List[AblationRow]:
-    """Uniformly-random victim (paper) vs deterministic round-robin."""
-    return [
-        _measure(WorkerConfig(victim_policy="random"), seed=seed,
-                 variant="random (paper)"),
-        _measure(WorkerConfig(victim_policy="round-robin"), seed=seed,
-                 variant="round-robin"),
-    ]
-
-
-def format_victim_ablation(rows: List[AblationRow]) -> str:
-    return _render("Ablation — steal victim selection", rows)
-
-
-# ---------------------------------------------------------------------------
-# 3. Who initiates load distribution
-# ---------------------------------------------------------------------------
-
-def run_initiation_ablation(seed: int = 0) -> List[AblationRow]:
-    """Idle-initiated stealing vs central queue vs sender-initiated push.
-
-    Expectation: the central queue turns every spawn into messages; the
-    push balancer moves tasks nobody asked for; idle-initiated stealing
-    moves almost nothing.
-    """
-    return [
-        _measure(WorkerConfig(mode="steal"), seed=seed,
-                 variant="idle-initiated steal (paper)"),
-        _measure(WorkerConfig(mode="central"), seed=seed, variant="central queue"),
-        _measure(
-            WorkerConfig(mode="push", push_threshold=4, load_broadcast_s=0.1),
-            seed=seed,
-            variant="sender-initiated push",
-        ),
-    ]
-
-
-def format_initiation_ablation(rows: List[AblationRow]) -> str:
-    return _render("Ablation — idle-initiated vs alternatives", rows)
-
-
-# ---------------------------------------------------------------------------
-# 4. Space-sharing vs time-sharing
+# Space-sharing vs time-sharing
 # ---------------------------------------------------------------------------
 
 def run_sharing_ablation(
@@ -188,7 +152,7 @@ def format_sharing_ablation(cmp: SharingComparison) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 5. Retirement threshold
+# Retirement threshold
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -257,7 +221,7 @@ def format_retirement_ablation(rows: List[RetirementRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 6. Fault overhead
+# Fault overhead
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -278,7 +242,9 @@ def run_fault_ablation(
     for k in crash_counts:
         # Stagger crashes through the run; never crash the CH host (0).
         plan = CrashPlan([(4.0 + 3.0 * i, 1 + i) for i in range(k)])
-        result = run_job_with_crashes(_job(), ABLATION_P, plan, seed=seed)
+        result = run_job_with_crashes(
+            pfold_job(ABLATION_SEQUENCE, work_scale=ABLATION_SCALE),
+            ABLATION_P, plan, seed=seed)
         rows.append(
             FaultRow(
                 crashes=k,
@@ -304,82 +270,63 @@ def format_fault_ablation(rows: List[FaultRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 7. Network heterogeneity (the paper's future work)
-# ---------------------------------------------------------------------------
-
-def run_heterogeneity_ablation(seed: int = 0) -> List[AblationRow]:
-    """Uniform LAN vs two segments joined by a 10x-slower backbone.
-
-    The paper's future work: "Our new scheduling techniques attempt to
-    preserve locality with respect to those network cuts that have the
-    least bandwidth."  This measures how much the naive (cut-oblivious)
-    thief loses on a segmented network — the gap such techniques would
-    close.
-    """
-    profile = SPARCSTATION_1
-    inter = profile.net.__class__(
-        send_overhead_s=profile.net.send_overhead_s,
-        recv_overhead_s=profile.net.recv_overhead_s,
-        wire_latency_s=profile.net.wire_latency_s * 100,  # a congested bridge
-        bandwidth_bytes_per_s=profile.net.bandwidth_bytes_per_s / 10,
-    )
-
-    def segmented() -> SegmentedTopology:
-        return SegmentedTopology(
-            {f"ws{i:02d}": ("segA" if i < ABLATION_P // 2 else "segB")
-             for i in range(ABLATION_P)},
-            intra=profile.net,
-            inter=inter,
-        )
-
-    # The paper's FIFO stealing moves so few tasks the slow cut barely
-    # shows; the leaf-stealing (LIFO) variant crosses the cut thousands
-    # of times and exposes exactly the gap the future-work techniques
-    # target.
-    return [
-        _measure(WorkerConfig(), seed=seed, variant="FIFO steal, uniform LAN"),
-        _measure(WorkerConfig(), seed=seed, topology=segmented(),
-                 variant="FIFO steal, slow backbone"),
-        _measure(WorkerConfig(steal_order="lifo"), seed=seed,
-                 variant="LIFO steal, uniform LAN"),
-        _measure(WorkerConfig(steal_order="lifo"), seed=seed, topology=segmented(),
-                 variant="LIFO steal, slow backbone"),
-    ]
-
-
-def format_heterogeneity_ablation(rows: List[AblationRow]) -> str:
-    return _render("Ablation — network heterogeneity (future-work motivation)", rows)
-
-
-# ---------------------------------------------------------------------------
 # Section registry and parallel fan-out (see repro.parallel)
 # ---------------------------------------------------------------------------
 
 #: Display-order registry of every ablation: name -> (runner, formatter).
 #: All runners take only ``seed``, so one picklable spec covers them.
 SECTIONS = {
-    "order": (run_order_ablation, format_order_ablation),
-    "victim": (run_victim_ablation, format_victim_ablation),
-    "initiation": (run_initiation_ablation, format_initiation_ablation),
+    # The paper's LIFO-exec/FIFO-steal versus the other three combos:
+    # FIFO execution explodes the working set ("max in use"); LIFO
+    # stealing exports leaf tasks, multiplying steal traffic.
+    "order": _variant_section(
+        "Ablation — ready-list execution and steal order",
+        ("exec=lifo steal=fifo (paper)",
+         dict(exec_order="lifo", steal_order="fifo"), None),
+        ("exec=lifo steal=lifo", dict(exec_order="lifo", steal_order="lifo"), None),
+        ("exec=fifo steal=fifo", dict(exec_order="fifo", steal_order="fifo"), None),
+        ("exec=fifo steal=lifo", dict(exec_order="fifo", steal_order="lifo"), None),
+    ),
+    # Uniformly-random victim vs deterministic round-robin.
+    "victim": _variant_section(
+        "Ablation — steal victim selection",
+        ("random (paper)", dict(victim_policy="random"), None),
+        ("round-robin", dict(victim_policy="round-robin"), None),
+    ),
+    # The central queue turns every spawn into messages; the push
+    # balancer moves tasks nobody asked for; idle-initiated stealing
+    # moves almost nothing.
+    "initiation": _variant_section(
+        "Ablation — idle-initiated vs alternatives",
+        ("idle-initiated steal (paper)", dict(mode="steal"), None),
+        ("central queue", dict(mode="central"), None),
+        ("sender-initiated push",
+         dict(mode="push", push_threshold=4, load_broadcast_s=0.1), None),
+    ),
     "sharing": (run_sharing_ablation, format_sharing_ablation),
     "retirement": (run_retirement_ablation, format_retirement_ablation),
     "faults": (run_fault_ablation, format_fault_ablation),
-    "heterogeneity": (run_heterogeneity_ablation, format_heterogeneity_ablation),
+    # The paper's future work: "Our new scheduling techniques attempt to
+    # preserve locality with respect to those network cuts that have the
+    # least bandwidth."  How much the cut-oblivious thief loses on a
+    # segmented network: FIFO stealing moves so few tasks the slow cut
+    # barely shows; the leaf-stealing (LIFO) variant crosses it thousands
+    # of times and exposes the gap such techniques would close.
+    "heterogeneity": _variant_section(
+        "Ablation — network heterogeneity (future-work motivation)",
+        ("FIFO steal, uniform LAN", {}, None),
+        ("FIFO steal, slow backbone", {}, _slow_backbone),
+        ("LIFO steal, uniform LAN", dict(steal_order="lifo"), None),
+        ("LIFO steal, slow backbone", dict(steal_order="lifo"), _slow_backbone),
+    ),
 }
 
 
-@dataclass(frozen=True)
-class _SectionSpec:
-    """One ablation section to run — picklable for the ``--jobs`` pool."""
-
-    name: str
-    seed: int
-
-
-def _run_section(spec: _SectionSpec) -> str:
+def _run_section(name_and_seed: Tuple[str, int]) -> str:
     """Shard task: run one ablation section and render its table."""
-    run, fmt = SECTIONS[spec.name]
-    return fmt(run(seed=spec.seed))
+    name, seed = name_and_seed
+    run, fmt = SECTIONS[name]
+    return fmt(run(seed=seed))
 
 
 def run_sections(names: Sequence[str], seed: int = 0, jobs: int = 1) -> List[str]:
@@ -395,9 +342,7 @@ def run_sections(names: Sequence[str], seed: int = 0, jobs: int = 1) -> List[str
         if name not in SECTIONS:
             raise ValueError(f"unknown ablation {name!r}; known: {list(SECTIONS)}")
     sections, _stats = ShardedRunner(jobs=jobs).map(
-        _run_section,
-        [_SectionSpec(name=name, seed=seed) for name in names],
-        label="ablations",
-        describe=lambda s: s.name,
+        _run_section, [(name, seed) for name in names],
+        label="ablations", describe=lambda item: item[0],
     )
     return sections

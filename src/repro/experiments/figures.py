@@ -15,23 +15,20 @@ the same as everywhere else, which is what produces the droop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.apps.pfold import pfold_job
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
+from repro.experiments.pfold import (
+    DEFAULT_WORK_SCALE,
+    PFOLD_SEQUENCE,
+    PfoldRun,
+    run_pfold_sweep,
+)
 from repro.experiments.report import render_ascii_plot, render_table
 from repro.micro.worker import WorkerConfig
-from repro.phish import run_job
-from repro.util.stats import speedup_paper
 
 #: Participant counts of the paper's Figures 4 and 5.
 PAPER_PARTICIPANTS = (1, 2, 4, 8, 16, 32)
-
-#: Standard scaled workload: 12-mer polymer (64,832 tasks) with the
-#: per-task work scaled so the 1-participant run takes on the order of
-#: the paper's ~600 s on a SparcStation 1.
-DEFAULT_SEQUENCE = "HPHPPHHPHPPH"
-DEFAULT_WORK_SCALE = 535.0
 
 
 @dataclass(frozen=True)
@@ -46,52 +43,8 @@ class FigurePoint:
     max_tasks_in_use: int
 
 
-@dataclass(frozen=True)
-class _PointSpec:
-    """One (participants) point of the curve — picklable, so the sweep
-    can fan points out over a process pool (``--jobs``)."""
-
-    sequence: str
-    work_scale: float
-    participants: int
-    profile: PlatformProfile
-    seed: int
-    worker_config: Optional[WorkerConfig]
-
-
-@dataclass(frozen=True)
-class _RawPoint:
-    """A point before the speedup is known (needs the P=1 time)."""
-
-    participants: int
-    execution_times: Tuple[float, ...]
-    average_time_s: float
-    tasks_stolen: int
-    messages_sent: int
-    max_tasks_in_use: int
-
-
-def _run_point(spec: _PointSpec) -> _RawPoint:
-    """Shard task: one pfold run at one participant count."""
-    result = run_job(
-        pfold_job(spec.sequence, work_scale=spec.work_scale),
-        n_workers=spec.participants,
-        profile=spec.profile,
-        seed=spec.seed,
-        worker_config=spec.worker_config,
-    )
-    return _RawPoint(
-        participants=spec.participants,
-        execution_times=tuple(result.stats.execution_times),
-        average_time_s=result.stats.average_execution_time,
-        tasks_stolen=result.stats.tasks_stolen,
-        messages_sent=result.stats.messages_sent,
-        max_tasks_in_use=result.stats.max_tasks_in_use,
-    )
-
-
 def run_speedup_curve(
-    sequence: str = DEFAULT_SEQUENCE,
+    sequence: str = PFOLD_SEQUENCE,
     work_scale: float = DEFAULT_WORK_SCALE,
     participants: Sequence[int] = PAPER_PARTICIPANTS,
     profile: PlatformProfile = SPARCSTATION_1,
@@ -106,31 +59,24 @@ def run_speedup_curve(
     points as parallel shard tasks; every run is an independently
     seeded simulation, so the curve is identical either way.
     """
-    from repro.parallel import ShardedRunner
-
     counts = sorted(set(participants) | {1})
-    specs = [
-        _PointSpec(sequence=sequence, work_scale=work_scale, participants=p,
-                   profile=profile, seed=seed, worker_config=worker_config)
-        for p in counts
-    ]
-    raws, _stats = ShardedRunner(jobs=jobs).map(
-        _run_point, specs, label="speedup-curve",
-        describe=lambda s: f"P={s.participants}",
+    runs = run_pfold_sweep(
+        [PfoldRun(p, seed, sequence, work_scale, profile, worker_config)
+         for p in counts],
+        jobs, label="speedup-curve",
     )
-    t1 = next(r for r in raws if r.participants == 1).execution_times[0]
-    points = [
+    t1 = runs[0].execution_times[0]  # counts[0] == 1
+    return [
         FigurePoint(
-            participants=raw.participants,
-            average_time_s=raw.average_time_s,
-            speedup=speedup_paper(t1, list(raw.execution_times)),
-            tasks_stolen=raw.tasks_stolen,
-            messages_sent=raw.messages_sent,
-            max_tasks_in_use=raw.max_tasks_in_use,
+            participants=p,
+            average_time_s=stats.average_execution_time,
+            speedup=stats.speedup_vs(t1),
+            tasks_stolen=stats.tasks_stolen,
+            messages_sent=stats.messages_sent,
+            max_tasks_in_use=stats.max_tasks_in_use,
         )
-        for raw in raws
+        for p, stats in zip(counts, runs)
     ]
-    return [pt for pt in points if pt.participants in set(participants) or pt.participants == 1]
 
 
 def format_figure4(points: List[FigurePoint]) -> str:

@@ -16,6 +16,7 @@ from typing import Generator, List, Sequence
 
 from repro.apps.pfold import pfold_job, pfold_serial
 from repro.cluster.owner import AlwaysIdleTrace, RenewalOwnerTrace
+from repro.experiments.pfold import PFOLD_SEQUENCE
 from repro.experiments.report import render_table
 from repro.macro.jobmanager import JobManagerConfig
 from repro.macro.system import PhishSystem, PhishSystemConfig
@@ -50,7 +51,7 @@ def run_harvest(
     busy_mean_s: float = 30.0,
     idle_mean_s: float = 60.0,
     job_spacing_s: float = 5.0,
-    sequence: str = "HPHPPHHPHPPH",
+    sequence: str = PFOLD_SEQUENCE,
     work_scale: float = 60.0,
 ) -> HarvestReport:
     """Run the harvesting scenario and account for the idle cycles.
@@ -129,32 +130,10 @@ def run_harvest(
     return report
 
 
-@dataclass(frozen=True)
-class HarvestSpec:
-    """One harvesting repetition — picklable for the ``--jobs`` pool."""
-
-    seed: int
-    n_machines: int = 10
-    n_jobs: int = 3
-    busy_mean_s: float = 30.0
-    idle_mean_s: float = 60.0
-    job_spacing_s: float = 5.0
-    sequence: str = "HPHPPHHPHPPH"
-    work_scale: float = 60.0
-
-
-def _run_harvest_rep(spec: HarvestSpec) -> HarvestReport:
-    """Shard task: one full harvesting scenario at one seed."""
-    return run_harvest(
-        n_machines=spec.n_machines,
-        n_jobs=spec.n_jobs,
-        seed=spec.seed,
-        busy_mean_s=spec.busy_mean_s,
-        idle_mean_s=spec.idle_mean_s,
-        job_spacing_s=spec.job_spacing_s,
-        sequence=spec.sequence,
-        work_scale=spec.work_scale,
-    )
+def _run_harvest_rep(params: dict) -> HarvestReport:
+    """Shard task: one full harvesting scenario (:func:`run_harvest`'s
+    keyword arguments travel as a plain dict — picklable for the pool)."""
+    return run_harvest(**params)
 
 
 def run_harvest_sweep(
@@ -169,10 +148,9 @@ def run_harvest_sweep(
     """
     from repro.parallel import ShardedRunner
 
-    specs = [HarvestSpec(seed=s, **params) for s in seeds]
     reports, _stats = ShardedRunner(jobs=jobs).map(
-        _run_harvest_rep, specs, label="harvest",
-        describe=lambda s: f"seed={s.seed}",
+        _run_harvest_rep, [dict(params, seed=s) for s in seeds],
+        label="harvest", describe=lambda p: f"seed={p['seed']}",
     )
     return reports
 

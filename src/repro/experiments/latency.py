@@ -58,8 +58,7 @@ POLICY_CONFIGS: Dict[str, Dict[str, Any]] = {
 }
 
 #: Sweep order (stable, so output is reproducible).
-POLICIES: Tuple[str, ...] = ("random", "steal-half", "low-latency",
-                             "ll-half-early")
+POLICIES: Tuple[str, ...] = tuple(POLICY_CONFIGS)
 
 #: Sweep workload: a 9-mer pfold (3,172 tasks) scaled so per-task work
 #: (~1.4 ms) is commensurate with the swept latencies — fine enough
@@ -104,12 +103,15 @@ class _SweepSpec:
 
 
 @dataclass(frozen=True)
-class _RawRun:
-    """Measured outcome of one cell (bound is attached in the parent)."""
+class LatencyPoint:
+    """One cell of the sweep with its analytical companion."""
 
     policy: str
-    lam_multiplier: float
+    lam_s: float
     makespan_s: float
+    #: The Gast et al. bound; the shard leaves 0.0 and the parent fills
+    #: it in (it needs the 1-worker run's time and task count).
+    bound_s: float
     tasks_executed: int
     tasks_stolen: int
     avg_steal_latency_s: float
@@ -123,7 +125,7 @@ class _RawRun:
     idle_frac: float
 
 
-def _run_sweep_point(spec: _SweepSpec) -> _RawRun:
+def _run_sweep_point(spec: _SweepSpec) -> LatencyPoint:
     """Shard task: one pfold run at one (policy, backbone latency) cell."""
     from repro.obs.prof import SpanProfiler
 
@@ -144,10 +146,11 @@ def _run_sweep_point(spec: _SweepSpec) -> _RawRun:
     wall = sum(w["wall_s"] for w in workers.values())
     frac = (lambda key: sum(w[key] for w in workers.values()) / wall
             if wall > 0 else 0.0)
-    return _RawRun(
+    return LatencyPoint(
         policy=spec.policy,
-        lam_multiplier=spec.lam_multiplier,
+        lam_s=ETHERNET_UDP.wire_latency_s * spec.lam_multiplier,
         makespan_s=result.makespan,
+        bound_s=0.0,
         tasks_executed=stats.tasks_executed,
         tasks_stolen=stats.tasks_stolen,
         avg_steal_latency_s=stats.avg_steal_latency_s,
@@ -157,24 +160,6 @@ def _run_sweep_point(spec: _SweepSpec) -> _RawRun:
         steal_frac=frac("stealing_s"),
         idle_frac=frac("idle_s"),
     )
-
-
-@dataclass(frozen=True)
-class LatencyPoint:
-    """One cell of the sweep with its analytical companion."""
-
-    policy: str
-    lam_s: float
-    makespan_s: float
-    bound_s: float
-    tasks_stolen: int
-    avg_steal_latency_s: float
-    proactive_steals: int
-    #: Profile attribution: critical-path span and wall-clock fractions.
-    t_inf_s: float
-    work_frac: float
-    steal_frac: float
-    idle_frac: float
 
 
 @dataclass(frozen=True)
@@ -240,30 +225,17 @@ def run_latency_sweep(
         for mult in lam_multipliers
         for policy in policies
     ]
-    raws, _stats = ShardedRunner(jobs=jobs).map(
+    (baseline, *cells), _stats = ShardedRunner(jobs=jobs).map(
         _run_sweep_point, specs, label="latency-sweep",
         describe=_SweepSpec.describe,
     )
-    baseline, cells = raws[0], raws[1:]
     t1 = baseline.makespan_s
     n_tasks = baseline.tasks_executed
+    startup_s = WorkerConfig().startup_cost_s
     points = tuple(
-        LatencyPoint(
-            policy=raw.policy,
-            lam_s=ETHERNET_UDP.wire_latency_s * raw.lam_multiplier,
-            makespan_s=raw.makespan_s,
-            bound_s=gast_bound_s(t1, n_workers, ETHERNET_UDP.wire_latency_s
-                                 * raw.lam_multiplier, n_tasks,
-                                 startup_s=WorkerConfig().startup_cost_s),
-            tasks_stolen=raw.tasks_stolen,
-            avg_steal_latency_s=raw.avg_steal_latency_s,
-            proactive_steals=raw.proactive_steals,
-            t_inf_s=raw.t_inf_s,
-            work_frac=raw.work_frac,
-            steal_frac=raw.steal_frac,
-            idle_frac=raw.idle_frac,
-        )
-        for raw in cells
+        dataclasses.replace(cell, bound_s=gast_bound_s(
+            t1, n_workers, cell.lam_s, n_tasks, startup_s=startup_s))
+        for cell in cells
     )
     return LatencySweep(points=points, t1_s=t1, n_tasks=n_tasks,
                         n_workers=n_workers)

@@ -27,12 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.pfold import pfold_job
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
-from repro.experiments.figures import DEFAULT_SEQUENCE, DEFAULT_WORK_SCALE
+from repro.experiments.pfold import (
+    DEFAULT_WORK_SCALE,
+    PFOLD_SEQUENCE,
+    PfoldRun,
+    run_pfold_sweep,
+)
 from repro.experiments.report import fmt, render_table
 from repro.micro.worker import WorkerConfig
-from repro.phish import run_job
 
 #: The published Table 2, keyed by participant count.
 PAPER_TABLE2: Dict[int, Dict[str, float]] = {
@@ -56,15 +59,8 @@ PAPER_TABLE2: Dict[int, Dict[str, float]] = {
     },
 }
 
-ROW_ORDER = [
-    "Tasks executed",
-    "Max tasks in use",
-    "Tasks stolen",
-    "Synchronizations",
-    "Non-local synchs",
-    "Messages sent",
-    "Execution time",
-]
+#: Rows in the published table's order.
+ROW_ORDER = list(PAPER_TABLE2[4])
 
 
 @dataclass(frozen=True)
@@ -87,33 +83,8 @@ class Table2Column:
         }
 
 
-@dataclass(frozen=True)
-class _ColumnSpec:
-    """One Table 2 column run — picklable for the ``--jobs`` fan-out."""
-
-    sequence: str
-    work_scale: float
-    participants: int
-    profile: PlatformProfile
-    seed: int
-    worker_config: Optional[WorkerConfig]
-
-
-def _run_column(spec: _ColumnSpec) -> Table2Column:
-    """Shard task: one pfold run producing one measured column."""
-    result = run_job(
-        pfold_job(spec.sequence, work_scale=spec.work_scale),
-        n_workers=spec.participants,
-        profile=spec.profile,
-        seed=spec.seed,
-        worker_config=spec.worker_config,
-    )
-    return Table2Column(participants=spec.participants,
-                        rows=result.stats.table2_rows())
-
-
 def run_table2(
-    sequence: str = DEFAULT_SEQUENCE,
+    sequence: str = PFOLD_SEQUENCE,
     work_scale: float = DEFAULT_WORK_SCALE,
     participants: Sequence[int] = (4, 8),
     profile: PlatformProfile = SPARCSTATION_1,
@@ -127,18 +98,13 @@ def run_table2(
     runs them as parallel shard tasks with identical results, columns
     reassembled in input order.
     """
-    from repro.parallel import ShardedRunner
-
-    specs = [
-        _ColumnSpec(sequence=sequence, work_scale=work_scale, participants=p,
-                    profile=profile, seed=seed, worker_config=worker_config)
-        for p in participants
-    ]
-    columns, _stats = ShardedRunner(jobs=jobs).map(
-        _run_column, specs, label="table2",
-        describe=lambda s: f"P={s.participants}",
+    runs = run_pfold_sweep(
+        [PfoldRun(p, seed, sequence, work_scale, profile, worker_config)
+         for p in participants],
+        jobs, label="table2",
     )
-    return columns
+    return [Table2Column(participants=p, rows=stats.table2_rows())
+            for p, stats in zip(participants, runs)]
 
 
 def format_table2(columns: List[Table2Column]) -> str:

@@ -39,11 +39,6 @@ def _describe_cell(config: TrafficConfig) -> str:
     return f"{config.policy} x {config.arrival} seed={config.seed}"
 
 
-def _run_traffic_cell(config: TrafficConfig) -> TrafficReport:
-    """Shard task: one policy × arrival cell (module-level: picklable)."""
-    return run_traffic(config)
-
-
 @dataclass(frozen=True)
 class TrafficMatrix:
     """The full sweep in matrix order (policy-major, arrival-minor)."""
@@ -92,7 +87,7 @@ def run_traffic_matrix(
         for arrival in arrivals
     ]
     reports, _stats = ShardedRunner(jobs=jobs).map(
-        _run_traffic_cell, specs, label="traffic-matrix",
+        run_traffic, specs, label="traffic-matrix",
         describe=_describe_cell,
     )
     return TrafficMatrix(

@@ -133,16 +133,20 @@ class PhishJobManager:
         """What to wait on after the JobQ answered "no job" (paper: 30 s)."""
         return self.sim.timeout(self.config.no_job_retry_s)
 
+    def _tell_jobq(self, method: str, args: object) -> Generator:
+        """Make a JobQ call that must land, retrying until it is heard."""
+        while True:
+            try:
+                return (yield from self.jobq.call(method, args))
+            except RpcError:  # JobQ unreachable; retry later
+                yield self.sim.timeout(self.config.no_job_retry_s)
+
     def _release(self, job_id: int) -> Generator:
         """Tell the JobQ this machine no longer participates in *job_id*
         (until it hears: a slot left taken by a machine that is gone
         counts against the job's ``max_workers`` for good)."""
-        args = {"job_id": job_id, "workstation": self.workstation.name}
-        while True:
-            try:
-                return (yield from self.jobq.call("release", args))
-            except RpcError:  # JobQ unreachable; retry later
-                yield self.sim.timeout(self.config.no_job_retry_s)
+        return self._tell_jobq(
+            "release", {"job_id": job_id, "workstation": self.workstation.name})
 
     def start_worker(self, descriptor: dict, rng: random.Random) -> Worker:
         """A worker for the described job on this workstation (also how

@@ -23,9 +23,7 @@ from repro.macro.job import JobHandle, JobRecord
 from repro.macro.jobmanager import JobManagerConfig, PhishJobManager
 from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import AssignmentPolicy
-from repro.micro import protocol as P
 from repro.micro.worker import Worker
-from repro.net.rpc import RpcClient
 from repro.net.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
@@ -154,14 +152,15 @@ class PhishSystem:
 
     def _job_watcher(self, record: JobRecord, ch: Clearinghouse, first_worker) -> Generator:
         """Submitter-side bookkeeping: release the first worker's slot and
-        mark the job done at the JobQ."""
-        jobq = RpcClient(self.network, record.ch_host, self.jobq.host, P.JOBQ_PORT)
+        mark the job done at the JobQ — through the submit host's daemon,
+        whose calls retry until heard (a lost one would leave a finished
+        job in the pool, granted to idle machines for good)."""
+        daemon = self.jobmanagers[record.ch_host]
         if first_worker is not None:
             yield first_worker.finished.wait()
-            yield from jobq.call(
-                "release", {"job_id": record.job_id, "workstation": record.ch_host})
+            yield from daemon._release(record.job_id)
         yield ch.done.wait()
-        yield from jobq.call("job_done", record.job_id)
+        yield from daemon._tell_jobq("job_done", record.job_id)
 
     # ------------------------------------------------------------------
 

@@ -322,6 +322,17 @@ def workday_events(
 # ======================================================================
 
 
+#: Bounded-Pareto job sizes: shape and lower bound (seconds).
+PARETO_ALPHA = 1.3
+SIZE_LO_S = 5.0
+#: Poll interval for idle machines that found no work (pull mode).
+RETRY_S = 5.0
+#: Fallback wake for parked machines in interrupt mode.
+PARK_TIMEOUT_S = 60.0
+#: Distinct submitting users (fair-share accounting entities).
+N_OWNERS = 4
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     """One fully-seeded traffic run (primitives only: picklable)."""
@@ -333,10 +344,9 @@ class TrafficConfig:
     arrival: str = "poisson"
     #: Mean job-arrival rate (jobs per simulated second).
     rate_per_s: float = 0.5
-    #: Job-size distribution: "pareto" (heavy-tailed) or "exponential".
+    #: Job-size distribution: "pareto" (heavy-tailed, shape
+    #: :data:`PARETO_ALPHA` from :data:`SIZE_LO_S` up) or "exponential".
     sizes: str = "pareto"
-    pareto_alpha: float = 1.3
-    size_lo_s: float = 5.0
     size_hi_s: float = 5000.0
     #: Mean for the exponential size distribution.
     size_mean_s: float = 20.0
@@ -346,10 +356,6 @@ class TrafficConfig:
     #: Service quantum: an agent re-checks owner state and job progress
     #: at this granularity (the paper's ~2 s reclaim poll lives here).
     quantum_s: float = 1.0
-    #: Poll interval for idle machines that found no work (pull mode).
-    retry_s: float = 5.0
-    #: Fallback wake for parked machines in interrupt mode.
-    park_timeout_s: float = 60.0
     #: Poll interval while the owner is at the machine.
     owner_poll_s: float = 2.0
     #: Owner model: "idle" (dedicated machines, the paper's measurement
@@ -357,8 +363,6 @@ class TrafficConfig:
     owners: str = "idle"
     owner_busy_mean_s: float = 240.0
     owner_idle_mean_s: float = 720.0
-    #: Distinct submitting users (fair-share accounting entities).
-    n_owners: int = 4
     #: Hard cap on simulated time; the run reports what completed.
     horizon_s: float = 100_000.0
     #: Per-job sojourn SLO (seconds); jobs finishing later raise an
@@ -373,10 +377,8 @@ class TrafficConfig:
             raise JobError("need at least one job")
         if self.max_workers_per_job < 1:
             raise JobError("max_workers_per_job must be >= 1")
-        if self.n_owners < 1:
-            raise JobError("need at least one owner")
-        if self.quantum_s <= 0 or self.retry_s <= 0:
-            raise JobError("quantum_s and retry_s must be positive")
+        if self.quantum_s <= 0:
+            raise JobError("quantum_s must be positive")
         if self.owners not in ("idle", "workday"):
             raise JobError(f"unknown owner model {self.owners!r}")
         if self.slo_s is not None and self.slo_s <= 0:
@@ -430,7 +432,7 @@ class _TrafficJobManager(PhishJobManager):
     :meth:`PhishJobManager._run`, unchanged.  Participation is the
     engine's quantum drain instead of a micro-level worker, and under an
     ``interrupt_driven`` policy the no-job wait parks on the JobQ's bell
-    (with ``park_timeout_s`` as the fallback wake) instead of polling.
+    (with :data:`PARK_TIMEOUT_S` as the fallback wake) instead of polling.
     """
 
     def __init__(self, system: "TrafficSystem", workstation: Workstation) -> None:
@@ -439,7 +441,7 @@ class _TrafficJobManager(PhishJobManager):
         super().__init__(
             system.sim, workstation, system.network, system.jobq.host,
             JobManagerConfig(busy_poll_s=cfg.owner_poll_s,
-                             no_job_retry_s=cfg.retry_s),
+                             no_job_retry_s=RETRY_S),
         )
 
     def _no_job_wait(self) -> Event:
@@ -448,7 +450,7 @@ class _TrafficJobManager(PhishJobManager):
             return super()._no_job_wait()
         return AnyOf(self.sim, [
             system._bell.wait(),
-            self.sim.timeout(system.config.park_timeout_s)])
+            self.sim.timeout(PARK_TIMEOUT_S)])
 
     def _participate(self, descriptor: dict) -> Generator:
         return self.system._serve(self, descriptor["job_id"])
@@ -528,7 +530,7 @@ class TrafficSystem:
     def _size_distribution(self) -> SizeDistribution:
         cfg = self.config
         if cfg.sizes == "pareto":
-            return BoundedParetoSizes(cfg.pareto_alpha, cfg.size_lo_s, cfg.size_hi_s)
+            return BoundedParetoSizes(PARETO_ALPHA, SIZE_LO_S, cfg.size_hi_s)
         if cfg.sizes == "exponential":
             return ExponentialSizes(cfg.size_mean_s)
         raise JobError(f"unknown size distribution {cfg.sizes!r}")
@@ -546,7 +548,7 @@ class TrafficSystem:
             size = sizes.sample(size_rng)
             # Quadratic skew: low-numbered users submit most of the
             # load, so fair-share has an imbalance to correct.
-            owner = int(owner_rng.random() ** 2 * cfg.n_owners)
+            owner = int(owner_rng.random() ** 2 * N_OWNERS)
             schedule.append((t, size, owner))
         return schedule
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs.health import HealthMonitor
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 
 #: Scenario names ``repro diagnose`` accepts: "clean" (no perturbation,
 #: the false-positive gate) plus every fuzzer scenario.
@@ -41,22 +43,39 @@ class DiagnoseSpec:
         return f"{self.app} seed={self.seed} scenario={self.scenario}"
 
 
+def _monitored_registry() -> MetricsRegistry:
+    """A fresh registry with a :class:`HealthMonitor` attached."""
+    registry = MetricsRegistry()
+    HealthMonitor(registry)
+    return registry
+
+
+def diagnosed_run(spec: DiagnoseSpec):
+    """One checked-app seed under the detectors: ``(CheckedRun, registry)``
+    (``repro diagnose --perfetto`` exports the pair)."""
+    from repro.check import app_spec
+
+    registry = _monitored_registry()
+    run = app_spec(spec.app).check(
+        spec.seed, spec.n_workers,
+        scenario=None if spec.scenario == "clean" else spec.scenario,
+        horizon_s=spec.horizon_s, metrics=registry,
+    )
+    return run, registry
+
+
 def diagnose_seed(spec: DiagnoseSpec) -> Dict[str, Any]:
     """Run one diagnosed seed; returns a picklable payload:
     ``{"seed", "completed", "ok", "makespan_s", "snapshot"}`` where
     ``snapshot`` is the seed's full registry snapshot (the incident
     ring rides in it under ``health.incidents``)."""
-    from repro.obs.health import HealthMonitor
-    from repro.obs.metrics import MetricsRegistry
-
     if spec.scenario not in SCENARIOS:
         raise ReproError(
             f"unknown scenario {spec.scenario!r}; known: {sorted(SCENARIOS)}")
-    registry = MetricsRegistry()
-    HealthMonitor(registry)
     if spec.app == "traffic":
         from repro.macro.traffic import TrafficConfig, TrafficSystem
 
+        registry = _monitored_registry()
         system = TrafficSystem(
             TrafficConfig(
                 n_workstations=spec.n_workers, n_jobs=spec.traffic_jobs,
@@ -75,28 +94,7 @@ def diagnose_seed(spec: DiagnoseSpec) -> Dict[str, Any]:
             "makespan_s": report.makespan_s,
             "snapshot": registry.snapshot(),
         }
-
-    from repro.check.fuzzer import APPS
-    from repro.check.harness import Perturbation, run_checked
-
-    app_spec = APPS.get(spec.app)
-    if app_spec is None:
-        raise ReproError(
-            f"unknown app {spec.app!r}; known: {sorted(APPS) + ['traffic']}")
-    pert = None
-    if spec.scenario != "clean":
-        pert = Perturbation.generate(
-            spec.seed, spec.n_workers, scenario=spec.scenario)
-    run = run_checked(
-        app_spec.make(),
-        n_workers=spec.n_workers,
-        seed=spec.seed,
-        perturbation=pert,
-        expected=app_spec.expected,
-        worker_config=app_spec.worker_config,
-        horizon_s=spec.horizon_s,
-        metrics=registry,
-    )
+    run, registry = diagnosed_run(spec)
     return {
         "seed": spec.seed,
         "completed": run.completed,
@@ -150,7 +148,6 @@ def diagnose_sweep(
     summaries, and the merged metric snapshot are all byte-identical
     between a serial and a sharded sweep.
     """
-    from repro.obs.metrics import merge_snapshots
     from repro.parallel import ShardedRunner
 
     specs = [

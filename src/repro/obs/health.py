@@ -191,6 +191,13 @@ def merge_incident_snapshots(name: str, a: Dict[str, Any],
     return out
 
 
+#: Fraction of the death timeout a silent worker may sit before a
+#: heartbeat-gap warning (1.0 would only ever fire as the death).
+GAP_FRACTION = 0.6
+#: EWMA smoothing for the straggler detector's service times.
+EWMA_ALPHA = 0.2
+
+
 @dataclass(frozen=True)
 class HealthConfig:
     """Detector thresholds.  Defaults are calibrated so the fuzzer's
@@ -202,9 +209,6 @@ class HealthConfig:
     window_s: float = 0.25
     #: Steal-request timeouts across the cluster within one window.
     storm_timeouts: int = 10
-    #: Fraction of the death timeout a silent worker may sit before a
-    #: heartbeat-gap warning (1.0 would only ever fire as the death).
-    gap_fraction: float = 0.6
     #: Retransmissions of one ARG/MIGRATE sequence before it counts as
     #: stalled behind a partition.
     retry_limit: int = 3
@@ -218,8 +222,6 @@ class HealthConfig:
     #: cluster's is a straggler (after both saw enough tasks).
     straggler_factor: float = 6.0
     straggler_min_tasks: int = 30
-    #: EWMA smoothing for service times.
-    ewma_alpha: float = 0.2
     #: Liveness watchdog: no closure retired for this many simulated
     #: seconds while live workers exist and the job is not done.
     watchdog_s: float = 1.0
@@ -369,14 +371,13 @@ class HealthMonitor:
         self._stalled = False
         self._fail_streak[worker] = 0
         self._starving[worker] = False
-        a = cfg.ewma_alpha
         ewma, n = self._service.get(worker, (service_s, 0))
-        ewma = ewma + a * (service_s - ewma)
+        ewma = ewma + EWMA_ALPHA * (service_s - ewma)
         self._service[worker] = (ewma, n + 1)
         all_ewma, all_n = self._service_all
         if all_n == 0:
             all_ewma = service_s
-        all_ewma = all_ewma + a * (service_s - all_ewma)
+        all_ewma = all_ewma + EWMA_ALPHA * (service_s - all_ewma)
         self._service_all = (all_ewma, all_n + 1)
         # The test that almost always fails goes first.
         if (ewma >= cfg.straggler_factor * all_ewma
@@ -476,12 +477,12 @@ class HealthMonitor:
         tables, read-only).
 
         Two detectors ride it: heartbeat-gap (silence past
-        ``gap_fraction`` of the death timeout, warning before the
+        ``GAP_FRACTION`` of the death timeout, warning before the
         detector would kill) and the job-progress watchdog (``stall``).
         """
         cfg = self.config
         last_seen, forwarders, done = d["workers"], d["forwarders"], d["done"]
-        threshold = cfg.gap_fraction * d["death_timeout_s"]
+        threshold = GAP_FRACTION * d["death_timeout_s"]
         for table in (last_seen, forwarders):
             for worker, last in table.items():
                 silence = now - last

@@ -13,9 +13,8 @@ Public surface:
 * :class:`Event`, :class:`Timeout`, :class:`Process` — waitables.
 * :class:`Interrupt` — exception delivered by :meth:`Process.interrupt`.
 * :class:`AnyOf`, :class:`AllOf` — condition events.
-* :class:`Store`, :class:`Channel`, :class:`Resource`, :class:`Signal` —
-  synchronised containers.
-* :class:`Probe` — time-series measurement.
+* :class:`Store`, :class:`Channel`, :class:`Signal` — synchronised
+  containers.
 """
 
 from repro.sim.core import (
@@ -29,8 +28,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.events import AllOf, AnyOf
-from repro.sim.monitor import Probe
-from repro.sim.resources import Channel, Resource, Signal, Store
+from repro.sim.resources import Channel, Signal, Store
 
 __all__ = [
     "Simulator",
@@ -43,9 +41,7 @@ __all__ = [
     "AllOf",
     "Store",
     "Channel",
-    "Resource",
     "Signal",
-    "Probe",
     "URGENT",
     "NORMAL",
 ]

@@ -3,7 +3,6 @@
 * :class:`Store` — a bounded FIFO buffer with blocking put/get.
 * :class:`Channel` — an unbounded Store with message-passing aliases,
   the building block of the simulated UDP sockets.
-* :class:`Resource` — counted mutual exclusion (e.g. "the CPU").
 * :class:`Signal` — a broadcast flag many processes can wait on (e.g.
   "this job has terminated").
 """
@@ -110,46 +109,6 @@ class Channel(Store):
     def recv(self) -> Event:
         """Event that succeeds with the next message."""
         return self.get()
-
-
-class Resource:
-    """Counted resource with FIFO request queue (classic semaphore).
-
-    Used by the baseline *time-sharing* macro policy to model CPU
-    multiplexing, and in tests.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Event that succeeds once a unit of the resource is held."""
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return one unit; hands it to the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError("release() of an idle Resource")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting."""
-        return len(self._waiters)
 
 
 class Signal:

@@ -108,18 +108,19 @@ def test_shrinker_reduces_to_minimal_schedule():
     """Shrinking seed 15's skip-redo failure drops the tie-break shuffle
     and jitter but must keep the crash — the failure's one real cause."""
     failing = Perturbation.generate(15, 4)
-    shrunk, runs = shrink_perturbation(
-        lambda: fib_job(14), failing, n_workers=4, seed=15,
-        expected=fib_serial(14), bug="skip-redo",
-    )
+
+    def rerun(candidate):
+        return run_checked(fib_job(14), n_workers=4, seed=15,
+                           perturbation=candidate, expected=fib_serial(14),
+                           bug="skip-redo")
+
+    shrunk, runs = shrink_perturbation(rerun, failing)
     assert 0 < runs <= 40
     assert shrunk.crashes  # the crash is essential
     assert shrunk.tiebreak_seed is None  # the shuffle was not
     assert shrunk.latency_jitter_s == 0.0
     # The shrunk schedule still reproduces the failure.
-    assert not run_checked(fib_job(14), n_workers=4, seed=15,
-                           perturbation=shrunk, expected=fib_serial(14),
-                           bug="skip-redo").ok
+    assert not rerun(shrunk).ok
 
 
 def test_shrink_app_retirement_schedule_is_clean():

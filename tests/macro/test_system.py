@@ -1,12 +1,16 @@
 """End-to-end tests of the whole Phish system (macro + micro)."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.fib import fib_job, fib_serial
 from repro.apps.pfold import pfold_job, pfold_serial
 from repro.cluster.owner import AlwaysBusyTrace, AlwaysIdleTrace, ScriptedTrace
+from repro.cluster.platform import ETHERNET_UDP
 from repro.errors import JobError
 from repro.macro import LeastWorkersAssignment, PhishSystem, PhishSystemConfig
+from repro.net.topology import SegmentedTopology
 
 
 def test_single_job_all_idle():
@@ -100,3 +104,63 @@ def test_stop_tears_everything_down():
     system.run_until_done(timeout_s=3600)
     system.stop()
     assert handle.result == fib_serial(10)
+
+
+def _system_with_remote_jobq(topology=None):
+    """Four machines whose JobQ host (ws00) never participates — its
+    owner is at the desk — so cutting ws00 off disturbs the macro RPCs
+    and nothing else.  The job is submitted on ws01."""
+
+    def traces(rng, host):
+        return AlwaysBusyTrace() if host == "ws00" else AlwaysIdleTrace()
+
+    system = PhishSystem(PhishSystemConfig(
+        n_workstations=4, seed=0, owner_trace=traces, topology=topology))
+    handle = system.submit(pfold_job("HPHPPHHPHP", work_scale=30.0),
+                           from_host="ws01")
+    return system, handle
+
+
+def _assert_job_left_the_pool(system, handle):
+    """The finished job is done at the JobQ, every daemon is alive, and
+    five more simulated minutes grant it to nobody."""
+    assert handle.done.is_set
+    assert handle.record.done
+    grants = system.jobq.grants
+    system.sim.run(until=system.sim.now + 300.0)  # raises if a process died
+    assert system.jobq.grants == grants
+    assert all(jm.process.is_alive for jm in system.jobmanagers.values())
+
+
+def test_job_leaves_the_pool_after_a_jobq_outage():
+    """The JobQ's host is off the network from before the job completes
+    until well past an RPC's whole retry budget (5 x 2 s): the
+    submitter's ``release`` and ``job_done`` both exhaust.  They retry
+    until heard instead of killing the job watcher."""
+    system, handle = _system_with_remote_jobq()
+    system.sim.run(until=1.0)
+    assert not handle.done.is_set
+    system.network.set_host_down(system.jobq.host, True)
+    system.run_until_done(timeout_s=3600)
+    system.sim.run(until=system.sim.now + 30.0)
+    assert not handle.record.done  # the JobQ has not heard yet
+    system.network.set_host_down(system.jobq.host, False)
+    system.sim.run(until=system.sim.now + 120.0)
+    _assert_job_left_the_pool(system, handle)
+    assert handle.record.participants == set()
+
+
+def test_job_leaves_the_pool_over_a_lossy_jobq_link():
+    """Half the datagrams between the JobQ's segment and the machines
+    vanish, so whole calls exhaust their retransmissions (this seed's
+    ``job_done`` does)."""
+    lossy = SegmentedTopology(
+        {f"ws{i:02d}": "jobq" if i == 0 else "lan" for i in range(4)},
+        intra=ETHERNET_UDP,
+        inter=dataclasses.replace(ETHERNET_UDP, loss_prob=0.5),
+    )
+    system, handle = _system_with_remote_jobq(lossy)
+    system.run_until_done(timeout_s=3600)
+    system.sim.run(until=system.sim.now + 120.0)
+    assert system.network.counters.dropped_loss > 0
+    _assert_job_left_the_pool(system, handle)

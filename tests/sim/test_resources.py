@@ -1,9 +1,9 @@
-"""Tests for Store, Channel, Resource, Signal."""
+"""Tests for Store, Channel, Signal."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import Channel, Resource, Signal, Store
+from repro.sim.resources import Channel, Signal, Store
 
 
 class TestStore:
@@ -111,54 +111,6 @@ class TestChannel:
         sim.process(consumer(sim))
         sim.run()
         assert out == ["a", "b"]
-
-
-class TestResource:
-    def test_mutual_exclusion(self, sim):
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(sim, name, hold):
-            yield res.request()
-            log.append((name, "in", sim.now))
-            yield sim.timeout(hold)
-            log.append((name, "out", sim.now))
-            res.release()
-
-        sim.process(user(sim, "a", 2))
-        sim.process(user(sim, "b", 1))
-        sim.run()
-        assert log == [("a", "in", 0.0), ("a", "out", 2.0),
-                       ("b", "in", 2.0), ("b", "out", 3.0)]
-
-    def test_capacity_two(self, sim):
-        res = Resource(sim, capacity=2)
-        entered = []
-
-        def user(sim, name):
-            yield res.request()
-            entered.append((name, sim.now))
-            yield sim.timeout(1)
-            res.release()
-
-        for n in "abc":
-            sim.process(user(sim, n))
-        sim.run()
-        assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-    def test_release_idle_raises(self, sim):
-        with pytest.raises(SimulationError):
-            Resource(sim).release()
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
-
-    def test_queued_property(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        assert res.queued == 1
 
 
 class TestSignal:

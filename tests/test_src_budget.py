@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
-CEILING = 19251
+CEILING = 18944
 
 
 def test_src_does_not_grow_without_saying_so():
