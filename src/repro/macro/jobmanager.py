@@ -31,8 +31,7 @@ from repro.micro.worker import Worker, WorkerConfig
 from repro.net.network import Network
 from repro.net.rpc import RpcClient
 from repro.obs.probe import Probe
-from repro.sim.core import Event, Interrupt, Simulator
-from repro.sim.events import AnyOf
+from repro.sim.core import Event, Interrupt, Simulator, Within
 
 
 @dataclass
@@ -129,8 +128,8 @@ class PhishJobManager:
                 self.current_worker.stop()
             return
 
-    def _no_job_wait(self) -> Event:
-        """What to wait on after the JobQ answered "no job" (paper: 30 s)."""
+    def _no_job_wait(self) -> "Event | Within":
+        """What to yield after the JobQ answered "no job" (paper: 30 s)."""
         return self.sim.timeout(self.config.no_job_retry_s)
 
     def _tell_jobq(self, method: str, args: object) -> Generator:
@@ -183,8 +182,7 @@ class PhishJobManager:
             on(self.sim.now, "jm.start_worker", ws.name, {"job": descriptor["job_id"]})
         finished = worker.finished.wait()
         while not worker.finished.is_set:
-            tick = self.sim.timeout(cfg.reclaim_poll_s)
-            yield AnyOf(self.sim, [finished, tick])
+            yield Within(finished, self.sim.timeout(cfg.reclaim_poll_s))
             if worker.finished.is_set:
                 break
             if not cfg.idleness_policy.is_idle(ws):

@@ -39,8 +39,7 @@ from repro.macro.policies import make_policy
 from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
 from repro.obs.probe import Probe
 from repro.phish import build_cluster
-from repro.sim.core import Event, Flag, Interrupt, Simulator
-from repro.sim.events import AnyOf
+from repro.sim.core import Event, Flag, Interrupt, Simulator, Within
 from repro.sim.resources import Signal
 from repro.tasks.program import JobProgram, ThreadProgram
 from repro.util.rng import RngRegistry
@@ -444,13 +443,11 @@ class _TrafficJobManager(PhishJobManager):
                              no_job_retry_s=RETRY_S),
         )
 
-    def _no_job_wait(self) -> Event:
+    def _no_job_wait(self) -> "Event | Within":
         system = self.system
         if not system.policy.interrupt_driven:
             return super()._no_job_wait()
-        return AnyOf(self.sim, [
-            system._bell.wait(),
-            self.sim.timeout(PARK_TIMEOUT_S)])
+        return Within(system._bell.wait(), self.sim.timeout(PARK_TIMEOUT_S))
 
     def _participate(self, descriptor: dict) -> Generator:
         return self.system._serve(self, descriptor["job_id"])

@@ -47,8 +47,7 @@ from repro.errors import RpcError
 from repro.net.rpc import RpcClient
 from repro.net.socket import Socket
 from repro.obs.probe import Probe
-from repro.sim.core import Event, Interrupt, Process, Simulator
-from repro.sim.events import AnyOf
+from repro.sim.core import EXPIRED, Event, Interrupt, Process, Simulator, Within
 from repro.sim.resources import Signal
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, ClosureId, Continuation
 from repro.tasks.program import Frame, JobProgram
@@ -763,21 +762,20 @@ class Worker:
         waiter = Event(self.sim)
         self._steal_waiters[req_id] = waiter
         try:
-            deadline = self.sim.timeout(cfg.steal_timeout_s)
-            settled = yield AnyOf(self.sim, [waiter, deadline])
+            granted = yield Within(waiter, self.sim.timeout(cfg.steal_timeout_s))
         finally:
             self._steal_waiters.pop(req_id, None)
             self._steal_sent.pop(req_id, None)
-        if waiter in settled and settled[waiter]:
+        if granted is True:
             return True  # the net loop already enqueued the task
         self.stats.failed_steal_attempts += 1
-        if waiter not in settled:
+        if granted is EXPIRED:
             # No reply at all inside the budget: teach the policy, so a
             # latency-aware thief de-prioritizes unresponsive victims
             # (stragglers, partitioned or congested links).
             self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
         if self._probe is not None:
-            kind = "steal.refused" if waiter in settled else "steal.timeout"
+            kind = "steal.timeout" if granted is EXPIRED else "steal.refused"
             if on := self._probe.get(kind):
                 on(self.sim.now, kind, self.name, {"victim": victim})
         return False
@@ -1551,7 +1549,7 @@ class Worker:
                 self._migrate_seq += 1
                 batch = (P.MIGRATE, ready, suspended, self.name,
                          self._migrate_seq)
-                acked = received = False
+                ack = EXPIRED
                 for attempt in range(attempts):
                     if (attempt and self._probe is not None
                             and (on := self._probe.get("migrate.retry"))):
@@ -1561,19 +1559,16 @@ class Worker:
                         batch, target, self.config.port,
                         size_bytes=P.estimate_size(batch),
                     )
-                    deadline = self.sim.timeout(self.config.steal_timeout_s)
                     # An Interrupt here (crash, reclaim fail-stop) must
                     # propagate: the callers all handle it, and eating it
                     # would keep this loop offering work from a worker
                     # whose socket is being torn down.
-                    settled = yield AnyOf(self.sim, [ack_ev, deadline])
-                    if ack_ev in settled:
-                        received = True
-                        payload = settled[ack_ev].payload
-                        acked = (isinstance(payload, tuple)
-                                 and payload[0] == P.MIGRATE_ACK)
+                    ack = yield Within(
+                        ack_ev, self.sim.timeout(self.config.steal_timeout_s))
+                    if ack is not EXPIRED:
                         break
-                if acked:
+                if (ack is not EXPIRED and isinstance(ack.payload, tuple)
+                        and ack.payload[0] == P.MIGRATE_ACK):
                     if self.departed and (ready or suspended):
                         # Redundant state for migration redo: keep
                         # the batch until JOB_DONE so the adopter's
@@ -1582,7 +1577,7 @@ class Worker:
                             ready + suspended
                         )
                     return target
-                if not received:
+                if ack is EXPIRED:
                     sock.cancel_recv(ack_ev)
             finally:
                 sock.close()

@@ -20,7 +20,7 @@ from repro.errors import RpcError
 from repro.net.message import DEFAULT_SIZE_BYTES
 from repro.net.network import Network
 from repro.net.socket import Socket
-from repro.sim.events import AnyOf
+from repro.sim.core import EXPIRED, Interrupt, Within
 
 #: Default retransmission timer and attempt budget.  The PhishJobManager
 #: retries every 30 s anyway, so a small budget suffices.
@@ -28,7 +28,7 @@ DEFAULT_TIMEOUT_S = 2.0
 DEFAULT_RETRIES = 4
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Request:
     req_id: int
     method: str
@@ -38,7 +38,7 @@ class _Request:
     forget_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Reply:
     req_id: int
     ok: bool
@@ -84,8 +84,6 @@ class RpcServer:
         self.socket.close()
 
     def _serve(self) -> Generator:
-        from repro.sim.core import Interrupt
-
         try:
             while True:
                 msg = yield self.socket.recv()
@@ -142,9 +140,9 @@ def rpc_call(
             deadline = sim.timeout(timeout_s)
             while True:
                 got = sock.recv()
-                settled = yield AnyOf(sim, [got, deadline])
-                if got in settled:
-                    reply = settled[got].payload
+                msg = yield Within(got, deadline)
+                if msg is not EXPIRED:
+                    reply = msg.payload
                     if isinstance(reply, _Reply) and reply.req_id == req.req_id:
                         if reply.ok:
                             return reply.value

@@ -12,12 +12,14 @@ Public surface:
 * :class:`Flag` — a stop marker for :meth:`Simulator.run_until`.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — waitables.
 * :class:`Interrupt` — exception delivered by :meth:`Process.interrupt`.
+* :class:`Within`, :data:`EXPIRED` — the timed wait.
 * :class:`AnyOf`, :class:`AllOf` — condition events.
 * :class:`Store`, :class:`Channel`, :class:`Signal` — synchronised
   containers.
 """
 
 from repro.sim.core import (
+    EXPIRED,
     NORMAL,
     URGENT,
     Event,
@@ -26,6 +28,7 @@ from repro.sim.core import (
     Process,
     Simulator,
     Timeout,
+    Within,
 )
 from repro.sim.events import AllOf, AnyOf
 from repro.sim.resources import Channel, Signal, Store
@@ -37,6 +40,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
+    "Within", "EXPIRED",
     "AnyOf",
     "AllOf",
     "Store",

@@ -278,6 +278,23 @@ class Flag:
         self.fired = True
 
 
+#: What a process is resumed with when a timed wait's deadline came first.
+EXPIRED = object()
+
+
+class Within:
+    """The timed wait, ``value = yield Within(event, deadline)``: a request,
+    not an event.  The process resumes with *event*'s value, or with
+    :data:`EXPIRED` if *deadline* — the caller's, so one timer can bound
+    several waits — is processed first; a failure of either is thrown."""
+
+    __slots__ = ("event", "deadline")
+
+    def __init__(self, event: Event, deadline: Event) -> None:
+        self.event = event
+        self.deadline = deadline
+
+
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -294,17 +311,13 @@ class Process(Event):
             raise SimulationError(f"Process requires a generator, got {gen!r}")
         super().__init__(sim)
         self._gen: Optional[Generator] = gen
-        self._target: Optional[Event] = None
         #: False until the generator has been resumed at least once.
         self._started = False
         self.name = name or getattr(gen, "__name__", "process")
         # Kick the generator off from the event loop, not synchronously.
         # The boot event is tracked as the current wait target so that an
         # interrupt landing before the first resume detaches it cleanly.
-        boot = Event(sim)
-        boot.callbacks.append(self._resume)  # type: ignore[union-attr]
-        boot.succeed(None, priority=URGENT)
-        self._target = boot
+        self._target: "Event | Within | None" = self._wake(True, None, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -322,19 +335,30 @@ class Process(Event):
             return False
         if self.sim._active is self:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever we were waiting on so we are not resumed twice.
-        if self._target is not None:
-            self._target.unsubscribe(self._resume)
-            self._target = None
-        kick = Event(self.sim)
-        kick.callbacks.append(self._resume)  # type: ignore[union-attr]
-        kick._ok = False
-        kick._value = Interrupt(cause)
-        kick.defused = True  # the interrupt is delivered, never escalated
-        self.sim._enqueue(kick, 0.0, URGENT)
+        # Detach from whatever we were waiting on (both sides of a timed
+        # wait, or its deadline fires for nobody) so we are not resumed twice.
+        target = self._target
+        if type(target) is Within:
+            target.event.unsubscribe(self._settle)
+            target.deadline.unsubscribe(self._settle)
+        elif target is not None:
+            target.unsubscribe(self._resume)
+        self._target = None
+        self._wake(False, Interrupt(cause), URGENT)
         return True
 
     # -- internal ---------------------------------------------------------
+
+    def _wake(self, ok: bool, value: Any, priority: int) -> Event:
+        """Queue a zero-delay event that sends *value* into the process,
+        or throws it when not *ok*."""
+        ev = Event(self.sim)
+        ev.callbacks.append(self._resume)  # type: ignore[union-attr]
+        ev._ok = ok
+        ev._value = value
+        ev.defused = not ok  # delivered in-band, never escalated
+        self.sim._enqueue(ev, 0.0, priority)
+        return ev
 
     def _resume(self, event: Event) -> None:
         gen = self._gen
@@ -370,22 +394,38 @@ class Process(Event):
             self.sim._active = None
 
         if not isinstance(target, Event):
+            if type(target) is Within:
+                # Event first, as AnyOf([event, deadline]) subscribed them.
+                self._target = target
+                target.event.subscribe(self._settle)
+                target.deadline.subscribe(self._settle)
+                return
             # Deliver the misuse as an error inside the generator so the
             # offending process gets a useful traceback.
-            bad = SimulationError(
+            self._wake(False, SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-            )
-            err = Event(self.sim)
-            err.callbacks.append(self._resume)  # type: ignore[union-attr]
-            err._ok = False
-            err._value = bad
-            err.defused = True
-            self.sim._enqueue(err, 0.0, URGENT)
+            ), URGENT)
             return
         if target.sim is not self.sim:
             raise SimulationError("cannot wait on an event from another Simulator")
         self._target = target
         target.subscribe(self._resume)
+
+    def _settle(self, side: Event) -> None:
+        """The first side of the parked timed wait was processed: drop the
+        other side's subscription and resume one NORMAL zero-delay hop
+        later.  The hop is the queue slot (and ``tiebreak_rng`` draw) of
+        the ``AnyOf`` event this replaces, so same-time order is unchanged."""
+        wait = self._target
+        if type(wait) is not Within:
+            # Abandoned by an interrupt, which cannot withdraw the
+            # call_soon that subscribing an already-processed side makes.
+            return
+        expired = side is not wait.event
+        (wait.event if expired else wait.deadline).unsubscribe(self._settle)
+        side.defused = True  # a failure is delivered through the hop
+        self._target = self._wake(
+            side._ok, EXPIRED if expired and side._ok else side._value, NORMAL)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "finished"

@@ -1,7 +1,7 @@
 """Condition events: wait for any/all of a set of events.
 
-Used by split-phase protocol code, e.g. "wait for a steal reply OR a
-retransmission timeout", and by test harnesses joining many workers.
+Used by harnesses joining many workers.  The split-phase "reply or
+retransmission timer" wait is :class:`repro.sim.core.Within`, not AnyOf.
 """
 
 from __future__ import annotations

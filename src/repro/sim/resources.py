@@ -96,15 +96,22 @@ class Channel(Store):
     """An unbounded Store with message-passing vocabulary.
 
     ``send`` never blocks (UDP-like: the network, not the sender, pays
-    the cost of queued messages).
+    the cost of queued messages) and returns nothing to wait on.
     """
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim, capacity=float("inf"))
 
     def send(self, message: Any) -> None:
-        """Enqueue a message (non-blocking)."""
-        self.put(message)
+        """Hand *message* to the longest-parked receiver, else buffer it:
+        no put-completion event (nobody could await it), except under a
+        ``tiebreak_rng``, whose fuzz schedules include that event's key."""
+        if self.sim.tiebreak_rng is not None:
+            self.put(message)
+        elif self._getters:  # unbounded, so the buffer is empty
+            self._getters.popleft().succeed(message)
+        else:
+            self.items.append(message)
 
     def recv(self) -> Event:
         """Event that succeeds with the next message."""

@@ -85,84 +85,84 @@ def scenario_fingerprint(key):
 
 
 TRAFFIC = {
-    "fair/bursty/idle/0": ("4ff134afcfc1cebd", 1625, 179),
-    "fair/bursty/idle/5": ("8701fc8852dd6f42", 1618, 179),
-    "fair/bursty/workday/0": ("bff1e29ccdf80939", 1710, 176),
-    "fair/bursty/workday/5": ("29e3a762b11f2d10", 1683, 175),
-    "fair/poisson/idle/0": ("59b7a545e7c2d9eb", 1833, 219),
-    "fair/poisson/idle/5": ("862738cb8c7bd7e0", 1809, 212),
-    "fair/poisson/workday/0": ("b2f0e047b358fbdc", 1799, 183),
-    "fair/poisson/workday/5": ("7070622f487cd6d4", 1917, 227),
-    "interrupt/bursty/idle/0": ("751eb9f9cd74af0c", 1727, 203),
-    "interrupt/bursty/idle/5": ("f1af0d1294098bbb", 1596, 187),
-    "interrupt/bursty/workday/0": ("60e2855d471994ad", 1825, 200),
-    "interrupt/bursty/workday/5": ("adfe120deea0c372", 1776, 199),
-    "interrupt/poisson/idle/0": ("7f76d19630b32624", 1866, 237),
-    "interrupt/poisson/idle/5": ("93ad125c047133be", 1746, 219),
-    "interrupt/poisson/workday/0": ("c9538c0a8bf09ae3", 1960, 218),
-    "interrupt/poisson/workday/5": ("014cf4403c0ca7cf", 1827, 219),
-    "least/bursty/idle/0": ("c609d3a7c9625be9", 1526, 176),
-    "least/bursty/idle/5": ("9a9596f109a88950", 1496, 163),
-    "least/bursty/workday/0": ("23ccf40018c4df82", 1649, 160),
-    "least/bursty/workday/5": ("31e3dae0334c8c6d", 1598, 172),
-    "least/poisson/idle/0": ("0c41cd13b635f619", 1547, 180),
-    "least/poisson/idle/5": ("74f724871a3cfb30", 1538, 171),
-    "least/poisson/workday/0": ("7dcf9d84cd42b346", 1691, 199),
-    "least/poisson/workday/5": ("2141b2b63b8d56a7", 1664, 179),
-    "priority/bursty/idle/0": ("63feb64b72bdc3d2", 1526, 176),
-    "priority/bursty/idle/5": ("76e5cd2367e5e1dd", 1517, 167),
-    "priority/bursty/workday/0": ("4c713e0c42720848", 1668, 175),
-    "priority/bursty/workday/5": ("9a37bb7f58c5c185", 1624, 171),
-    "priority/poisson/idle/0": ("e8ffdc0a826ad5ba", 1757, 203),
-    "priority/poisson/idle/5": ("c34c5f81f73dab34", 1706, 203),
-    "priority/poisson/workday/0": ("7fe42f30c1f779bc", 1728, 175),
-    "priority/poisson/workday/5": ("9f8df459d2fcd17d", 1752, 207),
-    "rr/bursty/idle/0": ("985ca1b955c3c229", 1526, 176),
-    "rr/bursty/idle/5": ("8d17f3f9c4486935", 1496, 163),
-    "rr/bursty/workday/0": ("677032541cfaa42f", 1644, 179),
-    "rr/bursty/workday/5": ("9ff010ec703f43a7", 1624, 183),
-    "rr/poisson/idle/0": ("275df9e25001e8db", 1631, 179),
-    "rr/poisson/idle/5": ("c263539f9fac5fec", 1540, 155),
-    "rr/poisson/workday/0": ("2acd7d67f88d112b", 1726, 183),
-    "rr/poisson/workday/5": ("6fd169528610f2bd", 1661, 180),
-    "srp/bursty/idle/0": ("0f0f041dcf2b8e8c", 3730, 521),
-    "srp/bursty/idle/5": ("7e088098e9ea79aa", 3955, 547),
-    "srp/bursty/workday/0": ("23a04bea99a02e01", 3817, 519),
-    "srp/bursty/workday/5": ("ddd6fedf1468a221", 4040, 556),
-    "srp/poisson/idle/0": ("50a3aae71f18e3e8", 3562, 489),
-    "srp/poisson/idle/5": ("d7db3962804b9601", 3687, 509),
-    "srp/poisson/workday/0": ("873f44e99d189186", 3794, 507),
-    "srp/poisson/workday/5": ("ca62f681d880f6c5", 3728, 523),
+    "fair/bursty/idle/0": ("4ff134afcfc1cebd", 1403, 179),
+    "fair/bursty/idle/5": ("8701fc8852dd6f42", 1396, 179),
+    "fair/bursty/workday/0": ("bff1e29ccdf80939", 1488, 176),
+    "fair/bursty/workday/5": ("29e3a762b11f2d10", 1461, 175),
+    "fair/poisson/idle/0": ("59b7a545e7c2d9eb", 1571, 219),
+    "fair/poisson/idle/5": ("862738cb8c7bd7e0", 1551, 212),
+    "fair/poisson/workday/0": ("b2f0e047b358fbdc", 1561, 183),
+    "fair/poisson/workday/5": ("7070622f487cd6d4", 1651, 227),
+    "interrupt/bursty/idle/0": ("751eb9f9cd74af0c", 1489, 203),
+    "interrupt/bursty/idle/5": ("f1af0d1294098bbb", 1382, 187),
+    "interrupt/bursty/workday/0": ("60e2855d471994ad", 1583, 200),
+    "interrupt/bursty/workday/5": ("adfe120deea0c372", 1538, 199),
+    "interrupt/poisson/idle/0": ("7f76d19630b32624", 1602, 237),
+    "interrupt/poisson/idle/5": ("93ad125c047133be", 1504, 219),
+    "interrupt/poisson/workday/0": ("c9538c0a8bf09ae3", 1692, 218),
+    "interrupt/poisson/workday/5": ("014cf4403c0ca7cf", 1581, 219),
+    "least/bursty/idle/0": ("c609d3a7c9625be9", 1324, 176),
+    "least/bursty/idle/5": ("9a9596f109a88950", 1298, 163),
+    "least/bursty/workday/0": ("23ccf40018c4df82", 1439, 160),
+    "least/bursty/workday/5": ("31e3dae0334c8c6d", 1392, 172),
+    "least/poisson/idle/0": ("0c41cd13b635f619", 1341, 180),
+    "least/poisson/idle/5": ("74f724871a3cfb30", 1332, 171),
+    "least/poisson/workday/0": ("7dcf9d84cd42b346", 1473, 199),
+    "least/poisson/workday/5": ("2141b2b63b8d56a7", 1446, 179),
+    "priority/bursty/idle/0": ("63feb64b72bdc3d2", 1324, 176),
+    "priority/bursty/idle/5": ("76e5cd2367e5e1dd", 1315, 167),
+    "priority/bursty/workday/0": ("4c713e0c42720848", 1454, 175),
+    "priority/bursty/workday/5": ("9a37bb7f58c5c185", 1414, 171),
+    "priority/poisson/idle/0": ("e8ffdc0a826ad5ba", 1511, 203),
+    "priority/poisson/idle/5": ("c34c5f81f73dab34", 1468, 203),
+    "priority/poisson/workday/0": ("7fe42f30c1f779bc", 1502, 175),
+    "priority/poisson/workday/5": ("9f8df459d2fcd17d", 1518, 207),
+    "rr/bursty/idle/0": ("985ca1b955c3c229", 1324, 176),
+    "rr/bursty/idle/5": ("8d17f3f9c4486935", 1298, 163),
+    "rr/bursty/workday/0": ("677032541cfaa42f", 1434, 179),
+    "rr/bursty/workday/5": ("9ff010ec703f43a7", 1414, 183),
+    "rr/poisson/idle/0": ("275df9e25001e8db", 1409, 179),
+    "rr/poisson/idle/5": ("c263539f9fac5fec", 1334, 155),
+    "rr/poisson/workday/0": ("2acd7d67f88d112b", 1500, 183),
+    "rr/poisson/workday/5": ("6fd169528610f2bd", 1443, 180),
+    "srp/bursty/idle/0": ("0f0f041dcf2b8e8c", 3108, 521),
+    "srp/bursty/idle/5": ("7e088098e9ea79aa", 3289, 547),
+    "srp/bursty/workday/0": ("23a04bea99a02e01", 3199, 519),
+    "srp/bursty/workday/5": ("ddd6fedf1468a221", 3374, 556),
+    "srp/poisson/idle/0": ("50a3aae71f18e3e8", 2972, 489),
+    "srp/poisson/idle/5": ("d7db3962804b9601", 3073, 509),
+    "srp/poisson/workday/0": ("873f44e99d189186", 3180, 507),
+    "srp/poisson/workday/5": ("ca62f681d880f6c5", 3122, 523),
 }
 
 SCENARIOS = {
     "harvest/0": (
         "9afa4fc663bd5afa34bfc1f224cb26749bac57377f4ba38c523f9eaf244dd547",
-        196763),
+        196350),
     "harvest/1": (
         "2d7ca9cf20d0cdb55badcdb42301491f3a8b89304de8ad8c431d9f8675292ecb",
-        199207),
+        198278),
     "harvest/2": (
         "5888c2002bd9cdaf779c30e2f0008b0983194a947c8bbd4aeaeb6bf9215a0a41",
-        198186),
+        197450),
     "macro-demo/0": (
         "7c429ebfbdde074c67fb3166ee59e421313e58c0e46e75483652d3b8e6cc94ea",
-        70058),
+        69679),
     "macro-demo/1": (
         "673c1eba5e74320df35be8f779d25b481ef154f4e2020def53d57cca8c103d99",
-        69628),
+        69342),
     "macro-demo/2": (
         "175819443df3ddf5aa3c5f426a094dc5d0e2a2a48f175377d89f7964ebda7ba4",
-        70408),
+        69945),
     "timeline/0": (
         "bdd903e044e9e612401fc0d3c739a6be46adb57c3c29cd4fe4c9d2e3860625ff",
-        66219),
+        65937),
     "timeline/1": (
         "cca71e235e0f627bcfcc292a654e2dc4341499168b62e348a042c70cdc8dd091",
-        66200),
+        65926),
     "timeline/2": (
         "6b5bc8a79d356f8e93a8fc53e7c0b6f4dbc553172eb72a29f92d07d2c32a92c0",
-        65856),
+        65653),
 }
 
 

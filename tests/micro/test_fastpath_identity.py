@@ -80,99 +80,99 @@ def fingerprint(app, p, mode, cfg):
 
 PINS = {
     ('fib16', 4, 'steal', 'plain'): (
-        987, '0.03632493831152707', 5164, 66,
+        987, '0.03632493831152707', 5090, 66,
         (18, 16, 14, 17),
         '1fcc2f18b2875402db7674020b93cbc7c5fa6466c6942d193ac5f7f5a0724610'),
     ('fib16', 4, 'steal', 'resilient'): (
-        987, '0.03632493831152707', 5220, 74,
+        987, '0.03632493831152707', 5138, 74,
         (18, 16, 14, 17),
         'b0377a9ca8adb9c482ba85c6f6ad48fba408a10839f3457f570dd67794f81000'),
     ('fib16', 4, 'central', 'plain'): (
-        987, '0.09414903999999742', 6234, 364,
+        987, '0.09414903999999742', 5862, 364,
         (33, 9, 10, 9),
         '435d7590110d34814164a509b0f46a95978564775de5cf02833a6f73969560bf'),
     ('fib16', 4, 'central', 'resilient'): (
-        987, '0.09414903999999742', 6708, 464,
+        987, '0.09414903999999742', 6236, 464,
         (33, 9, 10, 9),
         'f2a49e87a5415dbab588f0373cf0cb403b731fea23b1645c8d07f8b132514943'),
     ('fib16', 4, 'push', 'plain'): (
-        987, '0.1641048799999997', 11283, 1921,
+        987, '0.1641048799999997', 9354, 1921,
         (36, 39, 36, 32),
         'a0ae3bfb0b33b42fe5557fa7ea90a1584a4df835f2900427cee55e11f7342a4f'),
     ('fib16', 4, 'push', 'resilient'): (
-        987, '0.1641048799999997', 11846, 2098,
+        987, '0.1641048799999997', 9740, 2098,
         (36, 39, 36, 32),
         '24b2a99f2dcc7457b9bd1adc1dc2af41c5e23b62c48d6512c294524b121ee4dc'),
     ('fib16', 8, 'steal', 'plain'): (
-        987, '0.03734111498373956', 5630, 160,
+        987, '0.03734111498373956', 5458, 160,
         (18, 13, 0, 16, 15, 0, 0, 17),
         'e7974b8b3b2f9e0bfb57a3befc0c829a682eaa27dbb1aaa6d9e7c32862cb7f92'),
     ('fib16', 8, 'steal', 'resilient'): (
-        987, '0.03734111498373956', 5733, 176,
+        987, '0.03734111498373956', 5545, 176,
         (18, 13, 0, 16, 15, 0, 0, 17),
         'e6a9b3fc296b6069dbff1481186b05a50660529a8e69bc9815dd66855340cca6'),
     ('fib16', 8, 'central', 'plain'): (
-        987, '0.13785519498373958', 7467, 659,
+        987, '0.13785519498373958', 6797, 659,
         (28, 5, 6, 8, 7, 7, 7, 6),
         'e37fab59a5814f55b2ba5506cd89681feb6a3747e0096e2e5fe6ad2b744a3706'),
     ('fib16', 8, 'central', 'resilient'): (
-        987, '0.13785519498373958', 8237, 827,
+        987, '0.13785519498373958', 7399, 827,
         (28, 5, 6, 8, 7, 7, 7, 6),
         '8c9f024a7db95f92623dc7c2d8b4d21c6e16ce73bd6c396cbe7d284d1255d04f'),
     ('fib16', 8, 'push', 'plain'): (
-        987, '0.2252176000000008', 33253, 8839,
+        987, '0.2252176000000008', 24402, 8839,
         (43, 33, 41, 40, 43, 33, 27, 30),
         'e9eb8f748be99c7957e3b7a0364569945c59295727ddc7e7951722c95bcd5912'),
     ('fib16', 8, 'push', 'resilient'): (
-        987, '0.2252176000000008', 34691, 9297,
+        987, '0.2252176000000008', 25382, 9297,
         (43, 33, 41, 40, 43, 33, 27, 30),
         '64ec9cea9cd3a92bf131e384a066ae5d3c36e38581f75b6b15417520bdb7e31b'),
     ('knary432', 4, 'steal', 'plain'): (
-        40, '0.0034307199999999965', 244, 17,
+        40, '0.0034307199999999965', 220, 17,
         (8, 0, 0, 0),
         '5faa05a3ced8c3bc6fd7c35470ba1f3abff43a38890f9d916fcc89831c5b07bd'),
     ('knary432', 4, 'steal', 'resilient'): (
-        40, '0.0034307199999999965', 252, 17,
+        40, '0.0034307199999999965', 228, 17,
         (8, 0, 0, 0),
         '5faa05a3ced8c3bc6fd7c35470ba1f3abff43a38890f9d916fcc89831c5b07bd'),
     ('knary432', 4, 'central', 'plain'): (
-        40, '0.0034307199999999965', 235, 15,
+        40, '0.0034307199999999965', 213, 15,
         (8, 0, 0, 0),
         '503e61bf1c1ba79ce5a24cac56427d169069f2f8cce35a1d116547938c63d429'),
     ('knary432', 4, 'central', 'resilient'): (
-        40, '0.0034307199999999965', 243, 15,
+        40, '0.0034307199999999965', 221, 15,
         (8, 0, 0, 0),
         '503e61bf1c1ba79ce5a24cac56427d169069f2f8cce35a1d116547938c63d429'),
     ('knary432', 4, 'push', 'plain'): (
-        40, '0.0034307199999999965', 256, 12,
+        40, '0.0034307199999999965', 237, 12,
         (8, 0, 0, 0),
         'fcc0d707575caa2f0d96de24238dac855a491b856f3cc54a148f2d3bb1f410dc'),
     ('knary432', 4, 'push', 'resilient'): (
-        40, '0.0034307199999999965', 264, 12,
+        40, '0.0034307199999999965', 245, 12,
         (8, 0, 0, 0),
         'fcc0d707575caa2f0d96de24238dac855a491b856f3cc54a148f2d3bb1f410dc'),
     ('knary432', 8, 'steal', 'plain'): (
-        40, '0.0034307199999999965', 304, 25,
+        40, '0.0034307199999999965', 272, 25,
         (8, 0, 0, 0, 0, 0, 0, 0),
         'd984a43c013d1a7cabd089feb36445bd6c687e0de2d68ccb3fd1aa4888fc6e42'),
     ('knary432', 8, 'steal', 'resilient'): (
-        40, '0.0034307199999999965', 320, 25,
+        40, '0.0034307199999999965', 288, 25,
         (8, 0, 0, 0, 0, 0, 0, 0),
         'd984a43c013d1a7cabd089feb36445bd6c687e0de2d68ccb3fd1aa4888fc6e42'),
     ('knary432', 8, 'central', 'plain'): (
-        40, '0.0034307199999999965', 295, 23,
+        40, '0.0034307199999999965', 265, 23,
         (8, 0, 0, 0, 0, 0, 0, 0),
         '85972ce0dcf6282233a0b19a1fcdaff9e09c6bf61b7011d15a7ed3d48f6ff2e2'),
     ('knary432', 8, 'central', 'resilient'): (
-        40, '0.0034307199999999965', 311, 23,
+        40, '0.0034307199999999965', 281, 23,
         (8, 0, 0, 0, 0, 0, 0, 0),
         '85972ce0dcf6282233a0b19a1fcdaff9e09c6bf61b7011d15a7ed3d48f6ff2e2'),
     ('knary432', 8, 'push', 'plain'): (
-        40, '0.0034307199999999965', 365, 21,
+        40, '0.0034307199999999965', 337, 21,
         (8, 0, 0, 0, 0, 0, 0, 0),
         'feabd6062bc2d1abfe62547c0e16cf49546f42fcec1af57f5bba2b4e4b88f756'),
     ('knary432', 8, 'push', 'resilient'): (
-        40, '0.0034307199999999965', 381, 21,
+        40, '0.0034307199999999965', 353, 21,
         (8, 0, 0, 0, 0, 0, 0, 0),
         'feabd6062bc2d1abfe62547c0e16cf49546f42fcec1af57f5bba2b4e4b88f756'),
 }
@@ -377,7 +377,7 @@ OBSERVER_PINS = {
         "metrics": "4e9c3ed1e88a346f47c588683089e02842b2ad57f4a2ae22c5a01e00cde912bf",
         "metrics+health":
             "5c007b444758d94985314e4fd8720e5cbad2e2adf8a8e50abaee89b85852b9ac",
-        "profile": "f6aafcc4dfaf3a2355872e49557d0c93d208596fc90b9f5da0d23395a7e33f0c",
+        "profile": "e53aeb47a519dcb32d27e5c1d7faeb22592540f66a0976a2aebc9ccfaabf196e",
         "incidents": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "trace": "8da9792543f1c1836574c05a48e96198eed12bdec676ad1fbfa73548b6bf5d9f",
     },
@@ -386,7 +386,7 @@ OBSERVER_PINS = {
         "metrics": "6dfa59594cbd7d671f49b51703f7c912268505b8b81905528fa4d7e0537521d8",
         "metrics+health":
             "03053ed36f7d060435cafd0bacfd82cdaed0eede1bd488a88f7972eb806f4cec",
-        "profile": "489777faf19c2ea0024491654fddeca16d818c3e6b1379544940787fafaf98c6",
+        "profile": "e1c0536abdc264267b5f4b4553b53e11a43c3b4e6e8574515e776281690e7cd8",
         "incidents": "7646db2877cf2f6df403080614636f18bf5da0e0626d7a2ab67366bd305f9a79",
         "trace": "2fb867bb45103c7b2d123ce896bf922d38e9e70a0f11746bbe6a0e9522a241c7",
     },

@@ -1,8 +1,11 @@
 """Tests for Store, Channel, Signal."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.core import Simulator
 from repro.sim.resources import Channel, Signal, Store
 
 
@@ -111,6 +114,48 @@ class TestChannel:
         sim.process(consumer(sim))
         sim.run()
         assert out == ["a", "b"]
+
+    def test_send_to_a_parked_receiver_costs_only_its_wakeup(self, sim):
+        ch = Channel(sim)
+        got = ch.recv()
+        sim.run()
+        before = sim.events_processed
+        ch.send("m")
+        assert got.value == "m" and len(ch) == 0 and not ch._getters
+        sim.run()
+        assert sim.events_processed == before + 1  # the receive; no put event
+
+    def test_send_into_the_buffer_costs_no_event(self, sim):
+        ch = Channel(sim)
+        ch.send("m")
+        assert list(ch.items) == ["m"]
+        sim.run()
+        assert sim.events_processed == 0
+        assert ch.try_get() == (True, "m")
+
+    def test_send_serves_parked_receivers_fifo(self, sim):
+        ch = Channel(sim)
+        first, second, third = ch.recv(), ch.recv(), ch.recv()
+        ch.cancel_get(second)
+        ch.send("a")
+        ch.send("b")
+        ch.send("c")
+        assert (first.value, third.value) == ("a", "b")
+        assert not second.triggered and list(ch.items) == ["c"]
+
+    def test_send_takes_the_put_path_under_a_tiebreak_rng(self):
+        """The put completion's shuffle key is part of a fuzz schedule."""
+        sim = Simulator(tiebreak_rng=random.Random(7))
+        ch = Channel(sim)
+        puts = []
+        ch.put = lambda item: puts.append(item) or Store.put(ch, item)
+        got = ch.recv()
+        ch.send("a")
+        ch.send("b")
+        assert puts == ["a", "b"]
+        assert got.value == "a" and list(ch.items) == ["b"]
+        sim.run()
+        assert sim.events_processed == 3  # two put completions + the receive
 
 
 class TestSignal:
