@@ -23,7 +23,6 @@ from repro.check.fuzzer import (
     BackendVerifyResult,
     FuzzFailure,
     FuzzResult,
-    FuzzShardSpec,
     ShardedFuzz,
     app_spec,
     fuzz,
@@ -61,7 +60,6 @@ __all__ = [
     "DequeAuditor",
     "FuzzFailure",
     "FuzzResult",
-    "FuzzShardSpec",
     "InvariantReport",
     "Perturbation",
     "ShardedFuzz",

@@ -249,27 +249,17 @@ def fuzz(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzShardSpec:
-    """One shard's worth of a fuzz sweep — everything the worker
-    process needs, all picklable primitives (spawn-safe)."""
-
-    app: str
-    seeds: Tuple[int, ...]
-    n_workers: int
-    bug: Optional[str]
-    shrink: bool
-    horizon_s: float
-    scenario: str = "mixed"
-
-    def describe(self) -> str:
-        if not self.seeds:
-            return "no seeds"
-        return f"seeds {self.seeds[0]}..{self.seeds[-1]} ({len(self.seeds)})"
+def _describe_shard(params: Dict[str, Any]) -> str:
+    seeds = params["seeds"]
+    if not seeds:
+        return "no seeds"
+    return f"seeds {seeds[0]}..{seeds[-1]} ({len(seeds)})"
 
 
-def _run_fuzz_shard(spec: FuzzShardSpec) -> Tuple[FuzzResult, Dict[str, Any]]:
-    """Shard entry point (module-level so the pool can import it).
+def _run_fuzz_shard(params: Dict[str, Any]) -> Tuple[FuzzResult, Dict[str, Any]]:
+    """Shard entry point (module-level so the pool can import it):
+    :func:`fuzz`'s keyword arguments travel as a plain dict of picklable
+    primitives (spawn-safe).
 
     Returns the shard's :class:`FuzzResult` plus its
     :class:`~repro.obs.metrics.MetricsRegistry` snapshot; both are
@@ -278,16 +268,7 @@ def _run_fuzz_shard(spec: FuzzShardSpec) -> Tuple[FuzzResult, Dict[str, Any]]:
     from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
-    result = fuzz(
-        app=spec.app,
-        seeds=spec.seeds,
-        n_workers=spec.n_workers,
-        bug=spec.bug,
-        shrink=spec.shrink,
-        horizon_s=spec.horizon_s,
-        metrics=registry,
-        scenario=spec.scenario,
-    )
+    result = fuzz(**params, metrics=registry)
     return result, registry.snapshot()
 
 
@@ -339,25 +320,22 @@ def fuzz_sharded(
     seeds = list(range(start_seed, start_seed + n_seeds))
     jobs = resolve_jobs(jobs)
     chunks = split_evenly(seeds, jobs * max(1, shards_per_job))
-    specs = [
-        FuzzShardSpec(app=app, seeds=tuple(chunk), n_workers=n_workers,
-                      bug=bug, shrink=shrink, horizon_s=horizon_s,
-                      scenario=scenario)
-        for chunk in chunks
-    ]
+    shared = dict(app=app, n_workers=n_workers, bug=bug, shrink=shrink,
+                  horizon_s=horizon_s, scenario=scenario)
+    specs = [dict(shared, seeds=tuple(chunk)) for chunk in chunks]
 
-    def on_result(_index: int, spec: FuzzShardSpec, payload) -> None:
+    def on_result(_index: int, spec: Dict[str, Any], payload) -> None:
         if progress is None:
             return
         shard_result, _snap = payload
         failing = {f.seed for f in shard_result.failures}
-        for seed in spec.seeds:
+        for seed in spec["seeds"]:
             progress(seed, seed not in failing)
 
     runner = ShardedRunner(jobs=jobs)
     payloads, stats = runner.map(
         _run_fuzz_shard, specs, label=f"fuzz({app})",
-        describe=FuzzShardSpec.describe, on_result=on_result,
+        describe=_describe_shard, on_result=on_result,
     )
     merged = FuzzResult(
         app=app, n_workers=n_workers, seeds=tuple(seeds), bug=bug,

@@ -332,31 +332,22 @@ def _warn_truncated(trace, stream=None) -> bool:
 def _cmd_profile(args: argparse.Namespace) -> str:
     """Critical-path profile of one seeded run: T1 / T-inf, efficiency
     vs the greedy and Gast latency-aware bounds, per-worker overhead
-    attribution (see docs/observability.md, "Profiling")."""
+    attribution (see docs/observability.md, "Profiling and run outputs")."""
     from repro.cluster.platform import SPARCSTATION_1
     from repro.experiments.report import render_attribution, render_table
     from repro.micro.worker import WorkerConfig
-    from repro.obs import JsonlSpanSink, SpanProfiler, StreamingPerfettoWriter, TeeSink
+    from repro.obs import JsonlSpanSink, PerfettoWriter, SpanProfiler
     from repro.phish import run_job
 
-    sinks = []
     jsonl = perfetto = None
     if args.out:
         jsonl = JsonlSpanSink(args.out, buffer_events=args.buffer,
                               meta={"app": args.app, "seed": args.seed,
                                     "workers": args.workers})
-        sinks.append(jsonl)
     if args.perfetto:
-        perfetto = StreamingPerfettoWriter(args.perfetto, job_name=args.app,
-                                           buffer_events=args.buffer)
-        sinks.append(perfetto)
-    sink = None
-    if len(sinks) == 1:
-        sink = sinks[0]
-    elif sinks:
-        sink = TeeSink(sinks)
-
-    prof = SpanProfiler(sink=sink)
+        perfetto = PerfettoWriter(args.perfetto, job_name=args.app,
+                                  buffer_events=args.buffer)
+    prof = SpanProfiler(sinks=[s for s in (jsonl, perfetto) if s is not None])
     cfg = WorkerConfig()
     res = run_job(
         _obs_job(args.app, args.scale),
@@ -554,11 +545,10 @@ def _diagnose_perfetto(args: argparse.Namespace) -> str:
     if args.app == "traffic":
         return "(--perfetto skipped: the traffic engine keeps no TraceLog)"
     from repro.obs import write_perfetto
-    from repro.obs.diagnose import DiagnoseSpec, diagnosed_run
+    from repro.obs.diagnose import diagnosed_run
 
-    run, registry = diagnosed_run(DiagnoseSpec(
-        app=args.app, seed=args.seed, n_workers=args.workers,
-        scenario=args.scenario))
+    run, registry = diagnosed_run(args.app, args.seed, args.workers,
+                                  args.scenario)
     write_perfetto(run.trace, args.perfetto, registry,
                    job_name=f"diagnose-{args.app}")
     return (f"wrote Perfetto trace {args.perfetto} for seed {args.seed} "
@@ -625,7 +615,7 @@ def _add_seed_sweep(cmd: argparse.ArgumentParser, apps: List[str], seeds: int,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.check import APPS, Perturbation
+    from repro.check import APPS, BUGS, Perturbation
     from repro.obs.diagnose import SCENARIOS
 
     parser = argparse.ArgumentParser(
@@ -705,8 +695,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "plain-heapq reference kernel and on the "
                           "production queue and require byte-identical "
                           "traces")
-    chk.add_argument("--inject-bug", default=None,
-                     choices=["skip-redo", "drop-migration", "dup-exec"],
+    chk.add_argument("--inject-bug", default=None, choices=list(BUGS),
                      help="deliberately break the scheduler to prove the "
                           "checker catches it")
     _add_path(chk, "--manifest", "write a run manifest with merged per-shard "

@@ -1,18 +1,22 @@
 """repro.obs — the unified observability layer.
 
-Three pieces (see ``docs/observability.md``):
+Everything here subscribes to one run's :mod:`repro.obs.probe` (see
+``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of counters,
-  gauges, fixed-bucket histograms, and time series that every layer of
-  the scheduler populates when observability is wired in;
-* :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` export of a
-  run's :class:`~repro.util.trace.TraceLog` plus registry, openable in
-  ``ui.perfetto.dev``;
+  gauges, fixed-bucket histograms, and bounded time series that every
+  layer of the scheduler populates when observability is wired in;
+* :mod:`repro.obs.prof` — the critical-path span profiler (T1 / T-inf /
+  overhead attribution), a pure reducer, surfaced as ``repro profile``;
+* :mod:`repro.obs.stream` — the files a run writes, as probe
+  subscribers behind a bounded buffer: :class:`JsonlSpanSink` (the one
+  JSONL event row) and :class:`PerfettoWriter` (the one probe-kind ->
+  Chrome ``trace_event`` translation);
+* :mod:`repro.obs.export` — that translation replayed from a finished
+  :class:`~repro.util.trace.TraceLog` plus registry
+  (``timeline`` / ``diagnose --perfetto``), and ``validate_perfetto``;
 * :mod:`repro.obs.manifest` — attributable run manifests written next
   to experiment and benchmark outputs;
-* :mod:`repro.obs.prof` / :mod:`repro.obs.stream` — the critical-path
-  span profiler (T1 / T-inf / overhead attribution) and its streaming
-  bounded-memory JSONL/Perfetto sinks, surfaced as ``repro profile``;
 * :mod:`repro.obs.health` — the online diagnosis engine: streaming
   anomaly detectors (steal storms, heartbeat gaps, partition stalls,
   starvation, stragglers, liveness stalls, SLO breaches) emitting
@@ -48,10 +52,9 @@ from repro.obs.metrics import (
 from repro.obs.prof import PROFILE_SCHEMA, SpanProfiler, merge_profiles
 from repro.obs.stream import (
     JsonlSpanSink,
-    StreamingPerfettoWriter,
-    TeeSink,
+    PerfettoWriter,
     iter_incidents_jsonl,
-    iter_profile_jsonl,
+    iter_jsonl,
     merge_profile_jsonl,
     read_profile_summary,
     write_incidents_jsonl,
@@ -84,9 +87,8 @@ __all__ = [
     "SpanProfiler",
     "merge_profiles",
     "JsonlSpanSink",
-    "StreamingPerfettoWriter",
-    "TeeSink",
-    "iter_profile_jsonl",
+    "PerfettoWriter",
+    "iter_jsonl",
     "merge_profile_jsonl",
     "read_profile_summary",
     "write_incidents_jsonl",

@@ -26,23 +26,6 @@ from repro.obs.metrics import MetricsRegistry, merge_snapshots
 SCENARIOS = ("clean", "mixed", "partition", "spike", "faults-only")
 
 
-@dataclass(frozen=True)
-class DiagnoseSpec:
-    """One diagnosed run — primitives only (spawn-safe shard item)."""
-
-    app: str = "fib"
-    seed: int = 0
-    n_workers: int = 4
-    scenario: str = "clean"
-    horizon_s: float = 60.0
-    #: Traffic-app knobs (ignored for checked apps).
-    traffic_jobs: int = 200
-    slo_s: Optional[float] = None
-
-    def describe(self) -> str:
-        return f"{self.app} seed={self.seed} scenario={self.scenario}"
-
-
 def _monitored_registry() -> MetricsRegistry:
     """A fresh registry with a :class:`HealthMonitor` attached."""
     registry = MetricsRegistry()
@@ -50,67 +33,68 @@ def _monitored_registry() -> MetricsRegistry:
     return registry
 
 
-def diagnosed_run(spec: DiagnoseSpec):
+def diagnosed_run(app: str, seed: int, n_workers: int = 4,
+                  scenario: str = "clean", **check_kwargs: Any):
     """One checked-app seed under the detectors: ``(CheckedRun, registry)``
-    (``repro diagnose --perfetto`` exports the pair)."""
+    (``repro diagnose --perfetto`` exports the pair).  *check_kwargs* go
+    to :meth:`~repro.check.AppSpec.check` (``horizon_s``)."""
     from repro.check import app_spec
 
     registry = _monitored_registry()
-    run = app_spec(spec.app).check(
-        spec.seed, spec.n_workers,
-        scenario=None if spec.scenario == "clean" else spec.scenario,
-        horizon_s=spec.horizon_s, metrics=registry,
+    run = app_spec(app).check(
+        seed, n_workers,
+        scenario=None if scenario == "clean" else scenario,
+        metrics=registry, **check_kwargs,
     )
     return run, registry
 
 
-def diagnose_seed(spec: DiagnoseSpec) -> Dict[str, Any]:
+def diagnose_seed(app: str = "fib", seed: int = 0, n_workers: int = 4,
+                  scenario: str = "clean", traffic_jobs: int = 200,
+                  slo_s: Optional[float] = None,
+                  **check_kwargs: Any) -> Dict[str, Any]:
     """Run one diagnosed seed; returns a picklable payload:
     ``{"seed", "completed", "ok", "makespan_s", "snapshot"}`` where
     ``snapshot`` is the seed's full registry snapshot (the incident
-    ring rides in it under ``health.incidents``)."""
-    if spec.scenario not in SCENARIOS:
+    ring rides in it under ``health.incidents``).  *traffic_jobs* and
+    *slo_s* are the ``traffic`` app's knobs, *check_kwargs*
+    :func:`diagnosed_run`'s; each is ignored by the other kind of app."""
+    if scenario not in SCENARIOS:
         raise ReproError(
-            f"unknown scenario {spec.scenario!r}; known: {sorted(SCENARIOS)}")
-    if spec.app == "traffic":
+            f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
+    if app == "traffic":
         from repro.macro.traffic import TrafficConfig, TrafficSystem
 
         registry = _monitored_registry()
         system = TrafficSystem(
-            TrafficConfig(
-                n_workstations=spec.n_workers, n_jobs=spec.traffic_jobs,
-                seed=spec.seed, slo_s=spec.slo_s,
-            ),
+            TrafficConfig(n_workstations=n_workers, n_jobs=traffic_jobs,
+                          seed=seed, slo_s=slo_s),
             metrics=registry,
         )
         try:
             report = system.run()
         finally:
             system.stop()
-        return {
-            "seed": spec.seed,
-            "completed": report.n_completed == report.n_jobs,
-            "ok": True,
-            "makespan_s": report.makespan_s,
-            "snapshot": registry.snapshot(),
-        }
-    run, registry = diagnosed_run(spec)
-    return {
-        "seed": spec.seed,
-        "completed": run.completed,
-        "ok": run.ok,
-        "makespan_s": run.makespan,
-        "snapshot": registry.snapshot(),
-    }
+        completed, ok = report.n_completed == report.n_jobs, True
+        makespan_s = report.makespan_s
+    else:
+        run, registry = diagnosed_run(app, seed, n_workers, scenario,
+                                      **check_kwargs)
+        completed, ok, makespan_s = run.completed, run.ok, run.makespan
+    return {"seed": seed, "completed": completed, "ok": ok,
+            "makespan_s": makespan_s, "snapshot": registry.snapshot()}
+
+
+def _diagnose_shard(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Shard task: :func:`diagnose_seed`'s keyword arguments travel as a
+    plain dict — picklable for the pool."""
+    return diagnose_seed(**params)
 
 
 @dataclass
 class DiagnoseSweep:
     """Outcome of :func:`diagnose_sweep`."""
 
-    app: str
-    scenario: str
-    seeds: Tuple[int, ...]
     #: ``(seed, incident-row)`` pairs, seed-major then ring order (the
     #: ring is already in :func:`~repro.obs.health.incident_sort_key`
     #: order) — the timeline table's data.
@@ -120,7 +104,6 @@ class DiagnoseSweep:
     #: The :func:`~repro.obs.metrics.merge_snapshots` of every seed's
     #: registry — identical whatever ``jobs`` was.
     metrics: Dict[str, Any]
-    stats: Any  # repro.parallel.PoolStats
 
     @property
     def kind_counts(self) -> Dict[str, int]:
@@ -134,14 +117,12 @@ def diagnose_sweep(
     app: str = "fib",
     n_seeds: int = 1,
     start_seed: int = 0,
-    n_workers: int = 4,
     scenario: str = "clean",
     jobs: Optional[int] = 1,
-    horizon_s: float = 60.0,
-    traffic_jobs: int = 200,
-    slo_s: Optional[float] = None,
+    **params: Any,
 ) -> DiagnoseSweep:
-    """Diagnose a window of seeds, possibly sharded over processes.
+    """Diagnose a window of seeds, possibly sharded over processes;
+    *params* are :func:`diagnose_seed`'s remaining keyword arguments.
 
     Results are assembled in seed order regardless of ``jobs`` (the
     runner preserves input order), so the incident list, the per-seed
@@ -150,16 +131,12 @@ def diagnose_sweep(
     """
     from repro.parallel import ShardedRunner
 
-    specs = [
-        DiagnoseSpec(app=app, seed=seed, n_workers=n_workers,
-                     scenario=scenario, horizon_s=horizon_s,
-                     traffic_jobs=traffic_jobs, slo_s=slo_s)
-        for seed in range(start_seed, start_seed + n_seeds)
-    ]
-    runner = ShardedRunner(jobs=jobs)
-    payloads, stats = runner.map(
-        diagnose_seed, specs, label=f"diagnose({app})",
-        describe=DiagnoseSpec.describe,
+    payloads, _stats = ShardedRunner(jobs=jobs).map(
+        _diagnose_shard,
+        [dict(params, app=app, scenario=scenario, seed=seed)
+         for seed in range(start_seed, start_seed + n_seeds)],
+        label=f"diagnose({app})",
+        describe=lambda p: f"{app} seed={p['seed']} scenario={scenario}",
     )
     incidents: List[Tuple[int, Dict[str, Any]]] = []
     runs: List[Dict[str, Any]] = []
@@ -169,11 +146,7 @@ def diagnose_sweep(
         runs.append({k: payload[k]
                      for k in ("seed", "completed", "ok", "makespan_s")})
     return DiagnoseSweep(
-        app=app,
-        scenario=scenario,
-        seeds=tuple(s.seed for s in specs),
         incidents=incidents,
         runs=runs,
         metrics=merge_snapshots([p["snapshot"] for p in payloads]),
-        stats=stats,
     )

@@ -1,76 +1,53 @@
-"""Export a TraceLog (+ MetricsRegistry) to Chrome/Perfetto trace JSON.
+"""Replay a TraceLog (+ MetricsRegistry) as Chrome/Perfetto trace JSON.
 
-The output follows the Chrome ``trace_event`` JSON-array format that
-``ui.perfetto.dev`` and ``chrome://tracing`` both open directly:
-
-* one **thread track per worker** (pid/tid pairs with ``process_name``
-  and ``thread_name`` metadata), carrying a duration slice for each
-  participation span (``worker.start``/``worker.rejoin`` .. the matching
-  ``worker.exit.*``) and instant events for steals, migrations, redo
-  waves, and crashes;
-* **counter tracks** built from registry :class:`~repro.obs.metrics.Series`
-  instruments — per-worker deque depth (``micro.deque.depth.<host>``)
-  and the live-participant count (``macro.participants``);
-* Clearinghouse events (deaths, result delivery) on their own track;
-* health :class:`~repro.obs.health.Incident` records (when the registry
-  carries a :class:`~repro.obs.health.HealthMonitor`) as instant events
-  on the offending worker's track, or on a dedicated ``health`` track
-  for cluster-scoped incidents (stalls, SLO breaches).
-
-Simulated seconds map to trace microseconds (the format's native unit).
+The document is written by the run's one Perfetto translation,
+:class:`repro.obs.stream.PerfettoWriter` — the writer ``repro profile
+--perfetto`` subscribes live — fed here from a *finished* run: the log's
+events of the stream kinds, time-merged with what only the registry
+holds (health :class:`~repro.obs.health.Incident` records, the samples
+of its :class:`~repro.obs.metrics.Series` instruments as counter
+tracks).  The output opens directly in ``ui.perfetto.dev`` and
+``chrome://tracing``; simulated seconds map to trace microseconds (the
+format's native unit).
 """
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from heapq import merge
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import INCIDENT, SAMPLE, STREAM_KINDS, PerfettoWriter
 from repro.util.trace import TraceLog
-from repro.viz.timeline import worker_intervals
 
-#: Trace kinds rendered as instant events on the emitting worker's track.
-INSTANT_KINDS: Tuple[str, ...] = (
-    "steal.request",
-    "steal.grant",
-    "steal.success",
-    "migrate.in",
-    "migrate.out",
-    "redo",
-    "closure.lost",
-    "worker.exit.crashed",
-    "worker.rejoin",
-)
-
-#: Clearinghouse kinds rendered on the control track.
-CH_KINDS: Tuple[str, ...] = (
-    "ch.register",
-    "ch.unregister",
-    "ch.worker_died",
-    "ch.result",
-    "jobq.submit",
-    "jobq.grant",
-    "jobq.done",
-)
-
-#: pid of the per-worker tracks / of the control+counter tracks.
-WORKERS_PID = 1
-CONTROL_PID = 2
-#: tid (under CONTROL_PID) of the health-incident track.
-HEALTH_TID = 2
-
-_US = 1e6  # seconds -> trace microseconds
+#: One replayed event, in the shape a probe subscriber is called with.
+_Event = Tuple[float, str, str, Dict[str, Any]]
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce a trace-detail value into something JSON can carry."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
+def _registry_events(registry: MetricsRegistry,
+                     last_t: float) -> List[Iterable[_Event]]:
+    """The registry's time-ordered streams: its monitor's incidents and
+    one per series."""
+    streams: List[Iterable[_Event]] = []
+    health = registry.health
+    if health is not None:
+        # A detector that fires at a pulse after the last traced event
+        # is drawn at it: the timeline ends where the log does.
+        streams.append(
+            (min(max(inc.t_start, 0.0), last_t), INCIDENT, inc.subject,
+             {"kind": inc.kind, "severity": inc.severity,
+              "subject": inc.subject, "t_end": inc.t_end, **dict(inc.evidence)})
+            for inc in health.ring.incidents)
+    for name in registry.names():
+        inst = registry.get(name)
+        if inst.kind == "series":
+            # "micro.deque.depth.ws03" -> counter "deque depth ws03".
+            label = name.replace("micro.deque.depth.", "deque depth ")
+            streams.append([(t, SAMPLE, label, {"value": v})
+                            for t, v in inst.samples])
+    return streams
 
 
 def to_perfetto(
@@ -79,135 +56,24 @@ def to_perfetto(
     job_name: str = "phish",
 ) -> Dict[str, Any]:
     """Build the trace_event document (a JSON-ready dict)."""
-    events: List[Dict[str, Any]] = []
-    intervals = worker_intervals(trace)
-    # A capacity-truncated trace may have lost the worker.start records;
-    # any surviving worker-track event still names its source, so the
-    # track set is the union (the slice for an evicted start is simply
-    # absent, not a reason to drop the worker's instants).
-    instant_sources = {
-        ev.source for ev in trace
-        if ev.kind in INSTANT_KINDS or ev.kind.startswith("worker.")
-    }
-    workers = sorted(set(intervals) | instant_sources)
-    tids = {name: i + 1 for i, name in enumerate(workers)}
-
-    events.append({
-        "ph": "M", "pid": WORKERS_PID, "tid": 0, "ts": 0,
-        "name": "process_name", "args": {"name": f"{job_name} workers"},
-    })
-    events.append({
-        "ph": "M", "pid": CONTROL_PID, "tid": 0, "ts": 0,
-        "name": "process_name", "args": {"name": f"{job_name} control"},
-    })
-    for name in workers:
-        events.append({
-            "ph": "M", "pid": WORKERS_PID, "tid": tids[name], "ts": 0,
-            "name": "thread_name", "args": {"name": name},
-        })
-
-    # Participation slices: complete events (ph "X") per start..exit span.
-    # A worker may have several spans (retire, then rejoin), so pair each
-    # start-ish event with the next exit-ish event in trace order.
-    open_since: Dict[str, float] = {}
-    last_t = 0.0
-    for ev in trace:
-        last_t = max(last_t, ev.time)
-        if ev.kind in ("worker.start", "worker.rejoin"):
-            open_since.setdefault(ev.source, ev.time)
-        elif ev.kind.startswith("worker.exit."):
-            t0 = open_since.pop(ev.source, None)
-            if t0 is not None and ev.source in tids:
-                events.append({
-                    "ph": "X", "pid": WORKERS_PID, "tid": tids[ev.source],
-                    "ts": t0 * _US, "dur": max(0.0, ev.time - t0) * _US,
-                    "name": "participating", "cat": "worker",
-                    "args": {"exit": ev.kind.rsplit(".", 1)[1]},
-                })
-    for source, t0 in open_since.items():
-        if source in tids:
-            events.append({
-                "ph": "X", "pid": WORKERS_PID, "tid": tids[source],
-                "ts": t0 * _US, "dur": max(0.0, last_t - t0) * _US,
-                "name": "participating", "cat": "worker",
-                "args": {"exit": "running"},
-            })
-
-    instant_kinds = set(INSTANT_KINDS)
-    ch_kinds = set(CH_KINDS)
-    for ev in trace:
-        if ev.kind in instant_kinds:
-            tid = tids.get(ev.source)
-            if tid is None:
-                continue
-            events.append({
-                "ph": "i", "s": "t", "pid": WORKERS_PID, "tid": tid,
-                "ts": ev.time * _US, "name": ev.kind,
-                "cat": ev.kind.split(".", 1)[0],
-                "args": {k: _jsonable(v) for k, v in ev.detail.items()},
-            })
-        elif ev.kind in ch_kinds:
-            events.append({
-                "ph": "i", "s": "p", "pid": CONTROL_PID, "tid": 1,
-                "ts": ev.time * _US, "name": ev.kind, "cat": "control",
-                "args": {k: _jsonable(v) for k, v in ev.detail.items()},
-            })
-
-    health = getattr(registry, "health", None) if registry is not None else None
-    if health is not None and health.ring.incidents:
-        events.append({
-            "ph": "M", "pid": CONTROL_PID, "tid": HEALTH_TID, "ts": 0,
-            "name": "thread_name", "args": {"name": "health"},
-        })
-        for inc in health.ring.incidents:
-            tid = tids.get(inc.subject)
-            # Instants must land inside the trace's time range (the
-            # validator rejects strays); a detector that fires at a
-            # pulse after the last traced event is clamped to it.
-            ts = min(max(inc.t_start, 0.0), last_t) * _US
-            ev: Dict[str, Any] = {
-                "ph": "i", "ts": ts, "name": f"health.{inc.kind}",
-                "cat": "health",
-                "args": {
-                    "severity": inc.severity,
-                    "subject": inc.subject,
-                    "t_end": inc.t_end,
-                    **{k: _jsonable(v) for k, v in inc.evidence},
-                },
-            }
-            if tid is not None:
-                ev.update({"s": "t", "pid": WORKERS_PID, "tid": tid})
-            else:
-                ev.update({"s": "p", "pid": CONTROL_PID, "tid": HEALTH_TID})
-            events.append(ev)
-
+    # Only the stream kinds: every other record (net.*, closure.*) would
+    # become a lifecycle instant, hundreds of thousands of them.
+    kinds = frozenset(STREAM_KINDS)
+    streams: List[Any] = [[
+        (ev.time, ev.kind, ev.source, ev.detail) for ev in trace
+        if ev.kind in kinds or ev.kind.startswith("worker.exit.")]]
     if registry is not None:
-        for name in registry.names():
-            inst = registry.get(name)
-            if inst is None or inst.kind != "series":
-                continue
-            # "micro.deque.depth.ws03" -> counter "deque depth ws03".
-            label = name.replace("micro.deque.depth.", "deque depth ") \
-                if name.startswith("micro.deque.depth.") else name
-            for t, v in inst.samples:
-                events.append({
-                    "ph": "C", "pid": CONTROL_PID, "ts": t * _US,
-                    "name": label, "args": {"value": v},
-                })
-
-    # The format does not require global ordering, but a time-sorted
-    # array keeps every per-track sequence monotonic and diffs stable.
-    events.sort(key=lambda e: (e["ts"], e["ph"] != "M"))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"job": job_name, "trace_events": len(trace),
-                      "trace_dropped": trace.dropped,
-                      # A truncated log lost its *oldest* events, so the
-                      # rendered timeline starts mid-run; viewers of the
-                      # doc alone must be able to tell.
-                      "trace_truncated": trace.truncated},
-    }
+        streams += _registry_events(
+            registry, max((ev.time for ev in trace), default=0.0))
+    out = io.StringIO()
+    writer = PerfettoWriter(out, job_name)
+    for event in merge(*streams, key=lambda e: e[0]):
+        writer.on(*event)
+    # A truncated log lost its *oldest* events, so the rendered timeline
+    # starts mid-run; viewers of the doc alone must be able to tell.
+    writer.close({"trace_events": len(trace), "trace_dropped": trace.dropped,
+                  "trace_truncated": trace.truncated})
+    return json.loads(out.getvalue())
 
 
 def write_perfetto(

@@ -311,12 +311,7 @@ class HealthMonitor:
         """A steal request got *no reply* inside the thief's budget."""
         cfg = self.config
         window = self._timeouts
-        window.append(now)
-        horizon = now - cfg.window_s
-        while window and window[0] < horizon:
-            window.popleft()
-        while len(window) > cfg.max_tracked:
-            window.popleft()
+        self._roll(window, now)
         if len(window) >= cfg.storm_timeouts:
             if not self._storm_active:
                 self._storm_active = True
@@ -329,6 +324,15 @@ class HealthMonitor:
         elif len(window) <= cfg.storm_timeouts // 2:
             self._storm_active = False  # storm abated; re-arm
         self._steal_failed(now, worker)
+
+    def _roll(self, window: Deque[float], now: float) -> None:
+        """Add *now* to a rolling window: the last ``window_s`` seconds,
+        at most ``max_tracked`` entries."""
+        window.append(now)
+        horizon = now - self.config.window_s
+        while window and (window[0] < horizon
+                          or len(window) > self.config.max_tracked):
+            window.popleft()
 
     def steal_refused(self, now: float, kind: str, worker: str, d: dict) -> None:
         """The victim answered, but had nothing to give."""
@@ -430,12 +434,7 @@ class HealthMonitor:
             if len(self._link_drops) >= cfg.max_tracked:
                 self._link_drops.pop(next(iter(self._link_drops)))
             window = self._link_drops[link] = deque()
-        window.append(now)
-        horizon = now - cfg.window_s
-        while window and window[0] < horizon:
-            window.popleft()
-        while len(window) > cfg.max_tracked:
-            window.popleft()
+        self._roll(window, now)
         if len(window) == cfg.link_drops:
             self._emit(Incident(
                 kind="partition-stall", severity="warn",

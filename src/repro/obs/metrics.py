@@ -194,42 +194,58 @@ class Histogram:
         return snap
 
 
-class Series:
-    """Timestamped (time, value) samples of a piecewise-constant quantity.
+#: The retention bound :meth:`Series.snapshot` has always counted
+#: ``n_samples`` / ``dropped`` against; kept (from the running sample
+#: count) so recorded manifests stay comparable.
+SNAPSHOT_CAP = 100_000
 
-    The raw material of a Perfetto counter track (deque depth over time,
-    live participants over time).  Optionally capacity-bounded the same
-    way :class:`~repro.util.trace.TraceLog` is, so a long run cannot
-    exhaust memory through its metrics.
+
+class Series:
+    """Timestamped (time, value) samples of a piecewise-constant quantity
+    — the raw material of a Perfetto counter track (deque depth, live
+    participants over time).
+
+    At most *capacity* samples are retained: at capacity every other one
+    is dropped and the recording stride doubles, so ``samples`` thins
+    evenly over the whole run instead of stopping when full
+    (deterministic, O(capacity) however long the run).  ``seen`` /
+    ``last`` / ``peak`` are running values over every sample, retained
+    or not.
     """
 
-    __slots__ = ("name", "samples", "capacity", "dropped")
+    __slots__ = ("name", "samples", "capacity", "stride", "seen", "last", "peak")
     kind = "series"
 
-    def __init__(self, name: str, capacity: Optional[int] = None) -> None:
+    def __init__(self, name: str, capacity: int = 4096) -> None:
         self.name = name
         self.samples: List[Tuple[float, float]] = []
         self.capacity = capacity
-        self.dropped = 0
+        self.stride = 1
+        self.seen = 0
+        self.last: Optional[float] = None
+        self.peak: Optional[float] = None
 
     def record(self, time: float, value: float) -> None:
-        samples = self.samples
-        if len(samples) == self.capacity:
-            self.dropped += 1
+        self.last = value
+        if self.peak is None or value > self.peak:
+            self.peak = value
+        self.seen += 1
+        if self.seen % self.stride:
             return
-        samples.append((time, float(value)))
-
-    @property
-    def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
+        if len(self.samples) >= self.capacity:
+            self.samples = self.samples[::2]
+            self.stride *= 2
+            if self.seen % self.stride:
+                return
+        self.samples.append((time, value))
 
     def snapshot(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "n_samples": len(self.samples),
-            "dropped": self.dropped,
-            "last": self.last,
-            "peak": max((v for _t, v in self.samples), default=None),
+            "n_samples": min(self.seen, SNAPSHOT_CAP),
+            "dropped": max(0, self.seen - SNAPSHOT_CAP),
+            "last": None if self.last is None else float(self.last),
+            "peak": None if self.peak is None else float(self.peak),
         }
 
 
@@ -259,26 +275,17 @@ def _merge_two(name: str, a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any
                 f"cannot merge histogram {name!r}: bucket edges differ "
                 f"({list(a['edges'])} vs {list(b['edges'])})"
             )
-        out["counts"] = [x + y for x, y in zip(a["counts"], b["counts"])]
-        out["count"] = a["count"] + b["count"]
-        out["sum"] = a["sum"] + b["sum"]
-        mins = [v for v in (a["min"], b["min"]) if v is not None]
-        maxs = [v for v in (a["max"], b["max"]) if v is not None]
-        out["min"] = min(mins) if mins else None
-        out["max"] = max(maxs) if maxs else None
-        out["mean"] = out["sum"] / out["count"] if out["count"] else None
-        # Percentiles are not mergeable from summaries; rebuild the
-        # interpolation over the combined buckets.
+        # Sum, min/max and the buckets add; mean and the percentiles
+        # are not mergeable from summaries, so a histogram holding the
+        # combined buckets re-derives them.
         rebuilt = Histogram(name, a["edges"])
-        rebuilt.counts = list(out["counts"])
-        rebuilt.sum = out["sum"]
-        rebuilt.min = out["min"] if out["min"] is not None else float("inf")
-        rebuilt.max = out["max"] if out["max"] is not None else float("-inf")
-        out["percentiles"] = {
-            "p50": rebuilt.percentile(0.50),
-            "p90": rebuilt.percentile(0.90),
-            "p99": rebuilt.percentile(0.99),
-        }
+        rebuilt.counts = [x + y for x, y in zip(a["counts"], b["counts"])]
+        rebuilt.sum = a["sum"] + b["sum"]
+        rebuilt.min = min((s["min"] for s in (a, b) if s["min"] is not None),
+                          default=rebuilt.min)
+        rebuilt.max = max((s["max"] for s in (a, b) if s["max"] is not None),
+                          default=rebuilt.max)
+        out = rebuilt.snapshot()
     elif kind == "series":
         # Snapshots carry summaries, not samples; combine the summaries.
         out["n_samples"] = a["n_samples"] + b["n_samples"]
@@ -359,8 +366,8 @@ class MetricsRegistry:
     def histogram(self, name: str, edges: Sequence[float] = LATENCY_BUCKETS_S) -> Histogram:
         return self._get_or_make(name, Histogram, edges)
 
-    def series(self, name: str, capacity: Optional[int] = 100_000) -> Series:
-        return self._get_or_make(name, Series, capacity)
+    def series(self, name: str) -> Series:
+        return self._get_or_make(name, Series)
 
     def incidents(self, name: str, capacity: int = 512):
         """A bounded :class:`~repro.obs.health.IncidentRing` instrument

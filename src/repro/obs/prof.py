@@ -32,15 +32,19 @@ already-finished target re-creates that target's pending entry, which
 nobody pops — bounded by the run's duplicate-send count, which is zero
 outside fault schedules.)
 
-Raw span events stream to an optional *sink* (see
-:mod:`repro.obs.stream`) so million-task runs profile in O(buffer)
-memory; :func:`merge_profiles` combines per-shard summaries
-deterministically for ``repro.parallel`` sweeps.
+The profiler is a pure reducer.  The files a profiled run writes are
+its *sinks* (:mod:`repro.obs.stream`): subscribers of the same probe,
+subscribed beside the profiler and closed with its summary, so
+million-task runs profile in O(buffer) memory.  :func:`merge_profiles`
+combines per-shard summaries deterministically for ``repro.parallel``
+sweeps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.metrics import Series
 
 PROFILE_SCHEMA = "repro.profile/1"
 
@@ -48,19 +52,25 @@ PROFILE_SCHEMA = "repro.profile/1"
 #: residual: participation wall minus the four measured buckets.
 BUCKETS: Tuple[str, ...] = ("working", "stealing", "migrating", "protocol")
 
+#: Summary entries that are plain event counts: the profiler attributes
+#: of the same names, added across shards by :func:`merge_profiles`.
+COUNTERS: Tuple[str, ...] = (
+    "nodes", "edges", "redo_copies", "steal_requests", "tasks_stolen",
+    "tasks_migrated", "heartbeats", "msgs", "msg_bytes", "control_events")
+
 
 class SpanProfiler:
     """Online critical-path + overhead-attribution profiler.
 
     One instance observes one simulation (all workers share it — the
     cluster is a single discrete-event process space, so hook calls
-    arrive in global sim-time order, which is what lets the span stream
-    go straight to a forward-only sink).
+    arrive in global sim-time order, which is what lets *sinks* be
+    forward-only writers).
     """
 
-    def __init__(self, sink: Optional[Any] = None) -> None:
-        #: Optional streaming sink (``emit(row)`` / ``close(summary)``).
-        self.sink = sink
+    def __init__(self, sinks: Sequence[Any] = ()) -> None:
+        #: Stream sinks (``subscribe(probe)`` / ``close(summary)``).
+        self.sinks = tuple(sinks)
         # -- DAG aggregates ------------------------------------------------
         self.t1_s = 0.0          #: total executed work (includes redone)
         self.t_inf_s = 0.0       #: critical-path span, seconds
@@ -88,11 +98,7 @@ class SpanProfiler:
         self._wall: Dict[str, float] = {}
         self._exit: Dict[str, str] = {}
         # -- kernel pressure samples (bounded, stride-decimated) -----------
-        self._sim: Optional[Any] = None
-        self._kernel: List[Tuple[float, int]] = []
-        self._kernel_cap = 256
-        self._kernel_stride = 1
-        self._kernel_seen = 0
+        self._kernel = Series("kernel", capacity=256)
         self._end = 0.0
         self._finalized = False
 
@@ -112,18 +118,18 @@ class SpanProfiler:
             "task.done": self.task_done,
             "task.charged": self.task_charged,
             "steal.request": self.steal_request,
-            "steal.batch": self.steal_grant,
             "steal.adopt": self.steal_adopt,
             "steal.reclaim": self.redo,
             "redo": self.redo,
             "migrate.reoffer": self.redo,
-            "migrate.in": self.migrate_in,
             "migrate.acked": self.migrate_out,
             "ch.register": self.control,
             "ch.worker_died": self.control,
             "ch.result": self.control,
             "net.send": self.msg,
         })
+        for sink in self.sinks:
+            sink.subscribe(probe)
 
     # ------------------------------------------------------------------
     # Execution spans and DAG edges (worker run loop)
@@ -153,10 +159,6 @@ class SpanProfiler:
         self._exec[worker] = None
         self.edges += len(out)
         self._open[(worker, "working")] = t
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "exec.b", "t": t, "w": worker, "cid": cid,
-                    "thread": d["thread"], "depth": d["depth"]})
         span = self._base.pop(cid, 0.0) + dur_s
         depth = self._bdepth.pop(cid, 0) + 1
         self.t1_s += dur_s
@@ -175,10 +177,7 @@ class SpanProfiler:
     def task_charged(self, t: float, kind: str, worker: str, d: dict) -> None:
         """The cycle-charging yield completed (or was crash-interrupted):
         the exclusive "working" interval ends here."""
-        self._close_phase(t, worker, "working", emit=False)
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "exec.e", "t": t, "w": worker, "cid": d["cid"]})
+        self._close_phase(t, worker, "working")
 
     def redo(self, t: float, kind: str, worker: str, d: dict) -> None:
         """Re-keyed redo copies: each copy inherits the original's
@@ -194,9 +193,6 @@ class SpanProfiler:
             if bdepth is not None and bdepth > self._bdepth.get(copy, 0):
                 self._bdepth[copy] = bdepth
         self.redo_copies += len(pairs)
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "redo", "t": t, "w": worker, "n": len(pairs)})
 
     # ------------------------------------------------------------------
     # Wall-clock attribution phases and participation spans
@@ -204,15 +200,11 @@ class SpanProfiler:
 
     def phase_begin(self, t: float, kind: str, worker: str, d: dict) -> None:
         self._open[(worker, d["phase"])] = t
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "ph.b", "t": t, "w": worker, "ph": d["phase"]})
 
     def phase_end(self, t: float, kind: str, worker: str, d: dict) -> None:
         self._close_phase(t, worker, d["phase"])
 
-    def _close_phase(self, t: float, worker: str, phase: str,
-                     emit: bool = True) -> None:
+    def _close_phase(self, t: float, worker: str, phase: str) -> None:
         t0 = self._open.pop((worker, phase), None)
         if t0 is None:
             return
@@ -222,20 +214,13 @@ class SpanProfiler:
         buckets[phase] += t - t0
         if t > self._end:
             self._end = t
-        if emit:
-            s = self.sink
-            if s is not None:
-                s.emit({"ev": "ph.e", "t": t, "w": worker, "ph": phase})
 
     def worker_begin(self, t: float, kind: str, worker: str, d: dict) -> None:
         """A participation span opens (start, or rejoin after retiring),
         inside its "protocol" phase: the registration handshake."""
         self._span_open.setdefault(worker, t)
         self._buckets.setdefault(worker, dict.fromkeys(BUCKETS, 0.0))
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "wk.b", "t": t, "w": worker})
-        self.phase_begin(t, kind, worker, {"phase": "protocol"})
+        self._open[(worker, "protocol")] = t
 
     def worker_exit(self, t: float, kind: str, worker: str, d: dict) -> None:
         self._close_span(t, worker, kind[len("worker.exit."):])
@@ -251,46 +236,19 @@ class SpanProfiler:
         self._exit[worker] = reason
         if t > self._end:
             self._end = t
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "wk.e", "t": t, "w": worker, "reason": reason})
 
     # ------------------------------------------------------------------
-    # Steal / migrate lifecycle instants
+    # Protocol counters: steal / migrate / Clearinghouse / network
     # ------------------------------------------------------------------
 
     def steal_request(self, t: float, kind: str, thief: str, d: dict) -> None:
         self.steal_requests += 1
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "steal.req", "t": t, "w": thief,
-                    "victim": d["victim"], "req": d["req"]})
-
-    def steal_grant(self, t: float, kind: str, victim: str, d: dict) -> None:
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "steal.grant", "t": t, "w": victim,
-                    "thief": d["thief"], "n": d["n"], "req": d["req"]})
 
     def steal_adopt(self, t: float, kind: str, thief: str, d: dict) -> None:
         self.tasks_stolen += d["n"]
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "steal.adopt", "t": t, "w": thief,
-                    "victim": d["victim"], "n": d["n"], "req": d["req"]})
 
     def migrate_out(self, t: float, kind: str, worker: str, d: dict) -> None:
         self.tasks_migrated += d["n"]
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "migrate.out", "t": t, "w": worker,
-                    "target": d["target"], "n": d["n"]})
-
-    def migrate_in(self, t: float, kind: str, worker: str, d: dict) -> None:
-        s = self.sink
-        if s is not None:
-            s.emit({"ev": "migrate.in", "t": t, "w": worker,
-                    "sender": d["sender"], "n": d["n"]})
 
     def heartbeat(self, t: float, kind: str, worker: str, d: dict) -> None:
         """Peer-update RPC round-trip (counted, not wall-attributed: the
@@ -298,18 +256,9 @@ class SpanProfiler:
         overlaps the run-loop buckets)."""
         self.heartbeats += 1
 
-    # ------------------------------------------------------------------
-    # Clearinghouse / network / simulator seams
-    # ------------------------------------------------------------------
-
     def control(self, t: float, kind: str, host: str, d: dict) -> None:
         """Clearinghouse lifecycle instant (register, death, result)."""
         self.control_events += 1
-        s = self.sink
-        if s is not None:
-            who = "sender" if kind == "ch.result" else "worker"
-            s.emit({"ev": "ch.death" if kind == "ch.worker_died" else kind,
-                    "t": t, "w": "clearinghouse", who: d[who]})
 
     def msg(self, t: float, kind: str, src: str, d: dict) -> None:
         """One wire datagram (the network's send hot path — counter only)."""
@@ -318,40 +267,27 @@ class SpanProfiler:
 
     def attach_sim(self, sim: Any) -> None:
         """Chain onto the simulator's monitor hook to sample kernel
-        pressure (exact ``events_processed`` at each sample).  Note the
-        monitor forces the kernel's exact stepping path — acceptable,
-        since profiling is opt-in."""
-        self._sim = sim
+        pressure (exact ``events_processed`` at each sample, thinned to
+        a bounded :class:`~repro.obs.metrics.Series`).  Note the monitor
+        forces the kernel's exact stepping path — acceptable, since
+        profiling is opt-in."""
         prev = sim.monitor
+        record = self._kernel.record
 
-        def _monitor(s: Any, _prev=prev, _self=self) -> None:
-            if _prev is not None:
-                _prev(s)
-            _self.kernel_sample(s.now, s.events_processed)
+        def _monitor(s: Any) -> None:
+            if prev is not None:
+                prev(s)
+            record(s.now, s.events_processed)
 
         sim.monitor = _monitor
-
-    def kernel_sample(self, t: float, events_processed: int) -> None:
-        """Bounded (time, events) samples: at capacity the series is
-        decimated 2x and the stride doubles — deterministic, O(cap)."""
-        self._kernel_seen += 1
-        if self._kernel_seen % self._kernel_stride:
-            return
-        if len(self._kernel) >= self._kernel_cap:
-            self._kernel = self._kernel[::2]
-            self._kernel_stride *= 2
-            if self._kernel_seen % self._kernel_stride:
-                return
-        self._kernel.append((t, events_processed))
 
     # ------------------------------------------------------------------
     # Finalisation and reporting
     # ------------------------------------------------------------------
 
-    def finalize(self, t_end: Optional[float] = None,
-                 close_sink: bool = True) -> None:
-        """Close open phases/spans at *t_end* and (optionally) close the
-        sink with the summary appended.  Idempotent."""
+    def finalize(self, t_end: Optional[float] = None) -> None:
+        """Close open phases/spans at *t_end*, then close the sinks with
+        the summary.  Idempotent."""
         if self._finalized:
             return
         if t_end is None:
@@ -361,8 +297,8 @@ class SpanProfiler:
         for worker, phase in sorted(self._open):
             self._close_phase(t_end, worker, phase)
         self._finalized = True
-        if close_sink and self.sink is not None:
-            self.sink.close(self.summary())
+        for sink in self.sinks:
+            sink.close(self.summary())
 
     def worker_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-worker attribution: wall, the four measured buckets, and
@@ -387,9 +323,10 @@ class SpanProfiler:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready profile summary (deterministic key order)."""
-        kernel: Dict[str, Any] = {"samples": len(self._kernel)}
-        if self._kernel:
-            t, events = self._kernel[-1]
+        samples = self._kernel.samples
+        kernel: Dict[str, Any] = {"samples": len(samples)}
+        if samples:
+            t, events = samples[-1]
             kernel["events_processed"] = events
             kernel["sim_end_s"] = t
         return {
@@ -397,17 +334,8 @@ class SpanProfiler:
             "t1_s": self.t1_s,
             "t_inf_s": self.t_inf_s,
             "parallelism": self.parallelism,
-            "nodes": self.nodes,
-            "edges": self.edges,
             "max_depth": self.max_depth,
-            "redo_copies": self.redo_copies,
-            "steal_requests": self.steal_requests,
-            "tasks_stolen": self.tasks_stolen,
-            "tasks_migrated": self.tasks_migrated,
-            "heartbeats": self.heartbeats,
-            "msgs": self.msgs,
-            "msg_bytes": self.msg_bytes,
-            "control_events": self.control_events,
+            **{name: getattr(self, name) for name in COUNTERS},
             "workers": self.worker_report(),
             "kernel": kernel,
         }
@@ -451,9 +379,7 @@ def merge_profiles(
             out["workers"] = {w: dict(row)
                               for w, row in summary.get("workers", {}).items()}
             continue
-        for key in ("t1_s", "nodes", "edges", "redo_copies",
-                    "steal_requests", "tasks_stolen", "tasks_migrated",
-                    "heartbeats", "msgs", "msg_bytes", "control_events"):
+        for key in ("t1_s", *COUNTERS):
             out[key] = out.get(key, 0) + summary.get(key, 0)
         for key in ("t_inf_s", "max_depth"):
             out[key] = max(out.get(key, 0), summary.get(key, 0))

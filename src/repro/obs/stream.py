@@ -1,24 +1,26 @@
-"""Streaming, bounded-memory sinks for :class:`repro.obs.prof.SpanProfiler`.
+"""The files a run writes: probe subscribers in front of a bounded buffer.
 
-The profiler's span stream is append-only and globally time-ordered
-(all hooks fire at the simulator's current time, which never moves
-backwards), so sinks can be pure forward writers: hold at most
-``buffer_events`` rows, flush, repeat.  A million-task run therefore
-profiles in O(buffer) memory — ROADMAP item 1's streaming/bounded
-requirement — and the memory bound is pinned by
-``tests/obs/test_stream.py``.
+A sink is an observer like any other (:mod:`repro.obs.probe`): it
+subscribes its ``on(t, kind, source, detail)`` for :data:`STREAM_KINDS`
+and is closed with the run's profile summary
+(:class:`~repro.obs.prof.SpanProfiler` does both for the ``sinks`` it is
+given).  Events arrive in global sim-time order, so a sink is a pure
+forward writer: hold at most ``buffer_events`` lines, flush, repeat — a
+million-task run is written in O(buffer) memory (pinned by
+``tests/obs/test_stream.py``).
 
-Two writers share the row vocabulary documented in ``prof.py``:
-
-* :class:`JsonlSpanSink` — one JSON object per line; first line is a
-  ``profile_meta`` header, last line (written by ``close``) is the
-  ``profile_summary``.  This is the mergeable interchange format.
-* :class:`StreamingPerfettoWriter` — incremental Chrome ``traceEvents``
-  JSON.  Execution/phase/participation intervals are emitted as
-  ``B``/``E`` duration pairs *at their start and end times* rather than
-  as ``X`` complete events: an ``X`` is written when the interval ends
-  but stamped with its start time, which would interleave out of order
-  with instants served mid-interval and break the writer's
+* :class:`JsonlSpanSink` — one :func:`~repro.util.trace.event_row` per
+  line (the row :meth:`TraceLog.to_jsonl` writes) between a
+  ``profile_meta`` header and the ``profile_summary`` that ``close``
+  appends.  The mergeable interchange format.
+* :class:`PerfettoWriter` — incremental Chrome ``traceEvents`` JSON; its
+  ``on`` is the repo's one probe-kind -> trace-event translation, fed
+  live by ``repro profile --perfetto`` and replayed from a finished
+  :class:`~repro.util.trace.TraceLog` by
+  :func:`repro.obs.export.to_perfetto`.  Intervals are ``B``/``E`` pairs
+  written *at their start and end times*, never ``X`` complete events:
+  an ``X`` is only known when the interval ends but is stamped with its
+  start, which would land behind instants already written and break the
   forward-only contract.  ``B``/``E`` keeps every track monotonic by
   construction (and is what ``validate_perfetto`` pairing-checks).
 """
@@ -26,30 +28,62 @@ Two writers share the row vocabulary documented in ``prof.py``:
 from __future__ import annotations
 
 import json
-import sys
 from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.prof import PROFILE_SCHEMA, merge_profiles
+from repro.util.trace import event_row, jsonable
+
+#: The probe kinds a run's output files are written from.  The first row
+#: is what the TraceLog records too (so a finished log replays to the
+#: same document); the second is observer-only, seen live alone.
+STREAM_KINDS: Tuple[str, ...] = (
+    "worker.start", "worker.rejoin", "worker.exit.*",
+    "steal.request", "steal.grant", "steal.success",
+    "migrate.in", "migrate.out", "redo", "closure.lost",
+    "ch.register", "ch.unregister", "ch.worker_died", "ch.result",
+    "jobq.submit", "jobq.grant", "jobq.done",
+    # -- observer-only --
+    "worker.begin", "phase.begin", "phase.end", "task.done", "task.charged",
+)
+
+#: Kinds only a replay feeds :meth:`PerfettoWriter.on`, from the metrics
+#: registry: a health incident (source = its subject) and one sample of
+#: a series (source = the counter's name).
+INCIDENT, SAMPLE = "health.incident", "series.sample"
+
+#: Worker rows live in one "cluster" process, control-plane rows (one
+#: per kind family below, ``health``, the ``run`` extent, counters) in
+#: another.
+WORKERS_PID = 1
+CONTROL_PID = 2
+CONTROL_TRACKS = {"ch": "clearinghouse", "jobq": "jobq"}
+
+#: The JSONL row shape, recorded in the header (1 was the profiler's
+#: private ``{"ev", "t", "w", ...}`` vocabulary).
+JSONL_ROWS = 2
 
 _US = 1e6  # seconds -> trace-event microseconds
 
-#: Track layout shared with repro.obs.export: worker rows live in one
-#: "cluster" process, control-plane rows in another.
-WORKERS_PID = 1
-CONTROL_PID = 2
+#: One track of the document: ``(pid, tid, names of its open B's)``.
+_Track = Tuple[int, int, List[str]]
 
 
-class JsonlSpanSink:
-    """Buffered JSON-lines span writer.
+def _meta_line(meta: Dict[str, Any]) -> str:
+    return json.dumps({"profile_meta": {"schema": PROFILE_SCHEMA,
+                                        "rows": JSONL_ROWS, **meta}},
+                      sort_keys=True) + "\n"
+
+
+class _StreamSink:
+    """A probe subscriber writing text lines through a bounded buffer.
 
     ``path_or_fh`` may be a filesystem path (opened and owned by the
-    sink) or an already-open text file object (borrowed — ``close``
+    sink) or an already-open text file object (borrowed — closing
     flushes but does not close it).  ``events``, ``peak_buffered`` and
     ``flushes`` expose the memory-bound contract to tests.
     """
 
-    def __init__(self, path_or_fh: Any, buffer_events: int = 8192,
-                 meta: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, path_or_fh: Any, buffer_events: int) -> None:
         if buffer_events < 1:
             raise ValueError("buffer_events must be >= 1")
         self.buffer_events = buffer_events
@@ -65,14 +99,13 @@ class JsonlSpanSink:
         self.peak_buffered = 0
         self.flushes = 0
         self._buf: List[str] = []
-        header = {"profile_meta": {"schema": PROFILE_SCHEMA}}
-        if meta:
-            header["profile_meta"].update(meta)
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
         self._closed = False
 
-    def emit(self, row: Dict[str, Any]) -> None:
-        self._buf.append(json.dumps(row))
+    def subscribe(self, probe: Any) -> None:
+        probe.subscribe(dict.fromkeys(STREAM_KINDS, self.on))
+
+    def _write(self, line: str) -> None:
+        self._buf.append(line)
         self.events += 1
         n = len(self._buf)
         if n > self.peak_buffered:
@@ -87,193 +120,176 @@ class JsonlSpanSink:
             self.flushes += 1
 
     def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
+        """End the file with the subclass's ``_tail(summary)``.  Idempotent."""
         if self._closed:
             return
         self._closed = True
+        tail = self._tail(summary)
         self._flush()
-        if summary is not None:
-            self._fh.write(json.dumps({"profile_summary": summary},
-                                      sort_keys=True) + "\n")
+        self._fh.write(tail)
         self._fh.flush()
         if self._owns_fh:
             self._fh.close()
 
 
-class TeeSink:
-    """Fan one span stream out to several sinks (e.g. JSONL + Perfetto)."""
+class JsonlSpanSink(_StreamSink):
+    """The stream as JSON lines: header, one event row each, summary."""
 
-    def __init__(self, sinks: Iterable[Any]) -> None:
-        self.sinks = list(sinks)
+    def __init__(self, path_or_fh: Any, buffer_events: int = 8192,
+                 meta: Optional[Dict[str, Any]] = None) -> None:
+        super().__init__(path_or_fh, buffer_events)
+        self._fh.write(_meta_line(meta or {}))
 
-    def emit(self, row: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(row)
+    def on(self, t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
+        self._write(event_row(t, kind, source, detail))
 
-    def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        for sink in self.sinks:
-            sink.close(summary)
+    def _tail(self, summary: Optional[Dict[str, Any]]) -> str:
+        return "" if summary is None else json.dumps(
+            {"profile_summary": summary}, sort_keys=True) + "\n"
 
 
-class StreamingPerfettoWriter:
+class PerfettoWriter(_StreamSink):
     """Incremental Chrome/Perfetto ``traceEvents`` writer.
 
-    Rows are translated and appended as they arrive; nothing is kept in
-    memory beyond the JSONL-sized buffer, the per-track open-``B``
-    stacks (bounded by nesting depth, <= 3), and the thread-name table.
-    ``close`` auto-closes any still-open ``B`` at the last seen
-    timestamp (a crash can end the sim mid-interval), writes process/
-    thread metadata and the closing bracket, so the document always
-    passes ``validate_perfetto``.
+    Events are translated and appended as they arrive; nothing is kept
+    beyond the line buffer and the track table (name -> tid and the
+    stack of open ``B`` names, bounded by nesting depth, <= 3).  A ``run`` slice
+    spans the whole document, ``[0, last event]``, so instants that
+    trail the last worker exit (a PhishSystem's ``jobq.done``) are still
+    inside the trace's range.  ``close`` ends every still-open ``B`` at
+    the last seen timestamp (a crash, or a capacity-truncated log, can
+    end mid-interval) and writes the track names, so the document
+    always passes ``validate_perfetto``.
     """
 
-    def __init__(self, path: str, job_name: str = "job",
+    def __init__(self, path_or_fh: Any, job_name: str = "job",
                  buffer_events: int = 8192) -> None:
-        if buffer_events < 1:
-            raise ValueError("buffer_events must be >= 1")
-        self.path = str(path)
+        super().__init__(path_or_fh, buffer_events)
         self.job_name = job_name
-        self.buffer_events = buffer_events
-        self.events = 0
-        self.peak_buffered = 0
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._buf: List[str] = []
-        self._first = True
-        self._tids: Dict[Tuple[int, str], int] = {}
-        self._next_tid: Dict[int, int] = {WORKERS_PID: 1, CONTROL_PID: 1}
-        self._stacks: Dict[Tuple[int, int], List[str]] = {}
-        self._last_ts = 0.0
-        self._closed = False
+        self._tracks: Dict[Tuple[int, str], _Track] = {}
+        self._last_t = 0.0
         self._fh.write('{"traceEvents":[\n')
+        self._begin(0.0, self._track(CONTROL_PID, "run"), job_name, "run")
 
     # -- low-level appends ------------------------------------------------
 
-    def _append(self, event: Dict[str, Any]) -> None:
-        text = json.dumps(event)
-        self._buf.append(text if self._first else "," + text)
-        self._first = False
-        self.events += 1
-        n = len(self._buf)
-        if n > self.peak_buffered:
-            self.peak_buffered = n
-        if n >= self.buffer_events:
-            self._flush()
+    def _emit(self, event: Dict[str, Any]) -> None:
+        self._write(("," if self.events else "") + json.dumps(event))
 
-    def _flush(self) -> None:
-        if self._buf:
-            self._fh.write("\n".join(self._buf) + "\n")
-            self._buf.clear()
+    def _append(self, ph: str, ts: float, track: _Track, **fields: Any) -> None:
+        self._emit({"ph": ph, "pid": track[0], "tid": track[1], "ts": ts,
+                    **fields})
 
-    def _tid(self, pid: int, worker: str) -> int:
-        key = (pid, worker)
-        tid = self._tids.get(key)
-        if tid is None:
-            tid = self._next_tid[pid]
-            self._next_tid[pid] = tid + 1
-            self._tids[key] = tid
-        return tid
+    def _track(self, pid: int, name: str) -> _Track:
+        track = self._tracks.get((pid, name))
+        if track is None:
+            tid = 1 + sum(p == pid for p, _ in self._tracks)
+            track = self._tracks[(pid, name)] = (pid, tid, [])
+        return track
 
-    def _begin(self, ts: float, pid: int, tid: int, name: str, cat: str,
-               args: Optional[Dict[str, Any]] = None) -> None:
-        event: Dict[str, Any] = {"name": name, "cat": cat, "ph": "B",
-                                 "pid": pid, "tid": tid,
-                                 "ts": round(ts * _US, 3)}
-        if args:
-            event["args"] = args
-        self._append(event)
-        self._stacks.setdefault((pid, tid), []).append(name)
+    def _begin(self, ts: float, track: _Track, name: str, cat: str,
+               **args: Any) -> None:
+        self._append("B", ts, track, name=name, cat=cat,
+                     **({"args": args} if args else {}))
+        track[2].append(name)
 
-    def _end(self, ts: float, pid: int, tid: int) -> None:
-        stack = self._stacks.get((pid, tid))
-        if not stack:
-            return  # unmatched E: drop rather than corrupt the doc
-        stack.pop()
-        self._append({"ph": "E", "pid": pid, "tid": tid,
-                      "ts": round(ts * _US, 3)})
+    def _sweep(self, ts: float, track: _Track, reason: str) -> None:
+        """End every open interval on *track*, innermost first; the
+        participation span carries how it ended."""
+        while track[2]:
+            if track[2].pop() == "participating":
+                self._append("E", ts, track, args={"exit": reason})
+            else:
+                self._append("E", ts, track)
 
-    def _instant(self, ts: float, pid: int, tid: int, name: str, cat: str,
-                 scope: str, args: Optional[Dict[str, Any]] = None) -> None:
-        event: Dict[str, Any] = {"name": name, "cat": cat, "ph": "i",
-                                 "pid": pid, "tid": tid,
-                                 "ts": round(ts * _US, 3), "s": scope}
-        if args:
-            event["args"] = args
-        self._append(event)
+    def _instant(self, ts: float, track: _Track, name: str, cat: str,
+                 scope: str, detail: Dict[str, Any]) -> None:
+        self._append("i", ts, track, name=name, cat=cat, s=scope,
+                     args={k: jsonable(v) for k, v in detail.items()})
 
-    # -- sink protocol ----------------------------------------------------
+    # -- the translation --------------------------------------------------
 
-    def emit(self, row: Dict[str, Any]) -> None:
-        ev = row["ev"]
-        t = row["t"]
-        if t > self._last_ts:
-            self._last_ts = t
-        if ev.startswith("ch."):
-            tid = 1
-            self._next_tid[CONTROL_PID] = max(self._next_tid[CONTROL_PID], 2)
-            self._tids.setdefault((CONTROL_PID, "clearinghouse"), 1)
-            args = {k: v for k, v in row.items()
-                    if k not in ("ev", "t", "w")}
-            self._instant(t, CONTROL_PID, tid, ev, "control", "p",
-                          args or None)
+    def on(self, t: float, kind: str, source: str, detail: Dict[str, Any]) -> None:
+        """One stream event -> its Chrome trace events (the only such
+        mapping under ``src/``)."""
+        if t > self._last_t:
+            self._last_t = t
+        ts = round(t * _US, 3)
+        if kind == SAMPLE:
+            self._emit({"ph": "C", "pid": CONTROL_PID, "ts": ts, "name": source,
+                        "args": {"value": detail["value"]}})
             return
-        tid = self._tid(WORKERS_PID, row["w"])
-        if ev == "exec.b":
-            self._begin(t, WORKERS_PID, tid, row["thread"], "exec",
-                        {"cid": str(row["cid"]), "depth": row["depth"]})
-        elif ev == "exec.e":
-            self._end(t, WORKERS_PID, tid)
-        elif ev == "ph.b":
-            self._begin(t, WORKERS_PID, tid, row["ph"], "phase")
-        elif ev == "ph.e":
-            self._end(t, WORKERS_PID, tid)
-        elif ev == "wk.b":
-            self._begin(t, WORKERS_PID, tid, "participating", "worker")
-        elif ev == "wk.e":
-            self._end(t, WORKERS_PID, tid)
-        else:  # steal.*, migrate.*, redo — lifecycle instants
-            args = {k: v for k, v in row.items()
-                    if k not in ("ev", "t", "w")}
-            self._instant(t, WORKERS_PID, tid, ev, "lifecycle", "t",
-                          args or None)
-
-    def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        if self._closed:
+        control = CONTROL_TRACKS.get(kind.partition(".")[0])
+        if control is not None:
+            self._instant(ts, self._track(CONTROL_PID, control), kind,
+                          "control", "p", detail)
             return
-        self._closed = True
-        # Close intervals left open by a crash or an abrupt sim end;
-        # deepest frames first so B/E nesting stays well-formed.
-        for (pid, tid), stack in sorted(self._stacks.items()):
-            while stack:
+        if kind == INCIDENT:
+            # On the offending worker's track; cluster-scoped ones
+            # (stalls, SLO breaches) on a track of their own.
+            pid, name, scope = WORKERS_PID, source, "t"
+            if (pid, name) not in self._tracks:
+                pid, name, scope = CONTROL_PID, "health", "p"
+            self._instant(ts, self._track(pid, name),
+                          f"health.{detail['kind']}", "health", scope, detail)
+            return
+        track = self._track(WORKERS_PID, source)
+        stack = track[2]
+        if kind == "task.done":
+            self._begin(ts, track, detail["thread"], "exec",
+                        cid=str(detail["cid"]), depth=detail["depth"])
+        elif kind in ("task.charged", "phase.end"):
+            # Ends the innermost interval — never the participation
+            # span: a phase.end can outlive the exit that swept its
+            # phase shut (an interrupted generator's ``finally``).
+            if stack and stack[-1] != "participating":
                 stack.pop()
-                self._append({"ph": "E", "pid": pid, "tid": tid,
-                              "ts": round(self._last_ts * _US, 3)})
-        self._append({"name": "process_name", "ph": "M", "pid": WORKERS_PID,
-                      "args": {"name": f"cluster:{self.job_name}"}})
-        self._append({"name": "process_name", "ph": "M", "pid": CONTROL_PID,
-                      "args": {"name": "control"}})
-        for (pid, worker), tid in sorted(self._tids.items(),
-                                         key=lambda kv: (kv[0][0], kv[1])):
-            self._append({"name": "thread_name", "ph": "M", "pid": pid,
-                          "tid": tid, "args": {"name": worker}})
-        self._flush()
-        other: Dict[str, Any] = {"schema": PROFILE_SCHEMA,
-                                 "job": self.job_name}
-        if summary is not None:
-            for key in ("t1_s", "t_inf_s", "parallelism", "nodes", "edges",
-                        "max_depth", "redo_copies"):
-                if key in summary:
-                    other[key] = summary[key]
-        self._fh.write('],"displayTimeUnit":"ms","otherData":'
-                       + json.dumps(other, sort_keys=True) + "}\n")
-        self._fh.close()
+                self._append("E", ts, track)
+        elif kind == "phase.begin":
+            self._begin(ts, track, detail["phase"], "phase")
+        elif kind == "worker.begin":
+            # Start-up and the registration handshake, closed by the
+            # worker's own ``phase.end``.
+            self._begin(ts, track, "protocol", "phase")
+        elif kind in ("worker.start", "worker.rejoin"):
+            if "participating" not in stack:
+                self._begin(ts, track, "participating", "worker")
+        elif kind.startswith("worker.exit."):
+            reason = kind[len("worker.exit."):]
+            self._sweep(ts, track, reason)
+            if reason == "crashed":
+                self._instant(ts, track, kind, "lifecycle", "t", detail)
+        else:  # steal.*, migrate.*, redo, closure.lost
+            self._instant(ts, track, kind, "lifecycle", "t", detail)
+
+    def _tail(self, summary: Optional[Dict[str, Any]]) -> str:
+        """*summary*'s scalar entries ride along as ``otherData`` (a
+        profile's T1 / T-inf / counters, a replay's truncation flags)."""
+        ts = round(self._last_t * _US, 3)
+        tracks = sorted(self._tracks.items())
+        for _key, track in tracks:
+            self._sweep(ts, track, "running")
+        for pid, name in ((WORKERS_PID, f"cluster:{self.job_name}"),
+                          (CONTROL_PID, "control")):
+            self._emit({"name": "process_name", "ph": "M", "pid": pid,
+                        "args": {"name": name}})
+        for (pid, name), track in tracks:
+            self._emit({"name": "thread_name", "ph": "M", "pid": pid,
+                        "tid": track[1], "args": {"name": name}})
+        other = {"job": self.job_name,
+                 **{k: v for k, v in (summary or {}).items()
+                    if not isinstance(v, dict)}}
+        return ('],"displayTimeUnit":"ms","otherData":'
+                + json.dumps(other, sort_keys=True) + "}\n")
 
 
 # ----------------------------------------------------------------------
-# JSONL profile readers / merger
+# JSONL readers / merger
 # ----------------------------------------------------------------------
 
-def iter_profile_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield every line of a profile JSONL file as a parsed object
-    (header and summary included), streaming — O(1) memory."""
+def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
+    """Yield every non-blank line of a JSONL file as a parsed object
+    (a profile's header and summary included), streaming — O(1) memory."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -285,14 +301,14 @@ def read_profile_summary(path: str) -> Optional[Dict[str, Any]]:
     """Return the ``profile_summary`` object of a JSONL profile, or
     ``None`` if the file has no summary line (unclosed sink)."""
     summary: Optional[Dict[str, Any]] = None
-    for obj in iter_profile_jsonl(path):
+    for obj in iter_jsonl(path):
         if "profile_summary" in obj:
             summary = obj["profile_summary"]
     return summary
 
 
 def merge_profile_jsonl(paths: Iterable[str], out_path: str) -> Dict[str, Any]:
-    """Merge shard profile JSONL files into one: span lines are
+    """Merge shard profile JSONL files into one: event lines are
     concatenated in shard order (shards are independent runs; within a
     shard, order is already time-sorted), summaries combine via
     :func:`merge_profiles`.  Line-streaming, deterministic — the same
@@ -300,12 +316,9 @@ def merge_profile_jsonl(paths: Iterable[str], out_path: str) -> Dict[str, Any]:
     paths = list(paths)
     summaries: List[Dict[str, Any]] = []
     with open(out_path, "w", encoding="utf-8") as out:
-        out.write(json.dumps(
-            {"profile_meta": {"schema": PROFILE_SCHEMA,
-                              "merged_shards": len(paths)}},
-            sort_keys=True) + "\n")
+        out.write(_meta_line({"merged_shards": len(paths)}))
         for shard, path in enumerate(paths):
-            for obj in iter_profile_jsonl(path):
+            for obj in iter_jsonl(path):
                 if "profile_meta" in obj:
                     continue
                 if "profile_summary" in obj:
@@ -338,13 +351,4 @@ def iter_incidents_jsonl(path: str) -> Iterator[Any]:
     :func:`write_incidents_jsonl` file, streaming — O(1) memory."""
     from repro.obs.health import Incident
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield Incident.from_row(json.loads(line))
-
-
-def warn_stream(message: str, stream: Optional[IO[str]] = None) -> None:
-    """Small stderr-warning helper (kept here so CLI tests can hook it)."""
-    print(message, file=stream if stream is not None else sys.stderr)
+    return map(Incident.from_row, iter_jsonl(path))

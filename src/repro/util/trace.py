@@ -22,17 +22,27 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
-def _jsonl_value(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
     """Best-effort JSON coercion of one detail value (tuples become
     lists, unknown objects their ``repr``) — lossy on types, lossless on
     information, which is what offline re-analysis needs."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [_jsonl_value(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonl_value(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     return repr(value)
+
+
+def event_row(time: float, kind: str, source: str,
+              detail: Dict[str, Any]) -> str:
+    """One event as the JSONL line every writer of a run emits
+    (:meth:`TraceLog.to_jsonl`, :class:`~repro.obs.stream.JsonlSpanSink`)."""
+    return json.dumps({
+        "t": time, "kind": kind, "src": source,
+        "detail": {k: jsonable(v) for k, v in detail.items()},
+    }, sort_keys=True)
 
 
 class TraceEvent:
@@ -223,13 +233,8 @@ class TraceLog:
                 "events": len(self._events),
             }
         }, sort_keys=True)]
-        for ev in self._events:
-            lines.append(json.dumps({
-                "t": ev.time,
-                "kind": ev.kind,
-                "src": ev.source,
-                "detail": {k: _jsonl_value(v) for k, v in ev.detail.items()},
-            }, sort_keys=True))
+        lines += [event_row(ev.time, ev.kind, ev.source, ev.detail)
+                  for ev in self._events]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -2,12 +2,10 @@
 contract): same seed window => identical failing-seed sets, identical
 shrunk-schedule fingerprints, byte-identical summaries."""
 
-import dataclasses
-
 import pytest
 
-from repro.check import FuzzShardSpec, fuzz, fuzz_sharded
-from repro.check.fuzzer import _run_fuzz_shard
+from repro.check import fuzz, fuzz_sharded
+from repro.check.fuzzer import _describe_shard, _run_fuzz_shard
 from repro.errors import ReproError
 
 
@@ -93,12 +91,13 @@ class TestShardPlumbing:
         assert by_list.summary() == by_range.summary()
 
     def test_shard_task_is_spawn_safe_data(self):
-        """The shard spec and its result survive a pickle round-trip —
-        the contract that makes the pool work under spawn."""
+        """The shard item (fuzz()'s kwargs) and its result survive a
+        pickle round-trip — the contract that makes the pool work under
+        spawn."""
         import pickle
 
-        spec = FuzzShardSpec(app="fib", seeds=(0, 1), n_workers=4,
-                             bug=None, shrink=True, horizon_s=60.0)
+        spec = dict(app="fib", seeds=(0, 1), n_workers=4,
+                    bug=None, shrink=True, horizon_s=60.0)
         spec = pickle.loads(pickle.dumps(spec))
         result, snapshot = _run_fuzz_shard(spec)
         result2, snapshot2 = pickle.loads(pickle.dumps((result, snapshot)))
@@ -106,11 +105,9 @@ class TestShardPlumbing:
         assert snapshot2["check.seeds_run"]["value"] == 2
 
     def test_spec_describe(self):
-        spec = FuzzShardSpec(app="fib", seeds=(5, 6, 7), n_workers=4,
-                             bug=None, shrink=True, horizon_s=60.0)
-        assert spec.describe() == "seeds 5..7 (3)"
-        empty = dataclasses.replace(spec, seeds=())
-        assert empty.describe() == "no seeds"
+        assert _describe_shard({"app": "fib", "seeds": (5, 6, 7)}) == \
+            "seeds 5..7 (3)"
+        assert _describe_shard({"app": "fib", "seeds": ()}) == "no seeds"
 
     def test_seed_context_attached_to_child_errors(self, monkeypatch):
         """A crash inside one seed's run names the owning seed."""

@@ -33,7 +33,7 @@ from repro.obs import SpanProfiler, validate_perfetto
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
-from repro.obs.stream import StreamingPerfettoWriter, TeeSink
+from repro.obs.stream import STREAM_KINDS, PerfettoWriter
 from repro.phish import build_cluster, run_job
 from repro.sim.core import Simulator
 from repro.tasks.closure import Closure, Continuation
@@ -479,7 +479,11 @@ def test_single_observer_subsets_stay_pinned_on_the_churn_path(channel, monkeypa
 
 
 class _ListSink(list):
-    emit = list.append
+    """The stream as ``(t, kind, source, detail)`` tuples."""
+
+    def subscribe(self, probe):
+        probe.subscribe(dict.fromkeys(
+            STREAM_KINDS, lambda *event: self.append(event)))
 
     def close(self, summary=None):
         pass
@@ -487,11 +491,12 @@ class _ListSink(list):
 
 def test_crash_mid_task_still_closes_the_profilers_working_interval(tmp_path):
     """A crash Interrupt lands in the cycle-charging yield of the run
-    loop; the profiler's exec B/E pair must close there, before the
-    participation span ends."""
+    loop; the task's ``task.done`` / ``task.charged`` pair (the exec B/E
+    of the stream, the profiler's working interval) must close there,
+    before the participation span ends."""
     rows = _ListSink()
     path = str(tmp_path / "trace.json")
-    prof = SpanProfiler(sink=TeeSink([rows, StreamingPerfettoWriter(path)]))
+    prof = SpanProfiler(sinks=[rows, PerfettoWriter(path)])
     sim = Simulator()
     reg = RngRegistry(5)
     job = fib_job(16)
@@ -513,13 +518,14 @@ def test_crash_mid_task_still_closes_the_profilers_working_interval(tmp_path):
     assert victim.exit_reason == "crashed"
     prof.finalize(sim.now)
 
-    mine = [r for r in rows if r["w"] == "ws01"]
-    begun = [r["cid"] for r in mine if r["ev"] == "exec.b"]
-    ended = [r["cid"] for r in mine if r["ev"] == "exec.e"]
+    mine = [(t, kind, d) for t, kind, src, d in rows if src == "ws01"]
+    begun = [d["cid"] for _t, kind, d in mine if kind == "task.done"]
+    ended = [d["cid"] for _t, kind, d in mine if kind == "task.charged"]
     assert begun == ended and len(begun) == victim.stats.tasks_executed
-    last_end = max(i for i, r in enumerate(mine) if r["ev"] == "exec.e")
-    assert mine[last_end]["t"] == t_crash
-    assert last_end < [r["ev"] for r in mine].index("wk.e")
+    kinds = [kind for _t, kind, _d in mine]
+    last_end = max(i for i, kind in enumerate(kinds) if kind == "task.charged")
+    assert mine[last_end][0] == t_crash
+    assert last_end < kinds.index("worker.exit.crashed")
     with open(path, encoding="utf-8") as fh:
         assert validate_perfetto(json.load(fh)) == []
     assert ch.result is None  # the job itself was cut short by the test

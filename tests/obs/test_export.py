@@ -3,13 +3,8 @@
 import json
 
 from repro.apps.fib import fib_job
-from repro.obs.export import (
-    CONTROL_PID,
-    WORKERS_PID,
-    to_perfetto,
-    validate_perfetto,
-    write_perfetto,
-)
+from repro.obs.export import to_perfetto, validate_perfetto, write_perfetto
+from repro.obs.stream import CONTROL_PID, WORKERS_PID
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
 from tests.obs.emitting import emitter
@@ -84,12 +79,13 @@ def test_export_crash_instant_from_synthetic_trace():
     doc = to_perfetto(trace)
     assert validate_perfetto(doc) == []
     events = doc["traceEvents"]
-    crash = [ev for ev in events if ev["name"] == "worker.exit.crashed"]
+    crash = [ev for ev in events if ev.get("name") == "worker.exit.crashed"]
     assert len(crash) == 1 and crash[0]["ph"] == "i"
-    # The participation slice closes at the crash.
-    span = next(ev for ev in events if ev["ph"] == "X")
-    assert span["args"]["exit"] == "crashed"
-    assert span["dur"] == 2.0 * 1e6
+    # The participation span opens at the start and closes at the crash.
+    span = [ev for ev in events if ev["ph"] in "BE" and ev["pid"] == WORKERS_PID]
+    assert [(ev["ph"], ev["ts"]) for ev in span] == [("B", 0.0), ("E", 2.0 * 1e6)]
+    assert span[0]["name"] == "participating"
+    assert span[1]["args"] == {"exit": "crashed"}
 
 
 def test_export_timestamps_monotonic_per_track():
@@ -184,6 +180,43 @@ def test_export_records_truncation_in_metadata():
     doc = to_perfetto(trace)
     assert doc["otherData"]["trace_truncated"] is True
     assert doc["otherData"]["trace_dropped"] == trace.dropped
+
+
+def test_export_of_truncated_run_validates():
+    # The ring kept only the tail: worker.start records are gone, so
+    # exits close nothing and instants land on tracks with no span.
+    res, _reg = _run()
+    tail = TraceLog(capacity=300)
+    for ev in res.trace:
+        tail.emit(ev.time, ev.kind, ev.source, **ev.detail)
+    assert tail.truncated and not tail.events(kind="worker.start")
+    assert tail.events(kind="worker.exit.done")
+    doc = to_perfetto(tail)
+    assert validate_perfetto(doc) == []
+    assert not any(ev.get("name") == "participating" for ev in doc["traceEvents"])
+    assert any(ev["ph"] == "i" for ev in doc["traceEvents"])
+
+
+def test_export_control_instants_after_the_last_worker_exit_validate():
+    # A PhishSystem outlives its jobs: a submission after every worker
+    # of the first job is gone is an instant past the last interval,
+    # and must still fall inside the document's range.
+    from repro.macro import PhishSystem, PhishSystemConfig
+
+    system = PhishSystem(PhishSystemConfig(n_workstations=3, seed=0,
+                                           trace=True, metrics=True))
+    system.submit(fib_job(12), from_host="ws00")
+    system.run_until_done(timeout_s=3600)
+    system.sim.run(until=system.sim.now + 1.0)
+    system.submit(fib_job(5), from_host="ws01")
+    system.stop()
+    exits = [ev.time for ev in system.trace
+             if ev.kind.startswith("worker.exit.")]
+    assert system.trace.events(kind="jobq.submit")[-1].time > max(exits)
+    doc = to_perfetto(system.trace, system.metrics, "macro")
+    assert validate_perfetto(doc) == []
+    names = {ev.get("name") for ev in doc["traceEvents"]}
+    assert {"jobq.submit", "jobq.grant", "jobq.done", "ch.result"} <= names
 
 
 def test_export_untruncated_metadata_flag_false():

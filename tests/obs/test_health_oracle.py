@@ -14,7 +14,7 @@ import pytest
 from repro.check.fuzzer import APPS
 from repro.check.harness import Perturbation, run_checked
 from repro.obs import HealthMonitor, MetricsRegistry
-from repro.obs.diagnose import DiagnoseSpec, diagnose_seed, diagnose_sweep
+from repro.obs.diagnose import diagnose_seed, diagnose_sweep
 
 
 def _diagnose(app, seed, scenario=None, **kwargs):
@@ -97,9 +97,9 @@ def test_fifty_clean_seeds_yield_zero_incidents():
             if monitor.incidents:
                 fired.append((app, seed, [i.kind for i in monitor.incidents]))
     for seed in range(10):
-        payload = diagnose_seed(DiagnoseSpec(
+        payload = diagnose_seed(
             app="traffic", seed=seed, n_workers=8, traffic_jobs=60,
-            slo_s=3600.0))
+            slo_s=3600.0)
         rows = payload["snapshot"]["health.incidents"]["rows"]
         if rows:
             fired.append(("traffic", seed, [r["kind"] for r in rows]))
@@ -142,8 +142,8 @@ def test_sweep_serial_vs_jobs2_byte_identical():
 
 
 def test_traffic_tight_slo_breaches():
-    payload = diagnose_seed(DiagnoseSpec(
-        app="traffic", seed=3, n_workers=4, traffic_jobs=40, slo_s=30.0))
+    payload = diagnose_seed(
+        app="traffic", seed=3, n_workers=4, traffic_jobs=40, slo_s=30.0)
     rows = payload["snapshot"]["health.incidents"]["rows"]
     assert rows and all(r["kind"] == "slo-breach" for r in rows)
     assert all(r["evidence"]["sojourn_s"] > 30.0 for r in rows)

@@ -102,16 +102,51 @@ def test_histogram_mean_exact():
 
 
 def test_series_records_and_bounds():
-    s = Series("s", capacity=2)
-    s.record(0.0, 1)
-    s.record(1.0, 2)
-    s.record(2.0, 3)  # over capacity: dropped
-    assert s.samples == [(0.0, 1.0), (1.0, 2.0)]
-    assert s.dropped == 1
-    assert s.last == 2.0
+    s = Series("s", capacity=4)
+    for i in range(4):
+        s.record(float(i), i)
+    assert s.samples == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
+    # At capacity every other sample goes and the stride doubles: what
+    # is kept spans the whole run, never more than 4 of them.
+    values = {float(i): 7 if i == 50 else i % 5 for i in range(4, 100)}
+    for t, v in values.items():
+        s.record(t, v)
+        assert len(s.samples) <= 4
+    assert s.stride == 32
+    assert s.samples == [(0.0, 0), (47.0, values[47.0]), (95.0, values[95.0])]
+    # last / peak / counts are whole-run, whatever was thinned away.
     snap = s.snapshot()
-    assert snap["n_samples"] == 2
-    assert snap["peak"] == 2.0
+    assert snap == {"kind": "series", "n_samples": 100, "dropped": 0,
+                    "last": 4.0, "peak": 7.0}
+    assert Series("empty").snapshot()["last"] is None
+
+
+def test_series_thinning_matches_the_profilers_kernel_samples():
+    """The profiler's kernel-pressure samples are a Series(capacity=256):
+    same thinning, so ``summary()["kernel"]`` is what it always was."""
+    from repro.obs import SpanProfiler
+
+    class _Sim:
+        monitor = None
+        now = 0.0
+        events_processed = 0
+
+    sim, prof = _Sim(), SpanProfiler()
+    prof.attach_sim(sim)
+    kernel, cap, stride = [], 256, 1  # the pre-Series reference loop
+    for seen in range(1, 5001):
+        sim.now, sim.events_processed = seen * 1e-3, seen * 3
+        sim.monitor(sim)
+        if seen % stride:
+            continue
+        if len(kernel) >= cap:
+            kernel, stride = kernel[::2], stride * 2
+            if seen % stride:
+                continue
+        kernel.append((sim.now, sim.events_processed))
+    assert prof.summary()["kernel"] == {
+        "samples": len(kernel), "events_processed": kernel[-1][1],
+        "sim_end_s": kernel[-1][0]}
 
 
 # ---------------------------------------------------------------- registry

@@ -12,9 +12,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
-#: PR 21 spent +39: the kernel's timed wait (``sim.core.Within``) and
-#: ``Channel.send``'s event-free hand-off, for macro_traffic work_per_s.
-CEILING = 18983
+#: PR 23 returned 253: run outputs written once (``repro.obs`` diet).
+CEILING = 18730
 
 
 def test_src_does_not_grow_without_saying_so():
