@@ -119,6 +119,7 @@ def format_traffic(matrix: TrafficMatrix) -> str:
             _fmt(rep.wait_p99_s),
             rep.grants,
             rep.scanned,
+            _fmt(rep.messages_sent / rep.n_completed if rep.n_completed else None),
         ))
     return render_table(
         f"Macro policy competition — {matrix.n_jobs} jobs on "
@@ -127,6 +128,6 @@ def format_traffic(matrix: TrafficMatrix) -> str:
         f"first machine grant; seconds)",
         ["policy", "arrival", "done", "makespan (s)", "jobs/s",
          "lat p50", "lat p95", "lat p99", "wait p50", "wait p99",
-         "grants", "scanned"],
+         "grants", "scanned", "msgs/job"],
         rows,
     )

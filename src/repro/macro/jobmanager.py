@@ -103,30 +103,41 @@ class PhishJobManager:
     def _run(self) -> Generator:
         cfg = self.config
         ws = self.workstation
+        #: What the last participation owes the JobQ — a ``(method, args)``
+        #: notice, ``release`` or ``job_done`` — until a call that carried
+        #: it returned: the next ``request_job`` takes it along.
+        owed = None
         try:
             while True:
                 # Phase 1: wait for the machine to become idle.
-                while not cfg.idleness_policy.is_idle(ws):
+                if not cfg.idleness_policy.is_idle(ws):
+                    if owed is not None:  # no request to ride on: say it now
+                        yield from self._tell_jobq(*owed)
+                        self._heard(owed)
+                        owed = None
                     yield self.sim.timeout(cfg.busy_poll_s)
+                    continue
                 # Phase 2: get a job (retrying while the pool is empty).
-                descriptor = None
-                while descriptor is None:
-                    if not cfg.idleness_policy.is_idle(ws):
-                        break  # owner came back while we were asking
-                    try:
-                        descriptor = yield from self.jobq.call("request_job", ws.name)
-                    except RpcError:
-                        descriptor = None  # JobQ unreachable; retry later
-                    if descriptor is None:
-                        yield self._no_job_wait()
+                try:
+                    descriptor = yield from self.jobq.call(
+                        "request_job", ws.name, notices=(owed,) if owed else ())
+                    if owed is not None:
+                        self._heard(owed)
+                        owed = None
+                except RpcError:
+                    descriptor = None  # JobQ unreachable; retry later
                 if descriptor is None:
+                    yield self._no_job_wait()
                     continue
                 # Phase 3: participate until done, drained or reclaimed.
-                yield from self._participate(descriptor)
+                owed = yield from self._participate(descriptor)
         except Interrupt:
             if self.current_worker is not None:
                 self.current_worker.stop()
             return
+
+    def _heard(self, notice: tuple) -> None:
+        """The JobQ has run *notice* (the call that took it returned)."""
 
     def _no_job_wait(self) -> "Event | Within":
         """What to yield after the JobQ answered "no job" (paper: 30 s)."""
@@ -140,12 +151,11 @@ class PhishJobManager:
             except RpcError:  # JobQ unreachable; retry later
                 yield self.sim.timeout(self.config.no_job_retry_s)
 
-    def _release(self, job_id: int) -> Generator:
-        """Tell the JobQ this machine no longer participates in *job_id*
-        (until it hears: a slot left taken by a machine that is gone
-        counts against the job's ``max_workers`` for good)."""
-        return self._tell_jobq(
-            "release", {"job_id": job_id, "workstation": self.workstation.name})
+    def _release(self, job_id: int) -> tuple:
+        """The notice that this machine no longer participates in *job_id*
+        (owed until the JobQ hears it: a slot left taken by a machine that
+        is gone counts against the job's ``max_workers`` for good)."""
+        return "release", {"job_id": job_id, "workstation": self.workstation.name}
 
     def start_worker(self, descriptor: dict, rng: random.Random) -> Worker:
         """A worker for the described job on this workstation (also how
@@ -163,7 +173,8 @@ class PhishJobManager:
         )
 
     def _participate(self, descriptor: dict) -> Generator:
-        """Run a worker for the granted job and watch for the owner's return."""
+        """Run a worker for the granted job and watch for the owner's
+        return; the value is the notice now owed to the JobQ, if any."""
         cfg = self.config
         ws = self.workstation
         try:
@@ -172,9 +183,9 @@ class PhishJobManager:
         except AddressError:
             # A previous worker for this job still forwards on the port;
             # release the slot and come back later.
-            yield from self._release(descriptor["job_id"])
+            yield from self._tell_jobq(*self._release(descriptor["job_id"]))
             yield self.sim.timeout(self.config.no_job_retry_s)
-            return
+            return None
         self.current_worker = worker
         self.current_job_id = descriptor["job_id"]
         self.jobs_started += 1
@@ -209,9 +220,9 @@ class PhishJobManager:
                     worker.evict("preempted")
                     yield worker.finished.wait()
                     break
-        yield from self._release(descriptor["job_id"])
         self.current_worker = None
         self.current_job_id = None
+        return self._release(descriptor["job_id"])
 
     def stop(self) -> None:
         """Shut the daemon down (and any worker it is running)."""

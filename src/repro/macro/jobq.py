@@ -166,7 +166,7 @@ class PhishJobQ:
         if record is None:
             raise JobError(f"job_done for unknown job {job_id}")
         if record.done:
-            raise JobError(f"job_done twice for job {job_id}")
+            return True  # a repeat of one that landed and whose reply was lost
         record.done = True
         record.finished_at = self.sim.now
         self._active.pop(job_id, None)

@@ -158,7 +158,7 @@ class PhishSystem:
         daemon = self.jobmanagers[record.ch_host]
         if first_worker is not None:
             yield first_worker.finished.wait()
-            yield from daemon._release(record.job_id)
+            yield from daemon._tell_jobq(*daemon._release(record.job_id))
         yield ch.done.wait()
         yield from daemon._tell_jobq("job_done", record.job_id)
 

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Generator, Iterable, List, Optional, Set, Tup
 from repro.cluster.owner import AlwaysIdleTrace, Owner, OwnerTrace, ScriptedTrace
 from repro.cluster.platform import SPARCSTATION_1
 from repro.cluster.workstation import Workstation
-from repro.errors import JobError, ReproError, RpcError
+from repro.errors import JobError, ReproError
 from repro.macro.jobmanager import JobManagerConfig, PhishJobManager
 from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import make_policy
@@ -410,6 +410,9 @@ class TrafficReport:
     #: Candidate records the policy examined (the "indexed" guarantee:
     #: stays within a small constant factor of ``grants``).
     scanned: int
+    #: Datagrams put on the wire (``NetCounters.sent``): the macro-level
+    #: counterpart of Table 2's "Messages sent" row.
+    messages_sent: int
 
 
 def _synthetic_program(name: str = "traffic") -> JobProgram:
@@ -427,7 +430,7 @@ def _synthetic_program(name: str = "traffic") -> JobProgram:
 class _TrafficJobManager(PhishJobManager):
     """The paper's daemon with the traffic engine's two steps swapped in.
 
-    The idle-wait -> ``request_job`` -> participate -> release loop is
+    The idle-wait -> ``request_job`` -> participate loop is
     :meth:`PhishJobManager._run`, unchanged.  Participation is the
     engine's quantum drain instead of a micro-level worker, and under an
     ``interrupt_driven`` policy the no-job wait parks on the JobQ's bell
@@ -451,6 +454,10 @@ class _TrafficJobManager(PhishJobManager):
 
     def _participate(self, descriptor: dict) -> Generator:
         return self.system._serve(self, descriptor["job_id"])
+
+    def _heard(self, notice: tuple) -> None:
+        if notice[0] == "job_done":
+            self.system._complete(notice[1])
 
 
 class TrafficSystem:
@@ -488,7 +495,8 @@ class TrafficSystem:
             self.sim, self.network, self.workstations[0].name,
             self.policy, probe=Probe.for_run(metrics=self.metrics),
         )
-        #: Jobs whose completion RPC is in flight (exactly-once latch).
+        #: Jobs some daemon owes (or has told) the JobQ a ``job_done`` for
+        #: (exactly-once latch).
         self._completing: Set[int] = set()
         self.submitted = 0
         self.completed = 0
@@ -578,7 +586,8 @@ class TrafficSystem:
             return
 
     def _serve(self, daemon: PhishJobManager, job_id: int) -> Generator:
-        """Drain a granted job in quanta until done, drained, or reclaimed."""
+        """Drain a granted job in quanta until done, drained, or reclaimed;
+        the value is what the daemon now owes the JobQ."""
         cfg = self.config
         ws = daemon.workstation
         record = self.jobq.jobs[job_id]
@@ -597,22 +606,20 @@ class TrafficSystem:
         drained = (record.remaining_s or 0.0) <= 0.0
         if drained and not record.done and job_id not in self._completing:
             self._completing.add(job_id)
-            try:
-                yield from daemon.jobq.call("job_done", job_id)
-            except RpcError:
-                pass  # lost in a JobQ outage: record.done says if it landed
-            if record.done:
-                self.completed += 1
-                self._all_done.fired = self.completed >= cfg.n_jobs
-                self._last_done_at = record.finished_at or self.sim.now
-                sojourn_s = (record.finished_at or self.sim.now) - record.submitted_at
-                self._m_sojourn.observe(sojourn_s)
-                if self._health is not None and cfg.slo_s is not None:
-                    self._health.job_sojourn(
-                        self.sim.now, job_id, sojourn_s, cfg.slo_s)
-                return
-            self._completing.discard(job_id)  # whoever is granted it next retries
-        yield from daemon._release(job_id)
+            return "job_done", job_id
+        return daemon._release(job_id)
+
+    def _complete(self, job_id: int) -> None:
+        """Account for a job whose ``job_done`` the JobQ has heard."""
+        cfg = self.config
+        record = self.jobq.jobs[job_id]
+        self.completed += 1
+        self._all_done.fired = self.completed >= cfg.n_jobs
+        self._last_done_at = max(self._last_done_at, record.finished_at)
+        sojourn_s = record.finished_at - record.submitted_at
+        self._m_sojourn.observe(sojourn_s)
+        if self._health is not None and cfg.slo_s is not None:
+            self._health.job_sojourn(self.sim.now, job_id, sojourn_s, cfg.slo_s)
 
     # -- driving and reporting -----------------------------------------
 
@@ -652,6 +659,7 @@ class TrafficSystem:
             requests=self.jobq.requests,
             grants=self.jobq.grants,
             scanned=self.policy.scanned,
+            messages_sent=self.network.counters.sent,
         )
 
 

@@ -36,6 +36,9 @@ class _Request:
     #: When the server may forget its reply: the caller's give-up time
     #: plus one more timeout for a last retransmission still in flight.
     forget_at: float
+    #: One-way ``(method, args)`` pairs the server runs, in order, before
+    #: *method*: their return values are dropped, their errors are not.
+    notices: tuple = ()
 
 
 @dataclass(slots=True)
@@ -53,7 +56,9 @@ class RpcServer:
     exception produces an error reply that re-raises at the caller as
     :class:`RpcError`.  Duplicate requests (retransmissions of a request
     already answered) are answered from a reply cache so that handlers
-    observe at-most-once execution despite at-least-once delivery.  A
+    observe at-most-once execution despite at-least-once delivery — a
+    request's notices included: they run under the same cache entry, and
+    the first error among them and the method is the call's reply.  A
     reply is kept only until its caller can no longer retransmit
     (``_Request.forget_at``), so the cache holds the in-flight window,
     not every reply ever sent.
@@ -96,15 +101,16 @@ class RpcServer:
                 cache_key = (msg.src, msg.src_port, req.req_id)
                 reply = self._reply_cache.get(cache_key)
                 if reply is None:
-                    handler = self._handlers.get(req.method)
-                    if handler is None:
-                        reply = _Reply(req.req_id, False, f"no such method {req.method!r}")
-                    else:
-                        try:
-                            self.requests_served += 1
-                            reply = _Reply(req.req_id, True, handler(req.args, msg))
-                        except Exception as exc:  # handler bug -> error reply
-                            reply = _Reply(req.req_id, False, f"{type(exc).__name__}: {exc}")
+                    self.requests_served += 1
+                    try:
+                        for method, args in (*req.notices, (req.method, req.args)):
+                            handler = self._handlers.get(method)
+                            if handler is None:
+                                raise RpcError(f"no such method {method!r}")
+                            value = handler(args, msg)
+                        reply = _Reply(req.req_id, True, value)
+                    except Exception as exc:  # handler bug -> error reply
+                        reply = _Reply(req.req_id, False, f"{type(exc).__name__}: {exc}")
                     self._reply_cache[cache_key] = reply
                     forget.append((req.forget_at, cache_key))
                 yield self.socket.sendto(reply, msg.src, msg.src_port)
@@ -122,19 +128,21 @@ def rpc_call(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     retries: int = DEFAULT_RETRIES,
     size_bytes: int = DEFAULT_SIZE_BYTES,
+    notices: tuple = (),
 ) -> Generator:
     """Call ``method(args)`` on the server at (dst, dst_port).
 
     A generator: drive it with ``result = yield from rpc_call(...)``
     inside a simulation process.  Retransmits on timeout; raises
-    :class:`RpcError` after the retry budget is exhausted or if the
-    handler errored.
+    :class:`RpcError` after the retry budget is exhausted or if a
+    handler errored — after which the caller cannot know whether its
+    *notices* ran, so they had better be idempotent.
     """
     sim = network.sim
     sock = Socket(network, src_host, port=None)  # ephemeral
     try:
         req = _Request(sock.port, method, args,
-                       forget_at=sim.now + (2 + retries) * timeout_s)
+                       sim.now + (2 + retries) * timeout_s, notices)
         for _attempt in range(1 + retries):
             yield sock.sendto(req, dst, dst_port, size_bytes=size_bytes)
             deadline = sim.timeout(timeout_s)
@@ -178,7 +186,7 @@ class RpcClient:
         self.timeout_s = timeout_s
         self.retries = retries
 
-    def call(self, method: str, args: Any = None) -> Generator:
+    def call(self, method: str, args: Any = None, notices: tuple = ()) -> Generator:
         """``yield from client.call("method", args)`` inside a process."""
         return rpc_call(
             self.network,
@@ -189,4 +197,5 @@ class RpcClient:
             args,
             timeout_s=self.timeout_s,
             retries=self.retries,
+            notices=notices,
         )

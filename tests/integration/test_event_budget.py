@@ -1,13 +1,18 @@
-"""Kernel events per round-trip, exactly (sim counts, no timing).
+"""Kernel events per round-trip and round-trips per scheduling decision,
+exactly (sim counts, no timing).
 
 The split-phase round-trip is the unit every latency bound is written
 in, so what it costs the kernel is pinned: a regression here is a
 regression of ``macro_traffic`` / ``micro_steal`` host time that no
 noisy benchmark has to catch.  Both runs are loss-free and without a
 ``tiebreak_rng`` (under one, ``Channel.send`` keeps its put-completion
-events on purpose).  docs/performance.md names each event.
+events on purpose).  docs/performance.md names each event.  The macro
+half counts the round-trips themselves: a daemon's ``release`` /
+``job_done`` rides on its next ``request_job``, so no JobQ request is
+served that is not a ``request_job`` unless an owner took a machine back.
 """
 
+from repro.macro.traffic import TrafficConfig, TrafficSystem
 from repro.micro.worker import WorkerConfig
 from repro.net.rpc import RpcServer, rpc_call
 from repro.obs.probe import Probe
@@ -68,3 +73,73 @@ def test_refused_steal_costs_nine_events():
     steady = [n for t, n in refused_at if t > first_deadline]
     assert len(steady) > 40
     assert {b - a for a, b in zip(steady, steady[1:])} == {EVENTS_PER_REFUSED_STEAL}
+
+
+#: Jobs the one machine runs back to back in the round-trip guards.
+N_JOBS = 12
+
+
+def _one_machine_system():
+    """A JobQ host and one harvested machine, its owner away: twelve
+    single-machine jobs, all submitted within seconds.  The JobQ host's
+    own daemon is stopped (its calls are loopback, never on the wire)."""
+    system = TrafficSystem(TrafficConfig(
+        n_workstations=2, n_jobs=N_JOBS, sizes="exponential", size_mean_s=3.0,
+        rate_per_s=5.0, max_workers_per_job=1, policy="rr"))
+    system.jobmanagers[system.jobq.host].stop()
+    return system, system.workstations[1]
+
+
+def test_no_notice_travels_alone_while_the_owner_is_away():
+    system, _ws = _one_machine_system()
+    try:
+        assert system.run().n_completed == N_JOBS
+    finally:
+        system.stop()
+    jobq, counters = system.jobq, system.network.counters
+    assert counters.dropped_loss == 0
+    # Every datagram is half of a served round-trip ...
+    assert counters.sent == 2 * jobq.rpc.requests_served
+    # ... and every round-trip asked for a job: the N job_done's rode along.
+    assert jobq.rpc.requests_served == jobq.requests
+    assert all(record.done for record in jobq.jobs.values())
+
+
+def test_returning_owner_costs_one_standalone_release_sent_at_once():
+    system, ws = _one_machine_system()
+    cfg = system.config
+    try:
+        system.run()
+        record = system.jobq.submit_record(
+            system._program, system.jobq.host, size_hint_s=500.0,
+            max_workers=1, register_first_worker=False)
+        quantum_starts, released_at = [], []
+        charge, on_release = ws.charge, system.policy.on_release
+        ws.charge = lambda s: (quantum_starts.append(system.sim.now), charge(s))
+        system.policy.on_release = lambda rec, name: (
+            released_at.append(system.sim.now), on_release(rec, name))
+        while ws.name not in record.participants:
+            system.sim.run(until=system.sim.now + 1.0)
+        system.sim.run(until=system.sim.now + 3.3 * cfg.quantum_s)
+        ws.user_logged_in = True            # mid-quantum
+        system.sim.run(until=system.sim.now + 10 * cfg.owner_poll_s)
+        jobq = system.jobq
+        # The twelve job_done's rode on requests; the one thing sent on its
+        # own is the release of the machine the owner took back.
+        assert jobq.rpc.requests_served - jobq.requests == 1
+        assert ws.name not in record.participants and not record.done
+
+        def one_call(sim):
+            start = sim.now
+            yield from system.jobmanagers[ws.name].jobq.call("list_jobs", {"limit": 1})
+            return sim.now - start
+
+        rtt_s = system.sim.run(system.sim.process(one_call(system.sim)))
+    finally:
+        system.stop()
+    # The daemon saw the owner at the end of the quantum they arrived in
+    # and the JobQ had the slot back within a round-trip of that instant
+    # (not after a busy_poll_s sleep, not on some later request).
+    seen_at = quantum_starts[-1] + cfg.quantum_s
+    (released,) = released_at
+    assert seen_at < released <= seen_at + rtt_s

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.cluster.platform import SPARCSTATION_1
+from repro.cluster.workstation import Workstation
 from repro.errors import RpcError
+from repro.macro.jobmanager import PhishJobManager
 from repro.macro.jobq import PhishJobQ
 from repro.micro import protocol as P
+from repro.net.network import Network
 from repro.net.rpc import rpc_call
+from repro.net.topology import UniformTopology
 from repro.tasks.program import JobProgram, ThreadProgram
 
 
@@ -86,6 +91,42 @@ def test_job_done_removes_from_pool(sim, network, jobq):
 def test_job_done_unknown_id_errors(sim, network, jobq):
     with pytest.raises(RpcError):
         call(sim, network, "h", "job_done", 999)
+
+
+class _RepliesLost(UniformTopology):
+    """One-way loss: while ``lost`` is set nothing *host* sends arrives."""
+
+    def __init__(self, params, host):
+        super().__init__(params)
+        self.host = host
+        self.lost = False
+
+    def is_reachable(self, src, dst):
+        return not (self.lost and src == self.host)
+
+
+def test_job_done_that_landed_with_every_reply_lost_is_heard_on_the_retry(
+        sim, rng_registry):
+    """The JobQ runs ``job_done`` but its replies vanish for 12 s — past
+    the call's whole retry budget (5 x 2 s).  The retry-until-heard loop
+    asks again 30 s later; the repeat is a no-op answered ``True``, not a
+    "job_done twice" error retried every 30 s for good."""
+    topology = _RepliesLost(SPARCSTATION_1.net, "qhost")
+    network = Network(sim, topology, rng=rng_registry.stream("net"))
+    jobq = PhishJobQ(sim, network, "qhost")
+    record = jobq.submit_record(make_program(), "h", register_first_worker=False)
+    daemon = PhishJobManager(
+        sim, Workstation(sim, "h", SPARCSTATION_1, network), network, "qhost")
+    daemon.process.interrupt("only its _tell_jobq is under test")
+    topology.lost = True
+    heard = sim.process(daemon._tell_jobq("job_done", record.job_id))
+    sim.run(until=12.0)
+    assert record.done and record.finished_at < 0.1   # it landed at once ...
+    assert heard.is_alive                             # ... and nobody knows
+    topology.lost = False
+    sim.run(until=41.0)   # 10 s of retransmissions, 30 s asleep, one more call
+    assert heard.value is True and record.finished_at < 0.1
+    assert network.counters.dropped_partition == 5
 
 
 def test_rpc_submit(sim, network, jobq):

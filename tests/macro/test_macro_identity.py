@@ -85,84 +85,84 @@ def scenario_fingerprint(key):
 
 
 TRAFFIC = {
-    "fair/bursty/idle/0": ("4ff134afcfc1cebd", 1403, 179),
-    "fair/bursty/idle/5": ("8701fc8852dd6f42", 1396, 179),
-    "fair/bursty/workday/0": ("bff1e29ccdf80939", 1488, 176),
-    "fair/bursty/workday/5": ("29e3a762b11f2d10", 1461, 175),
-    "fair/poisson/idle/0": ("59b7a545e7c2d9eb", 1571, 219),
-    "fair/poisson/idle/5": ("862738cb8c7bd7e0", 1551, 212),
-    "fair/poisson/workday/0": ("b2f0e047b358fbdc", 1561, 183),
-    "fair/poisson/workday/5": ("7070622f487cd6d4", 1651, 227),
-    "interrupt/bursty/idle/0": ("751eb9f9cd74af0c", 1489, 203),
-    "interrupt/bursty/idle/5": ("f1af0d1294098bbb", 1382, 187),
-    "interrupt/bursty/workday/0": ("60e2855d471994ad", 1583, 200),
-    "interrupt/bursty/workday/5": ("adfe120deea0c372", 1538, 199),
-    "interrupt/poisson/idle/0": ("7f76d19630b32624", 1602, 237),
-    "interrupt/poisson/idle/5": ("93ad125c047133be", 1504, 219),
-    "interrupt/poisson/workday/0": ("c9538c0a8bf09ae3", 1692, 218),
-    "interrupt/poisson/workday/5": ("014cf4403c0ca7cf", 1581, 219),
-    "least/bursty/idle/0": ("c609d3a7c9625be9", 1324, 176),
-    "least/bursty/idle/5": ("9a9596f109a88950", 1298, 163),
-    "least/bursty/workday/0": ("23ccf40018c4df82", 1439, 160),
-    "least/bursty/workday/5": ("31e3dae0334c8c6d", 1392, 172),
-    "least/poisson/idle/0": ("0c41cd13b635f619", 1341, 180),
-    "least/poisson/idle/5": ("74f724871a3cfb30", 1332, 171),
-    "least/poisson/workday/0": ("7dcf9d84cd42b346", 1473, 199),
-    "least/poisson/workday/5": ("2141b2b63b8d56a7", 1446, 179),
-    "priority/bursty/idle/0": ("63feb64b72bdc3d2", 1324, 176),
-    "priority/bursty/idle/5": ("76e5cd2367e5e1dd", 1315, 167),
-    "priority/bursty/workday/0": ("4c713e0c42720848", 1454, 175),
-    "priority/bursty/workday/5": ("9a37bb7f58c5c185", 1414, 171),
-    "priority/poisson/idle/0": ("e8ffdc0a826ad5ba", 1511, 203),
-    "priority/poisson/idle/5": ("c34c5f81f73dab34", 1468, 203),
-    "priority/poisson/workday/0": ("7fe42f30c1f779bc", 1502, 175),
-    "priority/poisson/workday/5": ("9f8df459d2fcd17d", 1518, 207),
-    "rr/bursty/idle/0": ("985ca1b955c3c229", 1324, 176),
-    "rr/bursty/idle/5": ("8d17f3f9c4486935", 1298, 163),
-    "rr/bursty/workday/0": ("677032541cfaa42f", 1434, 179),
-    "rr/bursty/workday/5": ("9ff010ec703f43a7", 1414, 183),
-    "rr/poisson/idle/0": ("275df9e25001e8db", 1409, 179),
-    "rr/poisson/idle/5": ("c263539f9fac5fec", 1334, 155),
-    "rr/poisson/workday/0": ("2acd7d67f88d112b", 1500, 183),
-    "rr/poisson/workday/5": ("6fd169528610f2bd", 1443, 180),
-    "srp/bursty/idle/0": ("0f0f041dcf2b8e8c", 3108, 521),
-    "srp/bursty/idle/5": ("7e088098e9ea79aa", 3289, 547),
-    "srp/bursty/workday/0": ("23a04bea99a02e01", 3199, 519),
-    "srp/bursty/workday/5": ("ddd6fedf1468a221", 3374, 556),
-    "srp/poisson/idle/0": ("50a3aae71f18e3e8", 2972, 489),
-    "srp/poisson/idle/5": ("d7db3962804b9601", 3073, 509),
-    "srp/poisson/workday/0": ("873f44e99d189186", 3180, 507),
-    "srp/poisson/workday/5": ("ca62f681d880f6c5", 3122, 523),
+    "fair/bursty/idle/0": ("702422306170d5e0", 1015, 101),
+    "fair/bursty/idle/5": ("a1906a1084ffbc5e", 1009, 100),
+    "fair/bursty/workday/0": ("0362c45cf33df84d", 1145, 108),
+    "fair/bursty/workday/5": ("7b73cccf72dea8b8", 1111, 106),
+    "fair/poisson/idle/0": ("de243695d661e6ab", 1103, 120),
+    "fair/poisson/idle/5": ("c0f69bdd2f6028c5", 1091, 116),
+    "fair/poisson/workday/0": ("0ae78f0f781dbdbc", 1185, 112),
+    "fair/poisson/workday/5": ("8fe039ad2f9b334d", 1213, 132),
+    "interrupt/bursty/idle/0": ("63d455ed14086229", 1073, 114),
+    "interrupt/bursty/idle/5": ("69028e4f4e8591cd", 1015, 106),
+    "interrupt/bursty/workday/0": ("06e89add38549284", 1206, 122),
+    "interrupt/bursty/workday/5": ("b1ada7107ebea5a3", 1162, 120),
+    "interrupt/poisson/idle/0": ("1f3d4d35d42a78c1", 1138, 132),
+    "interrupt/poisson/idle/5": ("2e9d48ca641d8d4e", 1199, 129),
+    "interrupt/poisson/workday/0": ("7834d51b37ae845d", 1270, 132),
+    "interrupt/poisson/workday/5": ("e60236a393cec226", 1206, 134),
+    "least/bursty/idle/0": ("17fe76af7fe2743e", 972, 98),
+    "least/bursty/idle/5": ("11bebefadeed1d71", 957, 92),
+    "least/bursty/workday/0": ("72cff6e6b7bdf46c", 1119, 100),
+    "least/bursty/workday/5": ("9d5c4448b3fc18f8", 1074, 104),
+    "least/poisson/idle/0": ("022c465dba425527", 981, 100),
+    "least/poisson/idle/5": ("8a38d95e87a3cb79", 975, 96),
+    "least/poisson/workday/0": ("47bf5810c497adee", 1137, 120),
+    "least/poisson/workday/5": ("223cc288f8de65ec", 1102, 108),
+    "priority/bursty/idle/0": ("78a61661c1369892", 972, 98),
+    "priority/bursty/idle/5": ("32af7050f32cfeff", 966, 94),
+    "priority/bursty/workday/0": ("6c816a106c59cf63", 1126, 108),
+    "priority/bursty/workday/5": ("f6b4b1dbab04aa37", 1086, 104),
+    "priority/poisson/idle/0": ("3e15c545fbf46285", 1071, 112),
+    "priority/poisson/idle/5": ("535f5984f1509615", 1047, 110),
+    "priority/poisson/workday/0": ("bd9a65730cefa7af", 1152, 108),
+    "priority/poisson/workday/5": ("f68c95c950802ace", 1142, 122),
+    "rr/bursty/idle/0": ("5c0bafc8ab6d6544", 972, 98),
+    "rr/bursty/idle/5": ("9831711496ffe63a", 957, 92),
+    "rr/bursty/workday/0": ("15d74760626325ca", 1116, 110),
+    "rr/bursty/workday/5": ("98fa262896c2d276", 1086, 110),
+    "rr/poisson/idle/0": ("2e4a479c7f400894", 1017, 100),
+    "rr/poisson/idle/5": ("62a5e156fe3b1d81", 976, 88),
+    "rr/poisson/workday/0": ("94cc8d60c952e6e3", 1151, 112),
+    "rr/poisson/workday/5": ("3899caa86e6c897b", 1109, 110),
+    "srp/bursty/idle/0": ("f631f9d38e708d32", 1924, 270),
+    "srp/bursty/idle/5": ("00672125c12d2580", 1977, 282),
+    "srp/bursty/workday/0": ("f45508e80f71b269", 2071, 280),
+    "srp/bursty/workday/5": ("3bed3ca772a9aaa0", 2085, 294),
+    "srp/poisson/idle/0": ("9699c4ccabe20724", 1843, 256),
+    "srp/poisson/idle/5": ("93609085435b2522", 1905, 262),
+    "srp/poisson/workday/0": ("04f0a47c1f316d8a", 2060, 276),
+    "srp/poisson/workday/5": ("cf1726b68ce6ef65", 1993, 280),
 }
 
 SCENARIOS = {
     "harvest/0": (
-        "9afa4fc663bd5afa34bfc1f224cb26749bac57377f4ba38c523f9eaf244dd547",
-        196350),
+        "ace374c2ce74e4639ca849e64abf17a59b35ed51f5259ebf181aeb45d3892809",
+        196226),
     "harvest/1": (
-        "2d7ca9cf20d0cdb55badcdb42301491f3a8b89304de8ad8c431d9f8675292ecb",
-        198278),
+        "6a95427a0a0acdbd4142063b2fbec35f660111bf56237ae2d241aabc1b4a5d18",
+        197765),
     "harvest/2": (
-        "5888c2002bd9cdaf779c30e2f0008b0983194a947c8bbd4aeaeb6bf9215a0a41",
-        197450),
+        "7bf75729ca37f4f4a7a61c88e7e7fb187e88822414e06e10d233117546e1b212",
+        197755),
     "macro-demo/0": (
-        "7c429ebfbdde074c67fb3166ee59e421313e58c0e46e75483652d3b8e6cc94ea",
-        69679),
+        "bc3f155325f4ac7b3191d4c129eb087dbe0c29731cd651106c6d48da89928452",
+        69742),
     "macro-demo/1": (
-        "673c1eba5e74320df35be8f779d25b481ef154f4e2020def53d57cca8c103d99",
-        69342),
+        "308f6c7a5eca31a2dd64e7d122d64b8e6e14d441a227a9f0f244ae3a4a282975",
+        69436),
     "macro-demo/2": (
-        "175819443df3ddf5aa3c5f426a094dc5d0e2a2a48f175377d89f7964ebda7ba4",
-        69945),
+        "09fce24ee7a183f144f1b7817fbade7aa5e251c0362a7cd9d312b2b644f4b4f8",
+        69326),
     "timeline/0": (
-        "bdd903e044e9e612401fc0d3c739a6be46adb57c3c29cd4fe4c9d2e3860625ff",
-        65937),
+        "ddf79c2accaa966177cb9db62ad00004ca1186db2138f8f3f8d2f6f094c38646",
+        65913),
     "timeline/1": (
-        "cca71e235e0f627bcfcc292a654e2dc4341499168b62e348a042c70cdc8dd091",
-        65926),
+        "9ddaca3de63f84ae3a52ceba80563e80270a36fa60b661af0de5c116575c849b",
+        65902),
     "timeline/2": (
-        "6b5bc8a79d356f8e93a8fc53e7c0b6f4dbc553172eb72a29f92d07d2c32a92c0",
-        65653),
+        "82fd7984698b4c14b4aa6aa459be398f120a3ae8659f576411f2922028f5bb76",
+        65629),
 }
 
 

@@ -14,18 +14,25 @@ through submit / request / release / done sequences, and checks:
   exists, and release always re-enables assignment.
 
 These pin the determinism contract documented in
-:mod:`repro.macro.policies`.
+:mod:`repro.macro.policies`.  One property runs the whole traffic engine
+(daemons, RPC, carried notices) and watches the same conservation laws
+from the JobQ's side.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.platform import SPARCSTATION_1
 from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import POLICY_FACTORIES, make_policy
+from repro.macro.traffic import ARRIVAL_FACTORIES, TrafficConfig, TrafficSystem
 from repro.net.network import Network
 from repro.net.topology import UniformTopology
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram, ThreadProgram
 
@@ -157,9 +164,15 @@ def test_done_exactly_once_enforced():
     jobq = make_jobq("rr")
     record = jobq.submit_record(make_program(), "ws00",
                                 register_first_worker=False)
-    jobq._rpc_job_done(record.job_id, None)
+    done_calls = []
+    jobq.policy.on_done = done_calls.append
+    assert jobq._rpc_job_done(record.job_id, None) is True
+    jobq.sim.run(until=5.0)
+    # A repeat (a notice re-sent after its reply was lost) changes nothing.
+    assert jobq._rpc_job_done(record.job_id, None) is True
+    assert done_calls == [record] and record.finished_at == 0.0
     with pytest.raises(Exception):
-        jobq._rpc_job_done(record.job_id, None)
+        jobq._rpc_job_done(record.job_id + 1, None)
 
 
 def test_release_by_non_participant_is_a_noop():
@@ -231,3 +244,59 @@ def test_every_policy_alias_is_exercised():
     assert set(POLICIES) <= set(POLICY_FACTORIES)
     names = {make_policy(alias).name for alias in POLICIES}
     assert len(names) == len(POLICIES)  # each alias hits a distinct policy
+
+
+class _JobQWatch(MetricsRegistry):
+    """The registry a TrafficSystem subscribes to its JobQ's probe, taking
+    the ``jobq.grant`` / ``jobq.done`` kinds along: *on_grant(machine)*
+    runs inside every grant, each completion is counted by job id."""
+
+    def __init__(self, on_grant):
+        super().__init__()
+        self.on_grant = on_grant
+        self.done = Counter()
+
+    def subscribe(self, probe):
+        super().subscribe(probe)
+        probe.subscribe({
+            "jobq.grant": lambda t, kind, source, detail: self.on_grant(detail["to"]),
+            "jobq.done": lambda t, kind, source, detail: self.done.update([detail["id"]]),
+        })
+
+
+@given(policy=st.sampled_from(POLICIES),
+       arrival=st.sampled_from(sorted(ARRIVAL_FACTORIES)),
+       owners=st.sampled_from(("idle", "workday")),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25, deadline=None)
+def test_traffic_conserves_jobs_slots_and_machines(policy, arrival, owners, seed):
+    """Every job completes exactly once, no job is ever granted past its
+    ``max_workers``, and a machine is never a participant of two
+    unfinished jobs at once — what it owed for the last one (a carried
+    ``release`` / ``job_done``) has always run before its next grant."""
+    config = TrafficConfig(
+        n_workstations=4, n_jobs=15, policy=policy, arrival=arrival,
+        owners=owners, seed=seed, sizes="exponential", size_mean_s=5.0,
+        rate_per_s=0.8, max_workers_per_job=2,
+        owner_busy_mean_s=30.0, owner_idle_mean_s=90.0)
+
+    violations = []
+
+    def on_grant(machine):   # inside an RPC handler: record, don't raise
+        pool = system.jobq.pool
+        holds = [rec.job_id for rec in pool if machine in rec.participants]
+        wide = [rec.job_id for rec in pool
+                if len(rec.participants) > config.max_workers_per_job]
+        if len(holds) != 1 or wide:
+            violations.append((system.sim.now, machine, holds, wide))
+
+    watch = _JobQWatch(on_grant)
+    system = TrafficSystem(config, metrics=watch)
+    try:
+        report = system.run()
+    finally:
+        system.stop()
+    assert violations == []
+    assert report.n_completed == config.n_jobs
+    assert watch.done == Counter(range(config.n_jobs))
+    assert all(rec.done for rec in system.jobq.jobs.values())

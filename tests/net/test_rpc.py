@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.cluster.platform import SPARCSTATION_1
 from repro.errors import RpcError
+from repro.net.network import Network
 from repro.net.rpc import RpcClient, RpcServer, _Request, rpc_call
 from repro.net.socket import Socket
+from repro.net.topology import UniformTopology
 
 
 @pytest.fixture
@@ -174,3 +177,95 @@ def test_requests_served_counter(sim, network, server):
     call(sim, network, "echo", 1)
     call(sim, network, "echo", 2)
     assert server.requests_served == 2
+
+
+# -- notices: one-way (method, args) pairs riding on a call -------------
+
+
+@pytest.fixture
+def ledger(server):
+    """Every ``note``/``sum`` execution on *server*, in order."""
+    ran = []
+    server.register("note", lambda args, msg: ran.append(("note", args)))
+    server.register("sum", lambda args, msg: (ran.append(("sum", args)), sum(args))[1])
+    return ran
+
+
+def test_notices_run_before_the_method_in_order(sim, network, server, ledger):
+    assert call(sim, network, "sum", (1, 2),
+                notices=(("note", "a"), ("note", "b"))) == 3
+    assert ledger == [("note", "a"), ("note", "b"), ("sum", (1, 2))]
+    assert server.requests_served == 1       # one datagram-level request
+
+
+def test_notices_travel_through_a_bound_client(sim, network, server, ledger):
+    client = RpcClient(network, "client", "server", 9000)
+
+    def proc(sim):
+        return (yield from client.call("echo", 7, notices=(("note", "x"),)))
+
+    assert sim.run(sim.process(proc(sim))) == 7
+    assert ledger == [("note", "x")]
+
+
+class _FirstRepliesLost(UniformTopology):
+    """The first *n* datagrams the server sends die on the wire."""
+
+    def __init__(self, params, n):
+        super().__init__(params)
+        self.left = n
+
+    def is_reachable(self, src, dst):
+        if src != "server" or not self.left:
+            return True
+        self.left -= 1
+        return False
+
+
+def test_retransmitted_request_runs_each_notice_and_the_method_once(sim, rng_registry):
+    """The first reply is lost; the retransmission is answered from the
+    reply cache, so neither the notices nor the method run again."""
+    network = Network(sim, _FirstRepliesLost(SPARCSTATION_1.net, 1),
+                      rng=rng_registry.stream("net"))
+    server = RpcServer(network, "server", 9000)
+    ran = []
+    server.register("note", lambda args, msg: ran.append(("note", args)))
+    server.register("sum", lambda args, msg: (ran.append(("sum", args)), sum(args))[1])
+    assert call(sim, network, "sum", (4, 5), timeout_s=0.2,
+                notices=(("note", "a"), ("note", "b"))) == 9
+    assert network.counters.dropped_partition == 1
+    assert network.counters.sent == 4        # request, lost reply, both again
+    assert ran == [("note", "a"), ("note", "b"), ("sum", (4, 5))]
+    assert server.requests_served == 1
+
+
+def test_failing_notice_is_the_calls_error_and_the_method_does_not_run(
+        sim, network, server, ledger):
+    with pytest.raises(RpcError, match="ZeroDivisionError"):
+        call(sim, network, "sum", (1, 2),
+             notices=(("note", "a"), ("boom", None), ("note", "b")))
+    assert ledger == [("note", "a")]         # nothing after the failure ran
+
+
+def test_unknown_notice_method_is_the_calls_error(sim, network, server, ledger):
+    with pytest.raises(RpcError, match="no such method 'missing'"):
+        call(sim, network, "sum", (1, 2), notices=(("missing", None),))
+    assert ledger == []
+
+
+def test_call_without_notices_costs_what_it_did(sim, network, server):
+    """Same datagrams and same kernel events with and without the
+    ``notices`` slot in play (tests/integration/test_event_budget.py pins
+    the absolute number); a notice adds neither."""
+    def cost(**kw):
+        events, sent = sim.events_processed, network.counters.sent
+        call(sim, network, "echo", 1, **kw)
+        sim.run()                             # the settled call's deadline
+        return sim.events_processed - events, network.counters.sent - sent
+
+    call(sim, network, "echo", 0)
+    sim.run()                                 # server boot is not a call's cost
+    plain = cost()
+    assert plain[1] == 2
+    assert cost(notices=()) == plain
+    assert cost(notices=(("echo", 2), ("echo", 3))) == plain

@@ -52,10 +52,10 @@ STDOUT = {
     "table2*": "ee93174993eb5932973a114287c76c7620a7af22af0a3d86c58430c4691952d7",
     "latency*": "7ec7f68f77dde0b280695cef88681ec3816cdc0e909464479aa2509b8c1642c1",
     "harvest": "e5fa5abd58804d5dff5c37da41b373a8d1ef894247f7d8d9529c7068880a449a",
-    "harvest --reps 2*": "b7437c1ed42cdcf0e24baa1019480345308d8cd9e763866659345b866c5f4353",
-    "macro-demo": "c4c1b5b43cc566328adac852682cdc4a151df70ded5132a34d3f3c60983331d4",
+    "harvest --reps 2*": "7be312b5f336cec3199ca456f2b03bff6dad5d60434819c80cd8b75a8649205a",
+    "macro-demo": "0ae37e26b71da7269f1458cc66623ac7c6e5343119c99af860f63a8b724b39bd",
     "timeline": "76db08fbdccf13a4de3e51b6244125b21849ad5a1cd2d64cd4d5dfcb2873f277",
-    "traffic --njobs 200*": "f8acd1dcd5d0cf7e3fe2723791612b13ca9e3466d74b4385fabaf9291ef488be",
+    "traffic --njobs 200*": "26b5bbdcf823f6343f1a4afe9255a2bf16b411b93321edab874e47ea24655395",
     "ablations victim": "200d55290e684a1271441a9b11155c94ccf2473c51d19528d3be4ff061a835ff",
 }
 
