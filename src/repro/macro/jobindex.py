@@ -139,9 +139,9 @@ class LazyMinHeap:
         self._key[item] = key
         heapq.heappush(self._heap, (key, item))
 
-    def discard(self, item: Any) -> None:
-        """Remove *item* (its heap entries die lazily)."""
-        self._key.pop(item, None)
+    def discard(self, item: Any) -> Any:
+        """Remove *item* (its heap entries die lazily); its key, or None."""
+        return self._key.pop(item, None)
 
     def pop_min(self) -> Optional[Tuple[Any, Any]]:
         """Remove and return the smallest live ``(key, item)``, or None."""

@@ -6,9 +6,10 @@ of Phish will provide opportunities for using and studying more
 sophisticated job assignment algorithms" — this module is that
 opportunity.  Policies are *indexed*: the JobQ notifies them of pool
 events (submit/grant/release/done) and :meth:`~AssignmentPolicy.choose`
-consults an internal structure instead of scanning the pool, so one
-assignment costs O(log n) (plus one step per job the requester already
-participates in) even with thousands of queued jobs.
+consults an internal structure instead of scanning the pool: one
+assignment costs O(log n) even with thousands of queued jobs, and a
+keyed policy examines one candidate per grant plus one per job the
+requester already holds (``tests/macro/test_scale.py``).
 
 Implemented policies:
 
@@ -187,29 +188,47 @@ class KeyedAssignment(AssignmentPolicy):
     """Best-first on a per-job key: one :class:`LazyMinHeap` of job ids.
 
     A subclass supplies :meth:`_key` (ending in the job id, so keys are
-    totally ordered) and says when a job is re-keyed: always at
-    submission and after being chosen, and — for keys derived from
-    participation — on every grant/release via :meth:`_refresh`.
+    totally ordered); jobs are re-keyed at submission, when chosen and,
+    if ``rekey``, on every grant/release.  A job at its ``max_workers``
+    cap waits out of the heap, key kept, until a release.
     """
+
+    rekey = False
 
     def __init__(self) -> None:
         super().__init__()
         self._heap = LazyMinHeap()
+        self._parked: Dict[int, object] = {}  # capped job id -> its key
 
     def _key(self, record: JobRecord):
         raise NotImplementedError
 
-    def _refresh(self, record: JobRecord, _ws: str = "") -> None:
-        if record.job_id in self._records and not record.done:
-            self._heap.push(record.job_id, self._key(record))
+    def _place(self, record: JobRecord, key) -> None:
+        if record.max_workers is not None and len(record.participants) >= record.max_workers:
+            self._parked[record.job_id] = key
+        else:
+            self._heap.push(record.job_id, key)
 
     def on_submit(self, record: JobRecord) -> None:
         self._records[record.job_id] = record
-        self._heap.push(record.job_id, self._key(record))
+        self._place(record, self._key(record))
 
     def on_done(self, record: JobRecord) -> None:
         self._heap.discard(record.job_id)
+        self._parked.pop(record.job_id, None)
         self._records.pop(record.job_id, None)
+
+    def on_grant(self, record: JobRecord, _ws: str = "") -> None:
+        key = self._heap.discard(record.job_id)
+        if key is not None:
+            self._place(record, self._key(record) if self.rekey else key)
+
+    def on_release(self, record: JobRecord, _ws: str = "") -> None:
+        key = self._parked.pop(record.job_id, None)
+        if self.rekey and record.job_id in self._records:
+            key = self._key(record)
+        if key is not None:
+            self._place(record, key)
 
     def _take(self, job_id: int, requester: str) -> Optional[JobRecord]:
         self.scanned += 1
@@ -256,7 +275,7 @@ class LeastWorkersAssignment(KeyedAssignment):
     """
 
     name = "least-workers"
-    on_grant = on_release = KeyedAssignment._refresh
+    rekey = True
 
     def _key(self, record: JobRecord):
         return (len(record.participants), record.job_id)
@@ -276,7 +295,7 @@ class ShortestRemainingAssignment(KeyedAssignment):
     """
 
     name = "srp"
-    on_grant = on_release = KeyedAssignment._refresh
+    rekey = True
 
     def _key(self, record: JobRecord):
         remaining = record.remaining_s

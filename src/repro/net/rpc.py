@@ -3,18 +3,19 @@
 The paper: "almost all communications are done with split-phase
 operations ... all communications are implemented on top of UDP/IP
 messages."  This module provides the request/reply discipline used by
-the PhishJobQ and the Clearinghouse: the caller opens an ephemeral
-socket, sends a request, and waits for the reply *or* a retransmission
+the PhishJobQ and the Clearinghouse: the caller binds an ephemeral
+port, sends a request, and waits for the reply *or* a retransmission
 timer — so lost datagrams are retried, and the caller's process is free
 to structure waiting however it likes (``rpc_call`` is itself a
-generator to be driven with ``yield from``).
+generator to be driven with ``yield from``).  Each call binds a fresh
+port, its request id: a late reply to a finished call is dropped unbound.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Generator, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import RpcError
 from repro.net.message import DEFAULT_SIZE_BYTES
@@ -129,6 +130,7 @@ def rpc_call(
     retries: int = DEFAULT_RETRIES,
     size_bytes: int = DEFAULT_SIZE_BYTES,
     notices: tuple = (),
+    sockets: Optional[List[Socket]] = None,
 ) -> Generator:
     """Call ``method(args)`` on the server at (dst, dst_port).
 
@@ -136,10 +138,11 @@ def rpc_call(
     inside a simulation process.  Retransmits on timeout; raises
     :class:`RpcError` after the retry budget is exhausted or if a
     handler errored — after which the caller cannot know whether its
-    *notices* ran, so they had better be idempotent.
+    *notices* ran, so they had better be idempotent.  With *sockets* (a
+    client's idle ones) the call re-binds one and recycles it back.
     """
     sim = network.sim
-    sock = Socket(network, src_host, port=None)  # ephemeral
+    sock = sockets.pop().reopen() if sockets else Socket(network, src_host)
     try:
         req = _Request(sock.port, method, args,
                        sim.now + (2 + retries) * timeout_s, notices)
@@ -162,13 +165,15 @@ def rpc_call(
             f"{method} at {dst}:{dst_port}: no reply after {1 + retries} attempts"
         )
     finally:
-        sock.close()
+        sock.recycle()
+        if sockets is not None:
+            sockets.append(sock)
 
 
 class RpcClient:
     """One caller's handle on one server: binds the static arguments of
     :func:`rpc_call` (every PhishJobManager holds one for the PhishJobQ,
-    every worker one for its Clearinghouse)."""
+    every worker one for its Clearinghouse) and keeps its idle sockets."""
 
     def __init__(
         self,
@@ -185,6 +190,7 @@ class RpcClient:
         self.dst_port = dst_port
         self.timeout_s = timeout_s
         self.retries = retries
+        self._sockets: List[Socket] = []
 
     def call(self, method: str, args: Any = None, notices: tuple = ()) -> Generator:
         """``yield from client.call("method", args)`` inside a process."""
@@ -198,4 +204,5 @@ class RpcClient:
             timeout_s=self.timeout_s,
             retries=self.retries,
             notices=notices,
+            sockets=self._sockets,
         )

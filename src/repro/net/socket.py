@@ -14,8 +14,8 @@ from repro.sim.resources import Channel
 class Socket:
     """A bound (host, port) endpoint with a receive queue.
 
-    Sockets are cheap; protocol code typically opens an ephemeral socket
-    per conversation (see :func:`repro.net.rpc.rpc_call`).
+    Protocol code typically binds an ephemeral port per conversation
+    (see :func:`repro.net.rpc.rpc_call`, which may :meth:`reopen` one).
     """
 
     def __init__(self, network: Network, host: str, port: Optional[int] = None) -> None:
@@ -91,6 +91,18 @@ class Socket:
         if not self._closed:
             self._closed = True
             self.network.unbind(self)
+
+    def recycle(self) -> None:
+        """Close, dropping buffered datagrams and parked receives."""
+        self.close()
+        self._queue.clear()
+
+    def reopen(self) -> "Socket":
+        """Bind again on a fresh ephemeral port (the old one stays unbound)."""
+        self.port = self.network.alloc_port(self.host)
+        self._closed = False
+        self.network.bind(self)
+        return self
 
     def _enqueue(self, msg: Message) -> None:
         if not self._closed:

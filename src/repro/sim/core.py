@@ -48,10 +48,10 @@ Other hot-path machinery:
   marker instead of a fresh list; :meth:`Event.subscribe` materialises a
   real list on first use.  ``processed`` remains ``callbacks is None``.
 * :class:`Timeout` objects are recycled through a per-simulator free
-  list: after a waited-on timeout has fired and its callbacks have run,
-  ``sys.getrefcount`` proves no caller still holds a reference, and the
-  object is reused by a later :meth:`Simulator.timeout` call instead of
-  allocating a fresh one.
+  list: after a waited-on timeout has fired and its callbacks (none left
+  for a settled deadline) have run, ``sys.getrefcount`` proves no
+  caller still holds a reference, and the object is reused by a later
+  :meth:`Simulator.timeout` call instead of allocating a fresh one.
 * :meth:`Simulator.call_soon` and the already-processed branch of
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
@@ -836,15 +836,13 @@ class Simulator:
                             n = 0
                             for cb in cbs:
                                 cb(b)
-                            if b._ok is False and not b.defused:
-                                raise b._value
-                            if (type(b) is Timeout and _refcount(b) == 2
-                                    and len(pool) < _TIMEOUT_POOL_MAX):
-                                pool.append(b)
-                            if stop is not None and stop.fired:
-                                return
-                        elif b._ok is False and not b.defused:
+                        if b._ok is False and not b.defused:
                             raise b._value
+                        if (cbs is not _NO_CALLBACKS and type(b) is Timeout
+                                and _refcount(b) == 2 and len(pool) < _TIMEOUT_POOL_MAX):
+                            pool.append(b)
+                        if cbs and stop is not None and stop.fired:
+                            return
                         continue
                     self._cur = b
                     self._cur_time = t
@@ -886,14 +884,17 @@ class Simulator:
                         n = 0
                         for cb in cbs:
                             cb(ev)
-                        if ev._ok is False and not ev.defused:
-                            raise ev._value
-                        if (type(ev) is Timeout and _refcount(ev) == 3
-                                and len(pool) < _TIMEOUT_POOL_MAX):
-                            # The bucket slot and our local are the only
-                            # remaining references: nobody can observe
-                            # this timeout again, so recycle it.
-                            pool.append(ev)
+                    if ev._ok is False and not ev.defused:
+                        b[2] = ui
+                        b[3] = ni
+                        raise ev._value
+                    if (cbs is not _NO_CALLBACKS and type(ev) is Timeout
+                            and _refcount(ev) == 3 and len(pool) < _TIMEOUT_POOL_MAX):
+                        # Waited on (a settled deadline's list is empty), and
+                        # the bucket slot and our local are the only remaining
+                        # references: nobody can observe it again, so recycle.
+                        pool.append(ev)
+                    if cbs:
                         if stop is not None and stop.fired:
                             return
                         urgent = b[0]
@@ -901,10 +902,6 @@ class Simulator:
                         ni = b[3]
                         u_len = 0 if urgent is None else len(urgent)
                         n_len = len(normal)
-                    elif ev._ok is False and not ev.defused:
-                        b[2] = ui
-                        b[3] = ni
-                        raise ev._value
                 b[2] = ui
                 b[3] = ni
                 del buckets[self._cur_time]

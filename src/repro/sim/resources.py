@@ -77,6 +77,11 @@ class Store:
         except ValueError:
             return False
 
+    def clear(self) -> None:
+        """Drop every buffered item and parked getter (those never fire)."""
+        self.items.clear()
+        self._getters.clear()
+
     def _service(self) -> None:
         progressed = True
         while progressed:

@@ -101,20 +101,20 @@ TRAFFIC = {
     "interrupt/poisson/idle/5": ("2e9d48ca641d8d4e", 1199, 129),
     "interrupt/poisson/workday/0": ("7834d51b37ae845d", 1270, 132),
     "interrupt/poisson/workday/5": ("e60236a393cec226", 1206, 134),
-    "least/bursty/idle/0": ("17fe76af7fe2743e", 972, 98),
-    "least/bursty/idle/5": ("11bebefadeed1d71", 957, 92),
+    "least/bursty/idle/0": ("f35f42f583ca7525", 972, 98),
+    "least/bursty/idle/5": ("d8d026acfa6ceb41", 957, 92),
     "least/bursty/workday/0": ("72cff6e6b7bdf46c", 1119, 100),
     "least/bursty/workday/5": ("9d5c4448b3fc18f8", 1074, 104),
-    "least/poisson/idle/0": ("022c465dba425527", 981, 100),
-    "least/poisson/idle/5": ("8a38d95e87a3cb79", 975, 96),
+    "least/poisson/idle/0": ("5e0da846510c2dcb", 981, 100),
+    "least/poisson/idle/5": ("b020de0c73606eeb", 975, 96),
     "least/poisson/workday/0": ("47bf5810c497adee", 1137, 120),
     "least/poisson/workday/5": ("223cc288f8de65ec", 1102, 108),
-    "priority/bursty/idle/0": ("78a61661c1369892", 972, 98),
-    "priority/bursty/idle/5": ("32af7050f32cfeff", 966, 94),
+    "priority/bursty/idle/0": ("d41ebe96636f73ef", 972, 98),
+    "priority/bursty/idle/5": ("0d8361b36f025e33", 966, 94),
     "priority/bursty/workday/0": ("6c816a106c59cf63", 1126, 108),
     "priority/bursty/workday/5": ("f6b4b1dbab04aa37", 1086, 104),
-    "priority/poisson/idle/0": ("3e15c545fbf46285", 1071, 112),
-    "priority/poisson/idle/5": ("535f5984f1509615", 1047, 110),
+    "priority/poisson/idle/0": ("80ee08174b30ede0", 1071, 112),
+    "priority/poisson/idle/5": ("6f1b57139a93ce07", 1047, 110),
     "priority/poisson/workday/0": ("bd9a65730cefa7af", 1152, 108),
     "priority/poisson/workday/5": ("f68c95c950802ace", 1142, 122),
     "rr/bursty/idle/0": ("5c0bafc8ab6d6544", 972, 98),
@@ -125,14 +125,14 @@ TRAFFIC = {
     "rr/poisson/idle/5": ("62a5e156fe3b1d81", 976, 88),
     "rr/poisson/workday/0": ("94cc8d60c952e6e3", 1151, 112),
     "rr/poisson/workday/5": ("3899caa86e6c897b", 1109, 110),
-    "srp/bursty/idle/0": ("f631f9d38e708d32", 1924, 270),
-    "srp/bursty/idle/5": ("00672125c12d2580", 1977, 282),
-    "srp/bursty/workday/0": ("f45508e80f71b269", 2071, 280),
-    "srp/bursty/workday/5": ("3bed3ca772a9aaa0", 2085, 294),
-    "srp/poisson/idle/0": ("9699c4ccabe20724", 1843, 256),
-    "srp/poisson/idle/5": ("93609085435b2522", 1905, 262),
-    "srp/poisson/workday/0": ("04f0a47c1f316d8a", 2060, 276),
-    "srp/poisson/workday/5": ("cf1726b68ce6ef65", 1993, 280),
+    "srp/bursty/idle/0": ("c58a1865961aaf00", 1924, 270),
+    "srp/bursty/idle/5": ("d20230a8d86233d4", 1977, 282),
+    "srp/bursty/workday/0": ("5774c0c7b3e8fc9b", 2071, 280),
+    "srp/bursty/workday/5": ("341abee3274ef066", 2085, 294),
+    "srp/poisson/idle/0": ("33e70e25d0a21845", 1843, 256),
+    "srp/poisson/idle/5": ("be1cb5d2e32cb962", 1905, 262),
+    "srp/poisson/workday/0": ("c3ed2fad59252c3d", 2060, 276),
+    "srp/poisson/workday/5": ("8df5022d36aeac61", 1993, 280),
 }
 
 SCENARIOS = {

@@ -162,6 +162,37 @@ def test_priority_falls_through_when_top_level_ineligible():
     assert policy.choose("wsX").job_id == 1
 
 
+def release(policy, record, requester):
+    record.participants.discard(requester)
+    policy.on_release(record, requester)
+
+
+def test_priority_capped_job_keeps_its_key_while_parked():
+    # A job at its cap leaves the index; a release puts it back under
+    # the key of its last grant — not a fresh stamp, and not an older
+    # key it was parked with before.
+    policy = PriorityAssignment()
+    (a,) = submit_all(policy, [make_job(0, max_workers=2)])
+    assert grant(policy, "w1") is a and grant(policy, "w2") is a
+    assert policy.choose("w3") is None and policy.scanned == 2
+    b = make_job(1)
+    policy.on_submit(b)                  # stamped after a's last grant
+    release(policy, a, "w2")
+    assert policy.choose("w3") is a      # re-stamps a: now behind b
+    release(policy, a, "w1")
+    assert policy.choose("w4") is b
+
+
+def test_srp_rekeys_a_parked_job_on_release():
+    policy = ShortestRemainingAssignment()
+    a, b = submit_all(policy, [make_job(0, size_s=10.0, max_workers=1),
+                               make_job(1, size_s=20.0)])
+    assert grant(policy, "w1") is a
+    a.remaining_s = 100.0                # the estimate grew while parked
+    release(policy, a, "w1")
+    assert policy.choose("w2") is b
+
+
 # -- shortest remaining parallelism -------------------------------------
 
 

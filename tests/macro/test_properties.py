@@ -12,6 +12,10 @@ through submit / request / release / done sequences, and checks:
 * **Preempt/release round trip** — ``check_preempt`` fires exactly
   when a strictly-higher-priority job the workstation is not part of
   exists, and release always re-enables assignment.
+* **Keyed choice == brute force** — priority, least-workers and srp
+  (with jobs at their ``max_workers`` cap parked out of the index) pick
+  exactly the minimum-key eligible job a linear reference picks, and
+  examine one candidate per pick plus one per job the requester holds.
 
 These pin the determinism contract documented in
 :mod:`repro.macro.policies`.  One property runs the whole traffic engine
@@ -27,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.platform import SPARCSTATION_1
+from repro.macro.job import JobRecord
 from repro.macro.jobq import PhishJobQ
 from repro.macro.policies import POLICY_FACTORIES, make_policy
 from repro.macro.traffic import ARRIVAL_FACTORIES, TrafficConfig, TrafficSystem
@@ -244,6 +249,101 @@ def test_every_policy_alias_is_exercised():
     assert set(POLICIES) <= set(POLICY_FACTORIES)
     names = {make_policy(alias).name for alias in POLICIES}
     assert len(names) == len(POLICIES)  # each alias hits a distinct policy
+
+
+# -- keyed policies against a brute-force reference -------------------
+
+#: One pool operation ``(kind, n, priority, size, cap)``: *n* picks the
+#: requester, the first participant of a submission (``n % 5 == 4``:
+#: none), the held pair to release, or the job to finish or serve.
+#: Grants outnumber completions so jobs fill to their caps.
+POOL_OPS = st.lists(st.tuples(
+    st.sampled_from(("submit", "submit", "grant", "grant", "grant", "choose",
+                     "release", "release", "done", "progress")),
+    st.integers(0, 63), st.sampled_from((0, 1, 5)),
+    st.sampled_from((None, 5.0, 50.0, 500.0)), st.sampled_from((None, 1, 2, 4))),
+    min_size=20, max_size=80)
+
+
+class _ReferenceKeys:
+    """The keyed policies written as a linear scan: each pooled job's
+    key as of its last re-keying, and a choice is the minimum key among
+    the jobs eligible for the requester — no index, nothing parked."""
+
+    def __init__(self, policy_name):
+        self.policy_name = policy_name
+        self.stamp = 0
+        self.keys = {}
+
+    def rekey(self, record):
+        if self.policy_name == "priority":
+            self.stamp += 1
+            key = (-record.priority, self.stamp)
+        elif self.policy_name == "least":
+            key = (len(record.participants),)
+        else:
+            remaining = record.remaining_s
+            key = (float("inf") if remaining is None else remaining,)
+        self.keys[record.job_id] = (*key, record.job_id)
+
+    def choose(self, records, ws):
+        eligible = [r for r in records.values()
+                    if ws not in r.participants
+                    and (r.max_workers is None or len(r.participants) < r.max_workers)]
+        return min(eligible, key=lambda r: self.keys[r.job_id], default=None)
+
+
+@given(policy_name=st.sampled_from(("priority", "least", "srp")), ops=POOL_OPS)
+@settings(max_examples=600, deadline=None)
+def test_keyed_policies_choose_the_minimum_key_eligible_job(policy_name, ops):
+    policy = make_policy(policy_name)
+    ref = _ReferenceKeys(policy_name)
+    program = make_program()
+    records = {}          # pooled (not done) jobs, by id
+    next_id = 0
+    for kind, n, priority, size, cap in ops:
+        ws = WORKSTATIONS[n % 4]
+        if kind == "submit":
+            record = JobRecord(job_id=next_id, program=program, ch_host="h",
+                               priority=priority, size_hint_s=size,
+                               remaining_s=size, max_workers=cap)
+            if n % 5 != 4:
+                record.participants.add(ws)
+            next_id += 1
+            records[record.job_id] = record
+            policy.on_submit(record)
+            ref.rekey(record)
+        elif kind in ("choose", "grant"):
+            expected = ref.choose(records, ws)
+            held = sum(ws in r.participants for r in records.values())
+            before = policy.scanned
+            picked = policy.choose(ws)
+            assert picked is expected, (kind, ws, picked, expected)
+            assert policy.scanned - before <= (picked is not None) + held
+            if picked is not None:
+                ref.rekey(picked)
+                if kind == "grant":
+                    picked.participants.add(ws)
+                    policy.on_grant(picked, ws)
+                    if policy_name != "priority":
+                        ref.rekey(picked)
+        elif kind == "release":
+            pairs = sorted((r.job_id, w) for r in records.values()
+                           for w in r.participants)
+            if pairs:
+                job_id, w = pairs[n % len(pairs)]
+                records[job_id].participants.discard(w)
+                policy.on_release(records[job_id], w)
+                if policy_name != "priority":
+                    ref.rekey(records[job_id])
+        elif records:
+            record = records[sorted(records)[n % len(records)]]
+            if kind == "done":
+                record.done = True
+                policy.on_done(record)
+                del records[record.job_id]
+            elif record.remaining_s is not None:
+                record.remaining_s = max(0.0, record.remaining_s - n)
 
 
 class _JobQWatch(MetricsRegistry):

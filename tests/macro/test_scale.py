@@ -7,6 +7,9 @@ with *operation counts*, not wall clocks:
 * ``policy.scanned`` (candidates examined inside ``choose``) must stay
   within a small constant factor of the number of requests, across a
   full 2,000-job lifecycle, for every policy.
+* The keyed policies (priority, least-workers, srp) examine exactly one
+  candidate per grant when machines hold their jobs and requesters hold
+  none — the cost ``repro.macro.policies`` claims.
 * The request path must never touch ``PhishJobQ.pool`` (the O(n)
   compatibility view) — enforced by poisoning the property.
 * ``list_jobs`` replies are bounded pages no matter the queue size.
@@ -92,6 +95,46 @@ def test_2000_job_lifecycle_stays_within_scan_budget(policy_name):
         f"{policy_name}: {jobq.policy.scanned} candidates examined over "
         f"{jobq.requests} requests ({scans_per_request:.1f}/request) — "
         f"the policy is rescanning the pool")
+
+
+def run_held_lifecycle(policy_name, n_jobs, n_workstations=32):
+    """Machines *hold* what they are granted, as traffic daemons do:
+    an idle machine requests, a busy one either finishes its job or
+    releases it.  Capped jobs fill up and stay full for a while, and no
+    requester ever participates in a pooled job."""
+    rng = random.Random(n_jobs)
+    jobq = make_jobq(policy_name)
+    program = make_program()
+    for _ in range(n_jobs):
+        jobq.submit_record(
+            program, "ws00", priority=rng.choice((0, 0, 0, 1)),
+            size_hint_s=float(rng.choice((5, 50, 500))),
+            max_workers=rng.choice((1, 2, 4)), register_first_worker=False)
+    holds = {}
+    while any(not rec.done for rec in jobq.jobs.values()):
+        ws = f"ws{rng.randrange(n_workstations):02d}"
+        job_id = holds.pop(ws, None)
+        if job_id is None:
+            desc = jobq._rpc_request_job(ws, None)
+            if desc is not None:
+                holds[ws] = desc["job_id"]
+        elif rng.random() < 0.5:
+            jobq._rpc_job_done(job_id, None)
+        else:
+            jobq._rpc_release({"job_id": job_id, "workstation": ws}, None)
+    return jobq
+
+
+@pytest.mark.parametrize("policy_name", ("priority", "least", "srp"))
+def test_keyed_policies_examine_one_candidate_per_grant(policy_name):
+    """A job at its ``max_workers`` cap is parked out of the keyed
+    index, so a requester holding no job is served by the first
+    candidate popped: exactly one scan per grant, none for a refusal."""
+    jobq = run_held_lifecycle(policy_name, 1000)
+    assert jobq.grants >= 1000
+    assert jobq.policy.scanned == jobq.grants, (
+        f"{policy_name}: {jobq.policy.scanned} candidates examined for "
+        f"{jobq.grants} grants — capped jobs are being popped and skipped")
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 """Tests for split-phase RPC: request/reply, retransmission, errors."""
 
+import random
+
 import pytest
 
 from repro.cluster.platform import SPARCSTATION_1
@@ -8,6 +10,8 @@ from repro.net.network import Network
 from repro.net.rpc import RpcClient, RpcServer, _Request, rpc_call
 from repro.net.socket import Socket
 from repro.net.topology import UniformTopology
+from repro.obs.probe import Probe
+from repro.sim.core import Interrupt, Simulator
 
 
 @pytest.fixture
@@ -269,3 +273,106 @@ def test_call_without_notices_costs_what_it_did(sim, network, server):
     assert plain[1] == 2
     assert cost(notices=()) == plain
     assert cost(notices=(("echo", 2), ("echo", 3))) == plain
+
+
+# -- one socket per client: RpcClient re-binds a recycled socket --------
+
+
+def _port_server(probe=None):
+    """A fresh run whose server answers ``port`` with the caller's port."""
+    sim = Simulator()
+    network = Network(sim, UniformTopology(SPARCSTATION_1.net),
+                      rng=random.Random(0), probe=probe)
+    RpcServer(network, "server", 9000).register("port", lambda args, msg: msg.src_port)
+    return sim, network
+
+
+def _calls(how, n, timeout_s=2.0, probe=None):
+    """*n* back-to-back ``port`` calls, ephemeral or through one client:
+    (replies, events, datagrams sent, dropped, client)."""
+    sim, network = _port_server(probe)
+    client = RpcClient(network, "client", "server", 9000, timeout_s=timeout_s)
+
+    def proc(sim):
+        replies = []
+        for _ in range(n):
+            if how == "client":
+                replies.append((yield from client.call("port")))
+            else:
+                replies.append((yield from rpc_call(
+                    network, "client", "server", 9000, "port", timeout_s=timeout_s)))
+        return replies
+
+    replies = sim.run(sim.process(proc(sim)))
+    sim.run()                                 # late replies, settled deadlines
+    counters = network.counters
+    return replies, sim.events_processed, counters.sent, counters.dropped_unroutable, client
+
+
+def test_client_calls_bind_the_ports_ephemeral_calls_bind():
+    """One socket object serves every call of a client, re-bound to the
+    port (the request id) a fresh ephemeral socket would have had, at the
+    same kernel-event and datagram cost."""
+    *ephemeral, _ = _calls("ephemeral", 6)
+    *client_run, client = _calls("client", 6)
+    assert client_run == ephemeral
+    assert ephemeral[0] == list(range(49152, 49158))
+    assert len(client._sockets) == 1
+
+
+def test_late_reply_to_a_finished_call_is_dropped_as_unbound():
+    """A deadline shorter than the round-trip: every call retransmits,
+    the first reply answers it, and the second arrives after the call
+    ended — by then the client's socket is bound to the next call's port,
+    so the reply is dropped as unbound, exactly as for ephemeral sockets."""
+    runs = {}
+    for how in ("ephemeral", "client"):
+        drops = []
+        probe = Probe()
+        probe.subscribe({"net.drop.unbound": lambda t, kind, source, detail: drops.append(
+            (t, source, detail["id"], detail["msg"].dst_port))})
+        *counts, _ = _calls(how, 3, timeout_s=0.002, probe=probe)
+        runs[how] = (counts, drops)
+    assert runs["client"] == runs["ephemeral"]
+    (replies, _events, _sent, dropped), drops = runs["client"]
+    assert dropped == len(drops) == 3
+    assert [port for *_, port in drops] == replies
+
+
+def test_after_an_interrupted_call_the_next_is_answered_on_its_first_attempt():
+    """An interrupt leaves the call's receive parked; recycling the socket
+    drops it, so the next call's reply reaches the next call."""
+    sim, network = _port_server()
+    client = RpcClient(network, "client", "server", 9000, timeout_s=2.0)
+
+    def abandoned(sim):
+        with pytest.raises(Interrupt):
+            yield from client.call("port")
+
+    def interrupter(sim, victim):
+        yield sim.timeout(0.001)              # request sent, no reply yet
+        victim.interrupt("owner back")
+
+    def next_call(sim):
+        yield sim.timeout(0.5)
+        start = sim.now
+        return (yield from client.call("port")), sim.now - start
+
+    sim.process(interrupter(sim, sim.process(abandoned(sim))))
+    port, took = sim.run(sim.process(next_call(sim)))
+    assert port == 49153 and took < 0.1      # no retransmission
+    assert network.counters.dropped_unroutable == 1   # the abandoned reply
+    assert len(client._sockets) == 1
+
+
+def test_concurrent_calls_on_one_client_get_their_own_sockets():
+    sim, network = _port_server()
+    client = RpcClient(network, "client", "server", 9000)
+
+    def proc(sim):
+        return (yield from client.call("port"))
+
+    calls = [sim.process(proc(sim)) for _ in range(2)]
+    sim.run()
+    assert sorted(c.value for c in calls) == [49152, 49153]
+    assert len(client._sockets) == 2

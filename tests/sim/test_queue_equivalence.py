@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.sim.core import NORMAL, URGENT, Event, Simulator
+from repro.sim.core import NORMAL, URGENT, Event, Simulator, Within
 
 #: The steal-backoff-style quantized delay set: lots of exact-time
 #: collisions, which is the whole point of the calendar layout.
@@ -254,6 +254,42 @@ def test_timeout_pool_recycles_unreferenced_timeouts():
     sim2.run()
     assert held.value == "mine"
     assert all(ev is not held for ev in sim2._timeout_pool)
+
+
+class _CountingSimulator(Simulator):
+    """Counts the Timeouts :meth:`timeout` had to allocate (pool empty)."""
+
+    allocated = 0
+
+    def timeout(self, delay, value=None):
+        self.allocated += not self._timeout_pool
+        return super().timeout(delay, value)
+
+
+@pytest.mark.parametrize("n_waiters", [1, 2])
+def test_settled_deadlines_are_recycled(n_waiters):
+    """A timed wait whose event came first leaves its deadline with no
+    callback; when the kernel processes it — alone in its time bucket, or
+    sharing one with another waiter's — it goes back to the free list like
+    a waited-on timeout, so a loop of timed waits allocates a bounded
+    number of Timeouts.  A deadline somebody still holds is never recycled."""
+    sim = _CountingSimulator(queue="calendar")
+    held = []
+
+    def waiter(sim):
+        for i in range(100):
+            deadline = sim.timeout(1.0)
+            if i == 0:
+                held.append(deadline)
+            assert (yield Within(sim.timeout(0.5), deadline)) is None
+            del deadline
+            yield sim.timeout(0.6)            # the deadline settles meanwhile
+
+    for _ in range(n_waiters):
+        sim.process(waiter(sim))
+    sim.run()
+    assert sim.allocated <= 6 * n_waiters
+    assert all(ev not in held for ev in sim._timeout_pool)
 
 
 @pytest.mark.parametrize("app", ["fib", "shrink"])

@@ -55,7 +55,7 @@ STDOUT = {
     "harvest --reps 2*": "7be312b5f336cec3199ca456f2b03bff6dad5d60434819c80cd8b75a8649205a",
     "macro-demo": "0ae37e26b71da7269f1458cc66623ac7c6e5343119c99af860f63a8b724b39bd",
     "timeline": "76db08fbdccf13a4de3e51b6244125b21849ad5a1cd2d64cd4d5dfcb2873f277",
-    "traffic --njobs 200*": "26b5bbdcf823f6343f1a4afe9255a2bf16b411b93321edab874e47ea24655395",
+    "traffic --njobs 200*": "e0373daac013929dca960cf609f5e148502707190cabe539077246a4e4652114",
     "ablations victim": "200d55290e684a1271441a9b11155c94ccf2473c51d19528d3be4ff061a835ff",
 }
 
