@@ -378,6 +378,18 @@ class BackendVerifyResult:
                 f"{self.mismatched}")
 
 
+def _verify_seed(params: Dict[str, Any]) -> bool:
+    """Shard task: one seed on the reference and on the production
+    queue; True when the two trace dumps match byte for byte."""
+    spec, seed = app_spec(params["app"]), params["seed"]
+    heap, calendar = (
+        spec.check(seed, params["n_workers"], scenario=params["scenario"],
+                   horizon_s=params["horizon_s"], queue=backend).trace.dump()
+        for backend in ("heap", "calendar")
+    )
+    return heap == calendar
+
+
 def verify_queue_backends(
     app: str = "fib",
     n_seeds: int = 50,
@@ -386,6 +398,7 @@ def verify_queue_backends(
     horizon_s: float = 60.0,
     scenario: str = "mixed",
     progress: Optional[Callable[[int, bool], None]] = None,
+    jobs: Optional[int] = 1,
 ) -> BackendVerifyResult:
     """Prove the production event queue against the reference on full
     cluster runs.
@@ -398,19 +411,28 @@ def verify_queue_backends(
     the kernel: any divergence — one message reordered, one timer fired
     in a different order — shows up as a trace diff on some seed
     (``repro check --verify-queue``; CI runs this on every push).
+    ``jobs`` shards the seeds over :class:`~repro.parallel.ShardedRunner`;
+    results come back in seed order, so the summary is the same at any
+    ``jobs``.
     """
-    spec = app_spec(app)
+    from repro.parallel import ShardedRunner
+
+    app_spec(app)  # an unknown app fails in the parent, not in every shard
     seed_window = tuple(range(start_seed, start_seed + n_seeds))
-    result = BackendVerifyResult(app=app, n_workers=n_workers, seeds=seed_window)
-    for seed in seed_window:
-        dumps = [
-            spec.check(seed, n_workers, scenario=scenario, horizon_s=horizon_s,
-                       queue=backend).trace.dump()
-            for backend in ("heap", "calendar")
-        ]
-        ok = dumps[0] == dumps[1]
-        if not ok:
-            result.mismatched.append(seed)
+    shared = dict(app=app, n_workers=n_workers, scenario=scenario,
+                  horizon_s=horizon_s)
+
+    def on_result(_index: int, params: Dict[str, Any], ok: bool) -> None:
         if progress is not None:
-            progress(seed, ok)
-    return result
+            progress(params["seed"], ok)
+
+    matches, _stats = ShardedRunner(jobs=jobs).map(
+        _verify_seed, [dict(shared, seed=seed) for seed in seed_window],
+        label=f"verify-queue({app})",
+        describe=lambda params: f"{app} seed={params['seed']}",
+        on_result=on_result,
+    )
+    return BackendVerifyResult(
+        app=app, n_workers=n_workers, seeds=seed_window,
+        mismatched=[seed for seed, ok in zip(seed_window, matches) if not ok],
+    )

@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli traffic --policies rr,srp,fair,interrupt --jobs 4
     python -m repro.cli check --seeds 100 --app fib --jobs 4
     python -m repro.cli check --seeds 25 --scenario partition
-    python -m repro.cli bench --out BENCH_kernel.json
     python -m repro.cli obs --seed 1 --app fib
     python -m repro.cli timeline --perfetto out.json
 
@@ -22,10 +21,10 @@ Usage::
 ``harvest --reps N`` accept ``--jobs N`` to fan independent runs out
 over a process pool (0 = one per CPU); outputs are byte-identical at
 any ``--jobs`` (see docs/checking.md, "Parallel runs").
-``table2``/``figure4``/``figure5``/``bench`` accept ``--manifest PATH``
-to drop a provenance manifest (see docs/observability.md) next to the
-printed output; ``check --manifest`` additionally records merged
-per-shard metrics and the fan-out speedup.
+``table2``/``figure4``/``figure5`` accept ``--manifest PATH`` to drop a
+provenance manifest (see docs/observability.md) next to the printed
+output; ``check --manifest`` additionally records merged per-shard
+metrics and the fan-out speedup.
 
 The exhibit commands (``table1`` ... ``ablations``) are not written here:
 their subparsers and dispatch are built from
@@ -232,6 +231,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
             n_workers=args.workers,
             scenario=args.scenario,
             progress=progress,
+            jobs=args.jobs,
         )
         sys.stderr.write(
             f"\n{len(result.seeds)} seeds x 2 backends in "
@@ -294,22 +294,6 @@ def _cmd_check(args: argparse.Namespace) -> str:
         print(result.summary())
         raise SystemExit(1)
     return result.summary()
-
-
-def _cmd_bench(args: argparse.Namespace) -> str:
-    """Benchmark the simulation substrate and record BENCH_kernel.json
-    (see docs/performance.md)."""
-    from repro.bench import format_bench, run_bench, write_bench
-
-    started = time.time()
-    results = run_bench(repeats=args.repeats, quick=args.quick,
-                        profile=args.profile)
-    write_bench(results, args.out)
-    return (
-        format_bench(results)
-        + f"\n\nwrote {args.out}"
-        + _maybe_manifest(args, "-", {"workers": 0}, time.time() - started)
-    )
 
 
 def _warn_truncated(trace, stream=None) -> bool:
@@ -560,7 +544,6 @@ COMMANDS = {
     "macro-demo": _cmd_macro_demo,
     "timeline": _cmd_timeline,
     "check": _cmd_check,
-    "bench": _cmd_bench,
     "obs": _cmd_obs,
     "profile": _cmd_profile,
     "diagnose": _cmd_diagnose,
@@ -661,25 +644,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               "doc to PATH (open at ui.perfetto.dev)")
     profile.add_argument("--buffer", type=int, default=8192,
                          help="sink flush buffer, in events (default 8192)")
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the simulation substrate (kernel event throughput, "
-             "process switching, fib/knary macro runs) and write the "
-             "baseline file",
-    )
-    bench.add_argument("--out", default="BENCH_kernel.json",
-                       help="output JSON path (default BENCH_kernel.json)")
-    bench.add_argument("--repeats", type=int, default=10,
-                       help="kernel-benchmark repetitions; wall numbers are "
-                            "best-of-N (default 10)")
-    bench.add_argument("--quick", action="store_true",
-                       help="fewer repetitions (smoke-test mode)")
-    bench.add_argument("--profile", default="full",
-                       choices=["full", "timeouts"],
-                       help="benchmark sections to run: 'timeouts' measures "
-                            "only the timeout-churn microbench and merges it "
-                            "into the existing record (default full)")
-    _add_manifest(bench)
     chk = sub.add_parser(
         "check",
         help="fuzz schedules (tie-breaks, jitter, crashes, reclaims) and "

@@ -26,7 +26,6 @@ Everything here subscribes to one run's :mod:`repro.obs.probe` (see
 from repro.obs.export import to_perfetto, validate_perfetto, write_perfetto
 from repro.obs.health import (
     INCIDENT_KINDS,
-    HealthConfig,
     HealthMonitor,
     Incident,
     IncidentRing,
@@ -71,7 +70,6 @@ __all__ = [
     "GRAIN_BUCKETS_S",
     "merge_snapshots",
     "INCIDENT_KINDS",
-    "HealthConfig",
     "HealthMonitor",
     "Incident",
     "IncidentRing",

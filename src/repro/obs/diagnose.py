@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.check.harness import Perturbation
 from repro.errors import ReproError
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 
 #: Scenario names ``repro diagnose`` accepts: "clean" (no perturbation,
 #: the false-positive gate) plus every fuzzer scenario.
-SCENARIOS = ("clean", "mixed", "partition", "spike", "faults-only")
+SCENARIOS = ("clean", *Perturbation.SCENARIOS)
 
 
 def _monitored_registry() -> MetricsRegistry:

@@ -30,7 +30,7 @@ Detectors (catalogue and thresholds in ``docs/observability.md``):
 * ``straggler`` — a worker's EWMA service time is a multiple of the
   cluster's: one machine is pathologically slower than its peers.
 * ``stall`` — the liveness watchdog: no closure retired for
-  ``watchdog_s`` simulated seconds while live workers exist and the job
+  ``WATCHDOG_S`` simulated seconds while live workers exist and the job
   is not done.  This is the detection-only net under protocol bugs of
   the bug-12 class (lost redo obligations).
 * ``slo-breach`` — a macro-traffic job's sojourn exceeded its SLO.
@@ -45,7 +45,7 @@ structures carry hard caps and the ring is capacity-bounded
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -191,45 +191,41 @@ def merge_incident_snapshots(name: str, a: Dict[str, Any],
     return out
 
 
+# Detector thresholds.  Calibrated so the fuzzer's clean seeds stay
+# silent while every ``--scenario`` class trips its matching detector
+# (the scenario-oracle suite in ``tests/obs/test_health_oracle.py`` pins
+# both directions).
+
+#: Rolling window for rate detectors (steal-storm, link drops).
+WINDOW_S = 0.25
+#: Steal-request timeouts across the cluster within one window.
+STORM_TIMEOUTS = 10
+#: Retransmissions of one ARG/MIGRATE sequence before it counts as
+#: stalled behind a partition.
+RETRY_LIMIT = 3
+#: Drops on one severed link within a window.
+LINK_DROPS = 3
+#: Consecutive failed steals before a worker counts as starving — only
+#: while some peer demonstrably holds ``STARVE_MIN_DEPTH`` work.
+STARVE_FAILS = 8
+STARVE_MIN_DEPTH = 4
+#: A worker whose EWMA service time is this multiple of the cluster's is
+#: a straggler (after both saw enough tasks).
+STRAGGLER_FACTOR = 6.0
+STRAGGLER_MIN_TASKS = 30
+#: EWMA smoothing for the straggler detector's service times.
+EWMA_ALPHA = 0.2
 #: Fraction of the death timeout a silent worker may sit before a
 #: heartbeat-gap warning (1.0 would only ever fire as the death).
 GAP_FRACTION = 0.6
-#: EWMA smoothing for the straggler detector's service times.
-EWMA_ALPHA = 0.2
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Detector thresholds.  Defaults are calibrated so the fuzzer's
-    clean seeds stay silent while every ``--scenario`` class trips its
-    matching detector (the scenario-oracle suite in
-    ``tests/obs/test_health_oracle.py`` pins both directions)."""
-
-    #: Rolling window for rate detectors (steal-storm, link drops).
-    window_s: float = 0.25
-    #: Steal-request timeouts across the cluster within one window.
-    storm_timeouts: int = 10
-    #: Retransmissions of one ARG/MIGRATE sequence before it counts as
-    #: stalled behind a partition.
-    retry_limit: int = 3
-    #: Drops on one severed link within a window.
-    link_drops: int = 3
-    #: Consecutive failed steals before a worker counts as starving —
-    #: only while some peer demonstrably holds ``starve_min_depth`` work.
-    starve_fails: int = 8
-    starve_min_depth: int = 4
-    #: A worker whose EWMA service time is this multiple of the
-    #: cluster's is a straggler (after both saw enough tasks).
-    straggler_factor: float = 6.0
-    straggler_min_tasks: int = 30
-    #: Liveness watchdog: no closure retired for this many simulated
-    #: seconds while live workers exist and the job is not done.
-    watchdog_s: float = 1.0
-    #: Incident ring capacity.
-    ring_capacity: int = 512
-    #: Hard cap on every rolling structure (retransmission table, storm
-    #: window, per-link drop windows) — the O(window) memory bound.
-    max_tracked: int = 256
+#: Liveness watchdog: no closure retired for this many simulated seconds
+#: while live workers exist and the job is not done.
+WATCHDOG_S = 1.0
+#: Incident ring capacity.
+RING_CAPACITY = 512
+#: Hard cap on every rolling structure (retransmission table, storm
+#: window, per-link drop windows) — the O(window) memory bound.
+MAX_TRACKED = 256
 
 
 class HealthMonitor:
@@ -244,21 +240,14 @@ class HealthMonitor:
     the run is built (a late monitor is refused, not silently idle).
     """
 
-    def __init__(self, registry: Optional[Any] = None,
-                 config: Optional[HealthConfig] = None) -> None:
-        self.config = config or HealthConfig()
-        cfg = self.config
-        if registry is not None:
-            if registry.subscribed:
-                raise ReproError(
-                    "this registry is already subscribed to a run's probe, so "
-                    "the monitor would be wired to nothing and report zero "
-                    "incidents: construct the monitor before the run")
-            self.ring = registry.incidents("health.incidents",
-                                           cfg.ring_capacity)
-            registry.health = self
-        else:
-            self.ring = IncidentRing("health.incidents", cfg.ring_capacity)
+    def __init__(self, registry: Any) -> None:
+        if registry.subscribed:
+            raise ReproError(
+                "this registry is already subscribed to a run's probe, so "
+                "the monitor would be wired to nothing and report zero "
+                "incidents: construct the monitor before the run")
+        self.ring = registry.incidents("health.incidents", RING_CAPACITY)
+        registry.health = self
         # -- steal-storm: (time,) ring of recent steal-request timeouts.
         self._timeouts: Deque[float] = deque()
         self._storm_active = False
@@ -309,29 +298,28 @@ class HealthMonitor:
 
     def steal_timeout(self, now: float, kind: str, worker: str, d: dict) -> None:
         """A steal request got *no reply* inside the thief's budget."""
-        cfg = self.config
         window = self._timeouts
         self._roll(window, now)
-        if len(window) >= cfg.storm_timeouts:
+        if len(window) >= STORM_TIMEOUTS:
             if not self._storm_active:
                 self._storm_active = True
                 self._emit(Incident(
                     kind="steal-storm", severity="warn",
                     t_start=window[0], t_end=now, subject=worker,
                     evidence=(("timeouts", len(window)),
-                              ("window_s", cfg.window_s)),
+                              ("window_s", WINDOW_S)),
                 ))
-        elif len(window) <= cfg.storm_timeouts // 2:
+        elif len(window) <= STORM_TIMEOUTS // 2:
             self._storm_active = False  # storm abated; re-arm
         self._steal_failed(now, worker)
 
     def _roll(self, window: Deque[float], now: float) -> None:
-        """Add *now* to a rolling window: the last ``window_s`` seconds,
-        at most ``max_tracked`` entries."""
+        """Add *now* to a rolling window: the last ``WINDOW_S`` seconds,
+        at most ``MAX_TRACKED`` entries."""
         window.append(now)
-        horizon = now - self.config.window_s
+        horizon = now - WINDOW_S
         while window and (window[0] < horizon
-                          or len(window) > self.config.max_tracked):
+                          or len(window) > MAX_TRACKED):
             window.popleft()
 
     def steal_refused(self, now: float, kind: str, worker: str, d: dict) -> None:
@@ -343,13 +331,12 @@ class HealthMonitor:
         self._starving[worker] = False
 
     def _steal_failed(self, now: float, worker: str) -> None:
-        cfg = self.config
         streak = self._fail_streak.get(worker, 0) + 1
         self._fail_streak[worker] = streak
-        if streak < cfg.starve_fails or self._starving.get(worker):
+        if streak < STARVE_FAILS or self._starving.get(worker):
             return
         held = [(w, d) for w, d in self._last_depth.items()
-                if w != worker and d >= cfg.starve_min_depth]
+                if w != worker and d >= STARVE_MIN_DEPTH]
         if not held:
             return
         held.sort(key=lambda wd: (-wd[1], wd[0]))
@@ -368,7 +355,6 @@ class HealthMonitor:
     def task_done(self, now: float, kind: str, worker: str, d: dict) -> None:
         """A closure retired: a deque sample, and it feeds the watchdog
         and the straggler EWMA."""
-        cfg = self.config
         self._last_depth[worker] = d["deque"]
         service_s = d["service_s"]
         self._last_progress = now
@@ -384,11 +370,11 @@ class HealthMonitor:
         all_ewma = all_ewma + EWMA_ALPHA * (service_s - all_ewma)
         self._service_all = (all_ewma, all_n + 1)
         # The test that almost always fails goes first.
-        if (ewma >= cfg.straggler_factor * all_ewma
+        if (ewma >= STRAGGLER_FACTOR * all_ewma
                 and all_ewma > 0.0
                 and not self._stragglers.get(worker)
-                and n + 1 >= cfg.straggler_min_tasks
-                and all_n + 1 >= 2 * cfg.straggler_min_tasks):
+                and n + 1 >= STRAGGLER_MIN_TASKS
+                and all_n + 1 >= 2 * STRAGGLER_MIN_TASKS):
             self._stragglers[worker] = True
             self._emit(Incident(
                 kind="straggler", severity="info",
@@ -401,12 +387,11 @@ class HealthMonitor:
     def retransmission(self, now: float, kind: str, worker: str, d: dict) -> None:
         """An ARG/MIGRATE sequence was sent again (resilient mode):
         ``arg.retry`` or ``migrate.retry``."""
-        cfg = self.config
         what = kind.partition(".")[0]
         key = (worker, what, d["seq"])
         first_t, retries = self._retrans.get(key, (now, 0))
         retries += 1
-        if retries >= cfg.retry_limit:
+        if retries >= RETRY_LIMIT:
             self._retrans.pop(key, None)
             self._emit(Incident(
                 kind="partition-stall", severity="warn",
@@ -417,7 +402,7 @@ class HealthMonitor:
             ))
             return
         self._retrans[key] = (first_t, retries)
-        while len(self._retrans) > cfg.max_tracked:
+        while len(self._retrans) > MAX_TRACKED:
             self._retrans.pop(next(iter(self._retrans)))
 
     # ------------------------------------------------------------------
@@ -427,20 +412,19 @@ class HealthMonitor:
     def link_drop(self, now: float, kind: str, src: str, d: dict) -> None:
         """A datagram died on a severed link (partition drop only —
         random loss and down-host drops have their own detectors)."""
-        cfg = self.config
         link = f"{src}->{d['dst']}"
         window = self._link_drops.get(link)
         if window is None:
-            if len(self._link_drops) >= cfg.max_tracked:
+            if len(self._link_drops) >= MAX_TRACKED:
                 self._link_drops.pop(next(iter(self._link_drops)))
             window = self._link_drops[link] = deque()
         self._roll(window, now)
-        if len(window) == cfg.link_drops:
+        if len(window) == LINK_DROPS:
             self._emit(Incident(
                 kind="partition-stall", severity="warn",
                 t_start=window[0], t_end=now, subject=link,
                 evidence=(("drops", len(window)),
-                          ("window_s", cfg.window_s)),
+                          ("window_s", WINDOW_S)),
             ))
 
     # ------------------------------------------------------------------
@@ -479,7 +463,6 @@ class HealthMonitor:
         ``GAP_FRACTION`` of the death timeout, warning before the
         detector would kill) and the job-progress watchdog (``stall``).
         """
-        cfg = self.config
         last_seen, forwarders, done = d["workers"], d["forwarders"], d["done"]
         threshold = GAP_FRACTION * d["death_timeout_s"]
         for table in (last_seen, forwarders):
@@ -500,7 +483,7 @@ class HealthMonitor:
             return
         quiet = now - self._last_progress
         if (not done and not self._stalled and last_seen
-                and quiet >= cfg.watchdog_s):
+                and quiet >= WATCHDOG_S):
             self._stalled = True
             self._emit(Incident(
                 kind="stall", severity="crit",
@@ -518,7 +501,7 @@ class HealthMonitor:
         """A macro job completed; flag it once if it blew its SLO."""
         if sojourn_s <= slo_s or job_id in self._breached:
             return
-        if len(self._breached) >= self.config.max_tracked:
+        if len(self._breached) >= MAX_TRACKED:
             return  # dedup set is full; the ring has the early breaches
         self._breached.add(job_id)
         self._emit(Incident(

@@ -1,6 +1,6 @@
 """Run manifests: attributable, machine-readable experiment provenance.
 
-Every experiment/bench output can be accompanied by a small JSON file
+Every experiment output can be accompanied by a small JSON file
 recording *what produced it*: the command, the seed, the cluster shape,
 the git revision, the metric snapshot, wall time, and the machine's
 recorded kernel throughput (so a slow number can be told apart from a
@@ -14,6 +14,7 @@ import json
 import platform
 import subprocess
 import time
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -57,12 +58,16 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
     return out.stdout.strip() or None
 
 
-def _baseline_kernel_rate() -> Optional[float]:
-    """kernel events/s from the recorded BENCH_kernel.json, if any."""
-    from repro.bench import load_bench
+#: The kernel floor recorded at the root of a source checkout (absent
+#: from an installed package), found wherever the run was started.
+KERNEL_FLOOR = Path(__file__).resolve().parents[3] / "BENCH_kernel.json"
 
-    recorded = load_bench()
-    if not recorded:
+
+def _baseline_kernel_rate() -> Optional[float]:
+    """kernel events/s from the recorded :data:`KERNEL_FLOOR`, if any."""
+    try:
+        recorded = json.loads(KERNEL_FLOOR.read_text())
+    except (OSError, ValueError):
         return None
     return (recorded.get("kernel") or {}).get("events_per_s")
 
@@ -82,8 +87,7 @@ def build_manifest(
     Args:
         command: the CLI subcommand (or API entry point) that ran.
         seed: the root random seed of the run.
-        app: application name ("fib", "pfold", ...; "-" when not
-            app-specific, e.g. for ``bench``).
+        app: application name ("fib", "pfold", ...).
         cluster: shape description, e.g. ``{"workers": 8,
             "profile": "SparcStation-1"}``.
         wall_s: real (not simulated) seconds the run took.

@@ -55,37 +55,3 @@ def test_render_plot_flat_series():
     grid = [line for line in out.splitlines() if line.startswith("|")]
     assert sum(line.count("*") for line in grid) == 3
 
-
-def test_format_bench_empty_dict():
-    from repro.bench import format_bench
-
-    out = format_bench({})
-    assert "(not measured)" in out
-
-
-def test_format_bench_partial_dict():
-    from repro.bench import format_bench
-
-    # Only the kernel section present, and even that missing some keys:
-    # format_bench fills the gaps instead of raising.
-    out = format_bench({"kernel": {"events_per_s": 123456.0}})
-    assert "123,456" in out
-    assert "best of ?" in out
-    assert "fib" not in out
-
-
-def test_format_bench_full_dict_lists_all_sections():
-    from repro.bench import format_bench
-
-    results = {
-        "recorded_at": "2026-01-01T00:00:00",
-        "kernel": {"events_per_s": 1e6, "repeats": 10},
-        "process_switch": {"roundtrips_per_s": 2e5, "repeats": 5},
-        "fib": {"tasks_per_s": 1e5, "tasks": 4789, "workers": 4},
-        "knary": {"tasks_per_s": 9e4, "tasks": 1718, "workers": 4},
-    }
-    out = format_bench(results)
-    assert "kernel events/s" in out
-    assert "process roundtrips/s" in out
-    assert "fib tasks/s" in out and "knary tasks/s" in out
-    assert "2026-01-01T00:00:00" in out

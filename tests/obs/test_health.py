@@ -7,7 +7,10 @@ import pytest
 
 from repro.obs.health import (
     INCIDENT_KINDS,
-    HealthConfig,
+    MAX_TRACKED,
+    RING_CAPACITY,
+    STORM_TIMEOUTS,
+    STRAGGLER_MIN_TASKS,
     HealthMonitor,
     Incident,
     IncidentRing,
@@ -19,9 +22,9 @@ from repro.obs.probe import Probe
 from tests.obs.emitting import emitter
 
 
-def _wired(config=None):
+def _wired():
     """A monitor fed the way a run feeds it: through a Probe's table."""
-    hm = HealthMonitor(config=config)
+    hm = HealthMonitor(MetricsRegistry())
     probe = Probe()
     hm.subscribe(probe)
     return hm, emitter(probe)
@@ -113,34 +116,33 @@ def test_sort_key_total_order_on_ties():
 
 
 def test_steal_storm_counts_timeouts_not_refusals():
-    hm, emit = _wired(HealthConfig(storm_timeouts=5, window_s=0.25))
-    for i in range(20):
-        emit(i * 0.01, "steal.refused", "ws01", victim="ws02")
+    hm, emit = _wired()
+    for i in range(4 * STORM_TIMEOUTS):
+        emit(i * 0.005, "steal.refused", "ws01", victim="ws02")
     assert not hm.incidents  # refusals never storm
-    for i in range(5):
-        emit(0.5 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
+    for i in range(STORM_TIMEOUTS):
+        emit(0.5 + i * 0.005, "steal.timeout", "ws01", victim="ws02")
     kinds = [i.kind for i in hm.incidents]
     assert kinds.count("steal-storm") == 1
     # Debounced: staying above threshold re-fires nothing.
-    for i in range(5):
-        emit(0.6 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
+    for i in range(STORM_TIMEOUTS):
+        emit(0.6 + i * 0.005, "steal.timeout", "ws01", victim="ws02")
     assert [i.kind for i in hm.incidents].count("steal-storm") == 1
 
 
 def test_steal_storm_rearms_after_abating():
-    hm, emit = _wired(HealthConfig(storm_timeouts=4, window_s=0.1))
-    for i in range(4):
+    hm, emit = _wired()
+    for i in range(STORM_TIMEOUTS):
         emit(i * 0.01, "steal.timeout", "ws01", victim="ws02")
     # Quiet period: the window empties, the detector re-arms.
     emit(10.0, "steal.timeout", "ws01", victim="ws02")
-    for i in range(4):
+    for i in range(STORM_TIMEOUTS):
         emit(10.01 + i * 0.01, "steal.timeout", "ws01", victim="ws02")
     assert [i.kind for i in hm.incidents].count("steal-storm") == 2
 
 
 def test_starvation_needs_a_holder():
-    cfg = HealthConfig(starve_fails=3, starve_min_depth=4)
-    hm, emit = _wired(cfg)
+    hm, emit = _wired()
     for i in range(10):
         emit(i * 0.01, "steal.refused", "ws01", victim="ws02")
     assert not hm.incidents  # nobody demonstrably holds work
@@ -157,23 +159,26 @@ def test_starvation_needs_a_holder():
 
 
 def test_straggler_fires_on_ewma_outlier():
-    cfg = HealthConfig(straggler_factor=4.0, straggler_min_tasks=5)
-    hm, emit = _wired(cfg)
+    hm, emit = _wired()
     for i in range(20):
         emit(i * 0.01, "task.done", f"ws0{i % 3}", deque=0, service_s=0.001)
     assert not hm.incidents
     # One slow machine among busy fast ones: its EWMA is a large
-    # multiple of the cluster's (which its own rare samples barely move).
-    for i in range(50):
+    # multiple of the cluster's, which its own rare samples move only
+    # briefly.  Its task sizes vary: one sample feeds both EWMAs, so a
+    # uniform stream would cap the ratio at 1 / EWMA_ALPHA.
+    for i in range(10 * STRAGGLER_MIN_TASKS + 10):
         emit(1.0 + i * 0.01, "task.done", f"ws0{i % 3}", deque=0, service_s=0.001)
         if i % 10 == 0:
-            emit(1.0 + i * 0.01, "task.done", "ws09", deque=0, service_s=0.5)
+            emit(1.0 + i * 0.01, "task.done", "ws09", deque=0,
+                 service_s=0.5 if i % 20 == 0 else 0.1)
     stragglers = [i for i in hm.incidents if i.kind == "straggler"]
     assert [i.subject for i in stragglers] == ["ws09"]
+    assert dict(stragglers[0].evidence)["tasks"] >= STRAGGLER_MIN_TASKS
 
 
 def test_retransmission_fires_at_retry_limit_once():
-    hm, emit = _wired(HealthConfig(retry_limit=3))
+    hm, emit = _wired()
     for i in range(3):
         emit(i * 0.1, "arg.retry", "ws01", seq=7)
     stalls = [i for i in hm.incidents if i.kind == "partition-stall"]
@@ -184,7 +189,7 @@ def test_retransmission_fires_at_retry_limit_once():
 
 
 def test_link_drop_window():
-    hm, emit = _wired(HealthConfig(link_drops=3, window_s=0.1))
+    hm, emit = _wired()
     emit(0.0, "net.partition", "ws00", dst="ws01")
     emit(0.5, "net.partition", "ws00", dst="ws01")  # outside the first's window
     emit(0.55, "net.partition", "ws00", dst="ws01")
@@ -224,7 +229,7 @@ def test_death_and_false_death():
 
 
 def test_watchdog_stall_respects_done_and_progress():
-    hm, emit = _wired(HealthConfig(watchdog_s=1.0))
+    hm, emit = _wired()
     emit(0.0, "ch.scan", "ws00", workers={"ws01": 0.0}, forwarders={},
          death_timeout_s=1.5, done=False)  # arms the watchdog
     emit(0.5, "task.done", "ws01", deque=0, service_s=0.01)
@@ -234,7 +239,7 @@ def test_watchdog_stall_respects_done_and_progress():
     emit(1.6, "ch.scan", "ws00", workers={"ws01": 1.6}, forwarders={},
          death_timeout_s=1.5, done=True)  # done: never a stall
     assert not [i for i in hm.incidents if i.kind == "stall"]
-    hm2, emit2 = _wired(HealthConfig(watchdog_s=1.0))
+    hm2, emit2 = _wired()
     emit2(0.0, "ch.scan", "ws00", workers={"ws01": 0.0}, forwarders={},
           death_timeout_s=1.5, done=False)
     emit2(0.5, "task.done", "ws01", deque=0, service_s=0.01)
@@ -245,7 +250,7 @@ def test_watchdog_stall_respects_done_and_progress():
 
 
 def test_slo_breach_dedups_per_job():
-    hm = HealthMonitor()
+    hm = HealthMonitor(MetricsRegistry())
     hm.job_sojourn(10.0, 7, sojourn_s=9.0, slo_s=5.0)
     hm.job_sojourn(11.0, 7, sojourn_s=10.0, slo_s=5.0)
     hm.job_sojourn(12.0, 8, sojourn_s=1.0, slo_s=5.0)
@@ -257,21 +262,22 @@ def test_slo_breach_dedups_per_job():
 
 
 def test_state_stays_bounded_under_flood():
-    cfg = HealthConfig(max_tracked=64, ring_capacity=32)
-    hm, emit = _wired(cfg)
+    hm, emit = _wired()
     for i in range(20_000):
         t = i * 1e-4
         emit(t, "steal.timeout", f"ws{i % 8:02d}", victim="ws00")
         emit(t, "arg.retry", f"ws{i % 8:02d}", seq=i)  # unique seqs
-        emit(t, "net.partition", f"ws{i % 100:02d}", dst="ws00")  # many links
+        emit(t, "net.partition", f"ws{i % (2 * MAX_TRACKED):03d}",
+             dst="ws00")  # more links than the cap
         hm.job_sojourn(t, i, sojourn_s=10.0, slo_s=1.0)   # many jobs
+        emit(t, "ch.false_death", "ws00", worker=f"ws{i % 8:02d}")  # stateless
     # Every rolling structure obeys its cap: total state is O(window),
     # not O(events).  (8 workers' scalars + capped deques/dicts/sets.)
-    assert hm.state_size() < 10 * cfg.max_tracked
+    assert hm.state_size() < 10 * MAX_TRACKED
     assert hm.ring.dropped > 0  # the ring bounded itself too
-    assert len(hm.ring) == cfg.ring_capacity
+    assert len(hm.ring) == RING_CAPACITY
 
 
 def test_clean_run_has_zero_state_growth_before_any_hook():
-    hm = HealthMonitor()
+    hm = HealthMonitor(MetricsRegistry())
     assert hm.state_size() == 0

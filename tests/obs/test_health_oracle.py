@@ -3,8 +3,8 @@
 The fuzzer's ``--scenario`` seeds double as detector ground truth (see
 docs/checking.md): a scenario that forces a network dynamic into the
 schedule must trip its matching detector on known seeds, and clean
-seeds must stay silent — both directions pin the thresholds in
-:class:`~repro.obs.health.HealthConfig`.
+seeds must stay silent — both directions pin the threshold constants
+in :mod:`repro.obs.health`.
 """
 
 import json

@@ -1,5 +1,8 @@
 """Tests for run manifests (build, validate, write, load)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.obs.manifest import (
@@ -33,6 +36,15 @@ def test_build_manifest_is_valid():
     assert m["kind"] == "repro.obs.manifest"
     assert m["seed"] == 1
     assert m["metrics"] == {}
+
+
+def test_manifest_finds_the_kernel_floor_from_any_directory(tmp_path, monkeypatch):
+    """``kernel_events_per_s`` comes from the checkout's recorded floor,
+    not from a file relative to wherever the run was started."""
+    floor = Path(__file__).resolve().parents[2] / "BENCH_kernel.json"
+    recorded = json.loads(floor.read_text())["kernel"]["events_per_s"]
+    monkeypatch.chdir(tmp_path)
+    assert _build()["kernel_events_per_s"] == recorded
 
 
 def test_manifest_carries_metric_snapshot():

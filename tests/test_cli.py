@@ -124,6 +124,29 @@ def test_check_command_serial_matches_sharded_stdout(capsys):
     assert serial == sharded
 
 
+def test_check_verify_queue_shards_and_matches_serial_stdout(capsys, monkeypatch):
+    from repro import parallel
+
+    strip = lambda s: "\n".join(l for l in s.splitlines() if "regenerated" not in l)  # noqa: E731
+    runner_jobs = []
+
+    class RecordingRunner(parallel.ShardedRunner):
+        def map(self, *args, **kwargs):
+            runner_jobs.append(self.jobs)
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ShardedRunner", RecordingRunner)
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["check", "--verify-queue", "--seeds", "6",
+                     "--jobs", jobs]) == 0
+        outputs.append(strip(capsys.readouterr().out))
+    assert runner_jobs == [1, 2]
+    assert outputs[0] == outputs[1]
+    assert "6 seeds x 4 workers, heap vs calendar" in outputs[0]
+    assert "all traces byte-identical" in outputs[0]
+
+
 def test_jobs_flag_rides_every_sweep_command(capsys):
     # --jobs parses everywhere it is advertised (victim is the quickest
     # section; the figure/table sweeps have their own equivalence tests).

@@ -10,8 +10,8 @@ one shard item, so it never reaches the pool; ``ablations all`` does).
 section alone is 10 s) — run at ``--jobs 2`` under ``-m slow`` by CI's
 ``exhibits-smoke`` job.  ``HELP``
 pins the sha256 of
-``<subcommand> --help`` at 80 columns for all fifteen subcommands — every
-flag, default, choice and help string.  Twelve are the parent commit's
+``<subcommand> --help`` at 80 columns for all fourteen subcommands — every
+flag, default, choice and help string.  Eleven are the parent commit's
 values; ``check``, ``profile`` and ``diagnose`` differ from it only where
 PR 20 unified the wording of the flag groups they now share (``--app``:
 "application to run"; ``check --seeds``: "number of consecutive seeds",
@@ -67,7 +67,6 @@ SLOW = {
 
 HELP = {
     "ablations": "5cee71bacb0b50666ecd69f014c93229e867d27f699abd9eccf96939032fed8e",
-    "bench": "5d44478f4d87a7f634dd88d4c3b318fbc838a13a831034d6bd1ad72aba2c6917",
     "check": "760ad0b001d72608ce85f7f67c789421f591b25966d2da71e92eb0dec038795b",
     "diagnose": "4b10658f03a9884a7bfac3ef021bf966e46bee99b1b6d5d4dde6eee15f4be3cb",
     "figure4": "8739de83248735d2704016d3e4ad443703ffee050d0f112d38a18620cd2b7175",
@@ -126,7 +125,7 @@ def test_help_is_pinned(command):
 
 
 def test_registry_is_the_exhibit_subcommands():
-    """Every subcommand is a registry exhibit or one of the seven CLI-only
+    """Every subcommand is a registry exhibit or one of the six CLI-only
     commands, and ``ablations`` offers exactly the registered sections."""
     assert list(EXHIBITS) == ["table1", "table2", "figure4", "figure5",
                               "latency", "traffic", "harvest", "ablations"]
