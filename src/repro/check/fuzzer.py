@@ -143,6 +143,8 @@ class FuzzResult:
         if self.ok:
             return f"{head}\n  all schedules clean"
         lines = [f"{head}\n  {len(self.failures)} failing seed(s):"]
+        extra = (f", scenario={self.scenario!r}" if self.scenario != "mixed" else "") + (
+            f", bug={self.bug!r}" if self.bug else "")
         for f in self.failures:
             lines.append(
                 f"  seed {f.seed}: {f.report_summary.splitlines()[0]}"
@@ -152,14 +154,9 @@ class FuzzResult:
                 f"    shrunk schedule:   {f.shrunk.describe()} "
                 f"({f.shrink_runs} re-runs)"
             )
-            scenario_arg = (
-                f", scenario={self.scenario!r}" if self.scenario != "mixed" else ""
-            )
             lines.append(
-                f"    reproduce: run_checked(<{self.app} job>, "
-                f"n_workers={self.n_workers}, seed={f.seed}, "
-                f"perturbation=Perturbation.generate({f.seed}, "
-                f"{self.n_workers}{scenario_arg}))"
+                f"    reproduce: app_spec({self.app!r}).check({f.seed}, "
+                f"{self.n_workers}{extra})"
             )
         return "\n".join(lines)
 

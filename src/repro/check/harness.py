@@ -410,7 +410,6 @@ def run_checked(
     auditor = DequeAuditor()
     for w in workers:
         auditor.attach(w)
-    sim.monitor = lambda _sim: auditor.verify(workers)
 
     if bug is not None:
         for w in workers:
@@ -425,8 +424,16 @@ def run_checked(
                 w.evict("owner-reclaimed")
         cluster.at(t, reclaim, name=f"inject-reclaim@ws{idx:02d}")
 
-    # Run to completion or the liveness horizon, whichever comes first.
-    completed = sim.run_until(ch.done, horizon_s)
+    # Run to completion or the liveness horizon, whichever comes first,
+    # auditing the deques between fixed sim-time slices (a deadline adds
+    # no kernel events, so the schedule is the unsliced one).
+    period = base_cfg.steal_timeout_s / 4
+    k = 1
+    while not (completed := sim.run_until(ch.done, min(k * period, horizon_s))):
+        if sim.peek() > horizon_s:
+            break
+        auditor.verify(workers)
+        k += 1
     if completed:
         sim.run(until=sim.now + drain_s)  # let the done broadcast land
 

@@ -48,13 +48,12 @@ from repro.obs.metrics import (
     Series,
     merge_snapshots,
 )
-from repro.obs.prof import PROFILE_SCHEMA, SpanProfiler, merge_profiles
+from repro.obs.prof import PROFILE_SCHEMA, SpanProfiler
 from repro.obs.stream import (
     JsonlSpanSink,
     PerfettoWriter,
     iter_incidents_jsonl,
     iter_jsonl,
-    merge_profile_jsonl,
     read_profile_summary,
     write_incidents_jsonl,
 )
@@ -83,11 +82,9 @@ __all__ = [
     "load_manifest",
     "PROFILE_SCHEMA",
     "SpanProfiler",
-    "merge_profiles",
     "JsonlSpanSink",
     "PerfettoWriter",
     "iter_jsonl",
-    "merge_profile_jsonl",
     "read_profile_summary",
     "write_incidents_jsonl",
     "iter_incidents_jsonl",

@@ -364,11 +364,13 @@ class HealthMonitor:
         ewma, n = self._service.get(worker, (service_s, 0))
         ewma = ewma + EWMA_ALPHA * (service_s - ewma)
         self._service[worker] = (ewma, n + 1)
+        # The worker is measured against the cluster as it stood before
+        # this sample: fed first, a uniformly slow machine's own sample
+        # would cap the ratio at 1 / EWMA_ALPHA.
         all_ewma, all_n = self._service_all
         if all_n == 0:
             all_ewma = service_s
-        all_ewma = all_ewma + EWMA_ALPHA * (service_s - all_ewma)
-        self._service_all = (all_ewma, all_n + 1)
+        self._service_all = (all_ewma + EWMA_ALPHA * (service_s - all_ewma), all_n + 1)
         # The test that almost always fails goes first.
         if (ewma >= STRAGGLER_FACTOR * all_ewma
                 and all_ewma > 0.0

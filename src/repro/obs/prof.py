@@ -5,8 +5,7 @@ decomposed into useful work (T1), critical-path span (T-inf), and the
 scheduling overheads in between.  :class:`SpanProfiler` performs that
 accounting *online*: it subscribes to the run's probe seam
 (:mod:`repro.obs.probe` — worker, Clearinghouse and network steps) and
-to the simulator's monitor hook, and reduces the task-lifecycle span
-stream to
+reduces the task-lifecycle span stream to
 
 * **T1** — total executed work, including redone tasks;
 * **T-inf** — the longest dependency path through the computation DAG,
@@ -35,16 +34,12 @@ outside fault schedules.)
 The profiler is a pure reducer.  The files a profiled run writes are
 its *sinks* (:mod:`repro.obs.stream`): subscribers of the same probe,
 subscribed beside the profiler and closed with its summary, so
-million-task runs profile in O(buffer) memory.  :func:`merge_profiles`
-combines per-shard summaries deterministically for ``repro.parallel``
-sweeps.
+million-task runs profile in O(buffer) memory.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.obs.metrics import Series
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 PROFILE_SCHEMA = "repro.profile/1"
 
@@ -53,7 +48,7 @@ PROFILE_SCHEMA = "repro.profile/1"
 BUCKETS: Tuple[str, ...] = ("working", "stealing", "migrating", "protocol")
 
 #: Summary entries that are plain event counts: the profiler attributes
-#: of the same names, added across shards by :func:`merge_profiles`.
+#: of the same names.
 COUNTERS: Tuple[str, ...] = (
     "nodes", "edges", "redo_copies", "steal_requests", "tasks_stolen",
     "tasks_migrated", "heartbeats", "msgs", "msg_bytes", "control_events")
@@ -97,8 +92,6 @@ class SpanProfiler:
         self._span_open: Dict[str, float] = {}          # worker -> t0
         self._wall: Dict[str, float] = {}
         self._exit: Dict[str, str] = {}
-        # -- kernel pressure samples (bounded, stride-decimated) -----------
-        self._kernel = Series("kernel", capacity=256)
         self._end = 0.0
         self._finalized = False
 
@@ -265,22 +258,6 @@ class SpanProfiler:
         self.msgs += 1
         self.msg_bytes += d["size"]
 
-    def attach_sim(self, sim: Any) -> None:
-        """Chain onto the simulator's monitor hook to sample kernel
-        pressure (exact ``events_processed`` at each sample, thinned to
-        a bounded :class:`~repro.obs.metrics.Series`).  Note the monitor
-        forces the kernel's exact stepping path — acceptable, since
-        profiling is opt-in."""
-        prev = sim.monitor
-        record = self._kernel.record
-
-        def _monitor(s: Any) -> None:
-            if prev is not None:
-                prev(s)
-            record(s.now, s.events_processed)
-
-        sim.monitor = _monitor
-
     # ------------------------------------------------------------------
     # Finalisation and reporting
     # ------------------------------------------------------------------
@@ -323,12 +300,6 @@ class SpanProfiler:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready profile summary (deterministic key order)."""
-        samples = self._kernel.samples
-        kernel: Dict[str, Any] = {"samples": len(samples)}
-        if samples:
-            t, events = samples[-1]
-            kernel["events_processed"] = events
-            kernel["sim_end_s"] = t
         return {
             "schema": PROFILE_SCHEMA,
             "t1_s": self.t1_s,
@@ -337,7 +308,6 @@ class SpanProfiler:
             "max_depth": self.max_depth,
             **{name: getattr(self, name) for name in COUNTERS},
             "workers": self.worker_report(),
-            "kernel": kernel,
         }
 
     def bound_report(self, makespan_s: float, n_workers: int, lam_s: float,
@@ -360,55 +330,3 @@ class SpanProfiler:
                            if makespan_s > 0 else 0.0),
         }
 
-
-def merge_profiles(
-    summaries: Iterable[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Deterministically merge per-shard :meth:`SpanProfiler.summary`
-    dicts into one profile (the ``repro.parallel`` merge).
-
-    Work totals and counters add; ``t_inf_s``/``max_depth`` take the
-    max (shards are independent runs, so the merged critical path is
-    the longest one observed); same-named workers' buckets and wall
-    add.  Associative, so chunked merges equal one flat merge."""
-    out: Optional[Dict[str, Any]] = None
-    for summary in summaries:
-        if out is None:
-            out = {k: (dict(v) if isinstance(v, dict) else v)
-                   for k, v in summary.items()}
-            out["workers"] = {w: dict(row)
-                              for w, row in summary.get("workers", {}).items()}
-            continue
-        for key in ("t1_s", *COUNTERS):
-            out[key] = out.get(key, 0) + summary.get(key, 0)
-        for key in ("t_inf_s", "max_depth"):
-            out[key] = max(out.get(key, 0), summary.get(key, 0))
-        workers = out["workers"]
-        for name, row in summary.get("workers", {}).items():
-            mine = workers.get(name)
-            if mine is None:
-                workers[name] = dict(row)
-                continue
-            for field, value in row.items():
-                if field.endswith("_s"):
-                    mine[field] = mine.get(field, 0.0) + value
-                elif field == "exit":
-                    mine[field] = value
-        kernel_a = out.get("kernel", {})
-        kernel_b = summary.get("kernel", {})
-        out["kernel"] = {
-            "samples": kernel_a.get("samples", 0) + kernel_b.get("samples", 0),
-        }
-        if "events_processed" in kernel_a or "events_processed" in kernel_b:
-            out["kernel"]["events_processed"] = (
-                kernel_a.get("events_processed", 0)
-                + kernel_b.get("events_processed", 0)
-            )
-    if out is None:
-        return {"schema": PROFILE_SCHEMA, "t1_s": 0.0, "t_inf_s": 0.0,
-                "parallelism": 0.0, "nodes": 0, "edges": 0, "max_depth": 0,
-                "workers": {}}
-    out["parallelism"] = (out["t1_s"] / out["t_inf_s"]
-                          if out.get("t_inf_s") else 0.0)
-    out["workers"] = dict(sorted(out["workers"].items()))
-    return out

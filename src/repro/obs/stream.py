@@ -12,7 +12,7 @@ million-task run is written in O(buffer) memory (pinned by
 * :class:`JsonlSpanSink` — one :func:`~repro.util.trace.event_row` per
   line (the row :meth:`TraceLog.to_jsonl` writes) between a
   ``profile_meta`` header and the ``profile_summary`` that ``close``
-  appends.  The mergeable interchange format.
+  appends.
 * :class:`PerfettoWriter` — incremental Chrome ``traceEvents`` JSON; its
   ``on`` is the repo's one probe-kind -> trace-event translation, fed
   live by ``repro profile --perfetto`` and replayed from a finished
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
-from repro.obs.prof import PROFILE_SCHEMA, merge_profiles
+from repro.obs.prof import PROFILE_SCHEMA
 from repro.util.trace import event_row, jsonable
 
 #: The probe kinds a run's output files are written from.  The first row
@@ -284,7 +284,7 @@ class PerfettoWriter(_StreamSink):
 
 
 # ----------------------------------------------------------------------
-# JSONL readers / merger
+# JSONL readers
 # ----------------------------------------------------------------------
 
 def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
@@ -305,31 +305,6 @@ def read_profile_summary(path: str) -> Optional[Dict[str, Any]]:
         if "profile_summary" in obj:
             summary = obj["profile_summary"]
     return summary
-
-
-def merge_profile_jsonl(paths: Iterable[str], out_path: str) -> Dict[str, Any]:
-    """Merge shard profile JSONL files into one: event lines are
-    concatenated in shard order (shards are independent runs; within a
-    shard, order is already time-sorted), summaries combine via
-    :func:`merge_profiles`.  Line-streaming, deterministic — the same
-    shard files in the same order produce a byte-identical output."""
-    paths = list(paths)
-    summaries: List[Dict[str, Any]] = []
-    with open(out_path, "w", encoding="utf-8") as out:
-        out.write(_meta_line({"merged_shards": len(paths)}))
-        for shard, path in enumerate(paths):
-            for obj in iter_jsonl(path):
-                if "profile_meta" in obj:
-                    continue
-                if "profile_summary" in obj:
-                    summaries.append(obj["profile_summary"])
-                    continue
-                obj["shard"] = shard
-                out.write(json.dumps(obj) + "\n")
-        merged = merge_profiles(summaries)
-        out.write(json.dumps({"profile_summary": merged},
-                             sort_keys=True) + "\n")
-    return merged
 
 
 def write_incidents_jsonl(incidents: Iterable[Any], path: str) -> int:

@@ -11,10 +11,6 @@ Public surface:
 * :func:`split_evenly` — contiguous chunking that keeps merged output
   byte-identical to a serial loop.
 * :func:`resolve_jobs` — ``--jobs`` semantics (0/None = one per CPU).
-* :func:`merge_profiles` / :func:`merge_profile_jsonl` — deterministic
-  combination of per-shard span-profile summaries / streamed JSONL
-  profiles (re-exported from :mod:`repro.obs`), so sharded profiling
-  runs merge byte-identically to a serial run.
 
 Consumers: ``repro.check.fuzzer.fuzz_sharded`` (seed-range sharding),
 the ``figure4``/``figure5``/``table2`` sweeps, ablation sections, and
@@ -22,8 +18,6 @@ harvest repetitions.  See the "Parallel runs" sections of
 docs/checking.md and docs/performance.md.
 """
 
-from repro.obs.prof import merge_profiles
-from repro.obs.stream import merge_profile_jsonl
 from repro.parallel.runner import (
     START_METHOD_ENV,
     PoolStats,
@@ -40,8 +34,6 @@ __all__ = [
     "ShardError",
     "ShardInfo",
     "ShardedRunner",
-    "merge_profile_jsonl",
-    "merge_profiles",
     "resolve_jobs",
     "split_evenly",
 ]

@@ -229,8 +229,6 @@ def run_job(
     sim = Simulator()
     tracelog = TraceLog(enabled=True, capacity=200_000) if trace else None
     probe = Probe.for_run(tracelog, metrics, profiler)
-    if profiler is not None:
-        profiler.attach_sim(sim)
     cluster = start_job(
         sim, job, n_workers, seed, worker_config or WorkerConfig(), ch_config,
         profile, start_jitter_s, topology, probe, profiles,

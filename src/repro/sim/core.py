@@ -56,9 +56,10 @@ Other hot-path machinery:
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
 * ``run()`` — in all of its forms (to exhaustion, to a horizon, to an
-  awaited event) — uses a batched drain loop that writes the clock and
-  the processed-events counter back only when user code can observe
-  them, instead of dispatching ``peek()``/``step()`` per event.
+  awaited event) — and ``run_until()`` use one batched drain loop that
+  writes the clock and the processed-events counter back only when user
+  code can observe them; only :class:`ReferenceSimulator` dispatches
+  ``step()`` per event.
 """
 
 from __future__ import annotations
@@ -483,17 +484,12 @@ class Simulator:
         self._active: Optional[Process] = None
         #: Count of processed events (a cheap progress/perf metric).
         #: During ``run()`` the counter is updated in batches; it is exact
-        #: whenever user code runs (callbacks, monitor) and after run().
+        #: whenever user code runs (callbacks) and after run().
         self.events_processed = 0
         #: Optional seeded RNG perturbing same-time NORMAL-event order
         #: (schedule fuzzing).  None keeps strict insertion order.
         #: Install it at construction time, before scheduling anything.
         self.tiebreak_rng = tiebreak_rng
-        #: Optional hook ``monitor(sim)`` called every
-        #: :attr:`monitor_interval` processed events — used by the
-        #: invariant checker for online (mid-run) assertions.
-        self.monitor: Optional[Callable[["Simulator"], None]] = None
-        self.monitor_interval: int = 4096
         #: Free list of :class:`_SoonEvent` carriers (see call_soon).
         self._soon_pool: List[_SoonEvent] = []
         self._init_queue()
@@ -520,10 +516,9 @@ class Simulator:
         backoff, and cycle charge is a timeout), so the event
         construction and enqueue are inlined here rather than routed
         through ``Timeout.__init__``/:meth:`_enqueue` (schedule fuzzing
-        needs a shuffle key per entry and takes the plain path).
+        needs a shuffle key per entry and enqueues through the latter;
+        both draw on the drain loop's pool of recycled timeouts).
         """
-        if self.tiebreak_rng is not None:
-            return Timeout(self, delay, value)
         if not delay >= 0:  # negative or NaN
             raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         pool = self._timeout_pool
@@ -536,6 +531,9 @@ class Simulator:
         ev.callbacks = _NO_CALLBACKS
         ev._value = value
         ev.defused = False
+        if self.tiebreak_rng is not None:
+            self._enqueue(ev, delay, NORMAL)
+            return ev
         t = self.now + delay
         buckets = self._buckets
         b = buckets.get(t)
@@ -659,13 +657,6 @@ class Simulator:
         self._cur = None
         return False
 
-    def _has_work(self) -> bool:
-        """True while at least one scheduled event remains."""
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return True
-        return bool(self._times)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         b = self._cur
@@ -727,8 +718,6 @@ class Simulator:
             # A failure nobody waited on: crash the run loudly rather than
             # silently losing the error.
             raise event._value
-        if self.monitor is not None and self.events_processed % self.monitor_interval == 0:
-            self.monitor(self)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -740,12 +729,10 @@ class Simulator:
                 been processed and returns its value (re-raising its
                 failure, if any).
 
-        All three forms, and :meth:`run_until`, take a batched drain
-        loop when no monitor hook is installed: identical event order
-        and semantics to ``step()`` in a loop, with the per-event
-        clock/counter writes deferred to the points where user code can
-        observe them.  A monitor needs an exact per-event counter, so
-        its presence selects the plain stepping path.
+        All three forms, and :meth:`run_until`, take the one batched
+        drain loop: identical event order and semantics to ``step()``
+        in a loop, with the per-event clock/counter writes deferred to
+        the points where user code can observe them.
         """
         if isinstance(until, Event):
             if not until.processed:
@@ -779,20 +766,6 @@ class Simulator:
         return stop.fired
 
     def _advance(self, limit: float, stop: Optional[Any]) -> None:
-        """Process events up to *limit* or until *stop* fires: batched
-        without a monitor, stepping (exact per-event counter) with one."""
-        if self.monitor is None:
-            self._drain(limit, stop)
-        else:
-            self._step_through(limit, stop)
-
-    def _step_through(self, limit: float, stop: Optional[Any]) -> None:
-        """The plain loop: ``peek()``/``step()`` one event at a time."""
-        while ((stop is None or not stop.fired) and self._has_work()
-               and self.peek() <= limit):
-            self.step()
-
-    def _drain(self, limit: float, stop: Optional[Any]) -> None:
         """Batched event loop: process events with time <= *limit* until
         the queue empties or *stop* fires (checked after callbacks, the
         only place it can flip).  Identical event order and semantics to
@@ -951,9 +924,6 @@ class ReferenceSimulator(Simulator):
         # Conservative: nothing of any kind was enqueued since the token.
         return self.tiebreak_rng is None and self._seq == token
 
-    def _has_work(self) -> bool:
-        return bool(self._heap)
-
     def peek(self) -> float:
         return self._heap[0][0] if self._heap else _INF
 
@@ -964,4 +934,8 @@ class ReferenceSimulator(Simulator):
         self.now = entry[0]
         self._process_one(entry[-1])
 
-    _advance = Simulator._step_through
+    def _advance(self, limit: float, stop: Optional[Any]) -> None:
+        """The plain loop: one ``step()`` at a time."""
+        heap = self._heap
+        while (stop is None or not stop.fired) and heap and heap[0][0] <= limit:
+            self.step()

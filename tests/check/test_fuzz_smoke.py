@@ -66,3 +66,18 @@ def test_fuzz_deep_shrink_100_seeds():
 def test_fuzz_deep_eight_workers():
     result = fuzz(app="fib", n_seeds=30, start_seed=0, n_workers=8)
     assert result.ok, result.summary()
+
+
+def test_every_printed_reproduce_line_reproduces_its_failure():
+    """The ``reproduce:`` recipe carries the app, scenario and bug: eval'd
+    as printed, each one fails again (shrink retires after 4 failed
+    steals — the app's own worker config rides along too)."""
+    from repro.check import app_spec
+
+    result = fuzz(app="shrink", n_seeds=3, bug="dup-exec", shrink=False,
+                  scenario="spike")
+    recipes = [line.split("reproduce: ", 1)[1]
+               for line in result.summary().splitlines() if "reproduce: " in line]
+    assert len(recipes) == len(result.failures) == 3
+    for recipe in recipes:
+        assert not eval(recipe, {"app_spec": app_spec}).ok, recipe

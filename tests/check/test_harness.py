@@ -1,6 +1,7 @@
 """Tests for the checked-run harness: perturbations, bugs, shrinking."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,9 @@ from repro.check import (
     shrink_perturbation,
 )
 from repro.errors import ReproError
+from repro.obs import SpanProfiler
+from repro.phish import run_job
+from repro.sim.core import Simulator
 
 
 def test_identity_run_is_clean_and_correct():
@@ -102,6 +106,46 @@ def test_dup_exec_bug_caught_by_conservation():
                       expected=fib_serial(14), bug="dup-exec")
     assert any("executed" in v.message and "times" in v.message
                for v in run.report.by_invariant("conservation"))
+
+
+def _bug_transient_park(worker):
+    """Park a ready closure in ws01's suspended table for 10 ms mid-run,
+    then take it out again: only a mid-run audit can see it."""
+    if worker.name != "ws01":
+        return
+    sim = worker.sim
+
+    def park():
+        yield sim.timeout(0.03)
+        worker.suspended["parked"] = SimpleNamespace(cid="parked", join_counter=0)
+        yield sim.timeout(0.01)
+        del worker.suspended["parked"]
+
+    sim.process(park())
+
+
+def test_mid_run_audit_catches_a_transiently_parked_ready_closure(monkeypatch):
+    monkeypatch.setitem(BUGS, "transient-park", _bug_transient_park)
+    run = run_checked(fib_job(14), n_workers=4, seed=0,
+                      expected=fib_serial(14), bug="transient-park")
+    assert run.completed and run.makespan > 0.04  # parked and released mid-run
+    assert [v.invariant for v in run.report.violations] == ["deque-audit"]
+    assert "ready closure parked still parked" in run.report.violations[0].message
+
+
+def test_checked_and_profiled_runs_never_step(monkeypatch):
+    """Checked and profiled runs take the production drain loop: the
+    per-event ``Simulator.step`` is never called."""
+    def step(self):
+        raise AssertionError("Simulator.step on a production run")
+
+    monkeypatch.setattr(Simulator, "step", step)
+    run = run_checked(fib_job(12), n_workers=4, seed=3,
+                      perturbation=Perturbation.generate(3, 4),
+                      expected=fib_serial(12))
+    assert run.completed and run.ok
+    res = run_job(fib_job(12), n_workers=4, seed=1, profiler=SpanProfiler())
+    assert res.profile["nodes"] == res.stats.tasks_executed
 
 
 def test_shrinker_reduces_to_minimal_schedule():

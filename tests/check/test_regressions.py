@@ -272,3 +272,23 @@ def test_fills_parked_during_a_handoff_survive_the_adopters_crash(seed):
                   and e.source == f"ws{pert.crashes[0][1]:02d}"]
     assert 0 < pert.crashes[0][0] - adopted.time < 5e-3
     assert run.workers[0]._forwarded  # what the redo replayed
+
+
+def test_a_departing_workers_in_flight_suspended_table_is_not_audited():
+    """Shrink seed 1772, found once the deque audit ran every few ms.
+    ws00 is reclaimed and migrates its suspended closures to ws02; the
+    ack crawls through a congestion spike, and before it lands ws02 has
+    filled and run ('ws00', 2) — the same closure object ws00's table
+    still holds until the ack clears it.  That table is in flight, not
+    a live worker's parked ready closure."""
+    spec = APPS["shrink"]
+    run = run_checked(spec.make(), n_workers=4, seed=1772,
+                      perturbation=Perturbation.generate(1772, 4),
+                      expected=spec.expected, worker_config=spec.worker_config)
+    run.require_ok()
+    cid = ("ws00", 2)
+    events = list(run.trace.events())
+    executed = next(e.time for e in events
+                    if e.kind == "closure.exec" and e.detail["cid"] == cid)
+    out = next(e for e in events if e.kind == "migrate.out" and e.source == "ws00")
+    assert cid in out.detail["cids"] and executed < out.time

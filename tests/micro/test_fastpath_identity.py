@@ -370,14 +370,16 @@ OBSERVED_JOBS = {"fib16-p4": (lambda: fib_job(16), 4),
 #: What each observer reported on the commit *before* the probe seam
 #: (four separately wired channels), seed 1, every observer on; the
 #: "metrics" entry is the registry's snapshot when no HealthMonitor
-#: (whose incident ring rides the snapshot) is attached.
+#: (whose incident ring rides the snapshot) is attached.  "profile" is
+#: that summary without the ``kernel`` block (dropped with the kernel's
+#: monitor hook; every other entry unchanged).
 OBSERVER_PINS = {
     "fib16-p4": {
         "result": 987,
         "metrics": "4e9c3ed1e88a346f47c588683089e02842b2ad57f4a2ae22c5a01e00cde912bf",
         "metrics+health":
             "5c007b444758d94985314e4fd8720e5cbad2e2adf8a8e50abaee89b85852b9ac",
-        "profile": "e53aeb47a519dcb32d27e5c1d7faeb22592540f66a0976a2aebc9ccfaabf196e",
+        "profile": "ab17d03cbed49fb38e030dc0277b97881081606671ddf5b41f4b28f3ea55e75a",
         "incidents": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "trace": "8da9792543f1c1836574c05a48e96198eed12bdec676ad1fbfa73548b6bf5d9f",
     },
@@ -386,7 +388,7 @@ OBSERVER_PINS = {
         "metrics": "6dfa59594cbd7d671f49b51703f7c912268505b8b81905528fa4d7e0537521d8",
         "metrics+health":
             "03053ed36f7d060435cafd0bacfd82cdaed0eede1bd488a88f7972eb806f4cec",
-        "profile": "e1c0536abdc264267b5f4b4553b53e11a43c3b4e6e8574515e776281690e7cd8",
+        "profile": "77880ce310bf8a56fe4ded7dfd18a3ea7b886c28e9548b285377dc09005f44cc",
         "incidents": "7646db2877cf2f6df403080614636f18bf5da0e0626d7a2ab67366bd305f9a79",
         "trace": "2fb867bb45103c7b2d123ce896bf922d38e9e70a0f11746bbe6a0e9522a241c7",
     },
@@ -442,11 +444,12 @@ def test_observed_run_equals_the_plain_run(channel, plain_run):
 #: the probe became a compiled table: a reclaim with a migration out, a
 #: crash with its redo and a lost closure, clean.  Single-observer
 #: subsets beside the log: what the other observer would read is never
-#: built, and what this one reads must not notice.
+#: built, and what this one reads must not notice.  "profile" is without
+#: the (empty) ``kernel`` block the profiler no longer reports.
 CHURN_PINS = {
     "trace": "1c5e11a5af449870132384c2e8121334628ce3c6e07b810caf2bef0a9dc088d5",
     "metrics": "cf75481381c891ac6f17d4de84baf37a82b4777c9ca454ad6cde029c142b0721",
-    "profile": "7bb125b5de8b9be43fa485c61823b9015876db42a57dccc1df60bc0d689e92be",
+    "profile": "c27dc281def076ffb2702045c30a399746ab26d8992b6be95411003982fcc6c9",
 }
 
 
@@ -502,7 +505,6 @@ def test_crash_mid_task_still_closes_the_profilers_working_interval(tmp_path):
     job = fib_job(16)
     probe = Probe.for_run(profiler=prof)
     network, hosts = build_cluster(sim, 2, SPARCSTATION_1, reg, probe=probe)
-    prof.attach_sim(sim)
     ch = Clearinghouse(sim, network, "ws00", job.name, probe=probe)
     config = WorkerConfig(startup_cost_s=0.01, steal_timeout_s=0.02,
                           steal_backoff_s=0.002)

@@ -165,8 +165,9 @@ def test_straggler_fires_on_ewma_outlier():
     assert not hm.incidents
     # One slow machine among busy fast ones: its EWMA is a large
     # multiple of the cluster's, which its own rare samples move only
-    # briefly.  Its task sizes vary: one sample feeds both EWMAs, so a
-    # uniform stream would cap the ratio at 1 / EWMA_ALPHA.
+    # briefly (and each is compared with the cluster EWMA from before
+    # it).  Its task sizes vary; a uniformly slow machine is
+    # test_uniformly_slow_machine_is_a_straggler.
     for i in range(10 * STRAGGLER_MIN_TASKS + 10):
         emit(1.0 + i * 0.01, "task.done", f"ws0{i % 3}", deque=0, service_s=0.001)
         if i % 10 == 0:
@@ -175,6 +176,26 @@ def test_straggler_fires_on_ewma_outlier():
     stragglers = [i for i in hm.incidents if i.kind == "straggler"]
     assert [i.subject for i in stragglers] == ["ws09"]
     assert dict(stragglers[0].evidence)["tasks"] >= STRAGGLER_MIN_TASKS
+
+
+@pytest.mark.parametrize("slowdown", [1, 4, 10])
+def test_uniformly_slow_machine_is_a_straggler(slowdown):
+    """fib(18) on four SparcStation 1s with ws03 at a tenth of the speed:
+    every ws03 task is uniformly slow, and it is flagged; at 4x (under
+    STRAGGLER_FACTOR) and at full speed nothing is."""
+    import dataclasses
+
+    from repro.apps.fib import fib_job
+    from repro.cluster.platform import SPARCSTATION_1
+    from repro.phish import run_job
+
+    slow = dataclasses.replace(SPARCSTATION_1, mips=SPARCSTATION_1.mips / slowdown)
+    registry = MetricsRegistry()
+    hm = HealthMonitor(registry)
+    run_job(fib_job(18), n_workers=4, seed=1, metrics=registry,
+            profiles=[SPARCSTATION_1] * 3 + [slow])
+    stragglers = [i.subject for i in hm.incidents if i.kind == "straggler"]
+    assert stragglers == (["ws03"] if slowdown == 10 else [])
 
 
 def test_retransmission_fires_at_retry_limit_once():

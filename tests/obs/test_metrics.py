@@ -121,34 +121,6 @@ def test_series_records_and_bounds():
     assert Series("empty").snapshot()["last"] is None
 
 
-def test_series_thinning_matches_the_profilers_kernel_samples():
-    """The profiler's kernel-pressure samples are a Series(capacity=256):
-    same thinning, so ``summary()["kernel"]`` is what it always was."""
-    from repro.obs import SpanProfiler
-
-    class _Sim:
-        monitor = None
-        now = 0.0
-        events_processed = 0
-
-    sim, prof = _Sim(), SpanProfiler()
-    prof.attach_sim(sim)
-    kernel, cap, stride = [], 256, 1  # the pre-Series reference loop
-    for seen in range(1, 5001):
-        sim.now, sim.events_processed = seen * 1e-3, seen * 3
-        sim.monitor(sim)
-        if seen % stride:
-            continue
-        if len(kernel) >= cap:
-            kernel, stride = kernel[::2], stride * 2
-            if seen % stride:
-                continue
-        kernel.append((sim.now, sim.events_processed))
-    assert prof.summary()["kernel"] == {
-        "samples": len(kernel), "events_processed": kernel[-1][1],
-        "sim_end_s": kernel[-1][0]}
-
-
 # ---------------------------------------------------------------- registry
 
 

@@ -1,4 +1,4 @@
-"""SpanProfiler: analytic DAG pins, attribution identity, merging."""
+"""SpanProfiler: analytic DAG pins, attribution identity."""
 
 import json
 
@@ -13,7 +13,7 @@ from repro.apps.fib import (
     task_count,
 )
 from repro.cluster.platform import SPARCSTATION_1
-from repro.obs import SpanProfiler, merge_profiles
+from repro.obs import SpanProfiler
 from repro.obs.probe import Probe
 from repro.obs.prof import BUCKETS, PROFILE_SCHEMA
 from repro.phish import run_job
@@ -184,49 +184,3 @@ class TestRedoInheritance:
         emit(2.0, "task.charged", "w0", cid=6)
         assert prof.t_inf_s == pytest.approx(1.0)
         assert prof.max_depth == 1
-
-
-class TestMergeProfiles:
-    @pytest.fixture(scope="class")
-    def summaries(self):
-        return [
-            _profiled_fib(8, 2, seed)[0].profile for seed in (0, 1, 2)
-        ]
-
-    def test_empty_merge(self):
-        merged = merge_profiles([])
-        assert merged["schema"] == PROFILE_SCHEMA
-        assert merged["nodes"] == 0 and merged["workers"] == {}
-
-    def test_single_passes_core_fields_through(self, summaries):
-        merged = merge_profiles([summaries[0]])
-        for key in ("t1_s", "t_inf_s", "nodes", "edges", "max_depth",
-                    "workers"):
-            assert merged[key] == summaries[0][key]
-
-    def test_totals_add_and_span_maxes(self, summaries):
-        a, b, _c = summaries
-        merged = merge_profiles([a, b])
-        assert merged["nodes"] == a["nodes"] + b["nodes"]
-        assert merged["t1_s"] == pytest.approx(a["t1_s"] + b["t1_s"])
-        assert merged["t_inf_s"] == max(a["t_inf_s"], b["t_inf_s"])
-        assert merged["max_depth"] == max(a["max_depth"], b["max_depth"])
-        assert merged["parallelism"] == pytest.approx(
-            merged["t1_s"] / merged["t_inf_s"])
-
-    def test_worker_buckets_add(self, summaries):
-        a, b, _c = summaries
-        merged = merge_profiles([a, b])
-        for name, row in merged["workers"].items():
-            assert row["wall_s"] == pytest.approx(
-                a["workers"][name]["wall_s"] + b["workers"][name]["wall_s"])
-
-    def test_associative_and_deterministic(self, summaries):
-        a, b, c = summaries
-        flat = json.dumps(merge_profiles([a, b, c]), sort_keys=True)
-        left = json.dumps(merge_profiles([merge_profiles([a, b]), c]),
-                          sort_keys=True)
-        right = json.dumps(merge_profiles([a, merge_profiles([b, c])]),
-                           sort_keys=True)
-        assert flat == left == right
-        assert flat == json.dumps(merge_profiles([a, b, c]), sort_keys=True)

@@ -1,4 +1,4 @@
-"""Stream sinks: bounded memory, Perfetto validity, live == replay, merging."""
+"""Stream sinks: bounded memory, Perfetto validity, live == replay."""
 
 import io
 import json
@@ -12,7 +12,6 @@ from repro.obs import (
     PerfettoWriter,
     SpanProfiler,
     iter_jsonl,
-    merge_profile_jsonl,
     read_profile_summary,
     to_perfetto,
 )
@@ -231,49 +230,6 @@ class TestLiveEqualsReplay:
         # ... and the live one does carry what only it can see.
         assert any(e.get("cat") == "exec" for e in live["traceEvents"])
         assert not any(e.get("cat") == "exec" for e in replay["traceEvents"])
-
-
-class TestMergeProfileJsonl:
-    def _shards(self, tmp_path, seeds):
-        paths = []
-        for seed in seeds:
-            path = str(tmp_path / f"shard{seed}.jsonl")
-            _stream_fib(7, path, seed=seed, n_workers=2)
-            paths.append(path)
-        return paths
-
-    def test_merged_summary_matches_merge_profiles(self, tmp_path):
-        from repro.parallel import merge_profiles
-
-        paths = self._shards(tmp_path, (0, 1))
-        out = str(tmp_path / "merged.jsonl")
-        merged = merge_profile_jsonl(paths, out)
-        expected = merge_profiles(
-            [read_profile_summary(p) for p in paths])
-        assert json.dumps(merged, sort_keys=True) == \
-            json.dumps(expected, sort_keys=True)
-        assert read_profile_summary(out) == merged
-
-    def test_merge_is_byte_deterministic(self, tmp_path):
-        paths = self._shards(tmp_path, (0, 1))
-        out_a = str(tmp_path / "a.jsonl")
-        out_b = str(tmp_path / "b.jsonl")
-        merge_profile_jsonl(paths, out_a)
-        merge_profile_jsonl(paths, out_b)
-        with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
-            assert fa.read() == fb.read()
-
-    def test_span_lines_tagged_with_shard_and_counts_preserved(self, tmp_path):
-        paths = self._shards(tmp_path, (0, 1))
-        out = str(tmp_path / "merged.jsonl")
-        merge_profile_jsonl(paths, out)
-        span_rows = [o for o in iter_jsonl(out) if "kind" in o]
-        assert {o["shard"] for o in span_rows} == {0, 1}
-        per_shard = [
-            sum(1 for o in iter_jsonl(p) if "kind" in o)
-            for p in paths
-        ]
-        assert len(span_rows) == sum(per_shard)
 
 
 class TestIncidentJsonl:

@@ -302,9 +302,7 @@ class TestSimulatorRun:
             sim.run(ev)
 
     @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    @pytest.mark.parametrize("monitored", [False, True])
-    def test_run_until_stops_on_the_flag_or_the_deadline_and_says_which(
-            self, queue, monitored):
+    def test_run_until_stops_on_the_flag_or_the_deadline_and_says_which(self, queue):
         def ticker(sim, stop, fire_at):
             for tick in range(1, 11):
                 yield sim.timeout(1.0)
@@ -313,8 +311,6 @@ class TestSimulatorRun:
 
         def build(fire_at):
             sim = Simulator(queue=queue)
-            if monitored:  # the exact stepping path instead of the drain
-                sim.monitor = lambda _sim: None
             stop = Flag()
             sim.process(ticker(sim, stop, fire_at))
             return sim, stop
@@ -383,10 +379,11 @@ class TestSimulatorRun:
         assert type(sim) is Simulator and sim.queue_backend == "calendar"
         ref = Simulator(queue="heap")
         assert type(ref) is ReferenceSimulator and ref.queue_backend == "heap"
-        # No batched drain, no inlined timeout, no Timeout pool: the
-        # reference overrides queue primitives and steps one event at a time.
-        assert "_drain" not in vars(ReferenceSimulator)
-        assert ReferenceSimulator._advance is Simulator._step_through
+        # One run loop each: the production queue's batched drain, and
+        # the reference's one step() at a time (no inlined timeout, no
+        # Timeout pool).
+        assert ReferenceSimulator._advance is not Simulator._advance
+        assert not hasattr(sim, "monitor") and not hasattr(sim, "_step_through")
         assert not hasattr(ref, "_timeout_pool")
     def test_run_until_takes_a_signal_or_a_subscribed_flag(self, sim):
         done = Signal(sim)

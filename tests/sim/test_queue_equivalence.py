@@ -292,6 +292,24 @@ def test_settled_deadlines_are_recycled(n_waiters):
     assert all(ev not in held for ev in sim._timeout_pool)
 
 
+def test_shuffled_runs_draw_timeouts_from_the_pool():
+    """Schedule fuzzing enqueues a timeout through ``_enqueue`` (for its
+    shuffle key) but takes it off the free list the drain feeds, so a
+    shuffled loop of waits allocates a bounded number of Timeouts too —
+    and the free list never fills with timeouts nobody draws."""
+    sim = _CountingSimulator(tiebreak_rng=random.Random(7), queue="calendar")
+
+    def waiter(sim):
+        for _ in range(100):
+            yield sim.timeout(1.0)
+
+    for _ in range(2):
+        sim.process(waiter(sim))
+    sim.run()
+    assert sim.now == 100.0 and sim.allocated <= 4
+    assert len(sim._timeout_pool) <= 4
+
+
 @pytest.mark.parametrize("app", ["fib", "shrink"])
 def test_fuzz_traces_byte_identical_across_backends(app):
     """Full checked cluster runs: the two backends must produce

@@ -12,11 +12,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
-#: Last lowered by 348: the substrate recorder and its ``bench``
-#: subcommand are gone (stackbench records, ``tests/test_bench_guard.py``
-#: keeps the kernel floor as data), and the health thresholds are
-#: module constants instead of a config class.
-CEILING = 18451
+#: Last lowered by 134: the kernel's ``monitor`` hook and its per-event
+#: run loop are gone (checked runs audit between sim-time slices, the
+#: profiler keeps no kernel samples), and so is the unreachable
+#: sharded-profile merge.
+CEILING = 18317
 
 
 def test_src_does_not_grow_without_saying_so():
