@@ -94,6 +94,10 @@ def _builtin_apps() -> Dict[str, AppSpec]:
     }
 
 
+#: Chunks :func:`fuzz_sharded` submits per worker process: finer chunks
+#: balance load when one shard hits a slow shrink cycle.
+SHARDS_PER_JOB = 4
+
 #: Applications the fuzzer knows how to run (small instances of the
 #: paper's workloads, each with a closed-form oracle).
 APPS: Dict[str, AppSpec] = _builtin_apps()
@@ -289,7 +293,6 @@ def fuzz_sharded(
     horizon_s: float = 60.0,
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, bool], None]] = None,
-    shards_per_job: int = 4,
     scenario: str = "mixed",
 ) -> ShardedFuzz:
     """Shard a fuzz sweep's seed range across worker processes.
@@ -305,8 +308,6 @@ def fuzz_sharded(
         jobs: worker processes (None/0 = one per CPU, 1 = inline).
         progress: parent-side callback ``(seed, ok)`` per finished seed
             (bursts in shard-completion order when pooled).
-        shards_per_job: chunks submitted per worker — finer chunks
-            balance load when one shard hits a slow shrink cycle.
         scenario: perturbation scenario class, forwarded to every shard
             (see :attr:`Perturbation.SCENARIOS`).
     """
@@ -316,7 +317,7 @@ def fuzz_sharded(
     app_spec(app)  # an unknown app fails in the parent, not 4 children
     seeds = list(range(start_seed, start_seed + n_seeds))
     jobs = resolve_jobs(jobs)
-    chunks = split_evenly(seeds, jobs * max(1, shards_per_job))
+    chunks = split_evenly(seeds, jobs * SHARDS_PER_JOB)
     shared = dict(app=app, n_workers=n_workers, bug=bug, shrink=shrink,
                   horizon_s=horizon_s, scenario=scenario)
     specs = [dict(shared, seeds=tuple(chunk)) for chunk in chunks]

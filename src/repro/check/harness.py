@@ -42,7 +42,7 @@ from repro.net.topology import (
     UniformTopology,
 )
 from repro.obs.probe import Probe
-from repro.phish import start_job
+from repro.phish import DRAIN_S, start_job
 from repro.sim.core import Simulator
 from repro.tasks.program import JobProgram
 from repro.util.rng import derive_seed
@@ -65,7 +65,7 @@ CHECK_WORKER = WorkerConfig(
 #: after three steal timeouts — under the paper's protocol either loss
 #: hangs the job.  Fault-only schedules keep the paper protocol (and
 #: their pinned byte-exact traces).
-RESILIENT_TIMEOUTS = dict(grant_ack_timeout_s=0.06, arg_retry_timeout_s=0.06)
+RESILIENT_TIMEOUTS = dict(ack_timeout_s=0.06)
 
 CHECK_CH = ClearinghouseConfig(
     update_interval_s=0.5,
@@ -323,7 +323,6 @@ def run_checked(
     ch_config: Optional[ClearinghouseConfig] = None,
     profile: PlatformProfile = SPARCSTATION_1,
     horizon_s: float = 60.0,
-    drain_s: float = 2.0,
     trace_capacity: Optional[int] = None,
     bug: Optional[str] = None,
     metrics: Optional[Any] = None,
@@ -435,7 +434,7 @@ def run_checked(
         auditor.verify(workers)
         k += 1
     if completed:
-        sim.run(until=sim.now + drain_s)  # let the done broadcast land
+        sim.run(until=sim.now + DRAIN_S)  # let the done broadcast land
 
     result_ok: Optional[bool] = None
     if completed and expected is not _UNSET:

@@ -639,7 +639,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_single_run(profile)
     _add_path(profile, "--out", "stream the span log as JSONL to PATH "
-              "(bounded memory; mergeable across shards)")
+              "(bounded memory; the last line is the profile_summary)")
     _add_path(profile, "--perfetto", "stream a Chrome/Perfetto trace_event "
               "doc to PATH (open at ui.perfetto.dev)")
     profile.add_argument("--buffer", type=int, default=8192,

@@ -22,7 +22,7 @@ historically plausible range and documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ReproError
@@ -92,10 +92,6 @@ class PlatformProfile:
             + self.dynamic_set_cycles
         )
 
-    def derive(self, **changes) -> "PlatformProfile":
-        """A copy with some fields replaced (for ablations)."""
-        return replace(self, **changes)
-
 
 #: Mid-90s Ethernet + UDP/IP as seen by a workstation.
 ETHERNET_UDP = NetworkParams(
@@ -152,12 +148,3 @@ CM5_NODE = PlatformProfile(
 PLATFORMS: Dict[str, PlatformProfile] = {
     profile.name: profile for profile in (SPARCSTATION_1, SPARCSTATION_10, CM5_NODE)
 }
-
-
-def get_platform(name: str) -> PlatformProfile:
-    """Look a profile up by name, with a helpful error."""
-    try:
-        return PLATFORMS[name]
-    except KeyError:
-        known = ", ".join(sorted(PLATFORMS))
-        raise ReproError(f"unknown platform {name!r}; known: {known}") from None

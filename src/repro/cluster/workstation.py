@@ -82,12 +82,6 @@ class Workstation:
         """Track a process so a crash can take it down with the machine."""
         self._registered.append(proc)
 
-    def unregister_process(self, proc: Process) -> None:
-        try:
-            self._registered.remove(proc)
-        except ValueError:
-            pass
-
     def crash(self, cause: str = "machine-crash") -> None:
         """Fail-stop the machine: network silence + all processes killed."""
         if self.crashed:
@@ -98,14 +92,6 @@ class Workstation:
         procs, self._registered = self._registered, []
         for proc in procs:
             proc.interrupt(cause)
-
-    def recover(self) -> None:
-        """Bring a crashed machine back (reboot); processes are gone."""
-        if not self.crashed:
-            return
-        self.crashed = False
-        if self.network is not None:
-            self.network.set_host_down(self.name, False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else ("busy" if self.user_logged_in else "idle")

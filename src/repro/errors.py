@@ -40,14 +40,6 @@ class JobError(ReproError):
     """Invalid job lifecycle operation at the macro level."""
 
 
-class WorkstationReclaimed(ReproError):
-    """Raised inside a worker when the machine's owner reclaims it."""
-
-
-class MachineCrash(ReproError):
-    """Raised inside simulated processes when their host crashes."""
-
-
 class RuntimeShutdown(ReproError):
     """The real-thread runtime was used after :meth:`shutdown`."""
 

@@ -29,7 +29,7 @@ from repro.errors import ReproError
 from repro.micro import protocol as P
 from repro.micro.worker import Worker, WorkerConfig
 from repro.net.socket import Socket
-from repro.phish import JobResult, start_job
+from repro.phish import DRAIN_S, JobResult, start_job
 from repro.sim.core import Simulator
 from repro.tasks.closure import Closure
 from repro.tasks.program import JobProgram
@@ -115,7 +115,6 @@ def restore_job(
     seed: int = 1,
     worker_config: Optional[WorkerConfig] = None,
     ch_config: Optional[ClearinghouseConfig] = None,
-    drain_s: float = 2.0,
 ) -> JobResult:
     """Restart a checkpointed job on a fresh cluster and run to completion.
 
@@ -137,7 +136,7 @@ def restore_job(
                  for name, state in checkpoint.workers.items()},
     )
     sim.run(cluster.clearinghouse.done.wait())
-    sim.run(until=sim.now + drain_s)
+    sim.run(until=sim.now + DRAIN_S)
     return cluster.result()
 
 

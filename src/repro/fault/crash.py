@@ -17,7 +17,7 @@ from repro.clearinghouse.clearinghouse import ClearinghouseConfig
 from repro.cluster.platform import SPARCSTATION_1, PlatformProfile
 from repro.errors import ReproError
 from repro.micro.worker import WorkerConfig
-from repro.phish import JobResult, start_job
+from repro.phish import DRAIN_S, JobResult, start_job
 from repro.sim.core import Flag, Simulator
 from repro.tasks.program import JobProgram
 
@@ -82,5 +82,5 @@ def run_job_with_crashes(
     cluster.clearinghouse.done.wait().subscribe(done)
     if not sim.run_until(done, timeout_s):
         raise ReproError(f"job did not survive the crashes within {timeout_s}s")
-    sim.run(until=sim.now + 2.0)
+    sim.run(until=sim.now + DRAIN_S)
     return cluster.result()

@@ -87,10 +87,6 @@ class CycleList:
         if self._cursor is node:
             self._cursor = node.next
 
-    @property
-    def cursor(self) -> Optional[Any]:
-        return self._cursor.item if self._cursor is not None else None
-
     def from_cursor(self) -> Iterator[Any]:
         """Yield items starting at the cursor, one full revolution.
 

@@ -37,6 +37,9 @@ from repro.util.trace import TraceLog
 #: Signature of an owner-trace factory: (rng, host_name) -> OwnerTrace.
 TraceFactory = Callable[[random.Random, str], OwnerTrace]
 
+#: Simulated seconds the system keeps running after its last job finished.
+DRAIN_S = 5.0
+
 
 @dataclass
 class PhishSystemConfig:
@@ -164,7 +167,7 @@ class PhishSystem:
 
     # ------------------------------------------------------------------
 
-    def run_until_done(self, timeout_s: float = 1e7, drain_s: float = 5.0) -> None:
+    def run_until_done(self, timeout_s: float = 1e7) -> None:
         """Run until every submitted job completed (or raise on timeout)."""
         if not self.handles:
             raise JobError("no jobs submitted")
@@ -174,11 +177,7 @@ class PhishSystem:
             raise JobError(
                 f"jobs did not finish within {timeout_s} simulated seconds"
             )
-        self.sim.run(until=self.sim.now + drain_s)
-
-    def run(self, until: float) -> None:
-        """Advance the whole system to an absolute simulated time."""
-        self.sim.run(until=until)
+        self.sim.run(until=self.sim.now + DRAIN_S)
 
     def stop(self) -> None:
         """Tear all daemons down (end of an experiment)."""

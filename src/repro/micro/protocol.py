@@ -44,11 +44,11 @@ STEAL_REQ = "steal_req"
 #: deque under steal-half; ``batch`` None is a refusal.
 STEAL_REPLY = "steal_reply"
 #: Thief acknowledges receipt of a grant; victims running with
-#: ``grant_ack_timeout_s`` reclaim unacked grants (the closure may have
+#: ``ack_timeout_s`` reclaim unacked grants (the closure may have
 #: died on a severed or lossy link).
 GRANT_ACK = "grant_ack"
 #: A non-local synchronization.  ``seq`` is set by senders running with
-#: ``arg_retry_timeout_s``: the worker that terminates the send (fills
+#: ``ack_timeout_s``: the worker that terminates the send (fills
 #: the slot or recognises a duplicate) acks it back to ``sender``, and
 #: unacked sends are retransmitted — a fill dropped on a severed or
 #: lossy link would otherwise leave its join counter stuck forever.

@@ -110,10 +110,6 @@ class JobStats:
         return max((w.max_tasks_in_use for w in self.workers), default=0)
 
     @property
-    def tasks_redone(self) -> int:
-        return sum(w.tasks_redone for w in self.workers)
-
-    @property
     def execution_times(self) -> List[float]:
         return [w.execution_time for w in self.workers]
 

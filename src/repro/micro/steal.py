@@ -153,11 +153,6 @@ def register_victim_policy(name: str, factory: PolicyFactory) -> None:
     _REGISTRY[name] = factory
 
 
-def victim_policy_names() -> list[str]:
-    """Sorted names of every registered policy."""
-    return sorted(_REGISTRY)
-
-
 def make_victim_policy(name: str, rng: random.Random) -> VictimPolicy:
     """Construct a registered policy by name.
 

@@ -89,19 +89,16 @@ class WorkerConfig:
     #: the reply can arrive while the tail of local work still runs.
     #: 0 disables (the paper steals only when already idle).
     proactive_threshold: int = 0
-    #: When set, steal grants must be acknowledged by the thief; a grant
-    #: unacked after this many seconds is presumed lost in flight (lossy
-    #: or partitioned link) and reclaimed as redo copies.  None keeps
-    #: the paper's protocol: only a thief's *death* triggers redo, and a
-    #: grant lost on the wire would hang the job.
-    grant_ack_timeout_s: Optional[float] = None
-    #: When set, non-local argument sends (and the job result, which the
+    #: When set, the resilient protocol: steal grants must be acknowledged
+    #: by the thief, and a grant unacked after this many seconds is
+    #: presumed lost in flight (lossy or partitioned link) and reclaimed as
+    #: redo copies; non-local argument sends (and the job result, which the
     #: Clearinghouse confirms via the done broadcast rather than an ack)
     #: are retransmitted at this period until acknowledged.  None keeps
-    #: the paper's fire-and-forget sends: an argument dropped on a
-    #: severed or lossy link leaves its join counter stuck and hangs the
-    #: job — the first hole the partition fuzz scenario found.
-    arg_retry_timeout_s: Optional[float] = None
+    #: the paper's protocol: only a thief's *death* triggers redo, and a
+    #: grant or an argument lost on the wire hangs the job (the first hole
+    #: the partition fuzz scenario found).
+    ack_timeout_s: Optional[float] = None
     #: Remember completed successor ids to deduplicate crash-redo sends.
     #: Costs memory proportional to task count; enable for fault runs.
     track_completed: bool = False
@@ -367,7 +364,7 @@ class Worker:
         if continuation.target == CLEARINGHOUSE_TARGET:
             if self.ch_host != self.host:
                 self.stats.non_local_synchs += 1
-                if self.config.arg_retry_timeout_s is not None:
+                if self.config.ack_timeout_s is not None:
                     # The Clearinghouse never acks results; resend until
                     # its done broadcast (or heartbeat reply) confirms.
                     self._pending_results.append(value)
@@ -459,7 +456,7 @@ class Worker:
         """Send one of this worker's own argument fills to *dest*,
         registering it for retransmission when arg-retry mode is on."""
         seq = None
-        if self.config.arg_retry_timeout_s is not None:
+        if self.config.ack_timeout_s is not None:
             self._arg_seq += 1
             seq = self._arg_seq
             self._pending_args[seq] = (continuation, value)
@@ -473,7 +470,7 @@ class Worker:
 
     def _arg_flusher(self) -> Generator:
         """Retransmit unacknowledged argument sends (and unconfirmed
-        results) every ``arg_retry_timeout_s``.
+        results) every ``ack_timeout_s``.
 
         Retransmits are idempotent at the receiver: a duplicate fill is
         rejected slot-wise (``join.dup``), exactly like crash-redo
@@ -484,7 +481,7 @@ class Worker:
         cfg = self.config
         try:
             while (self._pending_args or self._pending_results) and not self.done:
-                yield self.sim.timeout(cfg.arg_retry_timeout_s)
+                yield self.sim.timeout(cfg.ack_timeout_s)
                 if self.done or self.workstation.crashed:
                     break
                 for seq, (cont, value) in sorted(self._pending_args.items()):
@@ -913,7 +910,7 @@ class Worker:
                     on(self.sim.now, "steal.batch", self.name,
                        {"thief": thief, "n": len(batch), "req": req_id,
                         "deque": len(self.deque)})
-            if self.config.grant_ack_timeout_s is not None:
+            if self.config.ack_timeout_s is not None:
                 # The grant may die on a lossy or partitioned link; arm
                 # the reclaim timer (disarmed by the thief's GRANT_ACK).
                 self._pending_grants[(thief, req_id)] = list(batch)
@@ -932,7 +929,7 @@ class Worker:
         after a falsely-suspected death.
         """
         try:
-            yield self.sim.timeout(self.config.grant_ack_timeout_s)
+            yield self.sim.timeout(self.config.ack_timeout_s)
         except Interrupt:
             return
         batch = self._pending_grants.pop((thief, req_id), None)
@@ -979,7 +976,7 @@ class Worker:
                     on(self.sim.now, "steal.reply", self.name,
                        {"latency_s": latency, "policy": self.config.victim_policy})
         if batch is not None:
-            if self.config.grant_ack_timeout_s is not None:
+            if self.config.ack_timeout_s is not None:
                 # Receipt ack: disarms the victim's reclaim timer.  Sent
                 # in every branch — the grant physically arrived; what
                 # this worker then does with it is traced separately.
@@ -1504,7 +1501,7 @@ class Worker:
         silent and we try the next).  Returns the accepting peer's name,
         or None if nobody took the work.
 
-        Under ``arg_retry_timeout_s`` (schedules whose links sever or
+        Under ``ack_timeout_s`` (schedules whose links sever or
         congest) the offer is retransmitted to the *same* target before
         failing over — enough attempts to span any partition window —
         because an adopted-but-unacked batch at a live peer is a double
@@ -1518,7 +1515,7 @@ class Worker:
         elsewhere name them — which is why failover past a live adopted
         target must be prevented rather than absorbed.)
         """
-        resilient = self.config.arg_retry_timeout_s is not None
+        resilient = self.config.ack_timeout_s is not None
         attempts = 4 if resilient else 1
         # Candidates: everyone ever registered, minus observed deaths —
         # NOT the current peer list.  Retirements shrink ``peers``, but a

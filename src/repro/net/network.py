@@ -86,12 +86,6 @@ class NetCounters:
     sent_by_host: Dict[str, int] = field(default_factory=dict)
     received_by_host: Dict[str, int] = field(default_factory=dict)
 
-    def messages_sent(self, host: Optional[str] = None) -> int:
-        """Messages sent overall, or by one host."""
-        if host is None:
-            return self.sent
-        return self.sent_by_host.get(host, 0)
-
 
 class _DeliveryEvent(Event):
     """Internal event carrying one in-flight datagram (or several).

@@ -66,17 +66,6 @@ class Socket:
         """Withdraw a pending :meth:`recv` (e.g. after a timeout raced it)."""
         return self._queue.cancel_get(event)
 
-    def try_recv(self) -> Tuple[bool, Optional[Message]]:
-        """Non-blocking receive: ``(True, msg)`` or ``(False, None)``.
-
-        This is the polling primitive: the paper's workers poll the
-        network between task executions rather than blocking.
-        """
-        if self._closed:
-            raise NetworkError(f"try_recv on closed socket {self.addr}")
-        ok, item = self._queue.try_get()
-        return (ok, item)
-
     def buffered_messages(self) -> list:
         """Snapshot of delivered-but-not-yet-received datagrams.
 

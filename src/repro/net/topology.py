@@ -75,10 +75,6 @@ class SegmentedTopology(Topology):
         self.intra = intra
         self.inter = inter
 
-    def add_host(self, host: str, segment: str) -> None:
-        """Place *host* on *segment* (hosts may be added as they appear)."""
-        self._segment_of[host] = segment
-
     def segment_of(self, host: str) -> str:
         try:
             return self._segment_of[host]

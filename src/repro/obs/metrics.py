@@ -19,7 +19,6 @@ Names are hierarchical dot-paths (``micro.steal.latency_s``,
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -398,9 +397,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """name -> instrument snapshot, sorted by name (JSON-ready)."""
         return {name: self._instruments[name].snapshot() for name in self.names()}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
 class ProbeMetrics:

@@ -34,6 +34,10 @@ from repro.tasks.program import JobProgram
 from repro.util.rng import RngRegistry
 from repro.util.trace import TraceLog
 
+#: Simulated seconds a finished job keeps running after its result so the
+#: termination broadcast reaches every worker.
+DRAIN_S = 2.0
+
 
 @dataclass
 class JobResult:
@@ -195,7 +199,6 @@ def run_job(
     start_jitter_s: float = 0.1,
     topology: Optional[Topology] = None,
     trace: bool = False,
-    drain_s: float = 2.0,
     profiles: Optional[List[PlatformProfile]] = None,
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Any] = None,
@@ -214,8 +217,6 @@ def run_job(
             the paper's imperfect simultaneous starts.
         topology: network topology (default: uniform LAN from profile).
         trace: record a :class:`TraceLog` of scheduler/network events.
-        drain_s: simulated seconds to keep running after the result so
-            the termination broadcast reaches every worker.
         profiles: optional per-workstation profiles (heterogeneous
             cluster); overrides *profile* machine-by-machine.
         metrics: optional :class:`MetricsRegistry` fed from the network,
@@ -234,7 +235,7 @@ def run_job(
         profile, start_jitter_s, topology, probe, profiles,
     )
     sim.run(cluster.clearinghouse.done.wait())
-    sim.run(until=sim.now + drain_s)  # let the done broadcast land everywhere
+    sim.run(until=sim.now + DRAIN_S)  # let the done broadcast land everywhere
     if profiler is not None:
         profiler.finalize(sim.now)
     return cluster.result(

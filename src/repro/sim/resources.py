@@ -50,20 +50,6 @@ class Store:
         self._service()
         return ev
 
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``.
-
-        Only valid when no getter is already queued (otherwise it would
-        jump the FIFO queue).
-        """
-        if self._getters:
-            raise SimulationError("try_get() while blocking getters are queued")
-        if self.items:
-            item = self.items.popleft()
-            self._service()
-            return True, item
-        return False, None
-
     def cancel_get(self, event: Event) -> bool:
         """Withdraw a pending :meth:`get` whose event has not yet fired.
 

@@ -1,61 +1,9 @@
-"""Small statistics helpers used by the metrics and experiment layers."""
+"""The pfold energy histogram and the paper's speedup formula."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
-
-
-class OnlineStats:
-    """Streaming mean/variance/min/max (Welford's algorithm).
-
-    Used for per-worker busy-time accounting and benchmark summaries
-    without storing every sample.
-    """
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one sample into the summary."""
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for fewer than 2 samples."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OnlineStats(n={self.count}, mean={self.mean:.6g}, "
-            f"sd={self.stdev:.6g}, min={self.min:.6g}, max={self.max:.6g})"
-        )
+from typing import Dict, Iterable, List, Tuple
 
 
 @dataclass
@@ -97,23 +45,6 @@ class Histogram:
         return f"Histogram({dict(self.items())})"
 
 
-def summarize(xs: Iterable[float]) -> OnlineStats:
-    """Build an :class:`OnlineStats` from an iterable in one call."""
-    s = OnlineStats()
-    s.extend(xs)
-    return s
-
-
-def geometric_mean(xs: Iterable[float]) -> float:
-    """Geometric mean, the right average for ratios such as slowdowns."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(x <= 0 for x in xs):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(x) for x in xs) / len(xs))
-
-
 def speedup_paper(t1: float, per_participant_times: Iterable[float]) -> float:
     """The paper's P-processor speedup formula.
 
@@ -129,10 +60,3 @@ def speedup_paper(t1: float, per_participant_times: Iterable[float]) -> float:
         raise ValueError("participant times must be positive")
     return len(times) * t1 / total
 
-
-def mean(xs: Mapping | Iterable[float]) -> float:
-    """Arithmetic mean of a non-empty iterable."""
-    xs = list(xs)  # type: ignore[arg-type]
-    if not xs:
-        raise ValueError("mean of empty sequence")
-    return sum(xs) / len(xs)

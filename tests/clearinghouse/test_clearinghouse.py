@@ -58,13 +58,8 @@ class TestRegistration:
         w1_sock = Socket(network, "w1", P.WORKER_PORT)
         call(sim, network, "w2", P.RPC_REGISTER, "w2")
         sim.run(until=sim.now + 1.0)  # bounded: the death detector ticks forever
-        updates = []
-        while True:
-            ok, msg = w1_sock.try_recv()
-            if not ok:
-                break
-            if msg.payload[0] == P.PEER_UPDATE:
-                updates.append(msg.payload[1])
+        updates = [msg.payload[1] for msg in w1_sock.buffered_messages()
+                   if msg.payload[0] == P.PEER_UPDATE]
         assert ["w1", "w2"] in updates
 
 
@@ -78,12 +73,7 @@ class TestResult:
         assert ch.done.is_set
         assert ch.result == 42
         assert ch.finished_at is not None
-        payloads = []
-        while True:
-            ok, msg = w1_sock.try_recv()
-            if not ok:
-                break
-            payloads.append(msg.payload)
+        payloads = [msg.payload for msg in w1_sock.buffered_messages()]
         assert (P.JOB_DONE, 42) in payloads
 
     def test_second_result_ignored(self, sim, network, ch):
@@ -132,13 +122,8 @@ class TestDeathDetection:
         sim.run(until=12.0)
         assert "w1" not in ch.workers
         assert "w2" in ch.workers
-        died = []
-        while True:
-            ok, msg = w2_sock.try_recv()
-            if not ok:
-                break
-            if msg.payload[0] == P.WORKER_DIED:
-                died.append(msg.payload[1])
+        died = [msg.payload[1] for msg in w2_sock.buffered_messages()
+                if msg.payload[0] == P.WORKER_DIED]
         assert died == ["w1"]
 
     def test_root_reassigned_on_owner_death(self, sim, network):
@@ -158,12 +143,7 @@ class TestDeathDetection:
         sim.process(heartbeater(sim))
         sim.run(until=12.0)
         assert ch.root_owner == "w2"
-        payloads = []
-        while True:
-            ok, msg = w2_sock.try_recv()
-            if not ok:
-                break
-            payloads.append(msg.payload[0])
+        payloads = [msg.payload[0] for msg in w2_sock.buffered_messages()]
         assert P.RUN_ROOT in payloads
 
     def test_detector_stops_after_done(self, sim, network):

@@ -8,7 +8,6 @@ from repro.cluster.platform import (
     SPARCSTATION_1,
     SPARCSTATION_10,
     PlatformProfile,
-    get_platform,
 )
 from repro.errors import ReproError
 from repro.net.network import NetworkParams
@@ -16,12 +15,6 @@ from repro.net.network import NetworkParams
 
 def test_registry_contains_all():
     assert set(PLATFORMS) == {"sparcstation-1", "sparcstation-10", "cm5-node"}
-
-
-def test_get_platform():
-    assert get_platform("cm5-node") is CM5_NODE
-    with pytest.raises(ReproError, match="unknown platform"):
-        get_platform("cray")
 
 
 def test_seconds_conversion():
@@ -65,10 +58,3 @@ def test_negative_overhead_rejected():
             schedule_cycles=1, sync_cycles=1, poll_cycles=1,
             dynamic_set_cycles=0, scheduler="x",
         )
-
-
-def test_derive_overrides():
-    derived = SPARCSTATION_1.derive(mips=25.0)
-    assert derived.mips == 25.0
-    assert derived.spawn_cycles == SPARCSTATION_1.spawn_cycles
-    assert SPARCSTATION_1.mips == 12.5  # original untouched

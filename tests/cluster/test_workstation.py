@@ -95,26 +95,8 @@ def test_crashed_machine_cannot_execute(sim):
         ws.execute(100)
 
 
-def test_crash_idempotent_and_recover(sim, network):
+def test_crash_idempotent(sim, network):
     ws = Workstation(sim, "w", SPARCSTATION_1, network)
     ws.crash()
     ws.crash()
     assert network.is_down("w")
-    ws.recover()
-    assert not network.is_down("w")
-    ws.recover()
-
-
-def test_unregister_process(sim):
-    ws = Workstation(sim, "w", SPARCSTATION_1)
-
-    def proc(sim):
-        yield sim.timeout(100)
-        return "survived"
-
-    p = sim.process(proc(sim))
-    ws.register_process(p)
-    ws.unregister_process(p)
-    ws.unregister_process(p)  # idempotent
-    ws.crash()
-    assert sim.run(p) == "survived"

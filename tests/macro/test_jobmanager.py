@@ -66,7 +66,7 @@ def test_priority_preemption_moves_machines_to_urgent_job():
 
     box = []
     system.sim.process(late_submitter(system.sim))
-    system.run(until=4.0)  # let the urgent job arrive
+    system.sim.run(until=4.0)  # let the urgent job arrive
     system.run_until_done(timeout_s=36000)
 
     high = box[0]

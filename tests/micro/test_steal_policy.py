@@ -13,7 +13,6 @@ from repro.micro.steal import (
     VictimPolicy,
     make_victim_policy,
     register_victim_policy,
-    victim_policy_names,
 )
 
 
@@ -64,18 +63,12 @@ def test_factory():
         make_victim_policy("psychic", random.Random(0))
 
 
-def test_registry_names_sorted_and_complete():
-    names = victim_policy_names()
-    assert names == sorted(names)
-    assert {"low-latency", "random", "round-robin"} <= set(names)
-
-
 def test_unknown_policy_error_lists_sorted_names():
     with pytest.raises(SchedulerError) as exc:
         make_victim_policy("psychic", random.Random(0))
     msg = str(exc.value)
     assert "psychic" in msg
-    assert str(victim_policy_names()) in msg
+    assert "['low-latency', 'random', 'round-robin']" in msg
 
 
 def test_register_custom_policy_is_lazy():
@@ -95,7 +88,6 @@ def test_register_custom_policy_is_lazy():
     register_victim_policy("test-pinned", factory)
     try:
         assert built == []  # lazy: nothing instantiated yet
-        assert "test-pinned" in victim_policy_names()
         rng = random.Random(0)
         policy = make_victim_policy("test-pinned", rng)
         assert built == [rng]

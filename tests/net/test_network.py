@@ -105,8 +105,7 @@ class TestDelivery:
         assert net.counters.sent == 2
         assert net.counters.delivered == 2
         assert net.counters.bytes_sent == 192
-        assert net.counters.messages_sent("a") == 2
-        assert net.counters.messages_sent("b") == 0
+        assert net.counters.sent_by_host == {"a": 2}
         assert net.counters.received_by_host["b"] == 2
 
 

@@ -38,13 +38,6 @@ def test_segmented_unknown_host_raises():
         topo.params_for("ghost", "ghost2")
 
 
-def test_segmented_add_host():
-    topo = SegmentedTopology({"a": "s1"}, NetworkParams(), NetworkParams())
-    topo.add_host("b", "s1")
-    assert topo.segment_of("b") == "s1"
-    assert topo.params_for("a", "b") is topo.intra
-
-
 def test_network_requires_topology(sim):
     from repro.net.network import Network
 

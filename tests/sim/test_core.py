@@ -432,6 +432,21 @@ class TestSimulatorRun:
         sim.run()
         assert seen == [0.0]
 
+    @pytest.mark.parametrize("queue", ["calendar", "heap"])
+    def test_call_soon_runs_ahead_of_queued_normal_events(self, queue):
+        sim = Simulator(queue=queue)
+        order = []
+
+        def at_one(_ev):
+            sim.event().succeed().subscribe(lambda e: order.append("normal"))
+            sim.call_soon(order.append, "soon")
+            sim.call_soon(order.append, "soon 2")
+
+        sim.timeout(1.0).subscribe(at_one)
+        sim.timeout(1.0).subscribe(lambda e: order.append("queued earlier"))
+        sim.run()
+        assert order == ["soon", "soon 2", "queued earlier", "normal"]
+
     def test_negative_delay_enqueue_raises(self, sim):
         ev = sim.event()
         with pytest.raises(SimulationError):

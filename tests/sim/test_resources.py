@@ -65,18 +65,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
 
-    def test_try_get(self, sim):
-        st = Store(sim)
-        assert st.try_get() == (False, None)
-        st.put("x")
-        assert st.try_get() == (True, "x")
-
-    def test_try_get_with_queued_getters_raises(self, sim):
-        st = Store(sim)
-        st.get()  # queues a blocking getter
-        with pytest.raises(SimulationError):
-            st.try_get()
-
     def test_cancel_get(self, sim):
         st = Store(sim)
         ev = st.get()
@@ -84,8 +72,7 @@ class TestStore:
         assert not st.cancel_get(ev)
         st.put(1)
         # The cancelled getter must not consume the item.
-        ok, item = st.try_get()
-        assert (ok, item) == (True, 1)
+        assert list(st.items) == [1]
 
     def test_len(self, sim):
         st = Store(sim)
@@ -131,7 +118,7 @@ class TestChannel:
         assert list(ch.items) == ["m"]
         sim.run()
         assert sim.events_processed == 0
-        assert ch.try_get() == (True, "m")
+        assert list(ch.items) == ["m"]
 
     def test_send_serves_parked_receivers_fifo(self, sim):
         ch = Channel(sim)

@@ -75,7 +75,7 @@ HELP = {
     "latency": "26d9718f6cfad19914b1c9717ffc2b570b9c242346b26ab224a67f4e420cfd04",
     "macro-demo": "73a3970e117105f04551826d06ff579d6df26e47808ceaaea4e754ccab428b70",
     "obs": "1c2a2b6af82f97e81b7e5bc6a129f5190d135a22356dd1e0abe5fac0fac34488",
-    "profile": "03cf3220e81ad5a16a5ddd9ef708ae10fbf742aa09963fa7b9f5ce4c0b8c090a",
+    "profile": "a3bbcbc29297f069cf0545957a84cf817e6e60421b0e663aa78dbd929e52ec59",
     "table1": "eb163e6aee139b648d431a5d81bcf62cff792e62889824417b92788f92e6c982",
     "table2": "dbfa05fd29e76f2475a879d413520c3d417b1703c5715696884809ac4af9661d",
     "timeline": "d32f3ab3a7496fd2102d48db7f6751314ea74a2e5616f0a7e99a7b0eb2300442",

@@ -23,7 +23,7 @@ def test_scheduler_sub_hierarchy():
 
 def test_catchability():
     with pytest.raises(errors.ReproError):
-        raise errors.MachineCrash("ws03")
+        raise errors.JobError("job 3")
 
 
 def test_public_api_reexports_base():

@@ -1,45 +1,8 @@
-"""Tests for statistics helpers (incl. the paper's speedup formula)."""
-
-import math
-import statistics
+"""Tests for the pfold histogram and the paper's speedup formula."""
 
 import pytest
 
-from repro.util.stats import (
-    Histogram,
-    OnlineStats,
-    geometric_mean,
-    mean,
-    speedup_paper,
-    summarize,
-)
-
-
-class TestOnlineStats:
-    def test_mean_matches_statistics(self):
-        xs = [1.5, 2.5, -3.0, 4.25, 0.0]
-        s = summarize(xs)
-        assert s.mean == pytest.approx(statistics.fmean(xs))
-
-    def test_variance_matches_statistics(self):
-        xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
-        s = summarize(xs)
-        assert s.variance == pytest.approx(statistics.variance(xs))
-        assert s.stdev == pytest.approx(statistics.stdev(xs))
-
-    def test_min_max_count(self):
-        s = summarize([2, -1, 7])
-        assert (s.min, s.max, s.count) == (-1, 7, 3)
-
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-        assert s.count == 0
-
-    def test_single_sample_zero_variance(self):
-        s = summarize([5.0])
-        assert s.variance == 0.0
+from repro.util.stats import Histogram, speedup_paper
 
 
 class TestHistogram:
@@ -103,21 +66,3 @@ class TestSpeedupPaper:
         with pytest.raises(ValueError):
             speedup_paper(1.0, [0.0, 0.0])
 
-
-class TestMisc:
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([2, 2, 2]) == pytest.approx(2.0)
-
-    def test_geometric_mean_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_geometric_mean_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2.0
-        with pytest.raises(ValueError):
-            mean([])
