@@ -184,6 +184,11 @@ def estimate_size(payload: object) -> int:
     return HEADER_BYTES + CONTROL_BYTES
 
 
+#: The fixed-size steal datagrams, sized once: a request and a refusal.
+STEAL_REQ_BYTES = estimate_size((STEAL_REQ, None, None))
+REFUSAL_BYTES = estimate_size((STEAL_REPLY, None, None, None))
+
+
 def carried_cids(payload: object) -> List[tuple]:
     """Ids of the closures that ride in (and are lost with) a datagram:
     a steal grant's batch, a migration's ready and suspended lists."""

@@ -596,7 +596,17 @@ class Worker:
                     self.stats.failed_steal_attempts += 1
                     yield self.sim.timeout(cfg.steal_backoff_s)
                     continue
-                got = yield from self._in_phase("stealing", self._steal_attempt())
+                # One attempt, in a "stealing" phase closed on any exit.
+                if probe is not None and (on := probe.get("phase.begin")):
+                    on(self.sim.now, "phase.begin", self.name, {"phase": "stealing"})
+                req_id, victim, wait = self._steal_begin()
+                try:
+                    got = self._steal_end(victim, (yield wait))
+                finally:
+                    self._steal_waiters.pop(req_id, None)
+                    self._steal_sent.pop(req_id, None)
+                    if probe is not None and (on := probe.get("phase.end")):
+                        on(self.sim.now, "phase.end", self.name, {"phase": "stealing"})
                 if got:
                     self._failed_steals = 0
                     continue
@@ -743,7 +753,9 @@ class Worker:
     # Stealing (thief side)
     # ------------------------------------------------------------------
 
-    def _steal_attempt(self) -> Generator:
+    def _steal_begin(self) -> tuple:
+        """Open a steal attempt: ``(req_id, victim, timed wait for the
+        reply)``, or ``(None, None, backoff)`` when nobody can be asked."""
         cfg = self.config
         if cfg.mode == "central":
             # Central-queue baseline: the only place to fetch work is
@@ -753,18 +765,19 @@ class Worker:
             victims = self._victims
         if not victims:
             self.stats.failed_steal_attempts += 1
-            yield self.sim.timeout(cfg.steal_backoff_s)
-            return False
+            return None, None, self.sim.timeout(cfg.steal_backoff_s)
         req_id, victim = self._request_steal(victims)
-        waiter = Event(self.sim)
-        self._steal_waiters[req_id] = waiter
-        try:
-            granted = yield Within(waiter, self.sim.timeout(cfg.steal_timeout_s))
-        finally:
-            self._steal_waiters.pop(req_id, None)
-            self._steal_sent.pop(req_id, None)
+        waiter = self._steal_waiters[req_id] = Event(self.sim)
+        return req_id, victim, Within(waiter, self.sim.timeout(cfg.steal_timeout_s))
+
+    def _steal_end(self, victim: Optional[str], granted: Any) -> bool:
+        """Close a steal attempt on what its wait resumed with: True iff
+        work was granted (the net loop already enqueued it)."""
         if granted is True:
-            return True  # the net loop already enqueued the task
+            return True
+        if victim is None:
+            return False  # nobody was asked
+        cfg = self.config
         self.stats.failed_steal_attempts += 1
         if granted is EXPIRED:
             # No reply at all inside the budget: teach the policy, so a
@@ -822,7 +835,8 @@ class Worker:
             on(self.sim.now, "steal.request", self.name,
                {"victim": victim, "req": req_id,
                 **({"proactive": True} if proactive else {})})
-        self._post(victim, self.config.port, (P.STEAL_REQ, self.name, req_id))
+        self.network.post(self.host, self.socket.port, victim, self.config.port,
+                          (P.STEAL_REQ, self.name, req_id), P.STEAL_REQ_BYTES)
         return req_id, victim
 
     # ------------------------------------------------------------------
@@ -845,10 +859,13 @@ class Worker:
                 # patch handlers on the instance.
                 name, replies = known
                 handler = getattr(self, name)
-                steps = (handler(msg, *payload[1:]) if replies
-                         else handler(*payload[1:]))
-                if steps is not None:
-                    yield from steps  # a handler that sends and waits
+                then = (handler(msg, *payload[1:]) if replies
+                        else handler(*payload[1:]))
+                if then is not None:  # a send's overhead, or a generator of waits
+                    if isinstance(then, Event):
+                        yield then
+                    else:
+                        yield from then
                 if self.departed and tag == P.JOB_DONE:
                     return  # forwarder duty over
         except Interrupt:
@@ -877,7 +894,8 @@ class Worker:
         self._post(host, port, (P.SNAPSHOT_REPLY, self.name, self.deque.peek_all(),
                                 list(self.suspended.values()), self._seq))
 
-    def _serve_steal(self, msg, thief: str, req_id: int) -> Generator:
+    def _serve_steal(self, msg, thief: str, req_id: int) -> Event:
+        """Grant the tail closure(s) or refuse: the reply's send event."""
         self.stats.steal_requests_received += 1
         batch: Optional[List[Closure]] = None
         if not self.departed and not self.done and not self.paused:
@@ -915,9 +933,9 @@ class Worker:
                 # the reclaim timer (disarmed by the thief's GRANT_ACK).
                 self._pending_grants[(thief, req_id)] = list(batch)
                 self._spawn(self._grant_reclaim_timer(thief, req_id), "grant-ack")
-        host, port = msg.reply_addr()
         reply = (P.STEAL_REPLY, batch, self.name, req_id)
-        yield self.socket.sendto(reply, host, port, size_bytes=P.estimate_size(reply))
+        size = P.REFUSAL_BYTES if batch is None else P.estimate_size(reply)
+        return self.socket.sendto(reply, msg.src, msg.src_port, size_bytes=size)
 
     def _grant_reclaim_timer(self, thief: str, req_id: int) -> Generator:
         """No GRANT_ACK in time: presume the grant died in flight and
@@ -954,8 +972,10 @@ class Worker:
                 "pairs": [(o.cid, c.cid) for o, c in zip(originals, copies)]})
         self._rehome(copies, [])
 
-    def _on_steal_reply(self, batch: Optional[List[Closure]], victim: str, req_id: int) -> Generator:
-        """A steal reply (possibly late) arrived at the main socket."""
+    def _on_steal_reply(self, batch: Optional[List[Closure]], victim: str,
+                        req_id: int) -> Optional[Generator]:
+        """A steal reply (possibly late) arrived at the main socket; a
+        departed worker returns the late grant's hand-off to run."""
         waiter = self._steal_waiters.pop(req_id, None)
         self._steal_open.pop(req_id, None)
         if self._proactive is not None and self._proactive[0] == req_id:
@@ -991,20 +1011,7 @@ class Worker:
                            {"cid": closure.cid, "reason": "thief-done"})
             elif self.departed and not self._maybe_rejoin_idle():
                 # Evacuated: pass the late grant to a peer.
-                handoff = list(batch)  # may be re-keyed on failover
-                self._handoffs_active += 1
-                try:
-                    target = yield from self._migrate_with_ack(handoff, [])
-                finally:
-                    self._handoffs_active -= 1
-                if (target is None and self._probe is not None
-                        and (on := self._probe.get("closure.drop"))):
-                    # Nobody took it: the closures are gone (the victim
-                    # still believes we have them and will not redo them
-                    # unless we crash) — surface the loss to the checker.
-                    for closure in handoff:
-                        on(self.sim.now, "closure.drop", self.name,
-                           {"cid": closure.cid, "reason": "no-peer"})
+                return self._hand_off_late_grant(batch, waiter)
             else:
                 # (A worker retired for lack of work has just rejoined.)
                 self.stats.tasks_stolen += len(batch)
@@ -1019,6 +1026,28 @@ class Worker:
                            {"victim": victim, "cid": closure.cid, "req": req_id})
         if waiter is not None and not waiter.triggered:
             waiter.succeed(batch is not None)
+        return None
+
+    def _hand_off_late_grant(self, batch: List[Closure],
+                             waiter: Optional[Event]) -> Generator:
+        """A departed worker's late grant: migrate it to a peer, then
+        release a steal attempt still waiting on it, if any."""
+        handoff = list(batch)  # may be re-keyed on failover
+        self._handoffs_active += 1
+        try:
+            target = yield from self._migrate_with_ack(handoff, [])
+        finally:
+            self._handoffs_active -= 1
+        if (target is None and self._probe is not None
+                and (on := self._probe.get("closure.drop"))):
+            # Nobody took it: the closures are gone (the victim
+            # still believes we have them and will not redo them
+            # unless we crash) — surface the loss to the checker.
+            for closure in handoff:
+                on(self.sim.now, "closure.drop", self.name,
+                   {"cid": closure.cid, "reason": "no-peer"})
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(True)
 
     def _on_migrate(self, msg, ready: List[Closure], suspended: List[Closure],
                     sender: str, offer: Optional[int]) -> None:

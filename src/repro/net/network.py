@@ -26,7 +26,7 @@ it skips that event entirely, halving kernel traffic for one-way sends.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.errors import AddressError, NetworkError
@@ -70,7 +70,7 @@ class NetworkParams:
 
 @dataclass
 class NetCounters:
-    """Aggregate and per-host message statistics."""
+    """Aggregate message statistics."""
 
     sent: int = 0
     delivered: int = 0
@@ -83,8 +83,6 @@ class NetCounters:
     #: Same-host datagrams (loopback): delivered but not "sent on the wire",
     #: so they do not count toward the paper's "Messages sent" statistic.
     local: int = 0
-    sent_by_host: Dict[str, int] = field(default_factory=dict)
-    received_by_host: Dict[str, int] = field(default_factory=dict)
 
 
 class _DeliveryEvent(Event):
@@ -150,8 +148,8 @@ class Network:
         self._deliver_local_cbs = (self._on_delivery_local,)
         #: Free list of recycled _DeliveryEvent objects.
         self._ev_pool: list = []
-        #: Most recently enqueued delivery event + the queue-tail token
-        #: taken right after its enqueue — the coalescing candidate.
+        #: Most recently enqueued delivery event + the kernel's ``_seq``
+        #: right after its enqueue — the coalescing candidate (_at_tail).
         self._last_delivery: Optional[_DeliveryEvent] = None
         self._last_token = None
         #: The run's probe seam (repro.obs.probe), or None: one guard per
@@ -215,23 +213,18 @@ class Network:
         overhead has elapsed (split-phase: the sender does not wait for
         delivery).  Delivery to the destination socket is scheduled
         independently.  Callers that never wait on the returned event
-        should use :meth:`post` instead.
+        should use :meth:`post` instead.  The event is a (recyclable)
+        kernel timeout: a succeeded event's queue slot and rng draw.
         """
-        if self.is_down(src):
+        if src in self._down:
             # A crashed host cannot transmit; callers inside the host have
             # normally been interrupted already.  Succeed silently.
-            ev = Event(self.sim)
-            ev.succeed(None)
-            return ev
+            return self.sim.timeout(0.0)
         if src == dst:
             self._send_loopback(src, src_port, dst_port, payload, size_bytes)
-            done = Event(self.sim)
-            done.succeed(None, delay=self.LOOPBACK_S)
-            return done
+            return self.sim.timeout(self.LOOPBACK_S)
         params = self._send_wire(src, src_port, dst, dst_port, payload, size_bytes)
-        done = Event(self.sim)
-        done.succeed(None, delay=params.send_overhead_s)
-        return done
+        return self.sim.timeout(params.send_overhead_s)
 
     def post(
         self,
@@ -245,7 +238,7 @@ class Network:
         """Fire-and-forget :meth:`transmit`: same cost model and delivery
         schedule, but no sender-overhead completion event is created (the
         caller, by contract, would have discarded it)."""
-        if self.is_down(src):
+        if src in self._down:
             return
         if src == dst:
             self._send_loopback(src, src_port, dst_port, payload, size_bytes)
@@ -264,7 +257,6 @@ class Network:
         counters = self.counters
         counters.sent += 1
         counters.bytes_sent += size_bytes
-        counters.sent_by_host[src] = counters.sent_by_host.get(src, 0) + 1
         probe = self._probe
         if probe is not None and (on := probe.get("net.send")):
             on(sim.now, "net.send", src,
@@ -289,7 +281,8 @@ class Network:
                 on(sim.now, "net.loss", src, {"id": msg.msg_id, "msg": msg})
             return params
 
-        flight = params.send_overhead_s + params.transfer_time(size_bytes)
+        flight = params.send_overhead_s + (  # + params.transfer_time(size)
+            params.wire_latency_s + size_bytes / params.bandwidth_bytes_per_s)
         if params.jitter_s > 0.0:
             flight += self.rng.random() * params.jitter_s
         if probe is not None and (on := probe.get("net.wire")):
@@ -328,7 +321,7 @@ class Network:
         deliver.t = t
         sim._enqueue(deliver, flight, NORMAL)
         self._last_delivery = deliver
-        self._last_token = sim._tail_token(deliver)
+        self._last_token = sim._seq
         return params
 
     #: Cost of a same-host (loopback) datagram: no wire, just a kernel copy.
@@ -373,7 +366,7 @@ class Network:
         deliver.t = t
         sim._enqueue(deliver, self.LOOPBACK_S, NORMAL)
         self._last_delivery = deliver
-        self._last_token = sim._tail_token(deliver)
+        self._last_token = sim._seq
 
     def _recycle(self, ev: "_DeliveryEvent") -> None:
         """Return a drained delivery event to the free list.  Safe even
@@ -411,7 +404,7 @@ class Network:
 
     def _deliver_local(self, msg: Message) -> None:
         probe = self._probe
-        if self.is_down(msg.dst):
+        if msg.dst in self._down:
             self.counters.dropped_unroutable += 1
             if probe is not None and (on := probe.get("net.loopback.drop")):
                 on(self.sim.now, "net.loopback.drop", msg.dst,
@@ -428,11 +421,11 @@ class Network:
         if probe is not None and (on := probe.get("net.loopback")):
             on(self.sim.now, "net.loopback", msg.dst,
                {"id": msg.msg_id, "port": msg.dst_port})
-        sock._enqueue(msg)
+        sock._queue.send(msg)  # bound, hence open: close() unbinds
 
     def _deliver(self, msg: Message, params: NetworkParams) -> None:
         probe = self._probe
-        if self.is_down(msg.dst):
+        if msg.dst in self._down:
             self.counters.dropped_unroutable += 1
             if probe is not None and (on := probe.get("net.drop.down")):
                 on(self.sim.now, "net.drop.down", msg.dst,
@@ -449,9 +442,8 @@ class Network:
         if charge:
             charge(params.recv_overhead_s)
         self.counters.delivered += 1
-        self.counters.received_by_host[msg.dst] = self.counters.received_by_host.get(msg.dst, 0) + 1
         if probe is not None and (on := probe.get("net.recv")):
             on(self.sim.now, "net.recv", msg.dst,
                {"src": msg.src, "id": msg.msg_id, "port": msg.dst_port,
                 "latency_s": self.sim.now - msg.sent_at + params.recv_overhead_s})
-        sock._enqueue(msg)
+        sock._queue.send(msg)  # bound, hence open: close() unbinds

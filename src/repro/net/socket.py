@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.net.message import DEFAULT_SIZE_BYTES, Message
+from repro.net.message import DEFAULT_SIZE_BYTES
 from repro.net.network import Network
 from repro.sim.core import Event
 from repro.sim.resources import Channel
@@ -16,6 +16,8 @@ class Socket:
 
     Protocol code typically binds an ephemeral port per conversation
     (see :func:`repro.net.rpc.rpc_call`, which may :meth:`reopen` one).
+    A socket is bound exactly while it is open, and the network hands
+    each datagram for a bound address straight to its receive queue.
     """
 
     def __init__(self, network: Network, host: str, port: Optional[int] = None) -> None:
@@ -92,10 +94,6 @@ class Socket:
         self._closed = False
         self.network.bind(self)
         return self
-
-    def _enqueue(self, msg: Message) -> None:
-        if not self._closed:
-            self._queue.send(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"pending={self.pending}"

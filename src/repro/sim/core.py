@@ -52,6 +52,9 @@ Other hot-path machinery:
   for a settled deadline) have run, ``sys.getrefcount`` proves no
   caller still holds a reference, and the object is reused by a later
   :meth:`Simulator.timeout` call instead of allocating a fresh one.
+* A :class:`Process` binds its wake callbacks (``_resume``, ``_settle``)
+  once: a wait subscribes the stored bound method, not a fresh one, and
+  ``_resume`` inlines the subscription.
 * :meth:`Simulator.call_soon` and the already-processed branch of
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
@@ -305,7 +308,7 @@ class Process(Event):
     join it.
     """
 
-    __slots__ = ("_gen", "_target", "_started", "name")
+    __slots__ = ("_gen", "_target", "_started", "name", "_resume_cb", "_settle_cb")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None) -> None:
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
@@ -315,6 +318,9 @@ class Process(Event):
         #: False until the generator has been resumed at least once.
         self._started = False
         self.name = name or getattr(gen, "__name__", "process")
+        #: The wake callbacks, bound once (every wait subscribes these).
+        self._resume_cb = self._resume
+        self._settle_cb = self._settle
         # Kick the generator off from the event loop, not synchronously.
         # The boot event is tracked as the current wait target so that an
         # interrupt landing before the first resume detaches it cleanly.
@@ -340,10 +346,10 @@ class Process(Event):
         # wait, or its deadline fires for nobody) so we are not resumed twice.
         target = self._target
         if type(target) is Within:
-            target.event.unsubscribe(self._settle)
-            target.deadline.unsubscribe(self._settle)
+            target.event.unsubscribe(self._settle_cb)
+            target.deadline.unsubscribe(self._settle_cb)
         elif target is not None:
-            target.unsubscribe(self._resume)
+            target.unsubscribe(self._resume_cb)
         self._target = None
         self._wake(False, Interrupt(cause), URGENT)
         return True
@@ -353,12 +359,14 @@ class Process(Event):
     def _wake(self, ok: bool, value: Any, priority: int) -> Event:
         """Queue a zero-delay event that sends *value* into the process,
         or throws it when not *ok*."""
-        ev = Event(self.sim)
-        ev.callbacks.append(self._resume)  # type: ignore[union-attr]
+        sim = self.sim
+        ev = Event.__new__(Event)
+        ev.sim = sim
+        ev.callbacks = [self._resume_cb]
         ev._ok = ok
         ev._value = value
         ev.defused = not ok  # delivered in-band, never escalated
-        self.sim._enqueue(ev, 0.0, priority)
+        sim._enqueue(ev, 0.0, priority)
         return ev
 
     def _resume(self, event: Event) -> None:
@@ -367,7 +375,8 @@ class Process(Event):
             event.defused = True
             return
         self._target = None
-        self.sim._active = self
+        sim = self.sim
+        sim._active = self
         try:
             if event._ok:
                 self._started = True
@@ -379,7 +388,7 @@ class Process(Event):
                     # its definition line instead of delivering in-band.
                     # Treat the interrupt as a quiet cancellation.
                     self._gen = None
-                    self.sim._active = None
+                    sim._active = None
                     self.succeed(None, priority=URGENT)
                     return
                 target = gen.throw(event._value)
@@ -392,14 +401,14 @@ class Process(Event):
             self.fail(exc, priority=URGENT)
             return
         finally:
-            self.sim._active = None
+            sim._active = None
 
         if not isinstance(target, Event):
             if type(target) is Within:
                 # Event first, as AnyOf([event, deadline]) subscribed them.
                 self._target = target
-                target.event.subscribe(self._settle)
-                target.deadline.subscribe(self._settle)
+                target.event.subscribe(self._settle_cb)
+                target.deadline.subscribe(self._settle_cb)
                 return
             # Deliver the misuse as an error inside the generator so the
             # offending process gets a useful traceback.
@@ -407,10 +416,16 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
             ), URGENT)
             return
-        if target.sim is not self.sim:
+        if target.sim is not sim:
             raise SimulationError("cannot wait on an event from another Simulator")
         self._target = target
-        target.subscribe(self._resume)
+        callbacks = target.callbacks  # Event.subscribe, inlined
+        if callbacks is None:
+            sim.call_soon(self._resume_cb, target)
+        elif callbacks is _NO_CALLBACKS:
+            target.callbacks = [self._resume_cb]
+        else:
+            callbacks.append(self._resume_cb)
 
     def _settle(self, side: Event) -> None:
         """The first side of the parked timed wait was processed: drop the
@@ -423,7 +438,7 @@ class Process(Event):
             # call_soon that subscribing an already-processed side makes.
             return
         expired = side is not wait.event
-        (wait.event if expired else wait.deadline).unsubscribe(self._settle)
+        (wait.event if expired else wait.deadline).unsubscribe(self._settle_cb)
         side.defused = True  # a failure is delivered through the hop
         self._target = self._wake(
             side._ok, EXPIRED if expired and side._ok else side._value, NORMAL)
@@ -622,15 +637,12 @@ class Simulator:
             else:
                 u.append(event)
 
-    def _tail_token(self, event: Event) -> Any:
-        """Opaque token for :meth:`_at_tail` (delivery coalescing)."""
-        return None
-
-    def _at_tail(self, event: Event, token: Any) -> bool:
+    def _at_tail(self, event: Event, token: int) -> bool:
         """True iff *event* (which carries its trigger time as ``.t``) is
         still the queue tail among entries sharing its (time, NORMAL)
         key — i.e. a new enqueue at that key would land directly after
         it, so batching the two preserves the exact total order.
+        *token*: ``_seq`` right after the event's enqueue (reference only).
 
         Structural check: the event must still be the last NORMAL entry
         of a live bucket (rng mode stores tuples, so the identity test
@@ -917,10 +929,7 @@ class ReferenceSimulator(Simulator):
             entry = (self.now + delay, priority, self._seq, event)
         _heappush(self._heap, entry)
 
-    def _tail_token(self, event: Event) -> Any:
-        return self._seq
-
-    def _at_tail(self, event: Event, token: Any) -> bool:
+    def _at_tail(self, event: Event, token: int) -> bool:
         # Conservative: nothing of any kind was enqueued since the token.
         return self.tiebreak_rng is None and self._seq == token
 

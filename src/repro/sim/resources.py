@@ -105,8 +105,15 @@ class Channel(Store):
             self.items.append(message)
 
     def recv(self) -> Event:
-        """Event that succeeds with the next message."""
-        return self.get()
+        """Event that succeeds with the next message: :meth:`get` minus the
+        service loop (unbounded, so messages and parked receivers never
+        coexist, and ``put`` buffers at once)."""
+        ev = Event(self.sim)
+        if self.items:
+            ev.succeed(self.items.popleft())
+        else:
+            self._getters.append(ev)
+        return ev
 
 
 class Signal:

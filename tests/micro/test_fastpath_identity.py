@@ -291,7 +291,7 @@ def test_peer_update_refreshes_the_victim_tuple(lone_worker):
     w._on_peer_update(["wA", "wC"])
     assert w._victims == ("wC",)
     for _ in range(50):
-        next(w._steal_attempt())  # up to the first yield: victim chosen
+        w._steal_begin()  # the request is sent: victim chosen
     assert all(offered is w._victims for offered in policy.offered)
     assert type(w._victims) is tuple  # a policy cannot append/sort/assign
     assert set(w._steal_open.values()) == {"wC"}  # wB never chosen again

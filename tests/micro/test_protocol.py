@@ -41,6 +41,10 @@ class TestEstimateSize:
         assert grant > refusal
         assert batch - grant == P.CLOSURE_BYTES
 
+    def test_fixed_steal_sizes_are_the_schema_estimates(self):
+        assert P.STEAL_REQ_BYTES == P.estimate_size((P.STEAL_REQ, "w1", 7))
+        assert P.REFUSAL_BYTES == P.estimate_size((P.STEAL_REPLY, None, "v", 1))
+
     def test_migrate_scales_with_batch(self):
         small = P.estimate_size((P.MIGRATE, [closure(1)], [], "w"))
         big = P.estimate_size(

@@ -10,10 +10,12 @@ import pytest
 from repro.apps.fib import fib_job
 from repro.cluster.platform import SPARCSTATION_1
 from repro.cluster.workstation import Workstation
+from repro.micro import protocol as P
 from repro.micro.worker import Worker, WorkerConfig
 from repro.net.network import Network
+from repro.net.socket import Socket
 from repro.net.topology import UniformTopology
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, Continuation
 
 
@@ -120,6 +122,38 @@ class TestRedo:
         w = workers["wA"]
         w._on_worker_died("wB")
         assert w.stats.tasks_redone == 0
+
+
+class TestStealServing:
+    def test_a_refusal_returns_the_send_event_the_net_loop_waits_on(self, sim):
+        """Two steal requests land on an idle victim in one tick: each
+        is refused by a plain call that returns the reply's
+        sender-overhead event, and the net loop serves the second only
+        once the first reply's overhead has elapsed."""
+        net = Network(sim, UniformTopology(SPARCSTATION_1.net))
+        victim = Worker(sim, Workstation(sim, "wA", SPARCSTATION_1, net),
+                        net, fib_job(5), "wA")
+        thief = Socket(net, "wB", victim.config.port)
+        served = []
+        serve = victim._serve_steal
+
+        def spy(msg, thief_name, req_id):
+            sent = serve(msg, thief_name, req_id)
+            served.append((sim.now, sent))
+            return sent
+
+        victim._serve_steal = spy
+        for req_id in (1, 2):
+            request = (P.STEAL_REQ, "wB", req_id)
+            net.post("wB", thief.port, "wA", victim.config.port, request,
+                     P.estimate_size(request))
+        sim.run(until=0.1)
+        assert all(isinstance(sent, Event) and sent.processed for _t, sent in served)
+        (t1, _), (t2, _) = served
+        assert t2 - t1 == pytest.approx(SPARCSTATION_1.net.send_overhead_s)
+        replies = [m.payload for m in thief.buffered_messages()]
+        assert replies == [(P.STEAL_REPLY, None, "wA", 1),
+                           (P.STEAL_REPLY, None, "wA", 2)]
 
 
 class TestInUseAccounting:

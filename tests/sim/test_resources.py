@@ -145,6 +145,48 @@ class TestChannel:
         assert sim.events_processed == 3  # two put completions + the receive
 
 
+    @pytest.mark.parametrize("rng_seed", [None, 7, 8])
+    def test_recv_agrees_with_store_get(self, rng_seed):
+        """The same put/receive script through ``Channel.recv`` and
+        through ``Store.get``: same values in the same order, same
+        kernel events, with and without a ``tiebreak_rng``."""
+
+        def script(take):
+            sim = Simulator(tiebreak_rng=None if rng_seed is None
+                            else random.Random(rng_seed))
+            ch = Channel(sim)
+            out = []
+
+            def consumer(sim, tag, n):
+                for _ in range(n):
+                    out.append((tag, sim.now, (yield take(ch))))
+
+            def producer(sim):
+                for i in range(6):
+                    ch.send(i)
+                    if i % 2:
+                        yield sim.timeout(0.5)
+                for i in range(6, 9):
+                    ch.send(i)
+
+            sim.process(consumer(sim, "a", 4))
+            sim.process(consumer(sim, "b", 3))
+            sim.process(producer(sim))
+            sim.run()
+            sim.process(consumer(sim, "c", 2))
+            sim.run()
+            return out, sim.events_processed
+
+        assert script(Channel.recv) == script(Store.get)
+
+    def test_recv_of_a_buffered_message_is_already_triggered(self, sim):
+        ch = Channel(sim)
+        ch.send("m")
+        got = ch.recv()
+        assert got.triggered and got.value == "m"
+        assert not got.processed and not ch.items and not ch._getters
+
+
 class TestSignal:
     def test_broadcast_wakes_all(self, sim):
         sig = Signal(sim)
