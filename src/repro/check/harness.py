@@ -230,8 +230,8 @@ def _bug_drop_migration(worker: Worker) -> None:
 
 def _bug_dup_exec(worker: Worker) -> None:
     """Steal grants forget to remove the closure from the victim's
-    deque, so victim and thief both execute it.  (ReadyDeque is slotted,
-    so the patch swaps in a subclass rather than an instance attribute.)"""
+    deque, so victim and thief both execute it.  (A slotted deque subclass,
+    ReadyDeque takes a patch as a subclass, not an instance attribute.)"""
     base = type(worker.deque)
 
     class _LeakyDeque(base):  # type: ignore[misc, valid-type]

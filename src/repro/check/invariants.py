@@ -99,7 +99,8 @@ class InvariantReport:
 
 
 class DequeAuditor:
-    """Online ready-list audit, fed by :attr:`ReadyDeque.observer`.
+    """Online ready-list audit, fed by :attr:`ReadyDeque.observer` (its
+    push/pop methods call it; the inherited ``deque`` methods do not).
 
     Maintains the set of closure ids currently inside each worker's
     ready list and records an error the moment a closure is popped that

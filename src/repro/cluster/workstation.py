@@ -58,9 +58,10 @@ class Workstation:
         return cycles / self._cycles_per_second
 
     def charge(self, seconds: float) -> None:
-        """Add busy time without blocking (used for messaging overhead)."""
-        if seconds < 0:
-            raise ReproError("cannot charge negative CPU time")
+        """Add busy time without blocking (used for messaging overhead).
+
+        *seconds* must be non-negative: callers check it where they
+        build it (``NetworkParams``, ``TrafficConfig.quantum_s``)."""
         self.cpu_busy_s += seconds
 
     def execute(self, cycles: float) -> Event:

@@ -10,7 +10,7 @@ exports leaf tasks and therefore steals constantly).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.errors import SchedulerError
 from repro.tasks.closure import Closure
@@ -22,11 +22,15 @@ _ORDERS = ("lifo", "fifo")
 DequeObserver = Callable[[str, Closure], None]
 
 
-class ReadyDeque:
+class ReadyDeque(deque):
     """Double-ended ready list with configurable execute/steal ends.
 
     ``exec_order="lifo"`` pops work where it is pushed (the head);
     ``steal_order="fifo"`` steals from the opposite end (the tail).
+
+    A :class:`collections.deque` subclass, so ``len()`` and truth tests
+    are C calls; items go in and out only through the methods below,
+    which are what the :attr:`observer` sees.
 
     An optional :attr:`observer` sees every insertion and removal — the
     invariant checker uses it to verify online that no closure enters or
@@ -35,7 +39,7 @@ class ReadyDeque:
     """
 
     __slots__ = ("exec_order", "steal_order", "_exec_head", "_steal_tail",
-                 "_items", "observer")
+                 "observer")
 
     def __init__(self, exec_order: str = "lifo", steal_order: str = "fifo") -> None:
         if exec_order not in _ORDERS:
@@ -48,51 +52,42 @@ class ReadyDeque:
         # per-pop dispatch is a predicted branch, not a string compare.
         self._exec_head = exec_order == "lifo"
         self._steal_tail = steal_order == "fifo"
-        self._items: Deque[Closure] = deque()
         self.observer: Optional[DequeObserver] = None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
 
     def push(self, closure: Closure) -> None:
         """Insert a newly-ready task at the head (paper, Figure 1b)."""
-        self._items.appendleft(closure)
+        self.appendleft(closure)
         if self.observer is not None:
             self.observer("push", closure)
 
     def pop_exec(self) -> Optional[Closure]:
         """Take the next task to execute locally, or None if empty."""
-        items = self._items
-        if not items:
+        if not self:
             return None
         if self._exec_head:
-            closure = items.popleft()  # head: most recently pushed
+            closure = self.popleft()  # head: most recently pushed
         else:
-            closure = items.pop()  # fifo execution (ablation)
+            closure = self.pop()  # fifo execution (ablation)
         if self.observer is not None:
             self.observer("pop_exec", closure)
         return closure
 
     def pop_steal(self) -> Optional[Closure]:
         """Take the task to hand a thief, or None if empty."""
-        items = self._items
-        if not items:
+        if not self:
             return None
         if self._steal_tail:
-            closure = items.pop()  # tail: oldest task (paper, Figure 1c)
+            closure = self.pop()  # tail: oldest task (paper, Figure 1c)
         else:
-            closure = items.popleft()  # lifo stealing (ablation)
+            closure = self.popleft()  # lifo stealing (ablation)
         if self.observer is not None:
             self.observer("pop_steal", closure)
         return closure
 
     def drain(self) -> List[Closure]:
         """Remove and return everything (head first) — used by migration."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self)
+        self.clear()
         if self.observer is not None:
             for closure in items:
                 self.observer("drain", closure)
@@ -105,11 +100,11 @@ class ReadyDeque:
         end of someone's list), so they belong behind local work.
         """
         closures = list(closures)
-        self._items.extend(closures)
+        self.extend(closures)
         if self.observer is not None:
             for closure in closures:
                 self.observer("extend", closure)
 
     def peek_all(self) -> List[Closure]:
         """Snapshot (head first) for tests and debugging."""
-        return list(self._items)
+        return list(self)

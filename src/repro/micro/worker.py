@@ -138,6 +138,8 @@ class Worker:
         self.workstation = workstation
         self.network = network
         self.job = job
+        #: The job's thread registry, which _execute reads once per task.
+        self._threads = job.program.threads
         self.ch_host = clearinghouse_host
         self.config = config or WorkerConfig()
         self.rng = rng or random.Random(0)
@@ -506,8 +508,9 @@ class Worker:
     # ------------------------------------------------------------------
 
     def _participate(self, rejoining: bool = False) -> Generator:
-        """Register with the Clearinghouse, then work until the job ends
-        or this worker departs.
+        """Register with the Clearinghouse, then steal/execute until the
+        job ends or this worker departs (retirement runs its own finish
+        protocol).
 
         A retired worker re-recruited by :meth:`_rejoin` runs the same
         steps minus the process start-up: re-registration restores
@@ -546,17 +549,9 @@ class Worker:
                     and (on := probe.get("worker.start"))):
                 on(self.sim.now, "worker.start", self.name, {})
 
-            yield from self._main_loop()
-        except Interrupt as intr:
-            yield from self._on_run_interrupt(intr)
-
-    def _main_loop(self) -> Generator:
-        """Steal/execute until the job ends or this worker retires
-        (retirement runs its own finish protocol)."""
-        cfg = self.config
-        probe = self._probe
-        charged_on = None if probe is None else probe.get("task.charged")
-        while not self.done:
+            cfg = self.config
+            charged_on = None if probe is None else probe.get("task.charged")
+            while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
                     yield self.sim.timeout(cfg.steal_backoff_s)
@@ -620,7 +615,9 @@ class Worker:
                     yield from self._depart("retired")
                     return
                 yield self.sim.timeout(cfg.steal_backoff_s)
-        self._finish("done")
+            self._finish("done")
+        except Interrupt as intr:
+            yield from self._on_run_interrupt(intr)
 
     def _on_run_interrupt(self, intr: Interrupt) -> Generator:
         cause = str(intr.cause)
@@ -735,8 +732,13 @@ class Worker:
                {"cid": closure.cid, "thread": closure.thread_name})
         workstation = self.workstation
         frame = Frame(self, workstation.profile, closure)
-        ref = self.job.program.resolve(closure.thread_name)
-        ref.fn(frame, *closure.call_args())
+        try:
+            ref = self._threads[closure.thread_name]
+        except KeyError:
+            ref = self.job.program.resolve(closure.thread_name)  # raises
+        if closure._missing:
+            closure.call_args()  # raises the ClosureError
+        ref.fn(frame, *closure.args)
         stats.tasks_executed += 1
         if probe is not None and (on := probe.get("task.done")):
             on(self.sim.now, "task.done", self.name,

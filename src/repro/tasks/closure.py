@@ -114,12 +114,6 @@ class Closure:
         """True when every slot is filled and the closure can run."""
         return self._missing == 0
 
-    def slot_filled(self, slot: int) -> bool:
-        """True if the given slot already holds a value."""
-        if not (0 <= slot < len(self.args)):
-            raise ClosureError(f"slot {slot} out of range for {self.thread_name}")
-        return self.args[slot] is not _EMPTY
-
     def try_fill(self, slot: int, value: Any) -> int:
         """Deposit *value* into *slot* unless it already holds one.
 

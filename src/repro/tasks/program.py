@@ -16,7 +16,7 @@ import inspect
 from typing import Any, Callable, Dict, Optional, Protocol
 
 from repro.errors import ClosureError, SchedulerError
-from repro.tasks.closure import Closure, ClosureId, Continuation
+from repro.tasks.closure import _EMPTY, Closure, ClosureId, Continuation
 
 
 class ThreadRef:
@@ -165,11 +165,14 @@ class SuccessorRef:
 
     def cont(self, slot: int) -> Continuation:
         """A continuation that fills the given (missing) slot."""
-        if self.closure.slot_filled(slot):
+        closure = self.closure
+        if not (0 <= slot < len(closure.args)):
+            raise ClosureError(f"slot {slot} out of range for {closure.thread_name}")
+        if closure.args[slot] is not _EMPTY:
             raise ClosureError(
-                f"slot {slot} of successor {self.closure.thread_name} is not missing"
+                f"slot {slot} of successor {closure.thread_name} is not missing"
             )
-        return Continuation(self.closure.cid, slot)
+        return Continuation(closure.cid, slot)
 
 
 class Frame:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster.platform import SPARCSTATION_1, SPARCSTATION_10
 from repro.cluster.workstation import Workstation
-from repro.errors import ReproError
+from repro.errors import NetworkError, ReproError
+from repro.net.network import NetworkParams
 from repro.sim.core import Interrupt
 
 
@@ -49,8 +50,10 @@ def test_charge_adds_without_blocking(sim):
     ws = Workstation(sim, "w", SPARCSTATION_1)
     ws.charge(0.25)
     assert ws.cpu_busy_s == 0.25
-    with pytest.raises(ReproError):
-        ws.charge(-1)
+    # A negative charge is refused where the overhead is built, not on
+    # each message.
+    with pytest.raises(NetworkError):
+        NetworkParams(send_overhead_s=-1)
 
 
 def test_network_overhead_lands_in_rusage(sim, network):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ClosureError
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, Continuation
+from repro.tasks.program import SuccessorRef
 
 
 def make(missing=None, args=(1, 2, 3)):
@@ -39,10 +40,15 @@ class TestClosure:
         with pytest.raises(ClosureError):
             c.fill(0, "nope")
 
-    def test_slot_filled_bounds(self):
-        c = make()
-        with pytest.raises(ClosureError):
-            c.slot_filled(99)
+    def test_successor_cont_bounds(self):
+        succ = SuccessorRef(Closure.born_waiting(("w0", 1), "fn", [1], 2, 0))
+        assert succ.cont(2) == Continuation(("w0", 1), 2)
+        with pytest.raises(ClosureError, match="out of range"):
+            succ.cont(99)
+        with pytest.raises(ClosureError, match="out of range"):
+            succ.cont(-1)
+        with pytest.raises(ClosureError, match="not missing"):
+            succ.cont(0)  # filled at birth
 
     def test_missing_slot_out_of_range(self):
         with pytest.raises(ClosureError):

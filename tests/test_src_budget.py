@@ -14,8 +14,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
 #: Last raised by 40: the refused steal's flat host path (plain steal
 #: begin/end and victim handlers, a direct ``Channel.recv``, inlined
-#: wake subscription), -28 frames per refusal.
-CEILING = 18188
+#: wake subscription), -28 frames per refusal.  Last lowered by 4: the
+#: task's flat host path (deque subclass, one run-loop generator).
+CEILING = 18184
 
 
 def test_src_does_not_grow_without_saying_so():
