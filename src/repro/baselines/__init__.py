@@ -7,8 +7,8 @@
   throughput comparison (Tucker & Gupta's argument, which the paper's
   macro scheduler design follows).
 * Alternative micro-schedulers (central queue, sender-initiated push)
-  are worker *modes*: see ``WorkerConfig.mode`` in
-  :mod:`repro.micro.worker`.
+  are worker *modes*, one strategy each in :mod:`repro.micro.initiation`
+  (it cannot live here: :mod:`repro.baselines.sharing` imports the worker).
 * Best-serial implementations of the four applications live with the
   apps (``fib_serial``, ``nqueens_serial``, ``pfold_serial``,
   ``ray_serial``).

@@ -40,6 +40,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 from repro.cluster.workstation import Workstation
 from repro.micro import protocol as P
 from repro.micro.deque import ReadyDeque
+from repro.micro.initiation import make_initiation
 from repro.micro.stats import WorkerStats
 from repro.micro.steal import make_victim_policy
 from repro.net.network import Network
@@ -104,10 +105,8 @@ class WorkerConfig:
     track_completed: bool = False
     #: Worker protocol port (macro scheduler gives each job its own).
     port: int = 7000
-    #: Scheduling mode: "steal" (the paper's idle-initiated work
-    #: stealing), "central" (all spawns go to a central queue — the
-    #: locality-free baseline), or "push" (sender-initiated Parform-style
-    #: load balancing driven by periodic load broadcasts).
+    #: Scheduling mode: the paper's idle-initiated work stealing, or a
+    #: baseline (repro.micro.initiation.MODES).
     mode: str = "steal"
     #: push mode: keep at most this many ready tasks before exporting.
     push_threshold: int = 4
@@ -198,6 +197,8 @@ class Worker:
         #: observed deaths), not from the current registration snapshot.
         self._peers_seen: Set[str] = {self.name}
         self.victim_policy = make_victim_policy(self.config.victim_policy, self.rng)
+        #: The scheduling mode's hooks (repro.micro.initiation).
+        self.initiation = make_initiation(self)
 
         #: The run's probe seam (repro.obs.probe): every protocol step is
         #: reported through it under one guard per site; None (nobody
@@ -228,16 +229,12 @@ class Worker:
         self.executing = False
         self._failed_steals = 0
         self._seq = 0
-        #: push mode: last known ready-list length of each peer.
-        self.peer_loads: Dict[str, int] = {}
         #: Outstanding steal attempts: req_id -> event the run loop awaits.
         self._steal_waiters: Dict[int, Event] = {}
         self._steal_seq = 0
         #: Grants awaiting the thief's GRANT_ACK, keyed by
         #: (thief, req_id) -> granted closures (grant-ack mode only).
         self._pending_grants: Dict[tuple, List[Closure]] = {}
-        #: The one proactive steal allowed in flight: (req_id, victim).
-        self._proactive: Optional[tuple] = None
         #: Deaths already processed; redo must stay idempotent now that
         #: death notices arrive both as a broadcast datagram and
         #: piggybacked on every heartbeat reply.
@@ -257,8 +254,8 @@ class Worker:
         #: Acked migration offers this worker has adopted, keyed by
         #: (sender, offer seq).  A retransmitted MIGRATE (our ack died
         #: on a severed or congested link) is re-acked without
-        #: re-adopting.  Only offers carrying a seq dedup — push-mode
-        #: migrations are fire-and-forget, never retransmitted, and the
+        #: re-adopting.  Only offers carrying a seq dedup — a mode's
+        #: fire-and-forget migrations are never retransmitted, and the
         #: same closure may legitimately ping-pong between two workers.
         self._adopted_batches: Set[Tuple[str, int]] = set()
         self._migrate_seq = 0
@@ -299,8 +296,8 @@ class Worker:
         self._run_proc = self._spawn(self._participate(), "worker-run")
         self._net_proc = self._spawn(self._net(), "worker-net")
         self._update_proc = self._spawn(self._updates(), "worker-upd")
-        self._balancer_proc = (self._spawn(self._balancer(), "worker-bal")
-                               if self.config.mode == "push" else None)
+        start = self.initiation.start
+        self._initiation_proc = None if start is None else start()
 
     def _spawn(self, steps: Generator, name: str) -> Process:
         """Start one of this worker's processes; it dies with the machine."""
@@ -326,23 +323,18 @@ class Worker:
         """Make a ready closure schedulable.
 
         Under the paper's work stealing this pushes at the head of the
-        local ready list.  Under the "central" baseline, newly-enabled
-        tasks are shipped to the central queue host instead (``local``
-        forces local placement — used when adopting a task we just
-        fetched, so it is not bounced straight back).
+        local ready list.  A mode that ships enabled tasks elsewhere
+        takes them instead (``local`` forces local placement — used when
+        adopting a task we just fetched, so it is not bounced straight
+        back).
         """
-        if (
-            not local
-            and self.config.mode == "central"
-            and self.name != self.ch_host
-        ):
-            self.stats.tasks_migrated_out += 1
-            self._post(self.ch_host, self.config.port, (P.MIGRATE, [closure], [], self.name, None))
+        if not local and (ship := self.initiation.ship) is not None:
+            ship(closure)
             return
         self.deque.push(closure)
-        # High-water mark, taken at every growth point: under "central"
-        # a local fill ships the closure away mid-task, so the count is
-        # not monotone within a task and cannot be sampled once per task.
+        # High-water mark, taken at every growth point: a mode that ships
+        # a locally filled closure away mid-task makes the count non-
+        # monotone within a task, so it cannot be sampled once per task.
         depth = len(self.deque)
         n = depth + len(self.suspended) + self.executing
         if n > self.stats.max_tasks_in_use:
@@ -551,6 +543,7 @@ class Worker:
 
             cfg = self.config
             charged_on = None if probe is None else probe.get("task.charged")
+            after_task, idle = self.initiation.after_task, self.initiation.idle
             while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -575,21 +568,13 @@ class Worker:
                             # participation span.
                             charged_on(self.sim.now, "task.charged", self.name,
                                        {"cid": closure.cid})
-                    if cfg.mode == "push":
-                        self._maybe_push()
-                    elif (cfg.proactive_threshold > 0
-                          and cfg.mode == "steal"
-                          and not self.done
-                          and len(self.deque) <= cfg.proactive_threshold):
-                        self._proactive_steal()
+                    if after_task is not None:
+                        after_task()
                     continue
                 if self.done:
                     break
-                if cfg.mode == "push":
-                    # Sender-initiated balancing: idle workers wait for
-                    # work to be pushed to them (no stealing).
-                    self.stats.failed_steal_attempts += 1
-                    yield self.sim.timeout(cfg.steal_backoff_s)
+                if idle is not None:
+                    yield idle()  # the mode waits to be sent work
                     continue
                 # One attempt, in a "stealing" phase closed on any exit.
                 if probe is not None and (on := probe.get("phase.begin")):
@@ -759,11 +744,8 @@ class Worker:
         """Open a steal attempt: ``(req_id, victim, timed wait for the
         reply)``, or ``(None, None, backoff)`` when nobody can be asked."""
         cfg = self.config
-        if cfg.mode == "central":
-            # Central-queue baseline: the only place to fetch work is
-            # the queue holder (the Clearinghouse host's worker).
-            victims = [] if self.name == self.ch_host else [self.ch_host]
-        else:
+        victims = self.initiation.victims
+        if victims is None:
             victims = self._victims
         if not victims:
             self.stats.failed_steal_attempts += 1
@@ -791,32 +773,6 @@ class Worker:
             if on := self._probe.get(kind):
                 on(self.sim.now, kind, self.name, {"victim": victim})
         return False
-
-    def _proactive_steal(self) -> None:
-        """Fire-and-forget steal request before going idle.
-
-        Early stealing hides the steal round-trip behind the tail of
-        local work: the reply is adopted by the net loop whenever it
-        arrives (the no-waiter path of :meth:`_on_steal_reply`).  At
-        most one proactive request is in flight at a time.
-        """
-        cfg = self.config
-        if self._proactive is not None:
-            req, victim = self._proactive
-            sent_at = self._steal_sent.get(req)
-            if sent_at is not None and self.sim.now - sent_at < cfg.steal_timeout_s:
-                return  # one in flight is enough
-            # The outstanding one went unanswered past the budget.
-            self._steal_sent.pop(req, None)
-            self._proactive = None
-            self.victim_policy.observe_timeout(victim, cfg.steal_timeout_s)
-            if self._probe is not None and (on := self._probe.get("steal.timeout")):
-                on(self.sim.now, "steal.timeout", self.name, {"victim": victim})
-        victims = self._victims
-        if not victims:
-            return
-        self.stats.proactive_steals_sent += 1
-        self._proactive = self._request_steal(victims, proactive=True)
 
     def _request_steal(self, victims: Sequence[str], proactive: bool = False) -> tuple:
         """Send a steal request to a chosen victim: ``(req_id, victim)``.
@@ -883,7 +839,8 @@ class Worker:
         self._pending_args.pop(seq, None)
 
     def _on_load(self, sender: str, depth: int) -> None:
-        self.peer_loads[sender] = depth
+        if self.initiation.on_load is not None:  # a balancing mode's gossip
+            self.initiation.on_load(sender, depth)
 
     def _on_pause(self) -> None:
         self.paused = True
@@ -980,8 +937,6 @@ class Worker:
         departed worker returns the late grant's hand-off to run."""
         waiter = self._steal_waiters.pop(req_id, None)
         self._steal_open.pop(req_id, None)
-        if self._proactive is not None and self._proactive[0] == req_id:
-            self._proactive = None
         # Request→grant latency (the quantity the latency-aware
         # work-stealing analyses argue drives makespan).  Late grants
         # adopted after the thief stopped waiting have no recorded send
@@ -1067,11 +1022,7 @@ class Worker:
             # regenerates them would find no adopter.)
             return
         host, port = msg.reply_addr()
-        if offer is not None:
-            # Acked-offer path only: push-mode migrations never carry an
-            # offer seq — they are fire-and-forget, never retransmitted,
-            # and the same closure may legitimately ping-pong between
-            # two workers, which a cid-based dedup would swallow.
+        if offer is not None:  # only acked offers dedup (_adopted_batches)
             key = (sender, offer)
             if key in self._adopted_batches:
                 # Retransmitted offer: the sender never saw our ack
@@ -1261,52 +1212,6 @@ class Worker:
         self._run_proc = self._spawn(self._participate(rejoining=True),
                                      "worker-rejoin")
         self._ensure_heartbeat()
-
-    # ------------------------------------------------------------------
-    # Sender-initiated balancing (the "push" baseline)
-    # ------------------------------------------------------------------
-
-    def _balancer(self) -> Generator:
-        """Periodically broadcast our load and export excess tasks."""
-        try:
-            while not self.done and not self.departed:
-                yield self.sim.timeout(self.config.load_broadcast_s)
-                if self.done or self.departed:
-                    return
-                for peer in self.peers:
-                    if peer != self.name:
-                        self._post(
-                            peer, self.config.port, (P.LOAD, self.name, len(self.deque))
-                        )
-                self._maybe_push()
-        except Interrupt:
-            return
-
-    def _maybe_push(self) -> None:
-        """Export tasks to the least-loaded peer when we hold too many."""
-        cfg = self.config
-        if len(self.deque) <= cfg.push_threshold:
-            return
-        candidates = [
-            (load, name)
-            for name, load in self.peer_loads.items()
-            if name in self.peers and name != self.name
-        ]
-        if not candidates:
-            return
-        load, target = min(candidates)
-        if load + 1 >= len(self.deque):
-            return
-        batch: List[Closure] = []
-        while len(self.deque) > cfg.push_threshold and len(batch) < 4:
-            closure = self.deque.pop_steal()
-            if closure is None:
-                break
-            batch.append(closure)
-        if batch:
-            self.stats.tasks_migrated_out += len(batch)
-            self.peer_loads[target] = load + len(batch)
-            self._post(target, cfg.port, (P.MIGRATE, batch, [], self.name, None))
 
     # ------------------------------------------------------------------
     # Peer updates / heartbeat
@@ -1650,7 +1555,7 @@ class Worker:
     def stop(self) -> None:
         """Forcibly stop all of this worker's processes (test teardown)."""
         for proc in (self._run_proc, self._net_proc, self._update_proc,
-                     self._balancer_proc):
+                     self._initiation_proc):
             if proc is not None:
                 proc.interrupt("worker-stop")
         self.socket.close()

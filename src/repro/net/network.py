@@ -63,10 +63,6 @@ class NetworkParams:
             if getattr(self, name) < 0:
                 raise NetworkError(f"{name} must be non-negative")
 
-    def transfer_time(self, size_bytes: int) -> float:
-        """In-flight time for a datagram of the given size (no overheads)."""
-        return self.wire_latency_s + size_bytes / self.bandwidth_bytes_per_s
-
 
 @dataclass
 class NetCounters:
@@ -281,7 +277,7 @@ class Network:
                 on(sim.now, "net.loss", src, {"id": msg.msg_id, "msg": msg})
             return params
 
-        flight = params.send_overhead_s + (  # + params.transfer_time(size)
+        flight = params.send_overhead_s + (
             params.wire_latency_s + size_bytes / params.bandwidth_bytes_per_s)
         if params.jitter_s > 0.0:
             flight += self.rng.random() * params.jitter_s

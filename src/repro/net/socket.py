@@ -40,11 +40,6 @@ class Socket:
         """This socket's (host, port) address."""
         return (self.host, self.port)
 
-    @property
-    def pending(self) -> int:
-        """Number of datagrams queued for receipt."""
-        return len(self._queue)
-
     def sendto(
         self,
         payload,
@@ -96,5 +91,5 @@ class Socket:
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else f"pending={self.pending}"
+        state = "closed" if self._closed else f"pending={len(self._queue)}"
         return f"<Socket {self.host}:{self.port} {state}>"

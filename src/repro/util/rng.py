@@ -55,14 +55,6 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Return a child registry whose streams are independent of ours.
-
-        Useful for giving each job in a multi-job experiment its own
-        reproducible universe of streams.
-        """
-        return RngRegistry(derive_seed(self.root_seed, f"child:{name}"))
-
     def names(self) -> Iterator[str]:
         """Iterate over the names of streams created so far."""
         return iter(sorted(self._streams))

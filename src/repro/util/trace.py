@@ -264,7 +264,3 @@ class TraceLog:
             ))
         log._dropped = int(meta.get("dropped", 0))
         return log
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._dropped = 0

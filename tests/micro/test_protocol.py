@@ -126,21 +126,24 @@ def test_the_net_loop_ignores_what_the_schema_does_not_know(sim):
     from repro.apps.fib import fib_job
     from repro.cluster.platform import SPARCSTATION_1
     from repro.cluster.workstation import Workstation
-    from repro.micro.worker import Worker
+    from repro.micro.worker import Worker, WorkerConfig
     from repro.net.network import Network
     from repro.net.topology import UniformTopology
 
     net = Network(sim, UniformTopology(SPARCSTATION_1.net))
+    # Push mode, the one mode that reads LOAD; it never registers, so
+    # only the net loop acts (its first load broadcast is at 0.25 s).
     w = Worker(sim, Workstation(sim, "wA", SPARCSTATION_1, net), net,
-               fib_job(5), "nowhere")  # never registers: only the net loop acts
+               fib_job(5), "nowhere", WorkerConfig(mode="push"))
     before = dict(vars(w.stats))
     for junk in ("junk", None, (), ("no_such_tag", 1), (P.MIGRATE_ACK, "wB"),
                  (P.RESULT, 1, "wB"), (P.LOAD, "wB", 3)):
         net.post("wA", 9, "wA", w.config.port, junk, 64)
     sim.run(until=0.1)
-    assert w._net_proc.is_alive and w.socket.pending == 0
+    assert w._net_proc.is_alive and w.socket.buffered_messages() == []
     assert vars(w.stats) == before
-    assert w.peer_loads == {"wB": 3}  # ...and the known tag after them landed
+    # ...and the known tag after them landed
+    assert w.initiation.peer_loads == {"wB": 3}
 
 
 def test_docs_datagram_table_lists_exactly_the_schema():

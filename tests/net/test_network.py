@@ -30,10 +30,6 @@ class TestParams:
         with pytest.raises(NetworkError):
             NetworkParams(send_overhead_s=-1)
 
-    def test_transfer_time(self):
-        p = NetworkParams(wire_latency_s=0.001, bandwidth_bytes_per_s=1000)
-        assert p.transfer_time(500) == pytest.approx(0.001 + 0.5)
-
 
 class TestDelivery:
     def test_point_to_point(self, sim):

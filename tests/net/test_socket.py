@@ -17,7 +17,7 @@ def test_pending_count(sim, network):
     for i in range(3):
         a.sendto(i, "b", 2)
     sim.run()
-    assert b.pending == 3
+    assert [m.payload for m in b.buffered_messages()] == [0, 1, 2]
 
 
 def test_closed_socket_raises(network):

@@ -46,7 +46,7 @@ def test_network_requires_topology(sim):
 
 
 # ---------------------------------------------------------------------------
-# Property tests: NetworkParams.transfer_time and SegmentedTopology
+# Property tests: the send path's transfer time and SegmentedTopology
 # ---------------------------------------------------------------------------
 
 latencies = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -54,22 +54,41 @@ bandwidths = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
 sizes = st.integers(min_value=0, max_value=10_000_000)
 
 
+def transfer_time(lat, bw, size):
+    """When a *size*-byte datagram sent at t=0 arrives on a link with no
+    per-message overheads: the in-flight time ``Network.transmit`` charges."""
+    from repro.net.network import Network
+    from repro.net.socket import Socket
+    from repro.sim.core import Simulator
+
+    sim = Simulator()
+    net = Network(sim, UniformTopology(NetworkParams(
+        send_overhead_s=0.0, recv_overhead_s=0.0,
+        wire_latency_s=lat, bandwidth_bytes_per_s=bw)))
+    inbox = Socket(net, "b", 2)
+    Socket(net, "a", 1).sendto("x", "b", 2, size_bytes=size)
+
+    def receive():
+        yield inbox.recv()
+        return sim.now
+
+    return sim.run(sim.process(receive()))
+
+
 @given(lat=latencies, bw=bandwidths, small=sizes, extra=sizes)
 @settings(max_examples=60, deadline=None)
 def test_transfer_time_monotone_in_size_and_latency_floored(lat, bw, small, extra):
     """More bytes never travel faster, and nothing beats the wire
     latency itself (size 0 pays exactly the latency)."""
-    p = NetworkParams(wire_latency_s=lat, bandwidth_bytes_per_s=bw)
-    assert p.transfer_time(small) <= p.transfer_time(small + extra)
-    assert p.transfer_time(small) >= lat
-    assert p.transfer_time(0) == pytest.approx(lat)
+    assert transfer_time(lat, bw, small) <= transfer_time(lat, bw, small + extra)
+    assert transfer_time(lat, bw, small) >= lat
+    assert transfer_time(lat, bw, 0) == pytest.approx(lat)
 
 
 @given(lat=latencies, bw=bandwidths, size=sizes)
 @settings(max_examples=60, deadline=None)
 def test_transfer_time_is_latency_plus_serialisation(lat, bw, size):
-    p = NetworkParams(wire_latency_s=lat, bandwidth_bytes_per_s=bw)
-    assert p.transfer_time(size) == pytest.approx(lat + size / bw)
+    assert transfer_time(lat, bw, size) == pytest.approx(lat + size / bw)
 
 
 @given(bw=st.floats(max_value=0.0, allow_nan=False))

@@ -37,7 +37,7 @@ from tests.obs.emitting import emitter
 ROOT = Path(__file__).resolve().parents[2]
 COMPONENTS = [ROOT / "src" / "repro" / rel for rel in (
     "micro/worker.py", "net/network.py", "clearinghouse/clearinghouse.py",
-    "macro/jobq.py", "macro/jobmanager.py")]
+    "macro/jobq.py", "macro/jobmanager.py", "micro/initiation.py")]
 
 #: Worker message tags handled without an emit, and why that is enough.
 UNPROBED = (

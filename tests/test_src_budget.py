@@ -12,11 +12,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Physical lines of ``src/**/*.py`` as of the last PR that moved it.
-#: Last raised by 40: the refused steal's flat host path (plain steal
-#: begin/end and victim handlers, a direct ``Channel.recv``, inlined
-#: wake subscription), -28 frames per refusal.  Last lowered by 4: the
-#: task's flat host path (deque subclass, one run-loop generator).
-CEILING = 18184
+#: Last raised by 35: the scheduling modes as strategies bound once per
+#: worker (``micro/initiation.py`` +151, with the validation of
+#: ``mode`` and ``steal_amount``; ``micro/worker.py`` -95), net of the
+#: deleted test-only API (-21).  Last lowered by 4: the task's flat host
+#: path (deque subclass, one run-loop generator).
+CEILING = 18219
 
 
 def test_src_does_not_grow_without_saying_so():

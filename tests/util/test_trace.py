@@ -36,8 +36,6 @@ def test_truncated_flag_tracks_eviction():
     log.emit(2.0, "c", "s")
     assert log.truncated
     assert log.dropped == 1
-    log.clear()
-    assert not log.truncated  # clear() resets the truncation record
 
 
 def test_unbounded_log_never_truncates():
@@ -80,15 +78,6 @@ def test_kinds_fingerprint():
     log.emit(1, "b", "s")
     log.emit(2, "a", "s")
     assert log.kinds() == [("a", 2), ("b", 1)]
-
-
-def test_clear():
-    log = TraceLog(capacity=1)
-    log.emit(0, "a", "s")
-    log.emit(1, "b", "s")
-    log.clear()
-    assert len(log) == 0
-    assert log.dropped == 0
 
 
 def test_str_rendering():
