@@ -442,6 +442,11 @@ def run_checked(
     report = check_invariants(
         trace, workers, completed=completed, auditor=auditor, result_ok=result_ok
     )
+    # Teardown, so dropping the CheckedRun frees the run by reference
+    # counting: the record leaves the probe's reach first, then the
+    # processes still suspended are closed (their finally blocks run now).
+    trace = trace.handover()
+    sim.close()
     return CheckedRun(
         job_name=job.name,
         seed=seed,

@@ -8,8 +8,10 @@ idle worker may ask.  "push" is sender-initiated, Parform-style
 balancing: every ``load_broadcast_s`` a worker broadcasts its ready-list
 length and exports tasks above ``push_threshold`` to the least-loaded
 peer, and an idle worker waits to be sent work.  A Worker binds its
-mode's hooks once and calls each only where it is not None; the paper's
-scheduler needs none of them.
+mode's hooks once and calls each only where it is not None, passing
+itself (a strategy keeps no reference to its worker, so a finished
+worker is freed by reference counting); the paper's scheduler needs
+none of them.
 """
 
 from __future__ import annotations
@@ -23,31 +25,26 @@ STEAL_AMOUNTS = ("one", "half")
 
 
 class Initiation:
-    """``ship(closure)`` takes a closure ``enqueue_ready`` would push
-    locally; ``after_task()`` runs after each task; ``idle()`` is the
+    """``ship(w, closure)`` takes a closure ``enqueue_ready`` would push
+    locally; ``after_task(w)`` runs after each task; ``idle(w)`` is the
     event an idle worker waits on instead of stealing; ``victims`` is a
-    fixed steal set in place of the peer list; ``start()`` spawns the
-    mode's own process; ``on_load(sender, depth)`` takes a LOAD."""
+    fixed steal set in place of the peer list; ``start(w)`` spawns the
+    mode's own process; ``on_load(w, sender, depth)`` takes a LOAD."""
 
     ship = after_task = idle = victims = start = on_load = None
-
-    def __init__(self, worker) -> None:
-        self.worker = worker
 
 
 class Steal(Initiation):
     def __init__(self, worker) -> None:
-        super().__init__(worker)
         self.early = None  # the one early steal in flight: (req_id, victim)
         if worker.config.proactive_threshold > 0:
             self.after_task = self._steal_early
 
-    def _steal_early(self) -> None:
+    def _steal_early(self, w) -> None:
         """Fire a no-wait steal request once the ready list is down to
         ``proactive_threshold``: the net loop adopts the reply whenever
         it arrives, so the round-trip hides behind the tail of local
         work.  At most one is in flight."""
-        w = self.worker
         cfg = w.config
         if w.done or len(w.deque) > cfg.proactive_threshold:
             return
@@ -68,37 +65,32 @@ class Steal(Initiation):
 
 class Central(Initiation):
     def __init__(self, worker) -> None:
-        super().__init__(worker)
         if worker.name == worker.ch_host:
             self.victims = ()  # the queue holder has nowhere to fetch from
         else:
             self.victims = (worker.ch_host,)
             self.ship = self._ship
 
-    def _ship(self, closure) -> None:
-        w = self.worker
+    def _ship(self, w, closure) -> None:
         w.stats.tasks_migrated_out += 1
         w._post(w.ch_host, w.config.port, (P.MIGRATE, [closure], [], w.name, None))
 
 
 class Push(Initiation):
     def __init__(self, worker) -> None:
-        super().__init__(worker)
         self.peer_loads = {}  # the last ready-list length each peer sent
 
-    def on_load(self, sender: str, depth: int) -> None:
+    def on_load(self, w, sender: str, depth: int) -> None:
         self.peer_loads[sender] = depth
 
-    def idle(self):
-        w = self.worker
+    def idle(self, w):
         w.stats.failed_steal_attempts += 1
         return w.sim.timeout(w.config.steal_backoff_s)
 
-    def start(self):
-        return self.worker._spawn(self._balancer(), "worker-bal")
+    def start(self, w):
+        return w._spawn(self._balancer(w), "worker-bal")
 
-    def _balancer(self):
-        w = self.worker
+    def _balancer(self, w):
         try:
             while not w.done and not w.departed:
                 yield w.sim.timeout(w.config.load_broadcast_s)
@@ -107,13 +99,12 @@ class Push(Initiation):
                 for peer in w.peers:
                     if peer != w.name:
                         w._post(peer, w.config.port, (P.LOAD, w.name, len(w.deque)))
-                self.after_task()
+                self.after_task(w)
         except Interrupt:
             return
 
-    def after_task(self) -> None:
+    def after_task(self, w) -> None:
         """Export tasks to the least-loaded peer when we hold too many."""
-        w = self.worker
         deque, threshold = w.deque, w.config.push_threshold
         if len(deque) <= threshold:
             return

@@ -297,7 +297,7 @@ class Worker:
         self._net_proc = self._spawn(self._net(), "worker-net")
         self._update_proc = self._spawn(self._updates(), "worker-upd")
         start = self.initiation.start
-        self._initiation_proc = None if start is None else start()
+        self._initiation_proc = None if start is None else start(self)
 
     def _spawn(self, steps: Generator, name: str) -> Process:
         """Start one of this worker's processes; it dies with the machine."""
@@ -329,7 +329,7 @@ class Worker:
         back).
         """
         if not local and (ship := self.initiation.ship) is not None:
-            ship(closure)
+            ship(self, closure)
             return
         self.deque.push(closure)
         # High-water mark, taken at every growth point: a mode that ships
@@ -569,12 +569,12 @@ class Worker:
                             charged_on(self.sim.now, "task.charged", self.name,
                                        {"cid": closure.cid})
                     if after_task is not None:
-                        after_task()
+                        after_task(self)
                     continue
                 if self.done:
                     break
                 if idle is not None:
-                    yield idle()  # the mode waits to be sent work
+                    yield idle(self)  # the mode waits to be sent work
                     continue
                 # One attempt, in a "stealing" phase closed on any exit.
                 if probe is not None and (on := probe.get("phase.begin")):
@@ -840,7 +840,7 @@ class Worker:
 
     def _on_load(self, sender: str, depth: int) -> None:
         if self.initiation.on_load is not None:  # a balancing mode's gossip
-            self.initiation.on_load(sender, depth)
+            self.initiation.on_load(self, sender, depth)
 
     def _on_pause(self) -> None:
         self.paused = True
@@ -1013,8 +1013,10 @@ class Worker:
         if self.departed and not self._maybe_rejoin_idle():
             # Reclaimed (the owner has the machine back), or retired but
             # the old run loop is still mid-departure.  We cannot take
-            # responsibility; send no ack — the migrating worker will
-            # retry with another peer.  (A retired, idle machine has
+            # responsibility; send no ack — an acked offer's sender
+            # retries with another peer, but a mode's fire-and-forget
+            # batch (offer None) is lost here, unrecorded (docs/
+            # checking.md, "Known open").  (A retired, idle machine has
             # just rejoined: the adaptive join/leave of the paper's NOW
             # model.  Without it, a schedule where every live worker
             # retires while an undetected-dead peer holds the remaining

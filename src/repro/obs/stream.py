@@ -10,9 +10,8 @@ million-task run is written in O(buffer) memory (pinned by
 ``tests/obs/test_stream.py``).
 
 * :class:`JsonlSpanSink` — one :func:`~repro.util.trace.event_row` per
-  line (the row :meth:`TraceLog.to_jsonl` writes) between a
-  ``profile_meta`` header and the ``profile_summary`` that ``close``
-  appends.
+  line between a ``profile_meta`` header and the ``profile_summary``
+  that ``close`` appends.
 * :class:`PerfettoWriter` — incremental Chrome ``traceEvents`` JSON; its
   ``on`` is the repo's one probe-kind -> trace-event translation, fed
   live by ``repro profile --perfetto`` and replayed from a finished

@@ -321,6 +321,7 @@ class Process(Event):
         #: The wake callbacks, bound once (every wait subscribes these).
         self._resume_cb = self._resume
         self._settle_cb = self._settle
+        sim._live[self] = None
         # Kick the generator off from the event loop, not synchronously.
         # The boot event is tracked as the current wait target so that an
         # interrupt landing before the first resume detaches it cleanly.
@@ -388,16 +389,19 @@ class Process(Event):
                     # its definition line instead of delivering in-band.
                     # Treat the interrupt as a quiet cancellation.
                     self._gen = None
+                    del sim._live[self]
                     sim._active = None
                     self.succeed(None, priority=URGENT)
                     return
                 target = gen.throw(event._value)
         except StopIteration as stop:
             self._gen = None
+            del sim._live[self]
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
             self._gen = None
+            del sim._live[self]
             self.fail(exc, priority=URGENT)
             return
         finally:
@@ -507,6 +511,8 @@ class Simulator:
         self.tiebreak_rng = tiebreak_rng
         #: Free list of :class:`_SoonEvent` carriers (see call_soon).
         self._soon_pool: List[_SoonEvent] = []
+        #: Live processes in spawn order (a dict used as an ordered set).
+        self._live: dict = {}
         self._init_queue()
 
     def _init_queue(self) -> None:
@@ -517,6 +523,24 @@ class Simulator:
         self._cur_time = 0.0
         #: Free list of recycled Timeout objects (see module docstring).
         self._timeout_pool: List[Timeout] = []
+
+    def close(self) -> None:
+        """End the run: close every live process's generator in spawn
+        order (its ``finally`` blocks run now, not whenever the cyclic
+        collector reaches it) and drop every pending event.  A closed
+        simulator references no process, so a finished run is freed by
+        reference counting.  A second call is a no-op; calling it from
+        inside a running process raises :class:`SimulationError`."""
+        if self._active is not None:
+            raise SimulationError("close() from inside a running process")
+        live = self._live
+        while live:  # a finally block may spawn: close that one too
+            proc = next(iter(live))
+            del live[proc]
+            gen, proc._gen, proc._target = proc._gen, None, None
+            gen.close()
+        self._soon_pool.clear()
+        self._init_queue()
 
     # -- construction helpers ---------------------------------------------
 

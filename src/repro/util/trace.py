@@ -37,8 +37,8 @@ def jsonable(value: Any) -> Any:
 
 def event_row(time: float, kind: str, source: str,
               detail: Dict[str, Any]) -> str:
-    """One event as the JSONL line every writer of a run emits
-    (:meth:`TraceLog.to_jsonl`, :class:`~repro.obs.stream.JsonlSpanSink`)."""
+    """One event as the JSONL line a writer of a run emits
+    (:class:`~repro.obs.stream.JsonlSpanSink`)."""
     return json.dumps({
         "t": time, "kind": kind, "src": source,
         "detail": {k: jsonable(v) for k, v in detail.items()},
@@ -120,11 +120,12 @@ class TraceLog:
         #: capacity-limited log stays cheap no matter how long the run.
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
-        self._record = self.recorder()
 
     def emit(self, time: float, kind: str, source: str, **detail: Any) -> None:
-        """Record one event (no-op when disabled or filtered out)."""
-        self._record(time, kind, source, detail)
+        """Record one event (no-op when disabled or filtered out).  The
+        recorder is built per call, not stored: a stored one would make
+        the log a reference cycle with itself."""
+        self.recorder()(time, kind, source, detail)
 
     def recorder(self, then: Optional[Callable[..., None]] = None,
                  strip: Tuple[str, ...] = ()) -> Callable[..., None]:
@@ -155,6 +156,18 @@ class TraceLog:
             if then is not None:
                 then(time, kind, source, detail)
         return record
+
+    def handover(self) -> "TraceLog":
+        """A new log that takes over this one's events, settings and
+        dropped count; this log is left empty.  Recorders already handed
+        out keep writing here, never into the new log — so a run's record
+        can leave the run's object graph before teardown."""
+        log = TraceLog(self.enabled, self.capacity, self.categories)
+        log._events.extend(self._events)
+        log._dropped = self._dropped
+        self._events.clear()
+        self._dropped = 0
+        return log
 
     @property
     def dropped(self) -> int:
@@ -214,53 +227,3 @@ class TraceLog:
         tests compare ``dump()`` outputs byte-for-byte.
         """
         return "\n".join(str(ev) for ev in self._events)
-
-    def to_jsonl(self) -> str:
-        """Serialise the log as JSON Lines for offline re-analysis.
-
-        The first line is a meta record (capacity, categories, dropped
-        count); each further line is one event.  Detail payloads are
-        JSON-coerced (tuples become lists, arbitrary objects their
-        ``repr``), so the round-trip preserves times, kinds, sources,
-        and counts exactly but not Python types inside ``detail`` —
-        :meth:`dump` remains the byte-exact determinism fingerprint.
-        """
-        lines = [json.dumps({
-            "meta": {
-                "capacity": self.capacity,
-                "categories": list(self.categories) if self.categories else None,
-                "dropped": self._dropped,
-                "events": len(self._events),
-            }
-        }, sort_keys=True)]
-        lines += [event_row(ev.time, ev.kind, ev.source, ev.detail)
-                  for ev in self._events]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "TraceLog":
-        """Rebuild a log written by :meth:`to_jsonl`.
-
-        The restored log keeps the original capacity bound and dropped
-        count, so truncation-aware consumers (the invariant checker)
-        treat a reloaded truncated history exactly like a live one.
-        """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            return cls(enabled=True)
-        head = json.loads(lines[0])
-        meta = head.get("meta")
-        body = lines[1:] if meta is not None else lines
-        meta = meta or {}
-        log = cls(
-            enabled=True,
-            capacity=meta.get("capacity"),
-            categories=meta.get("categories"),
-        )
-        for line in body:
-            rec = json.loads(line)
-            log._events.append(TraceEvent(
-                rec["t"], rec["kind"], rec["src"], rec.get("detail") or {}
-            ))
-        log._dropped = int(meta.get("dropped", 0))
-        return log

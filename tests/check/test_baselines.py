@@ -11,9 +11,10 @@ Under ``mixed`` perturbations they are not.  Over fib(12), P = 4, seeds
 conservation) and ``push`` fails one (421: conservation and liveness).
 Nine of central's ten and push's one reclaim ``ws00``, the queue host;
 central's 429 is a partition of {ws01, ws02} with no reclaim.  The
-suspected cause: a fire-and-forget MIGRATE that reaches a departed
-worker is dropped by ``Worker._on_migrate`` with no ``closure.drop``
-record, and its sender never retries.  The seeds below pin that open
+cause: nothing retries a fire-and-forget MIGRATE that does not arrive.
+Push 421's reaches the reclaimed ws00 and ``Worker._on_migrate`` drops
+it unrecorded; central's are lost in the network (the departed queue
+host's unbound port, the partition).  The seeds below pin that open
 hole (docs/checking.md, "Known open") until the baselines are mended.
 """
 

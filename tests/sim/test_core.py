@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import (
-    NORMAL, URGENT, Event, Flag, Interrupt, Process, Simulator, Timeout,
+    NORMAL, URGENT, Event, Flag, Interrupt, Process, Simulator, Timeout, Within,
 )
 from repro.sim.resources import Signal
 
@@ -467,3 +467,68 @@ class TestSimulatorRun:
             return order
 
         assert build() == build()
+
+
+@pytest.mark.parametrize("queue", ["calendar", "heap"])
+class TestClose:
+    @staticmethod
+    def _cluster(sim, log):
+        def waiter(name, wait):
+            try:
+                yield wait
+            finally:
+                log.append(name)
+
+        procs = [
+            sim.process(waiter("timer", sim.timeout(5.0))),
+            sim.process(waiter("never", sim.event())),
+            sim.process(waiter("done", sim.timeout(0.5))),
+            sim.process(waiter("timed", Within(sim.event(), sim.timeout(9.0)))),
+        ]
+        sim.run(until=1.0)
+        return procs
+
+    def test_each_live_process_is_closed_once_in_spawn_order(self, queue):
+        sim, log = Simulator(queue=queue), []
+        self._cluster(sim, log)
+        assert log == ["done"]
+        sim.close()
+        assert log == ["done", "timer", "never", "timed"]
+
+    def test_a_closed_simulator_has_no_live_process_and_no_event(self, queue):
+        sim, log = Simulator(queue=queue), []
+        procs = self._cluster(sim, log)
+        late = []
+
+        def spawner():
+            try:
+                yield sim.event()
+            finally:
+                late.append(sim.process(w for w in [sim.timeout(1.0)]))
+
+        procs.append(sim.process(spawner()))
+        sim.run(until=2.0)
+        processed = sim.events_processed
+        sim.close()
+        assert not any(p.is_alive for p in procs + late) and len(late) == 1
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert sim.events_processed == processed
+
+    def test_a_second_close_is_a_no_op(self, queue):
+        sim, log = Simulator(queue=queue), []
+        self._cluster(sim, log)
+        sim.close()
+        sim.close()
+        assert log == ["done", "timer", "never", "timed"]
+
+    def test_closing_from_inside_a_process_raises(self, queue):
+        sim = Simulator(queue=queue)
+
+        def closer():
+            yield sim.timeout(1.0)
+            sim.close()
+
+        proc = sim.process(closer())
+        with pytest.raises(SimulationError, match="inside a running process"):
+            sim.run(proc)

@@ -1,6 +1,8 @@
 """Tests for the structured trace log."""
 
-from repro.util.trace import TraceEvent, TraceLog
+import json
+
+from repro.util.trace import TraceEvent, TraceLog, event_row
 
 
 def test_emit_and_query():
@@ -136,59 +138,23 @@ def test_trace_event_slots_and_equality():
     assert raised
 
 
-def test_jsonl_round_trip_preserves_everything():
-    log = TraceLog(capacity=100, categories=("steal.", "closure."))
-    log.emit(1.0, "steal.request", "ws01", victim="ws02", pair=(1, 2))
-    log.emit(2.0, "closure.exec", "ws02", cid=7)
-    log.emit(2.5, "net.send", "ws01")  # filtered by categories
-    text = log.to_jsonl()
-    back = TraceLog.from_jsonl(text)
-    assert len(back) == len(log) == 2
-    assert back.kinds() == log.kinds()
-    assert [ev.time for ev in back] == [ev.time for ev in log]
-    assert [ev.source for ev in back] == [ev.source for ev in log]
-    assert back.capacity == 100
-    assert back.categories == ("steal.", "closure.")
-    assert back.dropped == 0
-    # Tuples degrade to lists (JSON), everything else survives exactly.
-    assert back.events(kind="steal.request")[0].detail == {
-        "victim": "ws02", "pair": [1, 2],
-    }
+def test_handover_moves_the_record_and_leaves_the_log_empty():
+    log = TraceLog(capacity=2, categories=("steal.",))
+    record = log.recorder()
+    for i in range(3):
+        record(float(i), "steal.request", "ws01", {"i": i})
+    taken = log.handover()
+    assert (taken.capacity, taken.categories, taken.dropped) == (2, ("steal.",), 1)
+    assert [ev.detail["i"] for ev in taken] == [1, 2]
+    record(3.0, "steal.request", "ws01", {"i": 3})  # a late record stays behind
+    assert len(taken) == 2 and len(log) == 1 and log.dropped == 0
 
 
-def test_jsonl_round_trip_preserves_truncation():
-    log = TraceLog(capacity=2)
-    for i in range(5):
-        log.emit(float(i), "k", "s", i=i)
-    back = TraceLog.from_jsonl(log.to_jsonl())
-    assert back.dropped == 3
-    assert back.truncated
-    assert [ev.detail["i"] for ev in back] == [3, 4]
-
-
-def test_jsonl_coerces_exotic_detail_values():
+def test_event_row_coerces_exotic_detail_values():
     class Thing:
         def __repr__(self):
             return "<thing>"
 
-    log = TraceLog()
-    log.emit(0.0, "k", "s", obj=Thing(), nested={"a": (1,)})
-    back = TraceLog.from_jsonl(log.to_jsonl())
-    assert back.events()[0].detail == {"obj": "<thing>", "nested": {"a": [1]}}
-
-
-def test_from_jsonl_tolerates_empty_and_headerless_input():
-    empty = TraceLog.from_jsonl("")
-    assert len(empty) == 0
-    headerless = TraceLog.from_jsonl(
-        '{"t": 1.0, "kind": "k", "src": "s", "detail": {}}\n'
-    )
-    assert len(headerless) == 1
-    assert headerless.events()[0].kind == "k"
-
-
-def test_dump_unchanged_by_jsonl_round_trip():
-    log = TraceLog()
-    log.emit(1.0, "steal.request", "ws01", victim="ws02")
-    log.emit(2.0, "steal.grant", "ws02", thief="ws01")
-    assert TraceLog.from_jsonl(log.to_jsonl()).dump() == log.dump()
+    row = json.loads(event_row(0.5, "k", "s", {"obj": Thing(), "nested": {"a": (1,)}}))
+    assert row == {"t": 0.5, "kind": "k", "src": "s",
+                   "detail": {"obj": "<thing>", "nested": {"a": [1]}}}
