@@ -8,7 +8,7 @@ nearly 1.00 (Table 1), at the opposite end of the spectrum from fib.
 
 from repro.apps.ray.geometry import Plane, Sphere
 from repro.apps.ray.scene import Camera, Light, Scene, default_scene
-from repro.apps.ray.sceneio import load_scene, save_scene, scene_to_text
+from repro.apps.ray.sceneio import load_scene
 from repro.apps.ray.tracer import render, render_rows, trace_ray
 from repro.apps.ray.app import ray_job, ray_serial
 
@@ -20,8 +20,6 @@ __all__ = [
     "Light",
     "default_scene",
     "load_scene",
-    "save_scene",
-    "scene_to_text",
     "trace_ray",
     "render",
     "render_rows",

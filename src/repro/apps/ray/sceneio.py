@@ -15,7 +15,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
     plane    px py pz  nx ny nz  r g b  [diffuse spec shin refl] [checker]
 
 Numbers are floats; the optional material tail defaults to the standard
-matte material.  :func:`load_scene` / :func:`save_scene` round-trip.
+matte material.
 """
 
 from __future__ import annotations
@@ -130,44 +130,3 @@ def load_scene(source: Union[str, TextIO]) -> Scene:
         raise SceneFormatError("scene has no lights")
     return scene
 
-
-def save_scene(scene: Scene, fh: TextIO) -> None:
-    """Write a scene in the text format (inverse of :func:`load_scene`)."""
-    cam = scene.camera
-    fh.write("# phish-repro scene\n")
-    fh.write(
-        "camera {} {} {}  {} {} {}  {}\n".format(
-            *cam.position, *cam.look_at, cam.fov_degrees
-        )
-    )
-    fh.write("ambient {} {} {}\n".format(*scene.ambient))
-    fh.write("background {} {} {}\n".format(*scene.background))
-    for light in scene.lights:
-        fh.write("light {} {} {}  {} {} {}\n".format(*light.position, *light.intensity))
-    for obj in scene.objects:
-        if isinstance(obj, Sphere):
-            m = obj.material
-            fh.write(
-                "sphere {} {} {} {}  {} {} {}  {} {} {} {}\n".format(
-                    *obj.centre, obj.radius, *m.colour,
-                    m.diffuse, m.specular, m.shininess, m.reflectivity,
-                )
-            )
-        elif isinstance(obj, Plane):
-            m = obj.material
-            fh.write(
-                "plane {} {} {}  {} {} {}  {} {} {}  {} {} {} {}{}\n".format(
-                    *obj.point, *obj.normal, *m.colour,
-                    m.diffuse, m.specular, m.shininess, m.reflectivity,
-                    " checker" if obj.checker else "",
-                )
-            )
-        else:  # pragma: no cover - future primitive types
-            raise SceneFormatError(f"cannot serialise {type(obj).__name__}")
-
-
-def scene_to_text(scene: Scene) -> str:
-    """Convenience: :func:`save_scene` into a string."""
-    buf = io.StringIO()
-    save_scene(scene, buf)
-    return buf.getvalue()

@@ -199,22 +199,23 @@ class _TraceIndex:
         # causality violations.  None means the exit recorded no port
         # (hand-built traces): match any delivery to that host.
         crashed_ports: Dict[str, Set[Optional[int]]] = {}
+        # The per-task and per-steal kinds are read by position, in their
+        # ``TRACED`` field order: ``ev.detail`` would build a dict each.
         for order, ev in enumerate(trace):
             kind = ev.kind
             if kind == "closure.new":
-                self.created[ev.detail["cid"]] = ev.time
+                self.created[ev.payload] = ev.time
             elif kind == "closure.exec":
-                self.executed.setdefault(ev.detail["cid"], []).append(ev.time)
+                self.executed.setdefault(ev.payload[0], []).append(ev.time)
             elif kind == "closure.suspend":
-                self.suspend_missing[ev.detail["cid"]] = ev.detail["missing"]
+                cid, missing = ev.payload
+                self.suspend_missing[cid] = missing
             elif kind == "join.fill":
-                cid = ev.detail["cid"]
-                self.fills.setdefault(cid, []).append(
-                    (order, ev.time, ev.detail["slot"], ev.detail["remaining"])
-                )
+                cid, slot, remaining = ev.payload
+                self.fills.setdefault(cid, []).append((order, ev.time, slot, remaining))
             elif kind == "closure.lost":
-                for cid in ev.detail["cids"]:
-                    self.lost.setdefault(cid, ev.detail.get("reason", "lost"))
+                for cid in (detail := ev.detail)["cids"]:
+                    self.lost.setdefault(cid, detail.get("reason", "lost"))
             elif kind == "closure.drop":
                 self.lost.setdefault(ev.detail["cid"], ev.detail.get("reason", "drop"))
             elif kind == "steal.request":
@@ -222,15 +223,9 @@ class _TraceIndex:
                     order, ev.time, ev.detail["victim"]
                 )
             elif kind == "steal.grant":
-                self.grants.append(
-                    (order, ev.time, ev.source, ev.detail["thief"],
-                     ev.detail["cid"], ev.detail["req"])
-                )
+                self.grants.append((order, ev.time, ev.source, *ev.payload))
             elif kind == "steal.success":
-                self.successes.append(
-                    (order, ev.time, ev.source, ev.detail["victim"],
-                     ev.detail["cid"], ev.detail["req"])
-                )
+                self.successes.append((order, ev.time, ev.source, *ev.payload))
             elif kind == "redo":
                 bucket = self.redo_pairs.setdefault((ev.source, ev.detail["dead"]), set())
                 for orig, _copy in ev.detail.get("pairs", ()):

@@ -35,30 +35,30 @@ from repro.errors import ReproError
 #: site's dict literal, shared by every subscriber of the event.
 Handler = Callable[[float, str, str, Dict[str, Any]], None]
 
-#: Kinds the TraceLog records -> the observer-only detail fields it
-#: strips first (everything else is the log's exact, pinned detail); no
-#: per-task kind has any.  ``worker.exit.*`` is the one family: sites
-#: look it up under that key and pass ``worker.exit.<reason>`` as kind.
-TRACED: Dict[str, Tuple[str, ...]] = {
-    **dict.fromkeys((
-        "closure.new", "closure.exec", "closure.suspend", "closure.lost",
-        "closure.drop", "join.fill", "join.dup", "arg.retry",
-        "steal.request", "steal.grant", "steal.success", "steal.reclaim",
-        "migrate.in", "migrate.out", "migrate.dup", "migrate.reoffer", "redo",
-        "worker.start", "worker.rejoin", "worker.exit.*",
-        "net.loopback", "ch.register", "ch.unregister", "ch.result",
-        "ch.peer_update", "jm.start_worker", "jm.reclaim", "jm.preempt",
-    ), ()),
-    "net.send": ("size",),
-    "net.recv": ("latency_s",),
-    "net.partition": ("msg",),
-    "net.loss": ("msg",),
-    "net.drop.down": ("msg",),
-    "net.drop.unbound": ("msg",),
-    "ch.worker_died": ("last_seen",),
-    "jobq.submit": ("depth",),
-    "jobq.grant": ("wait_s",),
-    "jobq.done": ("depth",),
+#: Kinds the TraceLog records -> the detail fields it keeps, in the
+#: site's key order: a record stores their values, not the dict, and a
+#: site's fields beyond them are observer-only (no per-task kind has
+#: any).  None keeps the dict whole: ``steal.request``, whose
+#: ``proactive`` is optional, and the ``worker.exit.*`` family (sites
+#: look it up under that key and pass ``worker.exit.<reason>`` as kind).
+TRACED: Dict[str, Optional[Tuple[str, ...]]] = {
+    "closure.new": ("cid",), "closure.exec": ("cid", "thread"),
+    "closure.suspend": ("cid", "missing"), "closure.lost": ("cids", "reason"),
+    "closure.drop": ("cid", "reason"), "join.fill": ("cid", "slot", "remaining"),
+    "join.dup": ("cid", "slot"), "arg.retry": ("cid", "slot", "seq"),
+    "steal.request": None, "steal.grant": ("thief", "cid", "req"),
+    "steal.success": ("victim", "cid", "req"), "steal.reclaim": ("thief", "req", "pairs"),
+    "migrate.in": ("sender", "n", "cids"), "migrate.out": ("target", "n", "cids"),
+    "migrate.dup": ("sender", "n"), "migrate.reoffer": ("pairs",),
+    "redo": ("dead", "n", "pairs"),
+    "worker.start": (), "worker.rejoin": (), "worker.exit.*": None,
+    "net.send": ("dst", "port", "id"), "net.recv": ("src", "id", "port"),
+    "net.loopback": ("id", "port"), "net.partition": ("dst", "id"), "net.loss": ("id",),
+    "net.drop.down": ("id",), "net.drop.unbound": ("id",),
+    "ch.register": ("worker",), "ch.unregister": ("worker",), "ch.result": ("sender",),
+    "ch.worker_died": ("worker",), "ch.peer_update": ("peers",),
+    "jobq.submit": ("job", "id"), "jobq.grant": ("job", "to"), "jobq.done": ("id",),
+    "jm.start_worker": ("job",), "jm.reclaim": (), "jm.preempt": (),
 }
 
 #: Kinds only observers see; the log never records them.  The ``*.bind``

@@ -6,9 +6,11 @@ the experiment harness query it to assert ordering properties (e.g. "no
 steal reply precedes its request") and to debug runs.  Tracing is off by
 default because the paper's largest run executes millions of tasks.
 
-Recording is deliberately cheap: a record is four attribute stores on a
+Recording is deliberately cheap: a record is five attribute stores on a
 slotted object (no dataclass machinery, and :meth:`TraceLog.recorder`
-skips even the constructor call), and rendering is lazy — the
+skips even the constructor call), and what it stores of the detail is
+its kind's kept fields' values, not the dict — ``TraceEvent.detail``
+rebuilds the dict when read.  Rendering is lazy too — the
 ``[time] source kind k=v`` line is only formatted when someone calls
 ``str()``/:meth:`TraceLog.dump`.  A log can additionally be restricted to
 *categories* (kind prefixes) so a consumer that only needs, say, the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -52,17 +55,34 @@ class TraceEvent:
         time: simulated time at which the event occurred.
         kind: short event-type tag, e.g. ``"steal.request"``.
         source: name of the emitting component (worker/host name).
-        detail: free-form payload for humans and tests.
+        payload: what the record keeps of the detail — the value itself
+            for a kind with one kept field, a tuple of the values in
+            :attr:`fields` order for several, the detail dict itself for
+            a kind kept whole.
+        fields: the detail keys *payload* holds the values of (the
+            kind's one shared tuple), or None when it is the dict itself.
     """
 
-    __slots__ = ("time", "kind", "source", "detail")
+    __slots__ = ("time", "kind", "source", "payload", "fields")
 
     def __init__(self, time: float, kind: str, source: str,
                  detail: Optional[Dict[str, Any]] = None) -> None:
         self.time = time
         self.kind = kind
         self.source = source
-        self.detail: Dict[str, Any] = {} if detail is None else detail
+        self.payload: Any = {} if detail is None else detail
+        self.fields: Optional[Tuple[str, ...]] = None
+
+    @property
+    def detail(self) -> Dict[str, Any]:
+        """The event's detail for humans and tests: the kept fields as
+        the site said them, rebuilt on each read (treat it as read-only)."""
+        fields = self.fields
+        if fields is None:
+            return self.payload
+        if len(fields) == 1:
+            return {fields[0]: self.payload}
+        return dict(zip(fields, self.payload))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -120,22 +140,34 @@ class TraceLog:
         #: capacity-limited log stays cheap no matter how long the run.
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
+        from repro.obs.probe import TRACED  # repro.obs imports this module
+        #: Kind -> the detail fields a run's record keeps (:meth:`emit`).
+        self._kept = TRACED
 
     def emit(self, time: float, kind: str, source: str, **detail: Any) -> None:
-        """Record one event (no-op when disabled or filtered out).  The
-        recorder is built per call, not stored: a stored one would make
-        the log a reference cycle with itself."""
-        self.recorder()(time, kind, source, detail)
+        """Record one event (no-op when disabled or filtered out) as a
+        run records it: the kind's kept fields when *detail* is exactly
+        those, in order, and the dict whole otherwise.  The recorder is
+        built per call, not stored: a stored one would make the log a
+        reference cycle with itself."""
+        fields = self._kept.get(kind)
+        self.recorder(fields=fields if fields and tuple(detail) == fields else None)(
+            time, kind, source, detail)
 
     def recorder(self, then: Optional[Callable[..., None]] = None,
-                 strip: Tuple[str, ...] = ()) -> Callable[..., None]:
+                 fields: Optional[Tuple[str, ...]] = None) -> Callable[..., None]:
         """``record(time, kind, source, detail)`` into this log — the
         shape a :class:`~repro.obs.probe.Probe` calls its subscribers
-        with.  The record keeps *detail* itself, minus the *strip* keys;
-        *then*, when given, is handed the same event afterwards
-        (recorded or filtered out), so the log and a kind's other
-        observers cost one call frame, not a fan-out plus two."""
+        with.  The record keeps the values of *fields* (the kind's kept
+        detail keys, in the site's order; the rest of *detail* is
+        observer-only), taken by one C-level ``itemgetter``, or *detail*
+        itself when no fields are given; *then*, when given, is handed
+        the same event afterwards (recorded or filtered out), so the log
+        and a kind's other observers cost one call frame, not a fan-out
+        plus two."""
         events = self._events
+        fields = fields or None
+        values = itemgetter(*fields) if fields else None
 
         def record(time: float, kind: str, source: str,
                    detail: Dict[str, Any]) -> None:
@@ -146,12 +178,14 @@ class TraceLog:
                 # TraceEvent(time, kind, source, detail) without the
                 # constructor frame: most records of a long run are evicted
                 # from the ring unread, so construction is their whole cost.
+                # The kind's fields ride in a slot, not on a subclass per
+                # kind: one record type keeps these stores specialised.
                 ev = _new_event(TraceEvent)
                 ev.time = time
                 ev.kind = kind
                 ev.source = source
-                ev.detail = detail if not strip else {
-                    k: v for k, v in detail.items() if k not in strip}
+                ev.payload = detail if values is None else values(detail)
+                ev.fields = fields
                 events.append(ev)
             if then is not None:
                 then(time, kind, source, detail)

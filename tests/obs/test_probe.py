@@ -79,11 +79,12 @@ def _on_a_probe(call, attr):
             and call.func.attr == attr and "probe" in ast.unparse(call.func.value))
 
 
-def _emitted_kinds(tree):
+def _emitted_kinds(tree, keys=None):
     """Kinds of every ``probe.get(kind)`` lookup and ``probe.bind`` in
     *tree* — after checking the one call shape: the looked-up callable is
     named ``on`` / ``charged_on`` and called as ``(t, kind, source,
-    {dict literal})`` with the kind it was looked up under."""
+    {dict literal})`` with the kind it was looked up under.  *keys*, when
+    given, collects kind -> each such call's dict keys (``**`` a splat)."""
     kinds = set()
     scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)] or [tree]
     for scope in scopes:
@@ -99,8 +100,12 @@ def _emitted_kinds(tree):
         for node in ast.walk(scope):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("on", "charged_on")):
-                said |= _kind_literals(node.args[1], scope)
+                site = _kind_literals(node.args[1], scope)
+                said |= site
                 assert isinstance(node.args[3], ast.Dict), ast.unparse(node)
+                for kind in site if keys is not None else ():
+                    keys.setdefault(kind, set()).add(tuple(
+                        "**" if k is None else k.value for k in node.args[3].keys))
         assert said == looked_up, (getattr(scope, "name", "?"), said, looked_up)
         kinds |= looked_up
     return kinds
@@ -110,19 +115,29 @@ def test_catalogue_equals_the_emit_sites_equals_the_docs_table():
     declared = set(TRACED) | set(OBSERVER_ONLY)
     assert not set(TRACED) & set(OBSERVER_ONLY)
 
-    emitted = set()
+    emitted, said = set(), {}
     for path in COMPONENTS:
-        emitted |= _emitted_kinds(ast.parse(path.read_text()))
+        emitted |= _emitted_kinds(ast.parse(path.read_text()), said)
     assert emitted == declared
 
-    rows = re.findall(r"^\| `([a-z_.*]+)` \| (log|—) \|([^|]*)\|([^|]*)\|",
+    rows = re.findall(r"^\| `([a-z_.*]+)` \| (log|whole|—) \|([^|]*)\|([^|]*)\|[^|]*\|$",
                       (ROOT / "docs" / "observability.md").read_text(), re.M)
     assert {kind for kind, *_ in rows} == declared
-    assert {kind for kind, log, *_ in rows if log == "log"} == set(TRACED)
-    # Observer-only fields: italic in the docs, declared in TRACED.
+    assert {kind for kind, log, *_ in rows if log != "—"} == set(TRACED)
+    # The record schema.  A traced kind's docs detail is its kept fields
+    # in TRACED order, then its italic observer-only fields, and every
+    # site's dict literal says exactly those keys in that order.  A kind
+    # kept whole is None in TRACED and `whole` in the docs; its sites say
+    # the plain fields, and a splat for the bracketed optional ones.
     for kind, log, _source, detail in rows:
+        if log == "—":
+            continue
+        kept = tuple(re.findall(r"(?<!\*)\b(\w+)\b(?!\*)", re.sub(r"\[.*\]", "", detail)))
         italic = tuple(re.findall(r"\*(\w+)\*", detail))
-        assert italic == TRACED.get(kind, ()), kind
+        assert (log == "whole") == (TRACED[kind] is None), kind
+        assert TRACED[kind] in (None, kept), kind
+        optional = ("**",) if "[" in detail else ()
+        assert said[kind] == {kept + italic + optional}, kind
 
 
 def test_the_four_old_channels_do_not_grow_back():

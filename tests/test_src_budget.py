@@ -15,11 +15,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Last raised by 35: the scheduling modes as strategies bound once per
 #: worker (``micro/initiation.py`` +151, with the validation of
 #: ``mode`` and ``steal_amount``; ``micro/worker.py`` -95), net of the
-#: deleted test-only API (-21).  Last lowered by 16: a checked run's
-#: teardown (``Simulator.close``, ``TraceLog.handover``, +44) paid for
-#: by deleting ``TraceLog.to_jsonl``/``from_jsonl`` (-50) and the
-#: strategies' back-reference to their worker.
-CEILING = 18203
+#: deleted test-only API (-21).  Last lowered by 14: the trace record
+#: schema (``TRACED`` as kept fields, ``TraceEvent.detail`` rebuilt from
+#: them) paid for by deleting the test-only ``sceneio.save_scene`` and
+#: ``scene_to_text`` (-42).
+CEILING = 18189
 
 
 def test_src_does_not_grow_without_saying_so():
